@@ -138,26 +138,27 @@ class FpgaPerformanceModel:
         """Execution time of one block invocation shared by a batch of
         ``(tokens, kv_len)`` slices.  Weights stream once; KV traffic and
         compute scale per slice.  The single implementation behind both the
-        single-request and batched engine-step costs."""
-        from repro.models.transformer import block_flops
+        single-request and batched engine-step costs.
+
+        Each slice is priced inline: its KV bytes and its ``block_flops``
+        count (from :func:`block_flops_coefficients`) are exact integers,
+        each divided once by its rate and summed in batch order, so the
+        result is bit-identical to calling ``block_flops`` per slice."""
+        from repro.models.transformer import block_flops_coefficients
 
         weight_time = self.weight_bytes(config.layer_params()) / (
             self.weight_stream_gbs * 1e9)
         activation_bytes = self.platform.quantization.activation_bits / 8.0
-        # One pass over the batch with the per-slice constants hoisted
-        # out of the loop (the property chains were measurably hot on
-        # million-request cluster traces); the arithmetic per slice is
-        # unchanged, so the result is bit-identical to the original
-        # two-genexpr form.
-        kv_hidden = config.kv_hidden_size
+        kv_row = 2 * config.kv_hidden_size       # K and V elements per row
+        per_token, per_token_kv = block_flops_coefficients(config)
         hbm_bytes_per_s = self.weight_stream_gbs * 1e9
         ops_per_s = self.effective_ops_per_s
         kv_time = 0.0
         compute_time = 0.0
         for tokens, kv_len in batch:
-            kv_time += 2 * kv_len * kv_hidden * activation_bytes \
-                / hbm_bytes_per_s
-            compute_time += block_flops(config, tokens, kv_len) / ops_per_s
+            kv_time += kv_len * kv_row * activation_bytes / hbm_bytes_per_s
+            compute_time += tokens * (per_token + kv_len * per_token_kv) \
+                / ops_per_s
         steady = max(weight_time + kv_time, compute_time)
         slowdown = (self.conservative_slowdown
                     if strategy is EqualizationStrategy.CONSERVATIVE else 1.0)

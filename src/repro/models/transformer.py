@@ -10,7 +10,7 @@ the decode stage (``seq_len`` = 1, attention over the KV cache).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import DType, FLOAT32, INT8
@@ -93,6 +93,21 @@ def block_flops(config: ModelConfig, seq_len: int, kv_len: int) -> float:
     up_projections = 2 if config.gated_ffn else 1
     ffn = 2.0 * seq_len * hidden * config.ffn_hidden_size * (up_projections + 1)
     return qkv + attn + out_proj + ffn
+
+
+def block_flops_coefficients(config: ModelConfig) -> Tuple[int, int]:
+    """``(per_token, per_token_kv)`` with ``block_flops(config, t, k) ==
+    t * per_token + t * k * per_token_kv``.
+
+    :func:`block_flops` is linear in ``seq_len`` and ``seq_len * kv_len``;
+    the coefficients are read off it, so it stays the one definition of
+    the FLOP count.  Pricing a slice with them in integer arithmetic is
+    exact, and equals :func:`block_flops` bit for bit whenever its float
+    partial products are exact integers (below 2**53, far above any slice
+    a ``max_seq_len`` in the thousands admits).
+    """
+    per_token = int(block_flops(config, 1, 0))
+    return per_token, int(block_flops(config, 1, 1)) - per_token
 
 
 def model_flops(config: ModelConfig, seq_len: int, kv_len: int) -> float:

@@ -16,7 +16,8 @@ this model on the generated accelerator look like?" without owning an FPGA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from operator import attrgetter
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.compiler.pipeline import CompilationResult
 from repro.eval.latency import FpgaPerformanceModel
@@ -37,8 +38,7 @@ class StepRecord:
     kernel_invocations: int
 
 
-@dataclass(frozen=True)
-class StepWork:
+class StepWork(NamedTuple):
     """One request's contribution to a single engine step.
 
     A decode slice is ``(kind="decode", tokens=1)``; a prefill slice covers
@@ -48,6 +48,9 @@ class StepWork:
     the slice produces an output token — true for decode and for the final
     prefill chunk, false for mid-prompt chunks, which therefore skip the
     LM head in the step cost.
+
+    A named tuple rather than a frozen dataclass: the scheduler builds one
+    per resident per step, and a tuple is built in less than half the time.
     """
 
     kind: str          # "prefill" or "decode"
@@ -68,21 +71,26 @@ class StepWork:
         return self.kv_len + (1 if self.emits else 0)
 
 
+_kv_len = attrgetter("kv_len")
+_tokens_kv_len = attrgetter("tokens", "kv_len")
+_emits = attrgetter("emits")
+
+
 class ActiveRequest:
     """Step-granular cursor over one generation request.
 
     Created by :meth:`InferenceSession.start_request`.  A scheduler asks
     :meth:`next_work` what the request needs next, folds that slice into an
     engine step (possibly alongside slices of other requests), and calls
-    :meth:`record` with the step's wall-clock duration.  The accumulated
-    :class:`StepRecord` timeline is this request's view of the service it
-    received, whether it ran alone or continuously batched.
+    :meth:`record` with the step's wall-clock duration.  The cursor holds
+    two counters — prompt positions resident and tokens generated — and no
+    per-step history, so a serving run's memory grows with its requests,
+    not its tokens.  :meth:`InferenceSession.generate` keeps the
+    :class:`StepRecord` timeline of a single request itself.
     """
 
-    def __init__(self, workload: Workload, num_layers: int) -> None:
+    def __init__(self, workload: Workload) -> None:
         self.workload = workload
-        self.steps: List[StepRecord] = []
-        self._num_layers = num_layers
         self._prefilled = 0
         self._generated = 0
         self.prefix_cached_tokens = 0
@@ -122,7 +130,7 @@ class ActiveRequest:
         the first output token — so the skip is capped at ``input_len - 1``.
         Returns the positions actually skipped.
         """
-        if self.steps or self._prefilled or self._generated:
+        if self._prefilled or self._generated:
             raise RuntimeError(
                 f"request {self.workload.label} already started; a prefix "
                 "skip is only valid before the first recorded slice")
@@ -145,7 +153,7 @@ class ActiveRequest:
         straight to decode.  Only valid on a fresh cursor, before any slice
         is recorded.  Returns the positions marked resident.
         """
-        if self.steps or self._prefilled or self._generated:
+        if self._prefilled or self._generated:
             raise RuntimeError(
                 f"request {self.workload.label} already started; imported "
                 "KV is only valid before the first recorded slice")
@@ -170,31 +178,31 @@ class ActiveRequest:
                 nothing is mutated; the engine applies the actual skip via
                 :meth:`skip_prefix` when it admits the request.
         """
-        if self.finished:
-            raise RuntimeError(f"request {self.workload.label} already finished")
+        workload = self.workload
+        if self._generated >= workload.output_len:
+            raise RuntimeError(f"request {workload.label} already finished")
+        input_len = workload.input_len
         prefilled = self._prefilled
         if assume_prefilled is not None:
-            prefilled = max(prefilled, min(assume_prefilled,
-                                           self.workload.input_len - 1))
-        if prefilled < self.workload.input_len:
-            remaining = self.workload.input_len - prefilled
+            prefilled = max(prefilled, min(assume_prefilled, input_len - 1))
+        if prefilled < input_len:
+            remaining = input_len - prefilled
             chunk = remaining if token_budget is None \
                 else max(1, min(remaining, token_budget))
             return StepWork("prefill", chunk, prefilled + chunk,
-                            emits=chunk == remaining)
-        return StepWork("decode", 1, self.workload.input_len + self._generated)
+                            chunk == remaining)
+        return StepWork("decode", 1, input_len + self._generated)
 
     def record(self, work: StepWork, seconds: float) -> int:
         """Account one completed slice; returns tokens emitted (0 or 1).
 
         The first output token is emitted when the last prefill chunk
-        completes; every decode slice emits one more.
+        completes; every decode slice emits one more.  ``seconds`` is the
+        step's duration; the cursor does not store it (callers that want a
+        timeline, like :meth:`InferenceSession.generate`, keep their own).
+        Every slice advances a counter by at least one position, so a
+        recorded cursor is never mistaken for a fresh one.
         """
-        self.steps.append(StepRecord(
-            index=len(self.steps), kind=work.kind, tokens=work.tokens,
-            kv_len=work.kv_len, seconds=seconds,
-            kernel_invocations=self._num_layers,
-        ))
         if work.kind == "prefill":
             self._prefilled += work.tokens
             if self._prefilled >= self.workload.input_len:  # == in_prefill
@@ -328,7 +336,7 @@ class InferenceSession:
                 f"request needs {workload.total_tokens} positions but the "
                 f"accelerator was built for max_seq_len={self.max_seq_len}"
             )
-        return ActiveRequest(workload, self.config.num_layers)
+        return ActiveRequest(workload)
 
     def execute_step(self, works: Sequence[StepWork]) -> float:
         """Simulate one engine step over a batch of request slices.
@@ -339,16 +347,17 @@ class InferenceSession:
         :meth:`FpgaPerformanceModel.engine_step_time_s`).  Returns the step's
         wall-clock seconds; an empty batch is free.
         """
-        for work in works:
-            if work.kv_len > self.max_seq_len:
-                raise ValueError(
-                    f"step needs kv_len={work.kv_len} but the accelerator "
-                    f"was built for max_seq_len={self.max_seq_len}"
-                )
+        # Called once per engine step over every resident's slice: the
+        # field extraction runs in C through ``attrgetter``.
+        kv_len = max(map(_kv_len, works), default=0)
+        if kv_len > self.max_seq_len:
+            raise ValueError(
+                f"step needs kv_len={kv_len} but the accelerator "
+                f"was built for max_seq_len={self.max_seq_len}"
+            )
         return self.model.engine_step_time_s(
-            self.config, [(work.tokens, work.kv_len) for work in works],
-            self.strategy,
-            emitting=sum(1 for work in works if work.emits))
+            self.config, list(map(_tokens_kv_len, works)), self.strategy,
+            emitting=sum(map(_emits, works)))
 
     # ------------------------------------------------------------------
     # Generation
@@ -372,10 +381,15 @@ class InferenceSession:
 
         # Whole-prompt prefill, then one decode step per generated token
         # against the growing KV cache — each a singleton engine step.
+        num_layers = self.config.num_layers
         while not active.finished:
             work = active.next_work()
-            active.record(work, self.execute_step([work]))
-        result.steps = active.steps
+            seconds = self.execute_step([work])
+            active.record(work, seconds)
+            result.steps.append(StepRecord(
+                index=len(result.steps), kind=work.kind, tokens=work.tokens,
+                kv_len=work.kv_len, seconds=seconds,
+                kernel_invocations=num_layers))
 
         result.kv_cache_bytes = workload.total_tokens * self.kv_bytes_per_token
         return result

@@ -52,7 +52,7 @@ measure".
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple, Union
 
@@ -146,10 +146,6 @@ class DeviceWorker:
     a replica gracefully.
     """
 
-    # Entries kept in the step-time LRU; 0 disables memoization (the
-    # benchmark suite flips this to measure the cache's req/s delta).
-    STEP_TIME_CACHE_SIZE = 512
-
     def __init__(self, device_id: int, session: InferenceSession,
                  scheduler_config: SchedulerConfig,
                  preemption: PreemptionPolicy,
@@ -235,17 +231,10 @@ class DeviceWorker:
         # hand-offs, which admit at the first chunk).
         self.kv_stall_s = 0.0
         self.kv_stall_steps = 0
-        # Batch-signature LRU over the analytical step-cost model: the
-        # simulator replays identical (tokens, kv_len) batch shapes
-        # constantly, and `engine_step_time_s` is a pure function of the
-        # shape for a fixed config/strategy, so memoizing it is exact.
-        self._step_time_cache: "OrderedDict[tuple, float]" = OrderedDict()
-        self.step_cache_hits = 0
         # Injected slow-node degradation (fault injection): every executed
         # step's model seconds are multiplied by this factor.  1.0 — the
-        # default — takes a branch-free path, so a fault-free run is
-        # byte-identical to a build without the knob.  Applied *after*
-        # the step-time LRU, which stays keyed on batch shape alone.
+        # default — skips the multiply, so a fault-free run is
+        # byte-identical to a build without the knob.
         self.step_time_scale = 1.0
 
     # ------------------------------------------------------------------
@@ -523,15 +512,18 @@ class DeviceWorker:
         # stream does the device truly wait on the interconnect; that wait
         # is charged as a stall (busy time) until the earliest landing.
         # Monolithic hand-offs enqueue at full landing, so entries here
-        # are always ready and the arithmetic stays byte-identical to
-        # PR 5.
+        # are always ready and the arithmetic stays byte-identical to an
+        # unstreamed fleet.  Only a request admitted with migrated KV can be
+        # blocked, so a worker that never admitted one (every unified
+        # replica) skips the per-entry scan.
         def stream_blocked(request: ServingRequest) -> bool:
             ready = request.migration_ready_s
             return ready is not None and bool(request.migrated_kv_tokens) \
                 and ready > self.clock
 
         entries = plan.entries
-        if any(stream_blocked(request) for request, _ in entries):
+        if self.migrated_in and any(stream_blocked(request)
+                                    for request, _ in entries):
             if all(stream_blocked(request) for request, _ in entries):
                 first_ready = min(request.migration_ready_s
                                   for request, _ in entries)
@@ -544,7 +536,10 @@ class DeviceWorker:
                        if not stream_blocked(request)]
 
         exec_start = self.clock
-        seconds = self._execute_step([work for _, work in entries])
+        seconds = self.session.execute_step([work for _, work in entries])
+        if self.step_time_scale != 1.0:
+            # A degraded node pays the multiplier on the wall clock.
+            seconds = seconds * self.step_time_scale
         self.clock += seconds
         self.busy_s += seconds
         self.steps += 1
@@ -584,46 +579,54 @@ class DeviceWorker:
                     if request.request_id not in planned:
                         stage((_SPAN_BATCH_WAIT, request.request_id, 0))
 
+        # The record loop runs once per executed slice: keep it to the
+        # cursor update plus the rare first-token / finish transitions.
+        clock = self.clock
+        prefix_caching = self._prefix_caching
+        prefill_only = self.prefill_only
+        emitted_total = 0
         for request, work in entries:
+            active = request.active
             if stage is not None:
                 stage((kind_prefill if work.kind == "prefill"
                        else kind_decode,
                        request.request_id, work.tokens))
-            emitted = request.active.record(work, seconds)
-            self.tokens += emitted
-            request.tokens_emitted += emitted
-            if emitted and request.first_token_s is None:
-                request.first_token_s = self.clock
-                if stage is not None:
-                    stage((_SPAN_FIRST_TOKEN, request.request_id, 0))
-                slo = request.slo_class
-                self.ttft_samples.append(
-                    self.clock, request.ttft_s,
-                    slo.ttft_target_s if slo is not None else float("inf"),
-                    slo.value if slo is not None else 1.0)
-            if self._prefix_caching and request.shareable_prefix \
+            if active.record(work, seconds):
+                emitted_total += 1
+                request.tokens_emitted += 1
+                if request.first_token_s is None:
+                    request.first_token_s = clock
+                    if stage is not None:
+                        stage((_SPAN_FIRST_TOKEN, request.request_id, 0))
+                    slo = request.slo_class
+                    self.ttft_samples.append(
+                        clock, request.ttft_s,
+                        slo.ttft_target_s if slo is not None
+                        else float("inf"),
+                        slo.value if slo is not None else 1.0)
+            if prefix_caching and request.shareable_prefix \
                     and work.kind == "prefill":
                 # The positions this chunk streamed are now resident: full
                 # blocks within the shared prefix become reusable.
                 manager.mark_prefix_computed(
                     request.prefix_group,
-                    min(request.active.prefilled_tokens,
-                        request.prefix_len))
-            if request.active.finished:
-                request.finish_s = self.clock
+                    min(active.prefilled_tokens, request.prefix_len))
+            if active.finished:
+                request.finish_s = clock
                 request.state = RequestState.FINISHED
                 running.remove(request)
                 self.served += 1
                 self.value_in_system -= request_value(request)
-                self.tpot_samples.append(self.clock, request.tpot_s)
+                self.tpot_samples.append(clock, request.tpot_s)
                 if manager is not None:
                     manager.release(request.request_id)
-            elif self.prefill_only and not request.active.in_prefill:
+            elif prefill_only and not active.in_prefill:
                 # Disaggregated hand-off: prefill just completed (the
                 # emitting chunk above set the first token), so the
                 # request leaves this worker with its KV for a decode
                 # replica to continue.
                 self._hand_off(request)
+        self.tokens += emitted_total
 
         if stage is not None:
             staged = (len(step_list) - staged_before) // 3
@@ -678,41 +681,6 @@ class DeviceWorker:
             kv_bytes=kv_bytes, chunk_bytes=chunk_bytes))
         self.handoff_count += 1
         self.value_in_system -= request_value(request)
-
-    def _execute_step(self, works) -> float:
-        """``session.execute_step`` behind the batch-signature LRU.
-
-        The analytical step cost depends only on the batch shape — the
-        ordered ``(tokens, kv_len)`` pairs plus the emitting count — for
-        this worker's fixed config and strategy, so a hit returns the
-        exact float the model would recompute (the key preserves order
-        because float summation order affects the last bits).  Admission
-        already bounds every request to ``max_seq_len``, so skipping the
-        session's overflow check on a hit loses nothing.
-        """
-        size = self.STEP_TIME_CACHE_SIZE
-        if not size:
-            seconds = self.session.execute_step(works)
-            if self.step_time_scale != 1.0:
-                seconds = seconds * self.step_time_scale
-            return seconds
-        key = (tuple((work.tokens, work.kv_len) for work in works),
-               sum(1 for work in works if work.emits))
-        cache = self._step_time_cache
-        seconds = cache.get(key)
-        if seconds is None:
-            seconds = self.session.execute_step(works)
-            cache[key] = seconds
-            if len(cache) > size:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(key)
-            self.step_cache_hits += 1
-        if self.step_time_scale != 1.0:
-            # A degraded node pays the multiplier on the wall clock; the
-            # cache keeps the nominal figure so recovery is exact.
-            seconds = seconds * self.step_time_scale
-        return seconds
 
     def run_to_completion(self) -> None:
         """Step until nothing is pending, waiting or running."""

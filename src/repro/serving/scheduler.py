@@ -30,6 +30,7 @@ to apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.runtime.session import StepWork
@@ -39,6 +40,9 @@ from repro.serving.policies.admission import (
     resolve_admission_policy,
 )
 from repro.serving.request import ServingRequest
+
+# Sort key putting decoding residents ahead of prefilling ones.
+_in_prefill = attrgetter("active.in_prefill")
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,8 @@ class ContinuousBatchingScheduler:
         # chunks so a long chunked prefill can never starve the decodes
         # already flowing — that is the whole point of chunking.  The sort
         # is stable, so FIFO order is preserved within each class.
-        for request in sorted(running, key=lambda r: r.active.in_prefill):
+        chunked = self.config.chunked_prefill
+        for request in sorted(running, key=_in_prefill):
             if budget <= 0:
                 break
             slice_budget = budget
@@ -184,8 +189,7 @@ class ContinuousBatchingScheduler:
                     continue
                 slice_budget = min(budget, prefill_left)
             work = request.active.next_work(
-                token_budget=slice_budget if self.config.chunked_prefill
-                else None)
+                slice_budget if chunked else None)
             # A resident slice always fits: decode costs 1, chunked prefill
             # is clipped to the remaining budget, and unchunked prefill
             # completes in its admission step so never runs here.

@@ -1,10 +1,13 @@
 """Tests for the batched step cost model and the sequential baseline."""
 
+import random
+
 import pytest
 
 from repro.eval.latency import FpgaPerformanceModel
 from repro.eval.serving import run_sequential_baseline
-from repro.models.config import GPT2, LLAMA
+from repro.models.config import GPT2, LLAMA, MODEL_CONFIGS
+from repro.models.transformer import block_flops, block_flops_coefficients
 from repro.models.workload import Workload
 from repro.resource.token_model import EqualizationStrategy
 from repro.serving.workload_gen import burst_trace, trace_from_specs
@@ -70,6 +73,60 @@ class TestEngineStepTime:
         assert silent < emitting
         assert emitting - silent == pytest.approx(
             model.lm_head_time_s(GPT2))
+
+
+def per_slice_block_time(model, config, batch, strategy):
+    """Reference step block cost: ``block_flops`` called once per slice."""
+    hbm_bytes_per_s = model.weight_stream_gbs * 1e9
+    weight_time = model.weight_bytes(config.layer_params()) / hbm_bytes_per_s
+    activation_bytes = model.platform.quantization.activation_bits / 8.0
+    kv_time = 0.0
+    compute_time = 0.0
+    for tokens, kv_len in batch:
+        kv_time += 2 * kv_len * config.kv_hidden_size * activation_bytes \
+            / hbm_bytes_per_s
+        compute_time += block_flops(config, tokens, kv_len) \
+            / model.effective_ops_per_s
+    slowdown = model.conservative_slowdown \
+        if strategy is EqualizationStrategy.CONSERVATIVE else 1.0
+    return max(weight_time + kv_time, compute_time) * slowdown \
+        + model.per_layer_overhead_s
+
+
+class TestInlineSlicePricing:
+    """The step cost prices each slice with inline integer arithmetic; it
+    must equal the per-slice ``block_flops`` form bit for bit, or every
+    pinned report would move."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_CONFIGS))
+    def test_coefficients_reproduce_block_flops_exactly(self, name):
+        config = MODEL_CONFIGS[name]
+        per_token, per_token_kv = block_flops_coefficients(config)
+        top = config.max_seq_len
+        for tokens in (1, 2, 7, 128, top - 1, top):
+            for kv_len in (0, 1, 33, 512, top - 1, top):
+                assert float(tokens * per_token
+                             + tokens * kv_len * per_token_kv) \
+                    == block_flops(config, tokens, kv_len)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_CONFIGS))
+    @pytest.mark.parametrize("strategy", list(EqualizationStrategy))
+    def test_batched_cost_bit_identical_to_per_slice_form(self, name,
+                                                          strategy):
+        config = MODEL_CONFIGS[name]
+        model = FpgaPerformanceModel()
+        rng = random.Random(name)
+        top = config.max_seq_len
+        batches = [[(top, top)], [(1, 1)] * 64]
+        for _ in range(50):
+            batch = []
+            for _ in range(rng.randint(1, 64)):
+                tokens = rng.choice((1, 1, 1, rng.randint(1, top)))
+                batch.append((tokens, rng.randint(tokens, top)))
+            batches.append(batch)
+        for batch in batches:
+            assert model._batched_block_time_s(config, batch, strategy) \
+                == per_slice_block_time(model, config, batch, strategy)
 
 
 class TestSequentialBaseline:

@@ -181,14 +181,28 @@ class TestStepGranularApi:
         head = FpgaPerformanceModel().lm_head_time_s(GPT2)
         assert final - silent == pytest.approx(head)
 
-    def test_step_records_accumulate(self):
-        session = InferenceSession(GPT2)
-        active = session.start_request(Workload(8, 3))
-        while not active.finished:
-            work = active.next_work()
-            active.record(work, session.execute_step([work]))
-        assert [s.kind for s in active.steps] == ["prefill", "decode", "decode"]
-        assert [s.index for s in active.steps] == [0, 1, 2]
+    def test_generate_numbers_its_step_records(self):
+        result = InferenceSession(GPT2).generate(Workload(8, 3))
+        assert [s.kind for s in result.steps] == ["prefill", "decode", "decode"]
+        assert [s.index for s in result.steps] == [0, 1, 2]
+
+    def test_cursor_memory_does_not_grow_with_tokens(self):
+        """Recording a slice only advances counters: serving memory grows
+        with requests, not with the tokens they generate."""
+        import tracemalloc
+
+        active = InferenceSession(GPT2).start_request(Workload(8, 1000))
+        active.record(active.next_work(), 0.1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(500):
+                active.record(active.next_work(), 0.01)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert active.tokens_generated == 501
+        assert grown < 1024, f"{grown} bytes retained over 500 slices"
 
     def test_execute_step_empty_batch_is_free(self):
         assert InferenceSession(GPT2).execute_step([]) == 0.0

@@ -9,7 +9,9 @@ same seeded trace, both kernels emit the *identical* ``ClusterReport``
 sample — compared as serialized JSON".  The parametrized matrix below
 spans the representative regimes: unified/autoscaled/disaggregated
 fleets, every routing policy, prefix caching, KV pressure with
-preemption, and migration under decode-pool scaling.
+preemption, and migration under decode-pool scaling.  Each report is
+also pinned to a recorded sha256 (``GOLDEN_SHA256``), so a change that
+moves both kernels alike fails too.
 
 Also here: the regression pinning event-count == step-loop
 iteration-count (the two kernels must process the same number of
@@ -18,6 +20,7 @@ assertion guarding the numpy metrics refactor (report JSON shape
 unchanged).
 """
 
+import hashlib
 import json
 
 import pytest
@@ -206,6 +209,59 @@ CONFIGS = {
 }
 
 
+# sha256 of each config's report JSON (sorted keys): the recorded truth
+# both kernels must keep reproducing, so a hot-path rewrite that moves a
+# single simulated bit fails here even when the two kernels agree.  A
+# change that moves results on purpose replaces the digests the failing
+# test prints and says so in CHANGES.md.
+GOLDEN_SHA256 = {
+    "autoscaled_queue_only":
+        "97df074f89c3a6c5f934a04366533572c5b00cc0d546c53cc2704778503cf910",
+    "autoscaled_slo_flash_crowd":
+        "38bc44243c9fe242118ae6d031356ed091a254e80e74ddc7a34737601d9f6ca1",
+    "disagg_autoscaled":
+        "9cb4c51e8759aa0e351ebf63db5ed7c32166f068b35890e1caae6a8812415c81",
+    "disagg_basic":
+        "744ea6c83ae906ddc8173cd0a09c44098b1d427c6b8990473daaad9e4c1b0da4",
+    "disagg_decode_least_queue":
+        "8174226ed655bdeccf6ea7ab2760254305b0527a6f7c1268270d42b9ad3fdd87",
+    "disagg_kv_transfer_aware":
+        "975fc635bf522ef8f239296283b7c2b647e59c9a79efa0855a38697a5f60039d",
+    "disagg_streamed_kv":
+        "1b4c66eee1d6805399672bb66246db0118d37aba77936b2e510c73ff7cfe3689",
+    "disagg_streamed_stalling":
+        "c65b234bd0c01a6c198a958c85fc842c95e581aac3c14e5af6c4f029cc2db7e7",
+    "faulted_autoscaled_replacement":
+        "3f26d8c6d0d6f6849514b741c1ba24b83024d32c1d30995af786e820547c1798",
+    "faulted_disagg_kvlink":
+        "1cfaf2d60881857243daeb57ee754a42a517044bf7b30022dc3a43dc8ee80b86",
+    "faulted_fixed_crash_slow":
+        "9dba8d1343096a781264d9b50467d0022077a4ff7d074639c791fe69a70883c7",
+    "fixed_least_queue":
+        "516e22de47fee4294078f56fbb9e5fd5bf9a74feec79e31f76c4a5e75d9fb2ff",
+    "fixed_round_robin":
+        "8c06179141523b15b479f819d57b894c53773ca6c962aa30fae93cc915a03c6f",
+    "hybrid_prefill_capped":
+        "82116efca5537fb1f1ce11f31a3e31bdca73916dd3670db96b6d68383183ac33",
+    "kv_pressure_preempting":
+        "155f903b41dc16d919b4c2197a8f332c2e80905d5b0838d831348766f8e821bf",
+    "least_kv_pressure":
+        "07b5cee52b74d7a357a9726a881b0ff8af4f0ca10fbdbeebfa40a30414e44fc7",
+    "multi_turn_prefix_cached":
+        "4c7473ebdc181b5f04d8edae2ca591e852bab9c792d401314c4a4521113cf36e",
+    "prefix_affinity_cached":
+        "b9bd95ca2d1d7283d246b2d049a215d22563cd017d90b8025f0ebf17c8b2f4a0",
+    "score_class_mix":
+        "6749a886a70df8e90c2290a4dfc5f1efceaa3fcd9211d9952ff44158cd746229",
+    "score_preempting_class_autoscaled":
+        "cc8f43326832c25373fc05384783b17eaa8a2b785bc7df4e67df63ca6e1f6c8f",
+    "single_replica":
+        "096c535dadb82c98556aa0c99ef22c640a2803ebb34ef01c00dab6352b9b01ae",
+    "tool_use_fixed":
+        "8c6145bc83d267c82b0e6a48de992bdb5412b8037ea1b3d33cbeec6ce62e5e35",
+}
+
+
 def run_kernel(kernel, kwargs, trace):
     cluster = ServingCluster(GPT2, kernel=kernel, **kwargs)
     return cluster, cluster.run(trace)
@@ -217,8 +273,14 @@ class TestKernelEquivalence:
         kwargs, trace = CONFIGS[name]
         _, event_report = run_kernel("event", kwargs, trace)
         _, step_report = run_kernel("step", kwargs, trace)
-        assert json.dumps(event_report.to_dict(), sort_keys=True) \
-            == json.dumps(step_report.to_dict(), sort_keys=True)
+        payload = json.dumps(event_report.to_dict(), sort_keys=True)
+        assert payload == json.dumps(step_report.to_dict(), sort_keys=True)
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        assert digest == GOLDEN_SHA256[name], \
+            f"{name}: report moved from the recorded digest; now {digest}"
+
+    def test_every_config_has_a_recorded_digest(self):
+        assert set(GOLDEN_SHA256) == set(CONFIGS)
 
     def test_matrix_exercises_every_regime(self):
         """Meta-coverage: the matrix must keep spanning the regimes the

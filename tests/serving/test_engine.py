@@ -139,90 +139,20 @@ class TestBatchingAdvantage:
         assert report.peak_queue_depth >= 2
 
 
-class TestStepTimeMemoization:
-    """The analytical step-time model is pure in the batch composition,
-    so DeviceWorker memoizes it behind a batch-signature LRU.  The cache
-    must be a pure speedup: byte-identical reports, bounded size."""
+class TestGoldenReport:
+    """Every step is priced afresh by ``InferenceSession.execute_step``;
+    the engine report for a fixed trace is pinned to its recorded sha256,
+    so a hot-path rewrite cannot move a simulated bit unnoticed."""
 
-    def run_report(self, cache_size):
-        from repro.serving.engine import DeviceWorker
+    def test_report_matches_recorded_digest(self):
+        import hashlib
+        import json
 
         trace = poisson_trace(48, 120.0, seed=5,
                               input_choices=(32, 64),
                               output_choices=(16, 32))
-        saved = DeviceWorker.STEP_TIME_CACHE_SIZE
-        DeviceWorker.STEP_TIME_CACHE_SIZE = cache_size
-        try:
-            return ServingEngine(GPT2, num_devices=1).run(trace)
-        finally:
-            DeviceWorker.STEP_TIME_CACHE_SIZE = saved
-
-    def test_cache_is_a_pure_speedup(self):
-        import json
-
-        cached = self.run_report(512)
-        uncached = self.run_report(0)
-        assert json.dumps(cached.to_dict(), sort_keys=True) \
-            == json.dumps(uncached.to_dict(), sort_keys=True)
-
-    def test_repeated_batch_signatures_hit(self):
-        from repro.serving.engine import DeviceWorker
-        from repro.serving.policies.preemption import resolve_preemption_policy
-        from repro.serving.request import requests_from_trace
-
-        session = InferenceSession(GPT2)
-        worker = DeviceWorker(0, session,
-                              SchedulerConfig(max_batch_size=1),
-                              preemption=resolve_preemption_policy("youngest"))
-        # With one batch slot, identical requests run back to back and
-        # every step of the second request replays a signature the first
-        # one already priced.
-        trace = trace_from_specs([(0.0, "[16:32]")] * 4)
-        for request in requests_from_trace(trace):
-            worker.submit(request)
-        worker.run_to_completion()
-        assert worker.step_cache_hits > 0
-        assert len(worker._step_time_cache) <= worker.STEP_TIME_CACHE_SIZE
-
-    def test_cache_size_zero_disables(self):
-        from repro.serving.engine import DeviceWorker
-        from repro.serving.request import requests_from_trace
-
-        from repro.serving.policies.preemption import resolve_preemption_policy
-
-        saved = DeviceWorker.STEP_TIME_CACHE_SIZE
-        DeviceWorker.STEP_TIME_CACHE_SIZE = 0
-        try:
-            session = InferenceSession(GPT2)
-            worker = DeviceWorker(
-                0, session, SchedulerConfig(),
-                preemption=resolve_preemption_policy("youngest"))
-            for request in requests_from_trace(
-                    trace_from_specs([(0.0, "[16:32]")] * 4)):
-                worker.submit(request)
-            worker.run_to_completion()
-            assert worker.step_cache_hits == 0
-            assert len(worker._step_time_cache) == 0
-        finally:
-            DeviceWorker.STEP_TIME_CACHE_SIZE = saved
-
-    def test_lru_evicts_past_capacity(self):
-        from repro.serving.engine import DeviceWorker
-        from repro.serving.request import requests_from_trace
-
-        from repro.serving.policies.preemption import resolve_preemption_policy
-
-        saved = DeviceWorker.STEP_TIME_CACHE_SIZE
-        DeviceWorker.STEP_TIME_CACHE_SIZE = 4
-        try:
-            session = InferenceSession(GPT2)
-            worker = DeviceWorker(
-                0, session, SchedulerConfig(),
-                preemption=resolve_preemption_policy("youngest"))
-            specs = [(0.0, f"[{8 + 8 * i}:4]") for i in range(8)]
-            for request in requests_from_trace(trace_from_specs(specs)):
-                worker.submit(request)
-            worker.run_to_completion()
-            assert len(worker._step_time_cache) <= 4
-        finally:
-            DeviceWorker.STEP_TIME_CACHE_SIZE = saved
+        report = ServingEngine(GPT2, num_devices=1).run(trace)
+        digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True)
+                                .encode()).hexdigest()
+        assert digest == ("2eb1c56c8ac39c47aef2db08dfaefd8e"
+                          "9dc7c5f75286d9f8925c56eb12956f93"), digest

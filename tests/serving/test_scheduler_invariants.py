@@ -92,7 +92,7 @@ def drain(config, requests, manager):
     scheduler = ContinuousBatchingScheduler(config)
     waiting = deque(requests)
     for request in waiting:
-        request.active = ActiveRequest(request.workload, num_layers=1)
+        request.active = ActiveRequest(request.workload)
     running = []
     steps = 0
 
