@@ -991,12 +991,23 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
                 kv_transfer_gbs=args.kv_transfer_gbs,
                 kv_stream_chunks=args.kv_stream_chunks
                 if args.kv_stream_chunks is not None else 1)
+        initial_replicas = args.replicas if args.replicas is not None \
+            else (1 if disaggregate else 2)
         fault_plan = None
         if args.faults is not None:
+            # The most replicas the fleet can ever hold (each autoscaled
+            # pool is capped at --max-replicas): a fault aimed beyond it
+            # could never fire, so it is a mistake, not a no-op.
+            pools = (initial_replicas,) if disaggregation is None \
+                else (disaggregation.prefill_replicas,
+                      disaggregation.decode_replicas)
             fault_plan = parse_fault_spec(
                 args.faults,
                 max_retries=args.max_retries
-                if args.max_retries is not None else 3)
+                if args.max_retries is not None else 3,
+                fleet_size=sum(autoscaler.max_replicas
+                               if autoscaler is not None else count
+                               for count in pools))
         elif args.max_retries is not None:
             raise ValueError(
                 "--max-retries bounds crash recovery; pair with --faults")
@@ -1004,9 +1015,7 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
         tracer = Tracer() if args.trace_out is not None else None
         cluster = ServingCluster(
             config,
-            initial_replicas=args.replicas
-            if args.replicas is not None else (1 if disaggregate
-                                               else 2),
+            initial_replicas=initial_replicas,
             router=router,
             scheduler_config=SchedulerConfig(
                 max_batch_size=args.max_batch,

@@ -29,7 +29,7 @@ per experiment).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from repro.models.config import ModelConfig
 from repro.models.workload import Workload
@@ -77,6 +77,98 @@ class LatencyBreakdown:
 # ----------------------------------------------------------------------
 # StreamTensor accelerator (FPGA)
 # ----------------------------------------------------------------------
+class StepTotals(NamedTuple):
+    """The sums one engine step's cost depends on.
+
+    A block invocation streams its weights once however many slices share
+    it, KV traffic grows with each slice's ``kv_len``, and ``block_flops``
+    is affine in ``tokens`` and ``tokens * kv_len``.  A step's cost is
+    therefore a closed form in these totals; no slice is priced on its own.
+    """
+
+    slices: int = 0
+    tokens: int = 0        # sum of tokens
+    kv_len: int = 0        # sum of kv_len
+    token_kv: int = 0      # sum of tokens * kv_len
+    emitting: int = 0      # slices that produce an output token
+
+    @classmethod
+    def of(cls, batch: Iterable[Tuple[int, int]],
+           emitting: Optional[int] = None) -> "StepTotals":
+        """Reduce ``(tokens, kv_len)`` pairs; ``emitting=None`` means
+        every slice emits."""
+        slices = tokens = kv_total = token_kv = 0
+        for slice_tokens, kv_len in batch:
+            slices += 1
+            tokens += slice_tokens
+            kv_total += kv_len
+            token_kv += slice_tokens * kv_len
+        return cls(slices, tokens, kv_total, token_kv,
+                   slices if emitting is None else emitting)
+
+
+@dataclass(frozen=True)
+class StepPricer:
+    """Engine-step cost of one model under one FIFO-sizing strategy.
+
+    Built by :meth:`FpgaPerformanceModel.step_pricer`, which computes the
+    per-config constants once.  :meth:`block_time_s` is the model's one
+    block-time implementation.  Its FLOP count is an exact integer, divided
+    once by the compute rate, so a one-slice step prices exactly as the
+    per-slice form does.
+    """
+
+    num_layers: int
+    weight_time_s: float
+    kv_row: int
+    activation_bytes: float
+    hbm_bytes_per_s: float
+    per_token: int
+    per_token_kv: int
+    ops_per_s: float
+    slowdown: float
+    per_layer_overhead_s: float
+    head_weight_time_s: float
+    head_flops_per_position: float
+    per_pass_overhead_s: float
+
+    def block_time_s(self, tokens: int, kv_len: int, token_kv: int) -> float:
+        """One block invocation shared by slices whose sums are ``tokens``,
+        ``kv_len`` and ``token_kv``: weights stream once, KV traffic and
+        compute scale with the sums."""
+        kv_time = kv_len * self.kv_row * self.activation_bytes \
+            / self.hbm_bytes_per_s
+        compute_time = (tokens * self.per_token
+                        + token_kv * self.per_token_kv) / self.ops_per_s
+        steady = max(self.weight_time_s + kv_time, compute_time)
+        return steady * self.slowdown + self.per_layer_overhead_s
+
+    def head_time_s(self, num_positions: int) -> float:
+        """LM-head time: vocabulary weights stream once, ``num_positions``
+        positions are projected."""
+        return max(self.head_weight_time_s,
+                   num_positions * self.head_flops_per_position
+                   / self.ops_per_s)
+
+    def step_time_s(self, totals: StepTotals) -> float:
+        """Execution time of one engine step; an empty step is free.
+
+        The fused block streams each layer's weights from HBM exactly once
+        per invocation regardless of how many requests ride along, so the
+        weight-streaming term (the dominant cost of single-token decoding)
+        is paid once per layer while KV traffic and compute scale with the
+        batch.  Iteration-level continuous batching exploits this
+        amortisation.  Mid-prompt prefill chunks do not emit, so only
+        ``totals.emitting`` positions pay the LM head.
+        """
+        if not totals.slices:
+            return 0.0
+        block = self.block_time_s(totals.tokens, totals.kv_len,
+                                  totals.token_kv)
+        head = self.head_time_s(totals.emitting) if totals.emitting else 0.0
+        return self.num_layers * block + head + self.per_pass_overhead_s
+
+
 @dataclass
 class FpgaPerformanceModel:
     """Analytical performance model of a StreamTensor-generated accelerator.
@@ -129,54 +221,40 @@ class FpgaPerformanceModel:
             return EqualizationStrategy.CONSERVATIVE
         return EqualizationStrategy.NORMAL
 
-    # ------------------------------------------------------------------
-    # Building blocks
-    # ------------------------------------------------------------------
-    def _batched_block_time_s(self, config: ModelConfig,
-                              batch: Sequence[Tuple[int, int]],
-                              strategy: EqualizationStrategy) -> float:
-        """Execution time of one block invocation shared by a batch of
-        ``(tokens, kv_len)`` slices.  Weights stream once; KV traffic and
-        compute scale per slice.  The single implementation behind both the
-        single-request and batched engine-step costs.
-
-        Each slice is priced inline: its KV bytes and its ``block_flops``
-        count (from :func:`block_flops_coefficients`) are exact integers,
-        each divided once by its rate and summed in batch order, so the
-        result is bit-identical to calling ``block_flops`` per slice."""
+    def step_pricer(self, config: ModelConfig,
+                    strategy: EqualizationStrategy) -> "StepPricer":
+        """The engine-step cost of ``config`` under ``strategy``, with every
+        per-config constant computed here, once (callers pricing many steps
+        keep the pricer)."""
         from repro.models.transformer import block_flops_coefficients
 
-        weight_time = self.weight_bytes(config.layer_params()) / (
-            self.weight_stream_gbs * 1e9)
-        activation_bytes = self.platform.quantization.activation_bits / 8.0
-        kv_row = 2 * config.kv_hidden_size       # K and V elements per row
-        per_token, per_token_kv = block_flops_coefficients(config)
         hbm_bytes_per_s = self.weight_stream_gbs * 1e9
-        ops_per_s = self.effective_ops_per_s
-        kv_time = 0.0
-        compute_time = 0.0
-        for tokens, kv_len in batch:
-            kv_time += kv_len * kv_row * activation_bytes / hbm_bytes_per_s
-            compute_time += tokens * (per_token + kv_len * per_token_kv) \
-                / ops_per_s
-        steady = max(weight_time + kv_time, compute_time)
-        slowdown = (self.conservative_slowdown
-                    if strategy is EqualizationStrategy.CONSERVATIVE else 1.0)
-        return steady * slowdown + self.per_layer_overhead_s
-
-    def _head_time_s(self, config: ModelConfig, num_positions: int) -> float:
-        """LM-head time: vocabulary weights stream once, ``num_positions``
-        positions are projected."""
-        params = config.vocab_size * config.hidden_size
-        weight_time = self.weight_bytes(params) / (self.weight_stream_gbs * 1e9)
-        compute_time = num_positions * 2.0 * config.hidden_size \
-            * config.vocab_size / self.effective_ops_per_s
-        return max(weight_time, compute_time)
+        per_token, per_token_kv = block_flops_coefficients(config)
+        return StepPricer(
+            num_layers=config.num_layers,
+            weight_time_s=self.weight_bytes(config.layer_params())
+            / hbm_bytes_per_s,
+            kv_row=2 * config.kv_hidden_size,   # K and V elements per row
+            activation_bytes=self.platform.quantization.activation_bits / 8.0,
+            hbm_bytes_per_s=hbm_bytes_per_s,
+            per_token=per_token,
+            per_token_kv=per_token_kv,
+            ops_per_s=self.effective_ops_per_s,
+            slowdown=self.conservative_slowdown
+            if strategy is EqualizationStrategy.CONSERVATIVE else 1.0,
+            per_layer_overhead_s=self.per_layer_overhead_s,
+            head_weight_time_s=self.weight_bytes(
+                config.vocab_size * config.hidden_size) / hbm_bytes_per_s,
+            head_flops_per_position=2.0 * config.hidden_size
+            * config.vocab_size,
+            per_pass_overhead_s=self.per_pass_overhead_s,
+        )
 
     def block_time_s(self, config: ModelConfig, seq_len: int, kv_len: int,
                      strategy: EqualizationStrategy) -> float:
         """Execution time of one transformer-block invocation."""
-        return self._batched_block_time_s(config, [(seq_len, kv_len)], strategy)
+        return self.step_pricer(config, strategy).block_time_s(
+            seq_len, kv_len, seq_len * kv_len)
 
     def engine_step_time_s(self, config: ModelConfig,
                            batch: Sequence[Tuple[int, int]],
@@ -189,43 +267,31 @@ class FpgaPerformanceModel:
         chunked-prefill) slice ``(chunk_len, kv_len)``.  ``emitting`` is how
         many of those slices produce an output token this step (a mid-prompt
         prefill chunk does not, so it skips the LM head); ``None`` means all
-        of them.
-
-        The fused block streams each layer's weights from HBM exactly once
-        per invocation regardless of how many requests ride along, so the
-        weight-streaming term — the dominant cost of single-token decoding —
-        is paid once per layer while KV traffic and compute scale with the
-        batch.  This amortisation is what iteration-level continuous batching
-        exploits.  A singleton batch reduces exactly to
-        :meth:`prefill_time_s` / :meth:`decode_step_time_s`.
+        of them.  The pairs are reduced to :class:`StepTotals` and priced by
+        :meth:`StepPricer.step_time_s`.  A singleton batch reduces exactly
+        to :meth:`prefill_time_s` / :meth:`decode_step_time_s`.
         """
-        if not batch:
-            return 0.0
-        block = self._batched_block_time_s(config, batch, strategy)
-        num_emitting = len(batch) if emitting is None else emitting
-        head = self._head_time_s(config, num_emitting) if num_emitting else 0.0
-        return config.num_layers * block + head + self.per_pass_overhead_s
+        return self.step_pricer(config, strategy).step_time_s(
+            StepTotals.of(batch, emitting))
 
     def lm_head_time_s(self, config: ModelConfig) -> float:
         """LM-head (vocabulary projection) time for the one position a
         forward pass projects: the last prompt position during prefill, the
         single new position during decode."""
-        return self._head_time_s(config, 1)
+        return self.step_pricer(config, EqualizationStrategy.NORMAL
+                                ).head_time_s(1)
 
     # ------------------------------------------------------------------
     # Workload evaluation
     # ------------------------------------------------------------------
     def prefill_time_s(self, config: ModelConfig, prompt_len: int,
                        strategy: EqualizationStrategy) -> float:
-        block = self.block_time_s(config, prompt_len, prompt_len, strategy)
-        return (config.num_layers * block + self.lm_head_time_s(config)
-                + self.per_pass_overhead_s)
+        return self.engine_step_time_s(config, [(prompt_len, prompt_len)],
+                                       strategy)
 
     def decode_step_time_s(self, config: ModelConfig, kv_len: int,
                            strategy: EqualizationStrategy) -> float:
-        block = self.block_time_s(config, 1, kv_len, strategy)
-        return (config.num_layers * block + self.lm_head_time_s(config)
-                + self.per_pass_overhead_s)
+        return self.engine_step_time_s(config, [(1, kv_len)], strategy)
 
     def evaluate(self, config: ModelConfig, workload: Workload,
                  intermediate_bytes: Optional[float] = None) -> LatencyBreakdown:
@@ -241,10 +307,12 @@ class FpgaPerformanceModel:
         strategy = (self.equalization_for(intermediate_bytes)
                     if intermediate_bytes is not None
                     else EqualizationStrategy.NORMAL)
-        ttft = self.prefill_time_s(config, workload.input_len, strategy)
+        pricer = self.step_pricer(config, strategy)
+        prompt = workload.input_len
+        ttft = pricer.step_time_s(StepTotals.of([(prompt, prompt)]))
         decode = 0.0
         for kv_len in workload.decode_kv_lengths():
-            decode += self.decode_step_time_s(config, kv_len, strategy)
+            decode += pricer.step_time_s(StepTotals.of([(1, kv_len)]))
         total = ttft + decode
         energy = total * self.average_power_watts
         return LatencyBreakdown(

@@ -5,6 +5,7 @@ from repro.runtime.session import (
     GenerationResult,
     InferenceSession,
     StepRecord,
+    StepTotals,
     StepWork,
 )
 
@@ -13,5 +14,6 @@ __all__ = [
     "GenerationResult",
     "InferenceSession",
     "StepRecord",
+    "StepTotals",
     "StepWork",
 ]

@@ -16,11 +16,10 @@ this model on the generated accelerator look like?" without owning an FPGA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional
 
 from repro.compiler.pipeline import CompilationResult
-from repro.eval.latency import FpgaPerformanceModel
+from repro.eval.latency import FpgaPerformanceModel, StepTotals
 from repro.models.config import ModelConfig
 from repro.models.workload import Workload
 from repro.resource.token_model import EqualizationStrategy
@@ -49,8 +48,9 @@ class StepWork(NamedTuple):
     prefill chunk, false for mid-prompt chunks, which therefore skip the
     LM head in the step cost.
 
-    A named tuple rather than a frozen dataclass: the scheduler builds one
-    per resident per step, and a tuple is built in less than half the time.
+    Only prefill chunks, admissions and :meth:`InferenceSession.generate`
+    build one: a resident decode's slice is always ``(1, kv_tokens)``, so
+    the serving scheduler tracks such requests by cursor alone.
     """
 
     kind: str          # "prefill" or "decode"
@@ -71,11 +71,6 @@ class StepWork(NamedTuple):
         return self.kv_len + (1 if self.emits else 0)
 
 
-_kv_len = attrgetter("kv_len")
-_tokens_kv_len = attrgetter("tokens", "kv_len")
-_emits = attrgetter("emits")
-
-
 class ActiveRequest:
     """Step-granular cursor over one generation request.
 
@@ -87,37 +82,38 @@ class ActiveRequest:
     per-step history, so a serving run's memory grows with its requests,
     not its tokens.  :meth:`InferenceSession.generate` keeps the
     :class:`StepRecord` timeline of a single request itself.
+
+    The counters are plain attributes: a serving engine advances a resident
+    decode by bumping ``tokens_generated`` directly, since its slice never
+    varies.
     """
+
+    __slots__ = ("workload", "input_len", "output_len", "prefilled_tokens",
+                 "tokens_generated", "prefix_cached_tokens")
 
     def __init__(self, workload: Workload) -> None:
         self.workload = workload
-        self._prefilled = 0
-        self._generated = 0
+        self.input_len = workload.input_len
+        self.output_len = workload.output_len
+        # Prompt positions whose KV rows are resident (computed by this
+        # request or served from a shared prefix cache).
+        self.prefilled_tokens = 0
+        self.tokens_generated = 0
         self.prefix_cached_tokens = 0
-
-    @property
-    def tokens_generated(self) -> int:
-        return self._generated
-
-    @property
-    def prefilled_tokens(self) -> int:
-        """Prompt positions whose KV rows are resident (computed by this
-        request or served from a shared prefix cache)."""
-        return self._prefilled
 
     @property
     def kv_tokens(self) -> int:
         """KV rows this request currently holds (prompt prefilled so far
         plus every generated token)."""
-        return self._prefilled + self._generated
+        return self.prefilled_tokens + self.tokens_generated
 
     @property
     def in_prefill(self) -> bool:
-        return self._prefilled < self.workload.input_len
+        return self.prefilled_tokens < self.input_len
 
     @property
     def finished(self) -> bool:
-        return self._generated >= self.workload.output_len
+        return self.tokens_generated >= self.output_len
 
     def skip_prefix(self, tokens: int) -> int:
         """Mark the first ``tokens`` prompt positions as already resident.
@@ -130,14 +126,14 @@ class ActiveRequest:
         the first output token — so the skip is capped at ``input_len - 1``.
         Returns the positions actually skipped.
         """
-        if self._prefilled or self._generated:
+        if self.prefilled_tokens or self.tokens_generated:
             raise RuntimeError(
                 f"request {self.workload.label} already started; a prefix "
                 "skip is only valid before the first recorded slice")
         if tokens < 0:
             raise ValueError("cannot skip a negative prefix")
-        skipped = min(tokens, self.workload.input_len - 1)
-        self._prefilled = skipped
+        skipped = min(tokens, self.input_len - 1)
+        self.prefilled_tokens = skipped
         self.prefix_cached_tokens = skipped
         return skipped
 
@@ -153,14 +149,14 @@ class ActiveRequest:
         straight to decode.  Only valid on a fresh cursor, before any slice
         is recorded.  Returns the positions marked resident.
         """
-        if self._prefilled or self._generated:
+        if self.prefilled_tokens or self.tokens_generated:
             raise RuntimeError(
                 f"request {self.workload.label} already started; imported "
                 "KV is only valid before the first recorded slice")
         if tokens < 0:
             raise ValueError("cannot import a negative KV prefix")
-        resident = min(tokens, self.workload.input_len)
-        self._prefilled = resident
+        resident = min(tokens, self.input_len)
+        self.prefilled_tokens = resident
         return resident
 
     def next_work(self, token_budget: Optional[int] = None,
@@ -178,11 +174,11 @@ class ActiveRequest:
                 nothing is mutated; the engine applies the actual skip via
                 :meth:`skip_prefix` when it admits the request.
         """
-        workload = self.workload
-        if self._generated >= workload.output_len:
-            raise RuntimeError(f"request {workload.label} already finished")
-        input_len = workload.input_len
-        prefilled = self._prefilled
+        if self.tokens_generated >= self.output_len:
+            raise RuntimeError(
+                f"request {self.workload.label} already finished")
+        input_len = self.input_len
+        prefilled = self.prefilled_tokens
         if assume_prefilled is not None:
             prefilled = max(prefilled, min(assume_prefilled, input_len - 1))
         if prefilled < input_len:
@@ -191,7 +187,7 @@ class ActiveRequest:
                 else max(1, min(remaining, token_budget))
             return StepWork("prefill", chunk, prefilled + chunk,
                             chunk == remaining)
-        return StepWork("decode", 1, input_len + self._generated)
+        return StepWork("decode", 1, input_len + self.tokens_generated)
 
     def record(self, work: StepWork, seconds: float) -> int:
         """Account one completed slice; returns tokens emitted (0 or 1).
@@ -204,12 +200,12 @@ class ActiveRequest:
         recorded cursor is never mistaken for a fresh one.
         """
         if work.kind == "prefill":
-            self._prefilled += work.tokens
-            if self._prefilled >= self.workload.input_len:  # == in_prefill
-                self._generated = 1
+            self.prefilled_tokens += work.tokens
+            if self.prefilled_tokens >= self.input_len:  # == not in_prefill
+                self.tokens_generated = 1
                 return 1
             return 0
-        self._generated += 1
+        self.tokens_generated += 1
         return 1
 
 
@@ -280,6 +276,16 @@ class InferenceSession:
             self.strategy = EqualizationStrategy.NORMAL
 
     @property
+    def strategy(self) -> EqualizationStrategy:
+        """The FIFO-sizing strategy the step cost assumes."""
+        return self._strategy
+
+    @strategy.setter
+    def strategy(self, strategy: EqualizationStrategy) -> None:
+        self._strategy = strategy
+        self._pricer = self.model.step_pricer(self.config, strategy)
+
+    @property
     def kv_bytes_per_token(self) -> float:
         """Device bytes one KV row (all layers, K and V) occupies.
 
@@ -338,26 +344,39 @@ class InferenceSession:
             )
         return ActiveRequest(workload)
 
-    def execute_step(self, works: Sequence[StepWork]) -> float:
-        """Simulate one engine step over a batch of request slices.
+    def step_totals(self, works: Iterable[StepWork],
+                    decodes: Iterable[ActiveRequest] = ()) -> StepTotals:
+        """Reduce explicit slices, plus cursors each taking its next decode
+        slice ``(1, kv_tokens)``, to the sums :meth:`execute_step` prices.
 
-        The fused block streams each layer's weights once per invocation no
-        matter how many requests share the step, so batching amortises the
-        weight-streaming cost that dominates single-token decoding (see
-        :meth:`FpgaPerformanceModel.engine_step_time_s`).  Returns the step's
-        wall-clock seconds; an empty batch is free.
+        Raises:
+            ValueError: if a slice attends over more positions than the
+                accelerator was built for (``max_seq_len``).
         """
-        # Called once per engine step over every resident's slice: the
-        # field extraction runs in C through ``attrgetter``.
-        kv_len = max(map(_kv_len, works), default=0)
+        works = list(works)
+        decode_kv = [active.kv_tokens for active in decodes]
+        pairs = [(work.tokens, work.kv_len) for work in works]
+        pairs += [(1, kv_len) for kv_len in decode_kv]
+        kv_len = max((kv for _, kv in pairs), default=0)
         if kv_len > self.max_seq_len:
             raise ValueError(
                 f"step needs kv_len={kv_len} but the accelerator "
                 f"was built for max_seq_len={self.max_seq_len}"
             )
-        return self.model.engine_step_time_s(
-            self.config, list(map(_tokens_kv_len, works)), self.strategy,
-            emitting=sum(map(_emits, works)))
+        return StepTotals.of(
+            pairs, sum(work.emits for work in works) + len(decode_kv))
+
+    def execute_step(self, totals: StepTotals) -> float:
+        """Simulate one engine step over a batch summarised by ``totals``.
+
+        The fused block streams each layer's weights once per invocation no
+        matter how many requests share the step, so batching amortises the
+        weight-streaming cost that dominates single-token decoding; the
+        step's cost is a closed form in the batch's sums (see
+        :class:`~repro.eval.latency.StepPricer`).  Returns the step's
+        wall-clock seconds; an empty batch is free.
+        """
+        return self._pricer.step_time_s(totals)
 
     # ------------------------------------------------------------------
     # Generation
@@ -384,7 +403,7 @@ class InferenceSession:
         num_layers = self.config.num_layers
         while not active.finished:
             work = active.next_work()
-            seconds = self.execute_step([work])
+            seconds = self.execute_step(self.step_totals([work]))
             active.record(work, seconds)
             result.steps.append(StepRecord(
                 index=len(result.steps), kind=work.kind, tokens=work.tokens,

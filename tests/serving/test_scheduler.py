@@ -6,7 +6,7 @@ import pytest
 
 from repro.models.config import GPT2
 from repro.models.workload import Workload
-from repro.runtime.session import InferenceSession
+from repro.runtime.session import InferenceSession, StepTotals, StepWork
 from repro.serving.request import ServingRequest
 from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerConfig
 
@@ -17,6 +17,13 @@ def make_request(request_id: int, workload: Workload,
     request = ServingRequest(request_id, workload, arrival_s=0.0)
     request.active = session.start_request(workload)
     return request
+
+
+def scheduled(plan):
+    """Every slice of the plan in execution order, decodes spelled out as
+    the ``StepWork`` they stand for."""
+    return [(request, StepWork("decode", 1, request.active.kv_tokens))
+            for request in plan.decodes] + plan.entries
 
 
 def drain_prefill(request: ServingRequest) -> None:
@@ -46,8 +53,8 @@ class TestStepPlanning:
         plan = scheduler.plan_step(running, waiting)
         # The resident decode is scheduled first, one admission fills the
         # remaining slot, the second waiter stays queued.
-        assert plan.entries[0][0].request_id == 0
-        assert plan.entries[0][1].kind == "decode"
+        assert [r.request_id for r in plan.decodes] == [0]
+        assert [r.request_id for r, _ in plan.entries] == [1]
         assert [r.request_id for r in plan.admitted] == [1]
         assert len(waiting) == 1
 
@@ -103,7 +110,7 @@ class TestStepPlanning:
         # Budget already partially consumed: the oversized prompt is deferred
         # to a step of its own rather than squeezed in.
         assert plan.admitted == []
-        assert len(plan.entries) == 1
+        assert len(plan.decodes) == 1 and plan.entries == []
 
     def test_resident_decodes_not_starved_by_chunked_prefill(self):
         """A long chunked prefill must not block resident decodes: decode
@@ -119,17 +126,53 @@ class TestStepPlanning:
         running = [prefilling, decoding]
         for _ in range(5):
             plan = scheduler.plan_step(running, deque())
-            kinds = {req.request_id: work for req, work in plan.entries}
+            kinds = {req.request_id: work for req, work in scheduled(plan)}
             assert kinds[1].kind == "decode"
             assert kinds[0].kind == "prefill"
             assert kinds[0].tokens == 63  # leftover after the decode token
-            for req, work in plan.entries:
+            for req, work in scheduled(plan):
                 req.active.record(work, 0.0)
 
     def test_empty_queues_empty_plan(self):
         scheduler = ContinuousBatchingScheduler()
         plan = scheduler.plan_step([], deque())
-        assert plan.entries == [] and plan.admitted == []
+        assert plan.decodes == [] and plan.entries == []
+        assert plan.admitted == [] and plan.totals.slices == 0
+
+
+class TestStepTotals:
+    def test_totals_sum_every_scheduled_slice(self):
+        """The partition pass sums decodes and entries into the closed
+        form the step is priced from."""
+        scheduler = ContinuousBatchingScheduler(
+            SchedulerConfig(max_batch_size=8, token_budget=64))
+        session = InferenceSession(GPT2, max_seq_len=2048)
+        decoding = [make_request(i, Workload(8 + i, 16), session)
+                    for i in range(3)]
+        for request in decoding:
+            drain_prefill(request)
+        prefilling = make_request(5, Workload(40, 4), session)
+        prefilling.active.record(prefilling.active.next_work(16), 0.0)
+        waiting = deque([make_request(6, Workload(100, 4), session)])
+        plan = scheduler.plan_step([prefilling] + decoding, waiting)
+        slices = scheduled(plan)
+        assert [r.request_id for r, _ in slices] == [0, 1, 2, 5, 6]
+        assert plan.totals == StepTotals.of(
+            [(work.tokens, work.kv_len) for _, work in slices],
+            emitting=sum(work.emits for _, work in slices))
+        # Three decodes, the prompt's last 24 positions (emitting), then a
+        # mid-prompt chunk of the admission in the 37 tokens left over.
+        assert [work.emits for _, work in slices] == [True] * 4 + [False]
+        assert plan.scheduled_tokens == 64
+
+    def test_oversized_resident_slice_raises(self):
+        """A resident unchunked prefill that cannot fit the budget breaks
+        the scheduler's invariant; it fails loudly, also under -O."""
+        scheduler = ContinuousBatchingScheduler(
+            SchedulerConfig(token_budget=32, chunked_prefill=False))
+        stuck = make_request(0, Workload(100, 4))
+        with pytest.raises(RuntimeError, match="resident slice exceeds"):
+            scheduler.plan_step([stuck], deque())
 
 
 class TestPrefillTokenCap:
@@ -156,10 +199,10 @@ class TestPrefillTokenCap:
         running = []
         for _ in range(40):
             plan = scheduler.plan_step(running, waiting)
-            if not plan.entries:
+            if not plan.totals.slices:
                 break
             assert self.prefill_tokens(plan) <= cap
-            for req, work in plan.entries:
+            for req, work in scheduled(plan):
                 req.active.record(work, 0.0)
             running = [r for r in running + plan.admitted
                        if not r.active.finished]
@@ -175,7 +218,7 @@ class TestPrefillTokenCap:
             drain_prefill(request)
         prefilling = make_request(9, Workload(500, 4), session)
         plan = scheduler.plan_step(decoding + [prefilling], deque())
-        kinds = {req.request_id: work for req, work in plan.entries}
+        kinds = {req.request_id: work for req, work in scheduled(plan)}
         # All four decodes keep their slot; the prefill is clipped to
         # the cap instead of the whole leftover budget.
         for i in range(4):

@@ -19,7 +19,7 @@ Everything is seeded `random.Random`, so a failure reproduces exactly.
 import random
 from collections import deque
 
-from repro.runtime.session import ActiveRequest
+from repro.runtime.session import ActiveRequest, StepTotals
 from repro.serving.kv_manager import KVCacheConfig
 from repro.serving.request import RequestState, ServingRequest
 from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerConfig
@@ -55,24 +55,39 @@ def random_case(rng: random.Random):
     return config, requests, manager
 
 
+def scheduled(plan):
+    """Every slice of the plan in execution order, decodes spelled out as
+    the ``StepWork`` they stand for."""
+    return [(request, request.active.next_work())
+            for request in plan.decodes] + plan.entries
+
+
 def check_plan(plan, config, waiting_before, manager, free_before):
-    assert plan.entries, "scheduler starved with work available"
+    slices = scheduled(plan)
+    assert slices, "scheduler starved with work available"
+    assert all(work.kind == "decode"
+               for _, work in slices[:len(plan.decodes)])
+
+    # The totals the step is priced from sum exactly the scheduled slices.
+    assert plan.totals == StepTotals.of(
+        [(work.tokens, work.kv_len) for _, work in slices],
+        emitting=sum(work.emits for _, work in slices))
 
     # Token budget, with the documented dedicated-step exception.
     if plan.scheduled_tokens > config.token_budget:
         assert not config.chunked_prefill
-        assert len(plan.entries) == 1
-        request, work = plan.entries[0]
+        assert len(slices) == 1
+        request, work = slices[0]
         assert work.kind == "prefill"
         assert request in plan.admitted
 
     # Batch-size cap over everything sharing the step.
-    assert len(plan.entries) <= config.max_batch_size
+    assert len(slices) <= config.max_batch_size
 
     # No finished request is ever scheduled, and no request twice.
-    scheduled_ids = [request.request_id for request, _ in plan.entries]
+    scheduled_ids = [request.request_id for request, _ in slices]
     assert len(set(scheduled_ids)) == len(scheduled_ids)
-    for request, _ in plan.entries:
+    for request, _ in slices:
         assert not request.active.finished
 
     # FIFO admission: admitted requests are exactly a prefix of the waiting
@@ -103,6 +118,7 @@ def drain(config, requests, manager):
         free_before = manager.free_blocks if manager is not None else 0
         plan = scheduler.plan_step(running, waiting, kv=manager)
         check_plan(plan, config, waiting_before, manager, free_before)
+        slices = scheduled(plan)
 
         if manager is not None:
             for request_id, blocks in plan.claims.items():
@@ -112,7 +128,7 @@ def drain(config, requests, manager):
             running.append(request)
         assert len(running) <= config.max_batch_size
 
-        for request, work in plan.entries:
+        for request, work in slices:
             emitted = request.active.record(work, 0.0)
             request.tokens_emitted += emitted
             if request.active.finished:

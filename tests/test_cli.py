@@ -473,6 +473,30 @@ class TestServeClusterCommand:
         assert "fault" in err
         assert "Traceback" not in err
 
+    def test_out_of_range_fault_target_rejected(self, capsys):
+        """A hand-written fault aimed past the fleet's largest size is an
+        error, not a silent no-op."""
+        assert main(["serve-cluster", "--replicas", "2", "--requests", "4",
+                     "--faults", "crash@1:99"]) == 2
+        err = capsys.readouterr().err
+        assert "replica 99" in err and "at most 2" in err
+        assert "Traceback" not in err
+        # The bound is the fleet's maximum: --max-replicas under
+        # --autoscale, prefill + decode pools when disaggregated.
+        assert main(["serve-cluster", "--replicas", "2", "--requests", "4",
+                     "--autoscale", "--max-replicas", "4",
+                     "--faults", "slow@0.1:3x2.0+1"]) == 0
+        assert main(["serve-cluster", "--replicas", "2", "--requests", "4",
+                     "--autoscale", "--max-replicas", "4",
+                     "--faults", "crash@1:4"]) == 2
+        assert main(["serve-cluster", "--mode", "disaggregated",
+                     "--prefill-replicas", "1", "--decode-replicas", "2",
+                     "--requests", "4", "--faults", "crash@1:2"]) == 0
+        assert main(["serve-cluster", "--mode", "disaggregated",
+                     "--prefill-replicas", "1", "--decode-replicas", "2",
+                     "--requests", "4", "--faults", "crash@1:3"]) == 2
+        capsys.readouterr()
+
     def test_conversational_traces_run(self, capsys):
         for shape, flag, value in [("multi_turn", "--multi-turn", "3"),
                                    ("tool_use", "--tool-calls", "2")]:
