@@ -49,10 +49,8 @@ from repro.serving.policies import (
 )
 from repro.serving.metrics import (
     DeviceStats,
-    KVSample,
     LatencyStats,
     PreemptionEvent,
-    QueueSample,
     SampleBuffer,
     ServingReport,
     percentile,
@@ -138,7 +136,6 @@ __all__ = [
     "KVCacheConfig",
     "KVCacheExhausted",
     "KVExport",
-    "KVSample",
     "LatencyStats",
     "MetricsRegistry",
     "PLACEMENT_POLICIES",
@@ -147,7 +144,6 @@ __all__ = [
     "PreemptionEvent",
     "PreemptionPolicy",
     "PrefixReuse",
-    "QueueSample",
     "RequestState",
     "SLOClass",
     "SLO_CLASSES",

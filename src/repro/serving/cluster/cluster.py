@@ -21,7 +21,9 @@ steps break on the lowest replica id):
   scales on its queue and TTFT, decode on migration backlog, rolling
   TPOT and KV pressure;
 * **engine step** — the replica whose next step starts earliest advances
-  one continuous-batching iteration.
+  one continuous-batching iteration (the event kernel then runs that
+  replica ahead to the next arrival, control tick or fault; see
+  :mod:`.events`).
 
 With a :class:`~repro.serving.cluster.faults.FaultPlan` a fifth kind
 joins the schedule at the lowest equal-time priority: **fault** events
@@ -367,6 +369,10 @@ class ServingCluster:
         self._event_log_tracer: Optional[Tracer] = None
         self.events_processed = 0
         self.event_counts: Dict[str, int] = {}
+        # Engine steps the event kernel ran ahead of the heap (see
+        # _run_event); events_processed + run_ahead_steps equals the step
+        # loop's iterations.  Always 0 under the step kernel.
+        self.run_ahead_steps = 0
         # Step-kernel instrumentation: loop iterations (one event each).
         self.iterations = 0
         # Request-lifecycle tracing (None = zero-cost untraced run).
@@ -1031,7 +1037,7 @@ class ServingCluster:
         Exactly one ARRIVAL event is armed at a time (the trace deque
         keeps equal-time arrivals in order), one CONTROL_TICK re-arms
         itself each pop, each busy replica holds one valid STEP event
-        (re-armed after the step, lazily invalidated when it runs dry),
+        (re-armed after its steps, lazily invalidated when it runs dry),
         and TRANSFER_LANDED events are scheduled by
         :meth:`_price_migrations` (one per stream chunk).  A submission
         to an already-busy
@@ -1041,7 +1047,16 @@ class ServingCluster:
         DRAIN_COMPLETE is resolved synchronously at the step that ran
         the replica dry — its timestamp equals that step's completion,
         and deferring it through the heap could reorder it against
-        same-instant fleet samples."""
+        same-instant fleet samples.
+
+        Run-ahead (see :mod:`.events`): a popped STEP of an ACTIVE
+        replica in a unified fleet keeps calling ``replica.step()``
+        while the replica has work and its ``next_ready_s`` is strictly
+        before ``min(next arrival, next control tick, next fault)`` —
+        no other event can reach the replica sooner — and only then
+        re-arms it.  ``events_processed`` counts heap pops and
+        ``run_ahead_steps`` the steps taken without one; their sum is
+        the step loop's ``iterations``."""
         disaggregation = self.disaggregation
         log_tracer: Optional[Tracer] = None
         if self.record_events:
@@ -1068,12 +1083,18 @@ class ServingCluster:
         push = queue.push
         arm_step = queue.arm_step
         faults = self._fault_actions
+        active = ReplicaState.ACTIVE
+        inf = math.inf
+        run_ahead = 0
+        # The armed CONTROL_TICK's time (one horizon term of run-ahead).
+        next_tick_s = inf
 
         if arrivals:
             push(arrivals[0].arrival_s, arrival_k)
         if scaler is not None:
             # See run(): ticks start at t=0 and are skipped (not
             # evaluated) until the first dispatch.
+            next_tick_s = 0.0
             push(0.0, control_k)
         if faults:
             # Exactly one FAULT event armed at a time (the arrival
@@ -1094,8 +1115,8 @@ class ServingCluster:
         while arrivals or busy or self._inflight_migrations or faults \
                 or (self._retry_queue and scaler is not None):
             event = pop()
-            assert event is not None, \
-                "work remains but the event queue ran dry"
+            if event is None:
+                raise RuntimeError("work remains but the event queue ran dry")
             kind = event[1]
             counts[kind] += 1
             if kind == arrival_k:
@@ -1117,8 +1138,8 @@ class ServingCluster:
                     self._control(event[0])
                     self._sample_metrics(event[0])
                     self._flush_retries(event[0], enlist)
-                push(event[0] + scaler.config.control_interval_s,
-                     control_k)
+                next_tick_s = event[0] + scaler.config.control_interval_s
+                push(next_tick_s, control_k)
             elif kind == fault_k:
                 action = faults.popleft()
                 # Recovery work (retry dispatch, step re-arm) is causally
@@ -1143,16 +1164,36 @@ class ServingCluster:
                     # ran dry mid-step and stopped.
                     counts[EventKind.DRAIN_COMPLETE] += 1
                     self._record(replica.worker.clock)
+                elif disaggregation is None and state_before is active:
+                    # Run-ahead: nothing can reach this replica before the
+                    # next arrival, control tick or fault, so step it on
+                    # to that horizon here instead of through the heap.
+                    # Strict `<` keeps the equal-time order: arrivals and
+                    # ticks fire before a same-instant step, and a step
+                    # at a fault's instant goes through the heap ahead of
+                    # the FAULT.
+                    horizon = arrivals[0].arrival_s if arrivals else inf
+                    if next_tick_s < horizon:
+                        horizon = next_tick_s
+                    if faults and faults[0].time_s < horizon:
+                        horizon = faults[0].time_s
+                    worker = replica.worker
+                    step = replica.step
+                    while worker.has_work and worker.next_ready_s < horizon:
+                        step()
+                        run_ahead += 1
                 if replica.has_work:
                     arm_step(replica)
                 else:
                     busy.discard(replica.replica_id)
                     queue.disarm_step(replica.replica_id)
 
-        # The four queued kinds each came through one pop; tally them
-        # with the synchronous drain-completes for the instrumentation
-        # the regression tests pin (event count == step-loop iterations).
+        # The queued kinds each came through one pop; tally them with
+        # the synchronous drain-completes for the instrumentation the
+        # regression tests pin (events_processed + run_ahead_steps ==
+        # step-loop iterations).
         self.events_processed = queue.popped
+        self.run_ahead_steps = run_ahead
         self.event_counts = {kind.name: counts[kind] for kind in EventKind}
 
     def run(self, trace: Sequence[TimedRequest],
@@ -1182,6 +1223,7 @@ class ServingCluster:
         self._event_log_tracer = None
         self.events_processed = 0
         self.event_counts = {}
+        self.run_ahead_steps = 0
         self.iterations = 0
         self._next_sample_s = 0.0
         plan = self.fault_plan

@@ -21,8 +21,10 @@ so each event costs O(log events) regardless of fleet size.
     pop re-arms the next at ``control_interval_s`` later.
 ``STEP``
     A replica's next engine iteration can start (its ``next_ready_s``).
-    One *valid* step event per busy replica, refreshed after every state
-    change (see lazy invalidation below).
+    At most one *valid* step event per busy replica, refreshed after
+    every state change (see lazy invalidation below).  A popped step may
+    carry the replica through several engine iterations (see run-ahead
+    below), so STEP pops count heap traffic, not engine steps.
 ``DRAIN_COMPLETE``
     A draining replica ran dry and stopped.  Never queued: it is resolved
     synchronously at the step (or drain call) that emptied the replica,
@@ -56,6 +58,24 @@ stepping altogether.  Rather than deleting the superseded heap entry
 per-replica version and tags the new entry with it; :meth:`EventQueue.pop`
 silently discards any step event whose version is no longer current.
 Stale entries therefore cost one pop each and nothing else.
+
+**Run-ahead.**  Replicas interact only at cross-replica events:
+arrivals, control ticks, faults and KV landings.  So after a popped
+STEP steps an ACTIVE replica of a unified fleet, the kernel keeps
+stepping that replica while its ``next_ready_s`` is strictly before the
+*horizon* ``min(next arrival, next control tick, next fault)``, then
+re-arms (or disarms) it once.  The strict ``<`` keeps the equal-time
+order: an arrival or tick at the horizon still fires before a
+same-instant step, and a step starting exactly at a fault's instant
+goes through the heap, where it sorts ahead of the FAULT (so a crash
+keeps its committed-horizon semantics).  Router, autoscaler, metric
+sampling and faults read replica state only at those events, so they
+see exactly the steps the step loop shows them.  Draining replicas
+(whose stop is a fleet-timeline sample) and disaggregated fleets (where
+a prefill step can schedule a KV landing before the horizon) step only
+through the heap.  ``popped`` counts heap pops; the cluster counts the
+steps run ahead separately (``ServingCluster.run_ahead_steps``), and
+the two sum to the step loop's iterations.
 """
 
 from __future__ import annotations
@@ -157,21 +177,21 @@ class EventQueue:
 
     def relax_same_time(self, time_s: float) -> None:
         """Allow same-instant events of *any* kind to follow the entry
-        just popped, keeping only time-monotonicity asserted.
+        just popped, keeping only time-monotonicity checked.
 
         A ``FAULT`` event sorts after every same-instant event (see
         :class:`EventKind`), but its recovery work — retry dispatches
         arming fresh step events — is causally *after* the fault while
         sorting before it in the ``(time, kind)`` key.  The kernel calls
         this after handling a fault so that legitimate same-instant
-        recovery does not trip the ordering assertion."""
+        recovery does not trip the ordering check."""
         self._last_key = (time_s,)
 
     def pop(self) -> Optional[Tuple[float, int, int, int, Any]]:
         """The earliest valid event as its raw ``(time, kind, tie, seq,
         payload)`` tuple, or ``None`` on an exhausted heap.  Stale step
         events (superseded versions) are discarded in passing; delivery
-        order is asserted nondecreasing in ``(time, kind, tie)`` — the
+        order is checked nondecreasing in ``(time, kind, tie)`` — the
         kernel's core invariant.
 
         The raw-tuple return is deliberate: this is the hottest call of
@@ -193,8 +213,8 @@ class EventQueue:
                 payload = replica
                 entry = (entry[0], step, entry[2], entry[3], payload)
             key = entry[:3]
-            assert self._last_key is None or key >= self._last_key, \
-                "event queue delivered out of order"
+            if self._last_key is not None and key < self._last_key:
+                raise RuntimeError("event queue delivered out of order")
             self._last_key = key
             self.popped += 1
             if self.on_pop is not None:

@@ -238,7 +238,8 @@ class EngineReplica:
         """Earliest simulated time this replica's next step can start.
 
         This is the time the event kernel registers into its heap (one
-        valid STEP event per busy replica).  Its scheduling contract:
+        valid STEP event per busy replica) and compares against its
+        run-ahead horizon.  Its scheduling contract:
         the value only moves when the replica *steps* or when a
         submission lands on an *idle* replica — submitting to a replica
         that already has work never changes it (the worker is either
@@ -324,7 +325,6 @@ class EngineReplica:
         kv_config = self.engine.kv_config
         return build_report(
             model_name, 1, self.requests, [self.worker.device_stats()],
-            self.worker.queue_samples, self.worker.kv_samples,
             self.worker.preemption_events,
             prefix_cache_enabled=kv_config is not None
             and kv_config.enable_prefix_cache)

@@ -152,8 +152,6 @@ class DeviceWorker:
                  preemption: PreemptionPolicy,
                  kv_config: Optional[KVCacheConfig] = None,
                  cold_start: bool = False,
-                 queue_samples: Optional[SampleBuffer] = None,
-                 kv_samples: Optional[SampleBuffer] = None,
                  preemption_events: Optional[List[PreemptionEvent]] = None,
                  prefill_only: bool = False,
                  kv_stream_chunks: int = 1,
@@ -183,15 +181,16 @@ class DeviceWorker:
         self._prefix_caching = self.manager is not None \
             and self.manager.prefix_cache_enabled
 
-        # Sample sinks; the engine shares one buffer across its devices,
-        # a cluster replica keeps its own.  Queue/KV timelines accumulate
-        # columnar ((device, time, a, b) rows in a grown numpy array);
-        # preemptions stay a typed list — they are rare events, not a
-        # per-step stream.
-        self.queue_samples = queue_samples if queue_samples is not None \
-            else SampleBuffer(4)
-        self.kv_samples = kv_samples if kv_samples is not None \
-            else SampleBuffer(4)
+        # Post-step occupancy summaries, O(1) per worker so memory does
+        # not grow with tokens.  Queue: samples, summed and peak backlog;
+        # KV: samples and summed pool occupancy, added in step order.  Preemptions stay a typed
+        # list (the engine shares one across its devices) — they are rare
+        # events, not a per-step stream.
+        self.queue_samples = 0
+        self.queue_depth_sum = 0
+        self.queue_depth_peak = 0
+        self.kv_samples = 0
+        self.kv_utilization_sum = 0.0
         self.preemption_events = preemption_events \
             if preemption_events is not None else []
 
@@ -474,8 +473,9 @@ class DeviceWorker:
                 reuse = plan.prefix.get(request.request_id)
                 if reuse is not None:
                     pins[request.request_id] = manager.pin_prefix(request)
-                    assert pins[request.request_id] == reuse, \
-                        "prefix cache changed between plan and apply"
+                    if pins[request.request_id] != reuse:
+                        raise RuntimeError(
+                            "prefix cache changed between plan and apply")
             for request_id, blocks in plan.claims.items():
                 if request_id in admitted_ids:
                     continue
@@ -663,13 +663,17 @@ class DeviceWorker:
         # Arrivals during the step sit in `pending` until the next
         # admission sweep but are already queued from the requests' point
         # of view — count them, or depth under-reports congestion.
-        arrived = sum(1 for request in self.pending
-                      if request.enqueue_s <= self.clock)
-        self.queue_samples.append(self.device_id, self.clock,
-                                  len(waiting) + arrived, len(running))
+        queued = len(waiting)
+        if self.pending:
+            queued += sum(1 for request in self.pending
+                          if request.enqueue_s <= clock)
+        self.queue_samples += 1
+        self.queue_depth_sum += queued
+        if queued > self.queue_depth_peak:
+            self.queue_depth_peak = queued
         if manager is not None:
-            self.kv_samples.append(self.device_id, self.clock,
-                                   manager.used_blocks, manager.num_blocks)
+            self.kv_samples += 1
+            self.kv_utilization_sum += manager.utilization
         return True
 
     def _finish(self, request: ServingRequest) -> None:
@@ -754,6 +758,11 @@ class DeviceWorker:
             packing_s=self.packing_s,
             preemptions=self.preempt_count,
             prompt_tokens=self.prompt_tokens,
+            queue_samples=self.queue_samples,
+            queue_depth_sum=self.queue_depth_sum,
+            queue_depth_peak=self.queue_depth_peak,
+            kv_samples=self.kv_samples,
+            kv_utilization_sum=self.kv_utilization_sum,
             **manager_fields,
         )
 
@@ -864,16 +873,12 @@ class ServingEngine:
                                             / self.kv_config.block_size)
 
         devices: List[DeviceStats] = []
-        samples = SampleBuffer(4)
-        kv_samples = SampleBuffer(4)
         preemptions: List[PreemptionEvent] = []
         for device_id, (session, inbox) in enumerate(zip(self.sessions, inboxes)):
             worker = DeviceWorker(device_id, session, self.scheduler_config,
                                   preemption=self.preemption,
                                   kv_config=self.kv_config,
                                   cold_start=self.cold_start,
-                                  queue_samples=samples,
-                                  kv_samples=kv_samples,
                                   preemption_events=preemptions,
                                   tracer=tracer)
             for request in inbox:
@@ -893,7 +898,7 @@ class ServingEngine:
             },
             extra=manifest_extra)
         return build_report(self.config.name, self.num_devices, requests,
-                            devices, samples, kv_samples, preemptions,
+                            devices, preemptions,
                             prefix_cache_enabled=self.kv_config is not None
                             and self.kv_config.enable_prefix_cache,
                             manifest=manifest,

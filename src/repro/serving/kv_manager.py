@@ -405,7 +405,8 @@ class KVBlockManager:
         a block another admission in the same plan is about to reuse.
         """
         reuse = self.prefix_reuse(request)
-        assert not reuse.blocked, "pinning a prefix that is still computing"
+        if reuse.blocked:
+            raise RuntimeError("pinning a prefix that is still computing")
         if request.request_id in self._held:
             raise ValueError(
                 f"request {request.request_id} already holds blocks")
@@ -491,7 +492,8 @@ class KVBlockManager:
                  if group.blocks and group.blocks[-1].refcount == 0),
                 key=lambda item: (item[1].tick, item[0]))
             evicted = group.blocks.pop()
-            assert evicted.computed, "uncomputed block retained as idle"
+            if not evicted.computed:
+                raise RuntimeError("uncomputed block retained as idle")
             self._idle_blocks -= 1
             if not group.blocks:
                 del self._groups[name]

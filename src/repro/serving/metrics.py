@@ -1,4 +1,4 @@
-"""Serving metrics: latency percentiles, throughput, queue/KV timelines.
+"""Serving metrics: latency percentiles, throughput, queue/KV occupancy.
 
 Single-request evaluation (Tables 4/5) reports latency/TTFT/speed; a serving
 engine is judged on distributions — TTFT and TPOT percentiles under load,
@@ -6,16 +6,15 @@ aggregate tokens per second, how deep the admission queue grows, and (with a
 KV-cache manager) how full the block pool runs and how often memory pressure
 forced a preemption.
 
-Hot-path accumulation is columnar: the engine appends its per-step and
-per-token samples into preallocated-and-grown numpy arrays
-(:class:`SampleBuffer`) and the distribution summaries are computed
-vectorized at report time (:meth:`LatencyStats.from_values`), so recording
-costs O(1) amortized per sample instead of one python object each — the
-difference between ~100-request and million-request traces.  The report
-JSON shape is unchanged: :func:`build_report` materializes the buffers
-back into the same typed sample dataclasses the report always carried.
-The standalone :func:`percentile` stays pure python — it is the
-autoscaler's small-window decision arithmetic, not a bulk path.
+Hot-path accumulation costs O(1) per step and O(1) memory per request:
+per-request latency feeds go into preallocated-and-grown numpy arrays
+(:class:`SampleBuffer`) whose distribution summaries are computed
+vectorized at report time (:meth:`LatencyStats.from_values`), and the
+post-step queue and KV occupancy is kept as running counters on each
+device (:class:`DeviceStats`), not as a timeline — the report reads only
+their peak and means.  The standalone :func:`percentile` stays pure
+python — it is the autoscaler's small-window decision arithmetic, not a
+bulk path.
 """
 
 from __future__ import annotations
@@ -212,33 +211,6 @@ class LatencyStats:
 
 
 @dataclass(frozen=True)
-class QueueSample:
-    """Queue state of one device right after an engine step."""
-
-    device_id: int
-    time_s: float
-    queued: int       # arrived but not yet admitted
-    running: int      # resident in the continuous batch
-
-
-@dataclass(frozen=True)
-class KVSample:
-    """KV-block occupancy of one device right after an engine step."""
-
-    device_id: int
-    time_s: float
-    used_blocks: int
-    total_blocks: int
-
-    @property
-    def utilization(self) -> float:
-        """Block-pool occupancy fraction at this sample (0.0 if unsized)."""
-        if self.total_blocks <= 0:
-            return 0.0
-        return self.used_blocks / self.total_blocks
-
-
-@dataclass(frozen=True)
 class PreemptionEvent:
     """One memory-pressure preemption: the blocks-swapped timeline entry."""
 
@@ -268,6 +240,14 @@ class DeviceStats:
     shared_kv_blocks_reused: int = 0
     shared_kv_blocks_created: int = 0
     prefix_cow_copies: int = 0
+    # Post-step occupancy summaries (one sample per engine step): the
+    # admission backlog's sample count, sum and peak, and the KV pool's
+    # sample count and summed occupancy (0 without a KV manager).
+    queue_samples: int = 0
+    queue_depth_sum: int = 0
+    queue_depth_peak: int = 0
+    kv_samples: int = 0
+    kv_utilization_sum: float = 0.0
 
     @property
     def utilization(self) -> float:
@@ -300,8 +280,6 @@ class ServingReport:
     e2e_latency: LatencyStats
     queue_wait: LatencyStats
     devices: List[DeviceStats] = field(default_factory=list)
-    queue_samples: List[QueueSample] = field(default_factory=list)
-    kv_samples: List[KVSample] = field(default_factory=list)
     preemption_events: List[PreemptionEvent] = field(default_factory=list)
     prefix_cache_enabled: bool = False
     # The run manifest (config snapshot + workload fingerprint); attached
@@ -320,15 +298,15 @@ class ServingReport:
     @property
     def peak_queue_depth(self) -> int:
         """Deepest post-step admission backlog any device sampled."""
-        return max((sample.queued for sample in self.queue_samples), default=0)
+        return max((d.queue_depth_peak for d in self.devices), default=0)
 
     @property
     def mean_queue_depth(self) -> float:
-        """Mean post-step admission backlog over the sampled timeline."""
-        if not self.queue_samples:
+        """Mean post-step admission backlog over every device's steps."""
+        samples = sum(d.queue_samples for d in self.devices)
+        if not samples:
             return 0.0
-        return sum(sample.queued for sample in self.queue_samples) \
-            / len(self.queue_samples)
+        return sum(d.queue_depth_sum for d in self.devices) / samples
 
     # ------------------------------------------------------------------
     # KV-cache memory metrics (zero/empty without a KV manager)
@@ -346,11 +324,13 @@ class ServingReport:
 
     @property
     def mean_kv_utilization(self) -> float:
-        """Mean post-step block-pool occupancy over the sampled timeline."""
-        if not self.kv_samples:
+        """Mean post-step block-pool occupancy over every device's steps
+        (each device's occupancy summed in its step order, then the
+        devices' sums added in device order)."""
+        samples = sum(d.kv_samples for d in self.devices)
+        if not samples:
             return 0.0
-        return sum(sample.utilization for sample in self.kv_samples) \
-            / len(self.kv_samples)
+        return sum(d.kv_utilization_sum for d in self.devices) / samples
 
     # ------------------------------------------------------------------
     # Prefix-cache metrics (zero unless enable_prefix_cache ran)
@@ -537,45 +517,16 @@ def fold_requests(requests: Sequence[ServingRequest]) -> RequestFold:
     )
 
 
-def _materialize(samples: Union[Sequence, SampleBuffer, None],
-                 factory) -> list:
-    """Samples as a time-sorted list of typed dataclasses, whether they
-    arrive as such a list already or as a columnar :class:`SampleBuffer`
-    (``factory`` builds one dataclass per buffer row).  Sorting is stable
-    either way, so same-time samples keep recording order and the report
-    stays byte-identical to the list-accumulation era."""
-    if isinstance(samples, SampleBuffer):
-        rows = samples.rows()
-        order = np.argsort(rows[:, 1], kind="stable")
-        return [factory(rows[i]) for i in order]
-    return sorted(samples or [], key=lambda s: s.time_s)
-
-
-def _queue_sample(row: np.ndarray) -> QueueSample:
-    return QueueSample(device_id=int(row[0]), time_s=float(row[1]),
-                       queued=int(row[2]), running=int(row[3]))
-
-
-def _kv_sample(row: np.ndarray) -> KVSample:
-    return KVSample(device_id=int(row[0]), time_s=float(row[1]),
-                    used_blocks=int(row[2]), total_blocks=int(row[3]))
-
-
 def build_report(model: str, num_devices: int,
                  requests: Sequence[ServingRequest],
                  devices: List[DeviceStats],
-                 queue_samples: Union[List[QueueSample], SampleBuffer],
-                 kv_samples: Union[List[KVSample], SampleBuffer, None] = None,
                  preemption_events: Optional[List[PreemptionEvent]] = None,
                  prefix_cache_enabled: bool = False,
                  manifest: Optional[dict] = None,
                  telemetry: Optional[dict] = None,
                  ) -> ServingReport:
-    """Fold per-request timestamps into the aggregate report.
-
-    ``queue_samples``/``kv_samples`` may be the engine's columnar
-    :class:`SampleBuffer` sinks (the hot-path form) or plain lists of the
-    typed samples; the report always carries the typed lists."""
+    """Fold per-request timestamps into the aggregate report; queue and
+    KV occupancy come from the devices' running summaries."""
     fold = fold_requests(requests)
     return ServingReport(
         model=model,
@@ -590,8 +541,6 @@ def build_report(model: str, num_devices: int,
         e2e_latency=fold.e2e_latency,
         queue_wait=fold.queue_wait,
         devices=devices,
-        queue_samples=_materialize(queue_samples, _queue_sample),
-        kv_samples=_materialize(kv_samples, _kv_sample),
         preemption_events=sorted(preemption_events or [],
                                  key=lambda e: e.time_s),
         prefix_cache_enabled=prefix_cache_enabled,

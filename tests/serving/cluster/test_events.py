@@ -77,13 +77,24 @@ class TestOrdering:
 
     def test_out_of_order_push_is_caught(self):
         """Delivering an event earlier than one already delivered is the
-        kernel's core invariant violation — asserted, not silently
-        reordered."""
+        kernel's core invariant violation — raised (also under
+        ``python -O``), not silently reordered."""
         queue = EventQueue()
         queue.push(5.0, EventKind.ARRIVAL)
         queue.pop()
         queue.push(1.0, EventKind.ARRIVAL)
-        with pytest.raises(AssertionError, match="out of order"):
+        with pytest.raises(RuntimeError,
+                           match="event queue delivered out of order"):
+            queue.pop()
+
+    def test_same_instant_lower_priority_push_is_caught(self):
+        """An earlier key at the same instant — an arrival pushed after
+        a step at that time was delivered — is out of order too."""
+        queue = EventQueue()
+        queue.arm_step(FakeReplica(0, 2.0))
+        queue.pop()
+        queue.push(2.0, EventKind.ARRIVAL)
+        with pytest.raises(RuntimeError, match="out of order"):
             queue.pop()
 
 

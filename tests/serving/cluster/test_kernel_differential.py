@@ -13,9 +13,9 @@ preemption, and migration under decode-pool scaling.  Each report is
 also pinned to a recorded sha256 (``GOLDEN_SHA256``), so a change that
 moves both kernels alike fails too.
 
-Also here: the regression pinning event-count == step-loop
-iteration-count (the two kernels must process the same number of
-simulation events, or they diverged silently), and the report-shape
+Also here: the regression pinning event-count + run-ahead steps ==
+step-loop iteration-count (the two kernels must process the same number
+of simulation events, or they diverged silently), and the report-shape
 assertion guarding the numpy metrics refactor (report JSON shape
 unchanged).
 """
@@ -374,21 +374,43 @@ class TestKernelEquivalence:
 
 class TestEventCountRegression:
     def test_event_count_matches_step_iterations(self):
-        """On a reference trace the event kernel processes exactly as
-        many events as the step loop ran iterations — each step-loop
-        iteration handled one arrival/migration/control/step, and the
-        event kernel pops the same sequence from its heap.  A drift here
-        means one kernel is doing (or skipping) work the other is not,
-        even if the reports still happen to agree."""
+        """On a reference trace the event kernel's heap pops plus the
+        steps it ran ahead equal the step loop's iterations exactly —
+        each step-loop iteration handled one arrival/migration/control/
+        step, and the event kernel handles the same sequence, either
+        popped from its heap or (steps only) run ahead to the next
+        cross-replica event.  A drift here means one kernel is doing (or
+        skipping) work the other is not, even if the reports still
+        happen to agree."""
         for name in ("fixed_least_queue", "autoscaled_slo_flash_crowd",
                      "disagg_basic", "faulted_fixed_crash_slow"):
             kwargs, trace = CONFIGS[name]
             event_cluster, _ = run_kernel("event", kwargs, trace)
             step_cluster, _ = run_kernel("step", kwargs, trace)
-            assert event_cluster.events_processed == step_cluster.iterations
+            assert event_cluster.events_processed \
+                + event_cluster.run_ahead_steps == step_cluster.iterations
+            assert step_cluster.run_ahead_steps == 0
             assert sum(event_cluster.event_counts[kind] for kind in
                        ("ARRIVAL", "TRANSFER_LANDED", "CONTROL_TICK",
                         "STEP", "FAULT")) == event_cluster.events_processed
+
+    def test_unified_fleet_runs_ahead(self):
+        """Run-ahead engages on a busy unified fleet: some engine steps
+        never touch the heap."""
+        kwargs, trace = CONFIGS["fixed_least_queue"]
+        cluster, _ = run_kernel("event", kwargs, trace)
+        assert cluster.run_ahead_steps > 0
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, (kwargs, _) in CONFIGS.items()
+        if kwargs.get("disaggregation") is not None))
+    def test_disaggregated_fleet_never_runs_ahead(self, name):
+        """A prefill step can schedule a KV landing before any horizon
+        the kernel knows of, so disaggregated fleets step only through
+        the heap."""
+        kwargs, trace = CONFIGS[name]
+        cluster, _ = run_kernel("event", kwargs, trace)
+        assert cluster.run_ahead_steps == 0
 
     def test_faulted_run_counts_fault_events(self):
         """Each fault edge is one first-class event in the heap — and one

@@ -79,7 +79,8 @@ class TestOverflowRegime:
         report = ServingEngine(GPT2, kv_config=TIGHT).run(TRACE)
         assert 0.0 < report.peak_kv_utilization <= 1.0
         assert 0.0 < report.mean_kv_utilization <= report.peak_kv_utilization
-        assert report.kv_samples, "kv occupancy timeline missing"
+        assert report.devices[0].kv_samples == report.devices[0].engine_steps, \
+            "kv occupancy summary missing a step"
         device = report.devices[0]
         assert device.kv_blocks_total > 0
         assert 0 < device.kv_peak_blocks <= device.kv_blocks_total
@@ -113,7 +114,8 @@ class TestAmpleRegime:
 
     def test_unmanaged_engine_reports_no_kv_metrics(self):
         report = ServingEngine(GPT2).run(TRACE)
-        assert report.kv_samples == []
+        assert report.devices[0].kv_samples == 0
+        assert report.mean_kv_utilization == 0.0
         assert report.peak_kv_utilization == 0.0
         assert report.devices[0].kv_blocks_total == 0
 
