@@ -132,6 +132,7 @@ def _ilp_partition(tasks: Sequence[PartitionTask], num_dies: int,
     """Exact ILP via scipy.optimize.milp; returns None if unavailable/too big."""
     try:
         from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.sparse import csr_array
     except ImportError:  # pragma: no cover - scipy always ships milp >= 1.9
         return None
     edges = _edges_of(tasks)
@@ -155,34 +156,51 @@ def _ilp_partition(tasks: Sequence[PartitionTask], num_dies: int,
     c[num_x:num_x + m] = comm_weight
     c[max_load_var] = balance_weight / total_resource
 
-    constraints = []
+    # One sparse constraint matrix, rows in blocks: d max-load rows, n
+    # one-die rows, m * d cut rows, d capacity rows.  Zero resources are
+    # not stored, so the solver sees the nonzeros a dense build gives it.
+    resource = np.array([t.resource for t in tasks], dtype=float)
+    loaded = np.flatnonzero(resource)
+    dies = np.arange(d)
+    x_of = np.arange(num_x).reshape(n, d)      # x_of[i, k] = i * d + k
+    rows, cols, vals = [], [], []
+
+    def load_rows(first_row: int) -> None:
+        # Row first_row + k sums the resources placed on die k.
+        rows.append(np.repeat(first_row + dies, len(loaded)))
+        cols.append(x_of[loaded].T.ravel())
+        vals.append(np.tile(resource[loaded], d))
+
     # Max-load definition: every die's load is below the bound variable.
-    for k in range(d):
-        row = np.zeros(num_vars)
-        for task in tasks:
-            row[index[task.name] * d + k] = task.resource
-        row[max_load_var] = -1.0
-        constraints.append(LinearConstraint(row, -np.inf, 0.0))
+    load_rows(0)
+    rows.append(dies)
+    cols.append(np.full(d, max_load_var))
+    vals.append(np.full(d, -1.0))
     # Each task on exactly one die.
-    for i in range(n):
-        row = np.zeros(num_vars)
-        row[i * d:(i + 1) * d] = 1.0
-        constraints.append(LinearConstraint(row, 1.0, 1.0))
+    rows.append(np.repeat(d + np.arange(n), d))
+    cols.append(x_of.ravel())
+    vals.append(np.ones(num_x))
     # Cut indicators: y_e >= x[a,k] - x[b,k] for every die k.
-    for e, (a, b) in enumerate(edges):
-        for k in range(d):
-            row = np.zeros(num_vars)
-            row[index[a] * d + k] = 1.0
-            row[index[b] * d + k] = -1.0
-            row[num_x + e] = -1.0
-            constraints.append(LinearConstraint(row, -np.inf, 0.0))
-    # Optional per-die capacity.
-    if capacity is not None:
-        for k in range(d):
-            row = np.zeros(num_vars)
-            for task in tasks:
-                row[index[task.name] * d + k] = task.resource
-            constraints.append(LinearConstraint(row, 0.0, capacity))
+    if m:
+        src = np.array([index[a] for a, _ in edges])
+        dst = np.array([index[b] for _, b in edges])
+        cut_rows = d + n + np.arange(m * d)
+        rows += [cut_rows, cut_rows, cut_rows]
+        cols += [x_of[src].ravel(), x_of[dst].ravel(),
+                 np.repeat(num_x + np.arange(m), d)]
+        vals += [np.ones(m * d), np.full(m * d, -1.0), np.full(m * d, -1.0)]
+    # Per-die capacity (always present: explicit or implicit above).
+    load_rows(d + n + m * d)
+
+    num_rows = d + n + m * d + d
+    matrix = csr_array((np.concatenate(vals),
+                        (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(num_rows, num_vars))
+    row_lower = np.concatenate([np.full(d, -np.inf), np.ones(n),
+                                np.full(m * d, -np.inf), np.zeros(d)])
+    row_upper = np.concatenate([np.zeros(d), np.ones(n), np.zeros(m * d),
+                                 np.full(d, capacity)])
+    constraints = LinearConstraint(matrix, row_lower, row_upper)
 
     integrality = np.ones(num_vars)
     integrality[max_load_var] = 0

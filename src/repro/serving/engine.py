@@ -60,7 +60,7 @@ from typing import Deque, List, Optional, Sequence, Tuple, Union
 from repro.compiler.pipeline import CompilationResult
 from repro.eval.latency import FpgaPerformanceModel
 from repro.models.config import ModelConfig
-from repro.runtime.session import InferenceSession
+from repro.runtime.session import InferenceSession, StepTotals
 from repro.serving.kv_manager import (
     KVBlockManager,
     KVCacheConfig,
@@ -73,6 +73,7 @@ from repro.serving.metrics import (
     ServingReport,
     build_report,
 )
+from repro.serving.policies.admission import resolve_admission_policy
 from repro.serving.policies.placement import (
     DeviceLoad,
     PlacementPolicy,
@@ -129,6 +130,29 @@ class HandoffEvent:
     chunk_bytes: Tuple[float, ...] = ()
 
 
+class _SteadyBatch:
+    """A decode-only batch that repeats unchanged from step to step.
+
+    ``decodes`` is the batch (every resident, in batch order); ``kv_len``
+    the next step's summed KV length; ``claim_in`` how many more steps
+    every resident's held blocks cover; ``finish_in`` the steps until the
+    first resident finishes; ``k`` the steady steps taken, not yet added
+    to the residents' counters; ``spans`` the batch's DECODE staging
+    triples, flattened once for a traced worker (they repeat every step).
+    """
+
+    __slots__ = ("decodes", "kv_len", "claim_in", "finish_in", "k", "spans")
+
+    def __init__(self, decodes: List[ServingRequest], kv_len: int,
+                 claim_in: float, finish_in: int) -> None:
+        self.decodes = decodes
+        self.kv_len = kv_len
+        self.claim_in = claim_in
+        self.finish_in = finish_in
+        self.k = 0
+        self.spans: Optional[List[int]] = None
+
+
 class DeviceWorker:
     """One device's continuous-batching loop, advanced one step at a time.
 
@@ -172,6 +196,13 @@ class DeviceWorker:
         # granular chunks (1 = monolithic, the PR 5 behaviour).
         self.kv_stream_chunks = kv_stream_chunks
         self.scheduler = ContinuousBatchingScheduler(scheduler_config)
+        # A full batch can stay steady with requests waiting only if no
+        # plan would touch the queue: FCFS never reorders it.
+        self._admission_reorders = resolve_admission_policy(
+            scheduler_config.admission).reorders
+        # The steady decode batch (see ``step``); None while the next step
+        # needs a plan.
+        self._steady: Optional[_SteadyBatch] = None
         self.pending: Deque[ServingRequest] = deque()
         self.waiting: Deque[ServingRequest] = deque()
         self.running: List[ServingRequest] = []
@@ -322,6 +353,8 @@ class DeviceWorker:
         legal under a live batch: losing the in-flight work is the whole
         point of a crash.  The caller owns resetting the lost requests'
         lifecycle state before re-dispatching them."""
+        if self._steady is not None:
+            self._settle()
         lost: List[ServingRequest] = []
         lost.extend(self.running)
         lost.extend(self.waiting)
@@ -411,7 +444,30 @@ class DeviceWorker:
 
     def step(self) -> bool:
         """Advance one engine iteration; returns False once all work is
-        done (nothing pending, waiting or running)."""
+        done (nothing pending, waiting or running).
+
+        A *steady* step skips planning.  A planned step leaves the worker
+        holding a steady batch when it planned decodes only (no prefill,
+        admission or block claim), was not stream-deferred, preempted
+        nothing, and every resident decoded without finishing.  Such a
+        batch repeats unchanged until something changes it, so the next
+        steps reuse it while all of these hold after the admission sweep:
+
+        * no admission is possible: nothing is waiting, or the batch is
+          full and the admission policy never reorders the queue;
+        * every resident's held KV blocks cover one more decode row;
+        * no watermark preemption is due.
+
+        A steady step prices the batch from its running totals, charges
+        the clock exactly as a planned step would, stages the same trace
+        spans and occupancy samples, and bumps only a step count ``k``.
+        The residents' ``tokens_generated``/``tokens_emitted`` counters are
+        *settled* (``k`` added to each) when the first resident's last
+        token lands, which also finishes the done residents in batch
+        order; before any planned step; and on :meth:`crash`.  So per-
+        request counters are stale only while a batch is steady, and
+        nothing outside this worker reads them then.
+        """
         while True:
             self._admit_arrivals()
             if self.waiting or self.running:
@@ -423,8 +479,22 @@ class DeviceWorker:
         manager = self.manager
         running = self.running
         waiting = self.waiting
+        steady = self._steady
+        if steady is not None:
+            if steady.claim_in >= 1 \
+                    and (not waiting
+                         or (len(running)
+                             >= self.scheduler.config.max_batch_size
+                             and not self._admission_reorders)) \
+                    and not (manager is not None and len(running) > 1
+                             and manager.utilization
+                             > self.kv_config.high_watermark):
+                return self._steady_step(steady)
+            self._settle()
+
         tracer = self.tracer
         step_start = self.clock
+        preempted_before = self.preempt_count
 
         # Watermark hysteresis: growing strictly past the high mark frees
         # victims down to the low mark, so the pool does not oscillate one
@@ -549,13 +619,7 @@ class DeviceWorker:
                     (request.active for request in decodes))
 
         exec_start = self.clock
-        seconds = self.session.execute_step(totals)
-        if self.step_time_scale != 1.0:
-            # A degraded node pays the multiplier on the wall clock.
-            seconds = seconds * self.step_time_scale
-        self.clock += seconds
-        self.busy_s += seconds
-        self.steps += 1
+        seconds = self._execute(totals)
 
         stage = None
         if tracer is not None:
@@ -596,6 +660,11 @@ class DeviceWorker:
                         stage((_SPAN_BATCH_WAIT, request.request_id, 0))
             for request in decodes:
                 stage((kind_decode, request.request_id, 1))
+
+        # A decode-only batch holding every resident may turn steady.
+        repeats = not plan.entries and not plan.claims and not deferred \
+            and self.preempt_count == preempted_before \
+            and len(running) == len(decodes)
 
         # Advance the decodes: each emits one token, and none can be a
         # first token (a fully prefilled cursor emitted it when its last
@@ -652,6 +721,9 @@ class DeviceWorker:
                 # replica to continue.
                 self._hand_off(request)
         self.tokens += emitted_total
+        if repeats and len(running) == len(decodes):
+            # Nobody finished, so the same batch runs next step.
+            self._enter_steady(decodes, totals.kv_len)
 
         if stage is not None:
             staged = (len(step_list) - staged_before) // 3
@@ -660,21 +732,108 @@ class DeviceWorker:
                                          exec_start, self.clock, staged))
             tracer.flush_batch()
 
+        self._sample_occupancy()
+        return True
+
+    def _execute(self, totals: StepTotals) -> float:
+        """Run one step priced from ``totals`` on the device clock and
+        return its seconds."""
+        seconds = self.session.execute_step(totals)
+        if self.step_time_scale != 1.0:
+            # A degraded node pays the multiplier on the wall clock.
+            seconds = seconds * self.step_time_scale
+        self.clock += seconds
+        self.busy_s += seconds
+        self.steps += 1
+        return seconds
+
+    def _enter_steady(self, decodes: List[ServingRequest],
+                      kv_len: int) -> None:
+        """Hold the decode batch that just ran (every resident, none
+        finished) as steady; ``kv_len`` is the step's summed KV length."""
+        finish_in = min(request.active.output_len
+                        - request.active.tokens_generated
+                        for request in decodes)
+        manager = self.manager
+        if manager is None:
+            claim_in = math.inf
+        else:
+            block_size = self.kv_config.block_size
+            claim_in = min(manager.blocks_held(request.request_id)
+                           * block_size - request.active.input_len
+                           - request.active.tokens_generated
+                           for request in decodes)
+        self._steady = _SteadyBatch(decodes, kv_len + len(decodes),
+                                    claim_in, finish_in)
+
+    def _steady_step(self, steady: _SteadyBatch) -> bool:
+        """One step of the steady batch: the planned step's arithmetic,
+        trace spans and samples, with the counter bumps deferred."""
+        decodes = steady.decodes
+        n = len(decodes)
+        kv_len = steady.kv_len
+        if self.manager is not None:
+            self.manager.refresh_pressure()
+        step_start = self.clock
+        self._execute(StepTotals(n, n, kv_len, kv_len, n))
+        tracer = self.tracer
+        if tracer is not None:
+            if steady.spans is None:
+                steady.spans = [value for request in decodes
+                                for value in (_SPAN_DECODE,
+                                              request.request_id, 1)]
+            tracer.step_entries.extend(steady.spans)
+            tracer.step_meta.extend((self.device_id, step_start, step_start,
+                                     self.clock, n))
+            tracer.flush_batch()
+        steady.kv_len = kv_len + n
+        steady.claim_in -= 1
+        steady.finish_in -= 1
+        steady.k += 1
+        self.tokens += n
+        if not steady.finish_in:
+            # The first resident's last token just landed.
+            self._settle()
+        self._sample_occupancy()
+        return True
+
+    def _settle(self) -> None:
+        """Add the steady steps to each resident's counters, finish the
+        residents whose last token landed (in batch order) and drop the
+        steady batch."""
+        steady = self._steady
+        self._steady = None
+        k = steady.k
+        if not k:
+            return
+        done = []
+        for request in steady.decodes:
+            active = request.active
+            generated = active.tokens_generated + k
+            active.tokens_generated = generated
+            request.tokens_emitted += k
+            if generated >= active.output_len:
+                done.append(request)
+        for request in done:
+            self._finish(request)
+
+    def _sample_occupancy(self) -> None:
+        """Fold the post-step queue and KV occupancy into the summaries."""
         # Arrivals during the step sit in `pending` until the next
         # admission sweep but are already queued from the requests' point
         # of view — count them, or depth under-reports congestion.
-        queued = len(waiting)
+        queued = len(self.waiting)
         if self.pending:
+            clock = self.clock
             queued += sum(1 for request in self.pending
                           if request.enqueue_s <= clock)
         self.queue_samples += 1
         self.queue_depth_sum += queued
         if queued > self.queue_depth_peak:
             self.queue_depth_peak = queued
-        if manager is not None:
+        if self.manager is not None:
             self.kv_samples += 1
-            self.kv_utilization_sum += manager.utilization
-        return True
+            self.kv_utilization_sum += self.manager.utilization
 
     def _finish(self, request: ServingRequest) -> None:
         """Retire a request whose last token landed at the current clock."""
