@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.dataflow.structure import DataflowGraph, EdgeKind
 from repro.resource.token_model import (
@@ -38,6 +36,9 @@ from repro.resource.token_model import (
     equalize_timings,
     max_tokens_from_delay,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -65,7 +66,11 @@ class SizingEdge:
     token_bytes: float = 4.0
 
 
+# networkx and scipy are imported where they are used, so importing the
+# serving stack (which never sizes FIFOs) loads neither.
 def _build_nx(edges: Sequence[SizingEdge]) -> nx.DiGraph:
+    import networkx as nx
+
     graph = nx.DiGraph()
     for edge in edges:
         graph.add_edge(edge.producer, edge.consumer)
@@ -75,6 +80,8 @@ def _build_nx(edges: Sequence[SizingEdge]) -> nx.DiGraph:
 def _thresholds(graph: nx.DiGraph,
                 timings: Dict[str, KernelTiming]) -> Dict[Tuple[str, str], float]:
     """Eq. 5: longest accumulated initial delay between every kernel pair."""
+    import networkx as nx
+
     thresholds: Dict[Tuple[str, str], float] = {}
     order = list(nx.topological_sort(graph))
     for source in order:
@@ -96,6 +103,8 @@ def _thresholds(graph: nx.DiGraph,
 def _enumerate_paths(graph: nx.DiGraph, max_paths_per_pair: int = 64,
                      ) -> Dict[Tuple[str, str], List[List[Tuple[str, str]]]]:
     """All simple paths (as edge lists) between connected kernel pairs."""
+    import networkx as nx
+
     paths: Dict[Tuple[str, str], List[List[Tuple[str, str]]]] = {}
     nodes = list(graph.nodes)
     for source, target in itertools.permutations(nodes, 2):
@@ -120,6 +129,9 @@ def solve_delays(edges: Sequence[SizingEdge],
     infeasible or degenerate (should not happen for a DAG), the per-edge
     thresholds are used as a safe fallback.
     """
+    import networkx as nx
+    from scipy.optimize import linprog
+
     if not edges:
         return {}, "empty"
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, NamedTuple, Optional
 
 from repro.compiler.pipeline import CompilationResult
-from repro.eval.latency import FpgaPerformanceModel, StepTotals
+from repro.eval.latency import FpgaPerformanceModel, StepPricer, StepTotals
 from repro.models.config import ModelConfig
 from repro.models.workload import Workload
 from repro.resource.token_model import EqualizationStrategy
@@ -284,6 +284,11 @@ class InferenceSession:
     def strategy(self, strategy: EqualizationStrategy) -> None:
         self._strategy = strategy
         self._pricer = self.model.step_pricer(self.config, strategy)
+
+    @property
+    def step_pricer(self) -> StepPricer:
+        """The pricer :meth:`execute_step` charges every step with."""
+        return self._pricer
 
     @property
     def kv_bytes_per_token(self) -> float:

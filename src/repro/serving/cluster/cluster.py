@@ -1054,9 +1054,11 @@ class ServingCluster:
         while the replica has work and its ``next_ready_s`` is strictly
         before ``min(next arrival, next control tick, next fault)`` —
         no other event can reach the replica sooner — and only then
-        re-arms it.  ``events_processed`` counts heap pops and
-        ``run_ahead_steps`` the steps taken without one; their sum is
-        the step loop's ``iterations``."""
+        re-arms it.  While the worker holds a steady decode batch it
+        runs whole segments of those steps through
+        :meth:`DeviceWorker.advance` instead.  ``events_processed``
+        counts heap pops and ``run_ahead_steps`` the steps taken without
+        one; their sum is the step loop's ``iterations``."""
         disaggregation = self.disaggregation
         log_tracer: Optional[Tracer] = None
         if self.record_events:
@@ -1177,9 +1179,16 @@ class ServingCluster:
                         horizon = next_tick_s
                     if faults and faults[0].time_s < horizon:
                         horizon = faults[0].time_s
+                    # A steady batch runs a whole segment per advance();
+                    # the step that ends a segment goes through step().
                     worker = replica.worker
                     step = replica.step
                     while worker.has_work and worker.next_ready_s < horizon:
+                        if worker._steady is not None:
+                            taken = worker.advance(horizon)
+                            if taken:
+                                run_ahead += taken
+                                continue
                         step()
                         run_ahead += 1
                 if replica.has_work:

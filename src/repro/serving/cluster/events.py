@@ -64,11 +64,13 @@ arrivals, control ticks, faults and KV landings.  So after a popped
 STEP steps an ACTIVE replica of a unified fleet, the kernel keeps
 stepping that replica while its ``next_ready_s`` is strictly before the
 *horizon* ``min(next arrival, next control tick, next fault)``, then
-re-arms (or disarms) it once.  The strict ``<`` keeps the equal-time
-order: an arrival or tick at the horizon still fires before a
-same-instant step, and a step starting exactly at a fault's instant
-goes through the heap, where it sorts ahead of the FAULT (so a crash
-keeps its committed-horizon semantics).  Router, autoscaler, metric
+re-arms (or disarms) it once.  A replica holding a steady decode batch
+runs a whole segment of those steps per ``DeviceWorker.advance(horizon)``
+call.  The strict ``<`` keeps the equal-time order: an arrival or tick
+at the horizon still fires before a same-instant step, and a step
+starting exactly at a fault's instant goes through the heap, where it
+sorts ahead of the FAULT (so a crash keeps its committed-horizon
+semantics).  Router, autoscaler, metric
 sampling and faults read replica state only at those events, so they
 see exactly the steps the step loop shows them.  Draining replicas
 (whose stop is a fleet-timeline sample) and disaggregated fleets (where

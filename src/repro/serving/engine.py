@@ -32,8 +32,9 @@ prefix hit rate and shared-block counters).
 
 The per-device loop itself lives in :class:`DeviceWorker`, a *step-driven*
 object: ``step()`` advances exactly one engine iteration and returns whether
-work remains.  ``ServingEngine`` drives each worker to completion over its
-statically placed inbox; the cluster tier
+work remains, and ``advance()`` runs a steady decode batch for a whole
+segment of iterations in one call.  ``ServingEngine`` drives each worker to
+completion over its statically placed inbox; the cluster tier
 (:mod:`repro.serving.cluster`) instead interleaves worker steps across many
 replicas under a global clock, routing arrivals and scaling the fleet
 between steps.  The worker also carries the two hooks the cluster needs:
@@ -55,7 +56,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.compiler.pipeline import CompilationResult
 from repro.eval.latency import FpgaPerformanceModel
@@ -134,22 +135,29 @@ class _SteadyBatch:
     """A decode-only batch that repeats unchanged from step to step.
 
     ``decodes`` is the batch (every resident, in batch order); ``kv_len``
-    the next step's summed KV length; ``claim_in`` how many more steps
-    every resident's held blocks cover; ``finish_in`` the steps until the
-    first resident finishes; ``k`` the steady steps taken, not yet added
-    to the residents' counters; ``spans`` the batch's DECODE staging
-    triples, flattened once for a traced worker (they repeat every step).
+    the next step's summed KV length; ``k`` the steady steps taken, not
+    yet added to the residents' counters; ``finish_at`` the value of ``k``
+    once the first resident's last token lands.  ``due`` is the due table
+    of a worker with a KV pool: it maps a value of ``k`` to the ids of the
+    residents whose spare rows (held blocks times block size, minus the
+    rows in use) run out there, so the step starting at that ``k`` claims
+    one block for each; ``claim_at`` is its smallest key (infinite without
+    a pool).  ``spans`` holds the batch's DECODE staging triples,
+    flattened once for a traced worker (they repeat every step).
     """
 
-    __slots__ = ("decodes", "kv_len", "claim_in", "finish_in", "k", "spans")
+    __slots__ = ("decodes", "kv_len", "k", "finish_at", "due", "claim_at",
+                 "spans")
 
     def __init__(self, decodes: List[ServingRequest], kv_len: int,
-                 claim_in: float, finish_in: int) -> None:
+                 finish_at: int, due: Optional[Dict[int, List[int]]],
+                 claim_at: float) -> None:
         self.decodes = decodes
         self.kv_len = kv_len
-        self.claim_in = claim_in
-        self.finish_in = finish_in
         self.k = 0
+        self.finish_at = finish_at
+        self.due = due
+        self.claim_at = claim_at
         self.spans: Optional[List[int]] = None
 
 
@@ -200,8 +208,8 @@ class DeviceWorker:
         # plan would touch the queue: FCFS never reorders it.
         self._admission_reorders = resolve_admission_policy(
             scheduler_config.admission).reorders
-        # The steady decode batch (see ``step``); None while the next step
-        # needs a plan.
+        # The steady decode batch (see ``step`` and ``advance``); None
+        # while the next step needs a plan.
         self._steady: Optional[_SteadyBatch] = None
         self.pending: Deque[ServingRequest] = deque()
         self.waiting: Deque[ServingRequest] = deque()
@@ -447,26 +455,14 @@ class DeviceWorker:
         done (nothing pending, waiting or running).
 
         A *steady* step skips planning.  A planned step leaves the worker
-        holding a steady batch when it planned decodes only (no prefill,
-        admission or block claim), was not stream-deferred, preempted
-        nothing, and every resident decoded without finishing.  Such a
-        batch repeats unchanged until something changes it, so the next
-        steps reuse it while all of these hold after the admission sweep:
-
-        * no admission is possible: nothing is waiting, or the batch is
-          full and the admission policy never reorders the queue;
-        * every resident's held KV blocks cover one more decode row;
-        * no watermark preemption is due.
-
-        A steady step prices the batch from its running totals, charges
-        the clock exactly as a planned step would, stages the same trace
-        spans and occupancy samples, and bumps only a step count ``k``.
-        The residents' ``tokens_generated``/``tokens_emitted`` counters are
-        *settled* (``k`` added to each) when the first resident's last
-        token lands, which also finishes the done residents in batch
-        order; before any planned step; and on :meth:`crash`.  So per-
-        request counters are stale only while a batch is steady, and
-        nothing outside this worker reads them then.
+        holding a steady batch when it planned decodes only (no prefill or
+        admission; block claims are fine), was not stream-deferred,
+        preempted nothing, left admission closed (see :meth:`advance`),
+        and every resident decoded without finishing.  Such a batch
+        repeats unchanged until something changes it, so after the
+        admission sweep the next step runs it as ``advance(inf, 1)``: one
+        step under the segment rule described there.  When that takes no
+        step, the batch is settled and the step is planned.
         """
         while True:
             self._admit_arrivals()
@@ -476,22 +472,14 @@ class DeviceWorker:
                 return False
             self.clock = max(self.clock, self.pending[0].enqueue_s)
 
+        if self._steady is not None:
+            if self.advance(math.inf, 1):
+                return True
+            self._settle()
+
         manager = self.manager
         running = self.running
         waiting = self.waiting
-        steady = self._steady
-        if steady is not None:
-            if steady.claim_in >= 1 \
-                    and (not waiting
-                         or (len(running)
-                             >= self.scheduler.config.max_batch_size
-                             and not self._admission_reorders)) \
-                    and not (manager is not None and len(running) > 1
-                             and manager.utilization
-                             > self.kv_config.high_watermark):
-                return self._steady_step(steady)
-            self._settle()
-
         tracer = self.tracer
         step_start = self.clock
         preempted_before = self.preempt_count
@@ -661,10 +649,11 @@ class DeviceWorker:
             for request in decodes:
                 stage((kind_decode, request.request_id, 1))
 
-        # A decode-only batch holding every resident may turn steady.
-        repeats = not plan.entries and not plan.claims and not deferred \
+        # A decode-only batch holding every resident may turn steady, also
+        # right after it claimed blocks, unless the next plan could admit.
+        repeats = not plan.entries and not deferred \
             and self.preempt_count == preempted_before \
-            and len(running) == len(decodes)
+            and len(running) == len(decodes) and self._admission_closed()
 
         # Advance the decodes: each emits one token, and none can be a
         # first token (a fully prefilled cursor emitted it when its last
@@ -747,55 +736,196 @@ class DeviceWorker:
         self.steps += 1
         return seconds
 
+    def _admission_closed(self) -> bool:
+        """Whether no plan could admit: nothing is waiting, or the batch
+        is full and the admission policy never reorders the queue."""
+        return not self.waiting \
+            or (len(self.running) >= self.scheduler.config.max_batch_size
+                and not self._admission_reorders)
+
     def _enter_steady(self, decodes: List[ServingRequest],
                       kv_len: int) -> None:
         """Hold the decode batch that just ran (every resident, none
         finished) as steady; ``kv_len`` is the step's summed KV length."""
-        finish_in = min(request.active.output_len
+        finish_at = min(request.active.output_len
                         - request.active.tokens_generated
                         for request in decodes)
         manager = self.manager
-        if manager is None:
-            claim_in = math.inf
-        else:
+        due: Optional[Dict[int, List[int]]] = None
+        claim_at = math.inf
+        if manager is not None:
             block_size = self.kv_config.block_size
-            claim_in = min(manager.blocks_held(request.request_id)
-                           * block_size - request.active.input_len
-                           - request.active.tokens_generated
-                           for request in decodes)
+            due = {}
+            for request in decodes:
+                active = request.active
+                spare = manager.blocks_held(request.request_id) \
+                    * block_size - active.input_len - active.tokens_generated
+                due.setdefault(spare, []).append(request.request_id)
+            claim_at = min(due)
         self._steady = _SteadyBatch(decodes, kv_len + len(decodes),
-                                    claim_in, finish_in)
+                                    finish_at, due, claim_at)
 
-    def _steady_step(self, steady: _SteadyBatch) -> bool:
-        """One step of the steady batch: the planned step's arithmetic,
-        trace spans and samples, with the counter bumps deferred."""
-        decodes = steady.decodes
-        n = len(decodes)
-        kv_len = steady.kv_len
-        if self.manager is not None:
-            self.manager.refresh_pressure()
-        step_start = self.clock
-        self._execute(StepTotals(n, n, kv_len, kv_len, n))
+    def advance(self, horizon: float, limit: float = math.inf) -> int:
+        """Run the steady batch for up to ``limit`` steps in one loop and
+        return how many it took (0 when no batch is steady).
+
+        The steps of one call form a *segment*.  Each is the planned
+        step's arithmetic: it prices ``StepTotals(n, n, K, K, n)`` (``n``
+        residents, ``K`` their summed KV length) from the
+        :class:`~repro.eval.latency.StepPricer` constants with the same
+        float operations in the same order, applies ``step_time_scale``,
+        charges clock and busy time, stages the same trace spans, and folds
+        the queue and KV occupancy samples in step order.  The residents'
+        counters are only bumped when the batch is settled.
+
+        No step runs unless admission is closed (nothing waits, or the
+        batch is full and the admission policy never reorders the queue).
+        The segment then ends before the first step that would
+
+        * start at or after ``horizon``;
+        * start with an arrival due (``pending[0].enqueue_s <= clock``),
+          which the admission sweep of :meth:`step` must see first;
+        * start with a watermark preemption due (more than one resident
+          and utilization past the high mark), re-checked every step;
+        * or cross a block boundary whose claims do not all fit in free
+          blocks, since the claim would reclaim cached blocks or starve.
+
+        It also ends after the step in which the first resident's last
+        token lands.  That batch is settled before the step's KV sample,
+        so the sample sees the released blocks.
+
+        Block boundaries come from the due table (see
+        :class:`_SteadyBatch`): the step starting at a due offset claims
+        one private block for each resident listed there through
+        :meth:`~repro.serving.kv_manager.KVBlockManager.claim_one_each`,
+        and re-lists them one block later.  The pool's pressure flag is
+        refreshed at the first step and after every claim, the points
+        where utilization moves.
+        """
+        steady = self._steady
+        if steady is None or not self._admission_closed():
+            return 0
+        pending = self.pending
+        manager = self.manager
+        n = len(steady.decodes)
+
+        # StepPricer.step_time_s of StepTotals(n, n, K, K, n), inline; the
+        # terms that do not depend on K are the same values computed once.
+        pricer = self.session.step_pricer
+        num_layers = pricer.num_layers
+        weight_time_s = pricer.weight_time_s
+        kv_row = pricer.kv_row
+        activation_bytes = pricer.activation_bytes
+        hbm_bytes_per_s = pricer.hbm_bytes_per_s
+        token_flops = n * pricer.per_token
+        per_token_kv = pricer.per_token_kv
+        ops_per_s = pricer.ops_per_s
+        slowdown = pricer.slowdown
+        per_layer_overhead_s = pricer.per_layer_overhead_s
+        head_s = pricer.head_time_s(n)
+        per_pass_overhead_s = pricer.per_pass_overhead_s
+        scale = self.step_time_scale
+
         tracer = self.tracer
         if tracer is not None:
             if steady.spans is None:
-                steady.spans = [value for request in decodes
+                steady.spans = [value for request in steady.decodes
                                 for value in (_SPAN_DECODE,
                                               request.request_id, 1)]
-            tracer.step_entries.extend(steady.spans)
-            tracer.step_meta.extend((self.device_id, step_start, step_start,
-                                     self.clock, n))
-            tracer.flush_batch()
-        steady.kv_len = kv_len + n
-        steady.claim_in -= 1
-        steady.finish_in -= 1
-        steady.k += 1
-        self.tokens += n
-        if not steady.finish_in:
+            spans = steady.spans
+            stage = tracer.step_entries.extend
+            stage_meta = tracer.step_meta.extend
+            flush = tracer.flush_batch
+            device_id = self.device_id
+
+        claim_at = steady.claim_at
+        if manager is not None:
+            due = steady.due
+            block_size = self.kv_config.block_size
+            high_watermark = self.kv_config.high_watermark
+            utilization = manager.utilization
+            kv_sum = self.kv_utilization_sum
+        refresh = True
+
+        clock = self.clock
+        busy_s = self.busy_s
+        kv_len = steady.kv_len
+        k = steady.k
+        finish_at = steady.finish_at
+        waiting_depth = len(self.waiting)
+        depth_sum = self.queue_depth_sum
+        depth_peak = self.queue_depth_peak
+        taken = 0
+        finished = False
+        while taken < limit and clock < horizon:
+            if pending and pending[0].enqueue_s <= clock:
+                break
+            if manager is not None:
+                if n > 1 and utilization > high_watermark:
+                    break
+                if refresh:
+                    manager.refresh_pressure()
+                    refresh = False
+                if k == claim_at:
+                    crossing = due[k]
+                    if not manager.claim_one_each(crossing):
+                        break
+                    del due[k]
+                    due.setdefault(k + block_size, []).extend(crossing)
+                    claim_at = min(due)
+                    utilization = manager.utilization
+                    refresh = True
+
+            step_start = clock
+            kv_time = kv_len * kv_row * activation_bytes / hbm_bytes_per_s
+            compute_time = (token_flops + kv_len * per_token_kv) / ops_per_s
+            block_s = max(weight_time_s + kv_time, compute_time) \
+                * slowdown + per_layer_overhead_s
+            seconds = num_layers * block_s + head_s + per_pass_overhead_s
+            if scale != 1.0:
+                seconds = seconds * scale
+            clock += seconds
+            busy_s += seconds
+            if tracer is not None:
+                stage(spans)
+                stage_meta((device_id, step_start, step_start, clock, n))
+                flush()
+            kv_len += n
+            k += 1
+            taken += 1
+            if k == finish_at:
+                finished = True
+                break
+
+            queued = waiting_depth
+            if pending:
+                queued += sum(1 for request in pending
+                              if request.enqueue_s <= clock)
+            depth_sum += queued
+            if queued > depth_peak:
+                depth_peak = queued
+            if manager is not None:
+                kv_sum += utilization
+
+        self.clock = clock
+        self.busy_s = busy_s
+        self.steps += taken
+        self.tokens += n * taken
+        steady.kv_len = kv_len
+        steady.k = k
+        steady.claim_at = claim_at
+        sampled = taken - finished
+        self.queue_samples += sampled
+        self.queue_depth_sum = depth_sum
+        self.queue_depth_peak = depth_peak
+        if manager is not None:
+            self.kv_samples += sampled
+            self.kv_utilization_sum = kv_sum
+        if finished:
             # The first resident's last token just landed.
             self._settle()
-        self._sample_occupancy()
-        return True
+            self._sample_occupancy()
+        return taken
 
     def _settle(self) -> None:
         """Add the steady steps to each resident's counters, finish the
@@ -883,8 +1013,9 @@ class DeviceWorker:
         self.value_in_system -= request_value(request)
 
     def run_to_completion(self) -> None:
-        """Step until nothing is pending, waiting or running."""
-        while self.step():
+        """Step until nothing is pending, waiting or running, running each
+        steady batch a whole segment at a time."""
+        while self.advance(math.inf) or self.step():
             pass
 
     @staticmethod

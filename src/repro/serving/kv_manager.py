@@ -518,6 +518,26 @@ class KVBlockManager:
         self.used_blocks += blocks
         self.peak_used_blocks = max(self.peak_used_blocks, self.used_blocks)
 
+    def claim_one_each(self, request_ids: Sequence[int]) -> bool:
+        """Give each listed request one more private block, but only if
+        all of them fit in free blocks; returns whether it claimed.
+
+        This is the claim of decodes crossing a block boundary together.
+        It never reclaims idle cached blocks: when the free blocks fall
+        short, nothing changes and the caller plans the step instead, so
+        :meth:`claim` decides the reclamation.
+        """
+        count = len(request_ids)
+        if count > self.free_blocks:
+            return False
+        held = self._held
+        for request_id in request_ids:
+            # A decoding resident always holds blocks already.
+            held[request_id].private += 1
+        self.used_blocks += count
+        self.peak_used_blocks = max(self.peak_used_blocks, self.used_blocks)
+        return True
+
     def release(self, request_id: int) -> int:
         """Free every block the request holds; returns the count no longer
         charged to it (shared blocks still referenced by others are not

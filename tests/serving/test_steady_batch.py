@@ -1,18 +1,23 @@
 """Steady decode batches must be invisible in every result.
 
 A :class:`DeviceWorker` whose last planned step ran an unchanged decode-
-only batch advances it without planning and settles the residents'
-counters once (see ``DeviceWorker.step``).  This differential sweep runs
-each seeded config twice: as shipped, and as a reference run that drops
-the steady batch before every ``step()`` so each step is planned, which
-is the engine without the shortcut.  The per-device stats, each request's
+only batch advances it a whole segment per ``advance()`` call without
+planning, crossing KV block boundaries on free blocks, and settles the
+residents' counters once (see ``DeviceWorker.advance``).  This
+differential sweep runs each seeded config twice: as shipped, and as a
+reference run in which ``advance()`` takes no step and the steady batch is
+dropped before every ``step()`` so each step is planned, which is the
+engine without the shortcut.  The per-device stats, each request's
 outcome and the tracer's spans must be equal.  Further tests check that
-a crash settles the counters, that a reordering admission policy is
-consulted on every step it would be, and that steady steps engage on a
-decode-heavy fleet but never on a prefill-only worker.
+the block-crossing configs end segments the way their names say, that
+``advance()`` honours its horizon and step limit, that a crash settles
+the counters, that a reordering admission policy is consulted on every
+step it would be, and that steady steps engage on decode-heavy fleets
+but never on a prefill-only worker.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -29,6 +34,7 @@ from repro.serving.cluster import (
 )
 from repro.runtime.session import InferenceSession
 from repro.serving.engine import DeviceWorker
+from repro.serving.kv_manager import KVBlockManager
 from repro.serving.policies.admission import ScoreAdmission
 from repro.serving.policies.preemption import resolve_preemption_policy
 from repro.serving.request import requests_from_trace
@@ -104,6 +110,36 @@ CONFIGS = {
         dict(initial_replicas=2, router="round_robin", tracer=True,
              kv_config=kv_blocks(96)),
         _poisson(seed, rate=40.0)),
+    # Segments that cross block boundaries.  Each config ends segments
+    # the way its name says; test_segments_end_as_named checks that.
+    "block4_prefix_reclaim": lambda seed: (
+        dict(initial_replicas=1, router="prefix_affinity",
+             kv_config=kv_blocks(60, block_size=4,
+                                 enable_prefix_cache=True),
+             scheduler_config=SchedulerConfig(max_batch_size=6)),
+        multi_turn_trace(8, 3, seed=seed, session_rate_hz=8.0,
+                         think_time_s=0.2, turn_input_choices=(16, 24),
+                         output_choices=(24, 48))),
+    "claim_past_watermark": lambda seed: (
+        dict(initial_replicas=1, router="least_queue",
+             kv_config=kv_blocks(48, block_size=8, high_watermark=0.9,
+                                 low_watermark=0.7),
+             scheduler_config=SchedulerConfig(max_batch_size=6)),
+        _poisson(seed, count=24, rate=40.0, inputs=(16, 32),
+                 outputs=(48, 96))),
+    "pressure_cycle": lambda seed: (
+        dict(initial_replicas=1, router="least_queue",
+             kv_config=kv_blocks(40, block_size=8, high_watermark=1.0,
+                                 low_watermark=0.5),
+             scheduler_config=SchedulerConfig(max_batch_size=4)),
+        _poisson(seed, count=24, rate=20.0, inputs=(16, 48),
+                 outputs=(32, 96))),
+    "long_decode_segments": lambda seed: (
+        dict(initial_replicas=2, router="round_robin", tracer=True,
+             kv_config=kv_blocks(512, block_size=8),
+             scheduler_config=SchedulerConfig(max_batch_size=8)),
+        _poisson(seed, count=24, rate=20.0, inputs=(16, 32),
+                 outputs=(192, 320))),
     "streamed_handoff": lambda seed: (
         dict(router="least_queue", tracer=True,
              disaggregation=DisaggregationConfig(prefill_replicas=1,
@@ -154,7 +190,8 @@ def _run(kwargs, trace):
 
 @pytest.fixture
 def planned_every_step(monkeypatch):
-    """Make every ``step()`` plan, by dropping the steady batch first."""
+    """Make every ``step()`` plan, by dropping the steady batch first, and
+    make ``advance()`` take no step, so no segment runs either."""
     step = DeviceWorker.step
 
     def planned_step(self):
@@ -163,6 +200,8 @@ def planned_every_step(monkeypatch):
 
     def enable():
         monkeypatch.setattr(DeviceWorker, "step", planned_step)
+        monkeypatch.setattr(DeviceWorker, "advance",
+                            lambda self, horizon, limit=None: 0)
 
     return enable
 
@@ -232,9 +271,13 @@ def test_reordering_policy_sees_every_planned_reorder(planned_every_step):
 
 
 def _planned_share(monkeypatch, cluster, trace):
-    """Run and return {prefill_only: (planned steps, steps)}."""
+    """Run and return {prefill_only: (planned steps, steps)}.
+
+    A step is planned when its ``step()`` call ran ``plan_step``; steps
+    are read from ``worker.steps``, because ``advance()`` runs most steady
+    steps without a ``step()`` call."""
     planning = [False]
-    counts = {}
+    planned_steps = {}
     plan_step = ContinuousBatchingScheduler.plan_step
     step = DeviceWorker.step
 
@@ -245,9 +288,7 @@ def _planned_share(monkeypatch, cluster, trace):
     def counted_step(self):
         planning[0] = False
         progressed = step(self)
-        if progressed:
-            planned, steps = counts.get(self.prefill_only, (0, 0))
-            counts[self.prefill_only] = (planned + planning[0], steps + 1)
+        planned_steps[self] = planned_steps.get(self, 0) + planning[0]
         return progressed
 
     monkeypatch.setattr(ContinuousBatchingScheduler, "plan_step",
@@ -255,6 +296,11 @@ def _planned_share(monkeypatch, cluster, trace):
     monkeypatch.setattr(DeviceWorker, "step", counted_step)
     report = cluster.run(trace)
     assert report.completed == len(trace)
+    counts = {}
+    for worker, planned in planned_steps.items():
+        total_planned, steps = counts.get(worker.prefill_only, (0, 0))
+        counts[worker.prefill_only] = (total_planned + planned,
+                                       steps + worker.steps)
     return counts
 
 
@@ -283,3 +329,239 @@ def test_prefill_only_worker_plans_every_step(monkeypatch):
     # The decode replica does go steady, so the split is real.
     decode_planned, decode_steps = counts[False]
     assert decode_planned < decode_steps
+
+
+def _stop_reason(worker, horizon, limit, taken):
+    """Why an ``advance()`` call returned, read off the worker after it,
+    in the order ``advance`` tests its stop conditions."""
+    steady = worker._steady
+    if steady is None:
+        return "finish" if taken else "not_steady"
+    if taken >= limit:
+        return "limit"
+    if worker.clock >= horizon:
+        return "horizon"
+    if worker.waiting and (
+            len(worker.running) < worker.scheduler.config.max_batch_size
+            or worker._admission_reorders):
+        return "admission"
+    if worker.pending and worker.pending[0].enqueue_s <= worker.clock:
+        return "arrival"
+    manager = worker.manager
+    if len(steady.decodes) > 1 \
+            and manager.utilization > worker.kv_config.high_watermark:
+        return "watermark"
+    crossing = len(steady.due[steady.k])
+    assert steady.k == steady.claim_at and crossing > manager.free_blocks
+    if crossing <= manager.free_blocks + manager.reclaimable_blocks:
+        return "reclaim"
+    return "exhausted"
+
+
+def _segment_log(monkeypatch, name, seeds):
+    """Run ``name`` on ``seeds`` and log each ``advance()`` call as
+    ``(stop reason, blocks claimed, pressure flag before, pressure flag
+    after, steps taken)``.  Also returns, per watermark stop after a step,
+    whether the worker's next ``step()`` preempted, and how often the
+    pool's pressure flag was set and cleared."""
+    log = dict(calls=[], preempted_after_watermark=[], pressure_sets=0,
+               pressure_clears=0)
+    watch = {}
+    claims = [0]
+    advance = DeviceWorker.advance
+    step = DeviceWorker.step
+    claim_one_each = KVBlockManager.claim_one_each
+    mark_pressure = KVBlockManager.mark_pressure
+    refresh_pressure = KVBlockManager.refresh_pressure
+
+    def counted_claim(self, request_ids):
+        claimed = claim_one_each(self, request_ids)
+        claims[0] += claimed * len(request_ids)
+        return claimed
+
+    def counted_mark(self):
+        log["pressure_sets"] += not self._pressured
+        mark_pressure(self)
+
+    def counted_refresh(self):
+        pressured = self._pressured
+        refresh_pressure(self)
+        log["pressure_clears"] += pressured and not self._pressured
+
+    def logged_advance(self, horizon, limit=math.inf):
+        manager = self.manager
+        pressured = manager is not None and manager._pressured
+        claims_before = claims[0]
+        taken = advance(self, horizon, limit)
+        reason = _stop_reason(self, horizon, limit, taken)
+        log["calls"].append((reason, claims[0] - claims_before, pressured,
+                             manager is not None and manager._pressured,
+                             taken))
+        if reason == "watermark" and taken:
+            watch[self] = self.preempt_count
+        return taken
+
+    def logged_step(self):
+        before = watch.pop(self, None)
+        progressed = step(self)
+        if before is not None:
+            log["preempted_after_watermark"].append(
+                self.preempt_count > before)
+        return progressed
+
+    monkeypatch.setattr(KVBlockManager, "claim_one_each", counted_claim)
+    monkeypatch.setattr(KVBlockManager, "mark_pressure", counted_mark)
+    monkeypatch.setattr(KVBlockManager, "refresh_pressure", counted_refresh)
+    monkeypatch.setattr(DeviceWorker, "advance", logged_advance)
+    monkeypatch.setattr(DeviceWorker, "step", logged_step)
+    for seed in seeds:
+        _run(*CONFIGS[name](seed))
+    return log
+
+
+@pytest.mark.parametrize("name", ["block4_prefix_reclaim",
+                                  "claim_past_watermark", "pressure_cycle",
+                                  "long_decode_segments"])
+def test_segments_end_as_named(monkeypatch, name):
+    log = _segment_log(monkeypatch, name, range(SEEDS_PER_CONFIG))
+    calls = log["calls"]
+    stops = {reason for reason, *_ in calls}
+    # Segments cross block boundaries in every config.
+    assert any(claimed for _, claimed, *_ in calls)
+    if name == "block4_prefix_reclaim":
+        # A boundary claim that needs cached blocks reclaimed ends the
+        # segment; the planned step reclaims.
+        assert "reclaim" in stops
+    elif name == "claim_past_watermark":
+        # A claim inside a segment pushes utilization past the high mark:
+        # the segment ends and the next step preempts.
+        assert any(reason == "watermark" and claimed
+                   for reason, claimed, *_ in calls)
+        assert log["preempted_after_watermark"]
+        assert all(log["preempted_after_watermark"])
+    elif name == "pressure_cycle":
+        # Boundary claims that would starve end segments; the planned step
+        # preempts and sets the pressure flag, which later clears.  The
+        # flag is never set while a segment runs: its victim waits in a
+        # batch that is no longer full, so admission stays open until a
+        # planned step clears the flag.
+        assert "exhausted" in stops
+        assert log["pressure_sets"] > 0
+        assert log["pressure_clears"] == log["pressure_sets"]
+        assert not any(before or after
+                       for _, _, before, after, _ in calls)
+    else:
+        # Long decodes with no autoscaler: one segment spans many blocks.
+        assert max(claimed for _, claimed, *_ in calls) >= 32
+
+
+def _steady_worker(kv_config=None, arrivals=(0.0,) * 4, output_len=96):
+    """A worker stepped until its batch is steady (four 24-token prompts;
+    later ``arrivals`` stay pending until the clock reaches them)."""
+    worker = DeviceWorker(0, InferenceSession(GPT2),
+                          SchedulerConfig(max_batch_size=4),
+                          resolve_preemption_policy("youngest"),
+                          kv_config=kv_config)
+    trace = poisson_trace(len(arrivals), 1.0, seed=1, input_choices=(24,),
+                          output_choices=(output_len,))
+    for timed, arrival_s in zip(trace, arrivals):
+        worker.submit(requests_from_trace(
+            [dataclasses.replace(timed, arrival_s=arrival_s)])[0])
+    while worker._steady is None:
+        assert worker.step()
+    return worker
+
+
+def _snapshot(worker):
+    """Everything a step changes; residents' counters read as settled."""
+    steady = worker._steady
+    unsettled = {r.request_id: steady.k for r in steady.decodes} \
+        if steady is not None else {}
+    requests = list(worker.running) + list(worker.waiting)
+    return (dataclasses.asdict(worker.device_stats()),
+            steady is not None, len(worker.pending),
+            sorted((r.request_id,
+                    r.active.tokens_generated
+                    + unsettled.get(r.request_id, 0),
+                    r.tokens_emitted + unsettled.get(r.request_id, 0),
+                    r.finish_s) for r in requests))
+
+
+def test_advance_without_a_steady_batch_takes_no_step():
+    worker = DeviceWorker(0, InferenceSession(GPT2), SchedulerConfig(),
+                          resolve_preemption_policy("youngest"))
+    assert worker.advance(math.inf) == 0
+    for request in requests_from_trace(_poisson(1, count=4)):
+        worker.submit(request)
+    assert worker.advance(math.inf) == 0
+    assert worker.step() and worker._steady is None  # a prefill step
+    assert worker.advance(math.inf) == 0
+    assert worker.steps == 1
+
+
+@pytest.mark.parametrize("kv_config", [None, kv_blocks(160, block_size=4)],
+                         ids=["no_kv", "kv_block4"])
+def test_advance_never_starts_a_step_at_or_after_horizon(kv_config):
+    worker = _steady_worker(kv_config)
+    assert worker.advance(worker.clock) == 0
+    reference = _steady_worker(kv_config)
+    horizon = worker.clock
+    while worker._steady is not None:
+        horizon += 0.013
+        taken = worker.advance(horizon)
+        stepped = 0
+        while reference._steady is not None and reference.clock < horizon:
+            assert reference.advance(math.inf, 1) == 1
+            stepped += 1
+        assert taken == stepped
+        assert worker.clock == reference.clock
+        # Only a settled batch or a reached horizon ends these segments.
+        assert worker._steady is None or worker.clock >= horizon
+    assert _snapshot(worker) == _snapshot(reference)
+    assert worker.running == reference.running == []
+
+
+@pytest.mark.parametrize("kv_config", [None, kv_blocks(160, block_size=4),
+                                       kv_blocks(64, block_size=4)],
+                         ids=["no_kv", "kv_block4", "kv_block4_starving"])
+def test_advance_limit_one_matches_one_step(kv_config):
+    worker = _steady_worker(kv_config, arrivals=(0.0,) * 4 + (0.5,))
+    reference = _steady_worker(kv_config, arrivals=(0.0,) * 4 + (0.5,))
+    advanced = 0
+    while worker.has_work:
+        if worker.advance(math.inf, 1) == 1:
+            advanced += 1
+        else:
+            assert worker.step()
+        assert reference.step()
+        assert _snapshot(worker) == _snapshot(reference)
+    assert advanced > 50
+
+
+def test_a_claim_step_leaves_a_steady_batch():
+    worker = _steady_worker(kv_blocks(160, block_size=4))
+    manager = worker.manager
+    while True:
+        # Settle and drop the steady batch, so the next step is planned.
+        if worker._steady is not None:
+            worker._settle()
+        used = manager.used_blocks
+        assert worker.step()
+        if manager.used_blocks > used:
+            break
+    assert worker._steady is not None
+
+
+def test_steady_segments_engage_with_kv_and_prefix_cache(monkeypatch):
+    # Steady batches cross block boundaries without a plan, so planning
+    # is left to admissions, prefill chunks and finishes.
+    cluster = ServingCluster(
+        GPT2, initial_replicas=4, router="prefix_affinity",
+        scheduler_config=SchedulerConfig(max_batch_size=16),
+        kv_config=kv_blocks(1024, enable_prefix_cache=True))
+    trace = multi_turn_trace(8, 3, seed=4, session_rate_hz=8.0,
+                             think_time_s=0.5, turn_input_choices=(32, 64),
+                             output_choices=(192, 256))
+    planned, steps = _planned_share(monkeypatch, cluster, trace)[False]
+    assert steps > 1000
+    assert planned < 0.1 * steps
