@@ -21,8 +21,9 @@ import os
 import pytest
 
 import serving_artifact
-from repro.eval.serving import run_class_mix_sweep
+from repro.eval.serving import class_mix_stacks, run_sweep
 from repro.models.config import GPT2
+from repro.serving.cluster import ServingCluster
 from repro.serving.workload_gen import poisson_trace
 
 # REPRO_BENCH_FAST=1 (the CI smoke job) shrinks the trace; the asserted
@@ -50,37 +51,36 @@ def class_mix_trace():
 
 @pytest.fixture(scope="module")
 def class_mix_points(class_mix_trace):
-    points = run_class_mix_sweep(GPT2, class_mix_trace,
-                                 initial_replicas=REPLICAS)
-    return {point.scheduler: point for point in points}
+    points = run_sweep(ServingCluster, GPT2, class_mix_trace,
+                       class_mix_stacks(), initial_replicas=REPLICAS)
+    return {point.label: point for point in points}
 
 
 @pytest.mark.benchmark(group="cluster")
 def test_score_beats_fcfs_and_priority_on_weighted_attainment(
         benchmark, class_mix_trace, class_mix_points):
-    fcfs = class_mix_points["fcfs"]
-    priority = class_mix_points["priority"]
-    score = class_mix_points["score"]
+    fcfs, priority, score = (class_mix_points[name].report
+                             for name in ("fcfs", "priority", "score"))
 
     # Time the score stack end to end — and since the rerun shares the
     # fixture's seed, it doubles as a determinism check on the sweep.
+    score_stack = {"score": class_mix_stacks()["score"]}
     timed = benchmark(
-        lambda: run_class_mix_sweep(GPT2, class_mix_trace,
-                                    schedulers=("score",),
-                                    initial_replicas=REPLICAS)[0])
+        lambda: run_sweep(ServingCluster, GPT2, class_mix_trace, score_stack,
+                          initial_replicas=REPLICAS)[0].report)
     assert timed.class_weighted_attainment == score.class_weighted_attainment
 
     print()
-    for point in (fcfs, priority, score):
+    for point in class_mix_points.values():
         print("  " + point.format())
         serving_artifact.record_cluster(
-            f"class_mix_{point.scheduler}", point.report,
-            class_weighted_attainment=point.class_weighted_attainment,
-            jain_index=point.jain_fairness)
+            f"class_mix_{point.label}", point.report,
+            class_weighted_attainment=point.report.class_weighted_attainment,
+            jain_index=point.report.jain_fairness)
 
     # Overload must not shed load: every stack serves the whole trace.
-    for point in (fcfs, priority, score):
-        assert point.report.completed == NUM_REQUESTS
+    for report in (fcfs, priority, score):
+        assert report.completed == NUM_REQUESTS
 
     # The headline ordering: one score function strictly beats both
     # incumbent stacks on what the tenants actually pay for.
@@ -96,8 +96,8 @@ def test_score_starves_nobody(class_mix_points):
     """Aging bounds every request's wait: under the score stack each
     best-effort request completes inside its own (generous) TTFT target
     even while 8x-value interactive traffic floods the fleet."""
-    score = class_mix_points["score"]
-    best_effort = next(o for o in score.report.class_outcomes
+    score = class_mix_points["score"].report
+    best_effort = next(o for o in score.class_outcomes
                        if o.slo_class.name == "best_effort")
     assert best_effort.submitted > 0
     assert best_effort.completed == best_effort.submitted

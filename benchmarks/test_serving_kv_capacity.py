@@ -18,9 +18,14 @@ import os
 import pytest
 
 import serving_artifact
-from repro.eval.serving import run_capacity_sweep
+from repro.eval.serving import run_sweep
 from repro.models.config import GPT2
-from repro.serving import SchedulerConfig, ServingEngine, poisson_trace
+from repro.serving import (
+    KVCacheConfig,
+    SchedulerConfig,
+    ServingEngine,
+    poisson_trace,
+)
 
 # REPRO_BENCH_FAST=1 (the CI smoke job) shrinks the trace; the regime
 # assertions are structural and hold at both sizes.
@@ -34,6 +39,20 @@ SCHEDULER = SchedulerConfig(max_batch_size=8, token_budget=256)
 CAPACITIES_MB = [None, 512.0, 96.0, 48.0, 24.0]
 
 
+def capacity_sweep(trace, capacities_mb):
+    """One point per capacity; ``None`` is the unmanaged engine."""
+    variants = {"unmanaged" if mb is None else f"{mb:.1f} MB": (
+        {} if mb is None else dict(kv_config=KVCacheConfig.from_capacity_mb(
+            mb, high_watermark=0.90, low_watermark=0.70)))
+        for mb in capacities_mb}
+    return run_sweep(ServingEngine, GPT2, trace, variants,
+                     scheduler_config=SCHEDULER)
+
+
+def tok_s(point):
+    return point.report.aggregate_tokens_per_s
+
+
 @pytest.fixture(scope="module")
 def trace():
     return poisson_trace(NUM_REQUESTS, ARRIVAL_RATE_HZ, seed=0,
@@ -42,9 +61,7 @@ def trace():
 
 @pytest.fixture(scope="module")
 def curve(trace):
-    return run_capacity_sweep(GPT2, trace, CAPACITIES_MB,
-                              scheduler_config=SCHEDULER,
-                              high_watermark=0.90, low_watermark=0.70)
+    return capacity_sweep(trace, CAPACITIES_MB)
 
 
 @pytest.mark.benchmark(group="serving-kv")
@@ -63,19 +80,19 @@ def test_throughput_vs_capacity_curve(benchmark, trace, curve):
                             capacity_mb=CAPACITIES_MB[-1])
 
     # Ample regime: the managed engine is indistinguishable from PR 1.
-    assert ample.preemptions == 0
+    assert ample.report.preemptions == 0
     assert ample.report.completed == NUM_REQUESTS
-    assert ample.tokens_per_s == pytest.approx(unmanaged.tokens_per_s)
+    assert tok_s(ample) == pytest.approx(tok_s(unmanaged))
 
     # Overflow regime: completes via preemption + recompute, paying for it.
-    assert tight.preemptions >= 1
+    assert tight.report.preemptions >= 1
     assert tight.report.completed == NUM_REQUESTS
-    assert tight.tokens_per_s < ample.tokens_per_s
+    assert tok_s(tight) < tok_s(ample)
 
     # The curve is a curve: shrinking capacity never helps throughput.
     managed = curve[1:]
     for wider, narrower in zip(managed, managed[1:]):
-        assert narrower.tokens_per_s <= wider.tokens_per_s * 1.001
+        assert tok_s(narrower) <= tok_s(wider) * 1.001
 
 
 @pytest.mark.benchmark(group="serving-kv")
@@ -85,22 +102,19 @@ def test_preemption_onset_splits_the_curve(benchmark, trace, curve):
     preemption *count* is not monotone in capacity: a tighter pool admits
     fewer residents, so there is less to evict — each eviction just costs
     more recompute, which the throughput ordering already captures.)"""
-    benchmark(lambda: run_capacity_sweep(GPT2, trace, [24.0],
-                                         scheduler_config=SCHEDULER,
-                                         high_watermark=0.90,
-                                         low_watermark=0.70))
+    benchmark(lambda: capacity_sweep(trace, [24.0]))
     managed = curve[1:]
-    preemptions = [point.preemptions for point in managed]
+    preemptions = [point.report.preemptions for point in managed]
     print(f"\npreemptions along the curve {CAPACITIES_MB[1:]}: {preemptions}")
-    ample_tok_s = managed[0].tokens_per_s
+    ample_tok_s = tok_s(managed[0])
     onset_seen = False
     for point in managed:
-        if point.preemptions:
+        if point.report.preemptions:
             onset_seen = True
-            assert point.tokens_per_s < ample_tok_s
+            assert tok_s(point) < ample_tok_s
         else:
             assert not onset_seen, \
                 "pressure-free point below a pressured capacity"
-            assert point.tokens_per_s == pytest.approx(ample_tok_s)
+            assert tok_s(point) == pytest.approx(ample_tok_s)
     assert onset_seen, "sweep never reached the pressure regime"
     assert all(0.0 < p.report.peak_kv_utilization <= 1.0 for p in managed)

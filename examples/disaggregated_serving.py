@@ -31,9 +31,10 @@ paper serves one request at a time and has no cluster tier.
 Run with:  python examples/disaggregated_serving.py
 """
 
-from repro.eval.serving import run_disaggregation_sweep
+from repro.eval.serving import run_sweep
 from repro.models import GPT2
-from repro.serving import poisson_trace
+from repro.serving import ServingCluster, poisson_trace
+from repro.serving.cluster import DisaggregationConfig
 
 # Short prompts, long outputs, arrivals well above the fleet's decode
 # service rate: the regime where the two phases interfere the most.
@@ -47,23 +48,27 @@ def main() -> None:
 
     print("--- equal capacity, three fleet shapes "
           "(0 prefill = unified) ---")
-    points = run_disaggregation_sweep(
-        GPT2, TRACE, splits=[(0, 4), (1, 3), (2, 2)])
+    points = run_sweep(ServingCluster, GPT2, TRACE, {
+        "unified x4": dict(initial_replicas=4),
+        "1p + 3d": dict(disaggregation=DisaggregationConfig(1, 3)),
+        "2p + 2d": dict(disaggregation=DisaggregationConfig(2, 2)),
+    })
     for point in points:
         print("  " + point.format())
     unified, _, balanced = points
 
-    ttft_win = unified.p95_ttft_s / balanced.p95_ttft_s
-    tpot_cost = balanced.mean_tpot_s / unified.mean_tpot_s
+    ttft_win = unified.report.ttft.p95 / balanced.report.ttft.p95
+    tpot_cost = balanced.report.tpot.mean / unified.report.tpot.mean
     print(f"\n  2p+2d vs unified: p95 TTFT {ttft_win:.1f}x better, "
           f"TPOT {tpot_cost:.1f}x worse — the disaggregation trade.\n")
 
     print("--- the interconnect decides: 2p+2d at three link speeds ---")
-    for gbs in (48.0, 1.0, 0.05):
-        point = run_disaggregation_sweep(GPT2, TRACE, splits=[(2, 2)],
-                                         kv_transfer_gbs=gbs)[0]
+    links = run_sweep(ServingCluster, GPT2, TRACE, {
+        f"{gbs:6.2f} GB/s": dict(disaggregation=DisaggregationConfig(
+            2, 2, kv_transfer_gbs=gbs)) for gbs in (48.0, 1.0, 0.05)})
+    for point in links:
         report = point.report
-        print(f"  {gbs:6.2f} GB/s: p95 ttft "
+        print(f"  {point.label}: p95 ttft "
               f"{report.ttft.p95 * 1e3:7.1f} ms, tpot mean "
               f"{report.tpot.mean * 1e3:6.2f} ms, "
               f"{report.kv_transfer_seconds * 1e3:8.1f} ms on the wire")

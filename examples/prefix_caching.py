@@ -15,7 +15,9 @@ an ablation table.
 Run with: PYTHONPATH=src python examples/prefix_caching.py
 """
 
-from repro.eval.serving import PolicySpec, run_policy_sweep
+import dataclasses
+
+from repro.eval.serving import run_sweep
 from repro.models.config import GPT2
 from repro.serving import (
     KVCacheConfig,
@@ -41,17 +43,26 @@ def main() -> None:
         print()
 
     print("=== policy comparison on the same trace ===\n")
-    specs = [
-        PolicySpec(),
-        PolicySpec(admission="shortest_prompt"),
-        PolicySpec(admission="priority", preemption="lowest_priority"),
-        PolicySpec(placement="least_loaded"),
-        PolicySpec(prefix_cache=True),
-        PolicySpec(placement="kv_aware", prefix_cache=True),
-    ]
-    for point in run_policy_sweep(GPT2, trace, specs, num_devices=2,
-                                  scheduler_config=scheduler,
-                                  kv_capacity_mb=512.0):
+
+    def stack(admission="fcfs", prefix_cache=False, **policies):
+        return dict(
+            scheduler_config=dataclasses.replace(scheduler,
+                                                 admission=admission),
+            kv_config=KVCacheConfig.from_capacity_mb(
+                512.0, enable_prefix_cache=prefix_cache),
+            **policies)
+
+    variants = {
+        "fcfs": stack(),
+        "shortest_prompt": stack(admission="shortest_prompt"),
+        "priority": stack(admission="priority",
+                          preemption="lowest_priority"),
+        "least_loaded": stack(placement="least_loaded"),
+        "prefix": stack(prefix_cache=True),
+        "kv_aware+prefix": stack(placement="kv_aware", prefix_cache=True),
+    }
+    for point in run_sweep(ServingEngine, GPT2, trace, variants,
+                           num_devices=2):
         print(point.format())
 
 

@@ -6,7 +6,8 @@ its first token in 300 ms, a nightly summarization job is happy with 15 s.
 This example tags a deeply overloaded Poisson trace with **SLO classes**
 (``interactive``/``standard``/``batch``/``best_effort`` — each a TTFT
 target, a TPOT target, and a value weight) and serves the *same trace*
-under three scheduler stacks (:func:`repro.eval.serving.run_class_mix_sweep`):
+under three scheduler stacks (:func:`repro.eval.serving.run_sweep` over
+:func:`~repro.eval.serving.class_mix_stacks`):
 
 1. **fcfs** — arrival order; the backlog buries interactive requests
    behind cheap batch work, so the high-value class misses its target;
@@ -29,9 +30,9 @@ serves one request at a time and has no notion of tenants.
 Run with:  python examples/slo_classes.py
 """
 
-from repro.eval.serving import run_class_mix_sweep
+from repro.eval.serving import class_mix_stacks, run_sweep
 from repro.models import GPT2
-from repro.serving import poisson_trace
+from repro.serving import ServingCluster, poisson_trace
 
 # ~3x one fleet's service rate: admission order, not capacity, decides
 # who makes their target.
@@ -47,9 +48,10 @@ def main() -> None:
           f"{TRACE[-1].arrival_s:.1f}s across four SLO classes, "
           f"2 fixed replicas\n")
 
-    points = run_class_mix_sweep(GPT2, TRACE, initial_replicas=2)
+    points = run_sweep(ServingCluster, GPT2, TRACE, class_mix_stacks(),
+                       initial_replicas=2)
     for point in points:
-        print(f"--- {point.scheduler} ---")
+        print(f"--- {point.label} ---")
         print(point.report.format())
         print()
 
@@ -57,8 +59,9 @@ def main() -> None:
     for point in points:
         print("  " + point.format())
 
-    score = next(p for p in points if p.scheduler == "score")
-    best = max(points, key=lambda p: p.class_weighted_attainment or 0.0)
+    score = next(p for p in points if p.label == "score")
+    best = max(points,
+               key=lambda p: p.report.class_weighted_attainment or 0.0)
     assert best is score, "score stack should win under deep overload"
     print("\nscore wins on both axes — and its best-effort requests all "
           "landed inside\ntheir own TTFT target, which is the point: "

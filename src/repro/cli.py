@@ -190,15 +190,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "bounds admission/decode by KV blocks and "
                                    "preempts the youngest request under "
                                    "memory pressure (default: unmanaged)")
-    serve_parser.add_argument("--block-size", type=int, default=16,
+    serve_parser.add_argument("--block-size", type=int, default=None,
                               help="token slots per KV block (paging "
-                                   "granularity; only with --kv-capacity-mb)")
+                                   "granularity; default 16; requires "
+                                   "--kv-capacity-mb)")
     serve_parser.add_argument("--watermark", type=float, nargs=2,
-                              default=(0.95, 0.80), metavar=("HIGH", "LOW"),
+                              default=None, metavar=("HIGH", "LOW"),
                               help="KV utilization watermarks: crossing HIGH "
                                    "preempts down to LOW and admission stays "
-                                   "closed until below LOW (hysteresis; only "
-                                   "with --kv-capacity-mb)")
+                                   "closed until below LOW (hysteresis; "
+                                   "default 0.95 0.80; requires "
+                                   "--kv-capacity-mb)")
     serve_parser.add_argument("--cold-start", action="store_true",
                               help="charge the one-time parameter packing "
                                    "to the serving clock")
@@ -698,11 +700,18 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
     config = get_model_config(args.model)
     try:
         _require_kv_for_prefix_cache(args)
+        for flag, value in (("--block-size", args.block_size),
+                            ("--watermark", args.watermark)):
+            if value is not None and args.kv_capacity_mb is None:
+                raise ValueError(f"{flag} only configures the KV block "
+                                 "pool; pair with --kv-capacity-mb")
         kv_config = None
         if args.kv_capacity_mb is not None:
-            high, low = args.watermark
+            high, low = args.watermark or (0.95, 0.80)
             kv_config = KVCacheConfig.from_capacity_mb(
-                args.kv_capacity_mb, block_size=args.block_size,
+                args.kv_capacity_mb,
+                block_size=args.block_size
+                if args.block_size is not None else 16,
                 high_watermark=high, low_watermark=low,
                 enable_prefix_cache=args.prefix_cache)
         priority_choices = None

@@ -52,11 +52,6 @@ class PackedLayout:
         return self.elements_per_vector * self.dtype.bits
 
     @property
-    def vectors_per_tile(self) -> int:
-        tile_elements = math.prod(self.tile_shape)
-        return max(1, tile_elements // self.elements_per_vector)
-
-    @property
     def total_bytes(self) -> float:
         total_elements = math.prod(self.outer_shape) * math.prod(self.tile_shape)
         return total_elements * self.dtype.bits / 8.0

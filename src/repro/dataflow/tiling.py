@@ -100,10 +100,6 @@ class TiledOp:
     def total_tiles(self) -> int:
         return math.prod(self.loop_tripcounts) if self.loop_tripcounts else 1
 
-    @property
-    def output_tiles(self) -> int:
-        return self.result_itensor.num_iterations
-
 
 def _operand_itensor(operand_type: TensorType, indexing_map: AffineMap,
                      loop_dims: Sequence[int], tile_sizes: Sequence[int],

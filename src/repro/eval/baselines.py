@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.eval.latency import FpgaPerformanceModel, GpuPerformanceModel, LatencyBreakdown
-from repro.models.config import ModelConfig
+from repro.eval.latency import FpgaPerformanceModel, GpuPerformanceModel
 from repro.models.workload import Workload
 from repro.platform.gpu import NVIDIA_2080TI, NVIDIA_A100
 
@@ -100,9 +99,3 @@ def rtx2080ti_model() -> GpuPerformanceModel:
     per-layer overhead, lower achievable bandwidth)."""
     return GpuPerformanceModel(platform=NVIDIA_2080TI, per_layer_overhead_s=0.6e-3,
                                per_pass_overhead_s=1.5e-3)
-
-
-def evaluate_gpu_baseline(model: GpuPerformanceModel, config: ModelConfig,
-                          workload: Workload) -> LatencyBreakdown:
-    """Evaluate a GPU baseline on one workload."""
-    return model.evaluate(config, workload)

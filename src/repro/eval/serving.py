@@ -14,16 +14,15 @@ systems just wait for arrivals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Type, Union)
 
 if TYPE_CHECKING:  # imported lazily at call time to avoid a package cycle
     from repro.eval.latency import FpgaPerformanceModel
     from repro.models.config import ModelConfig
-    from repro.serving.cluster import AutoscalerConfig, ClusterReport
-    from repro.serving.kv_manager import KVCacheConfig
+    from repro.serving.cluster import ClusterReport, ServingCluster
+    from repro.serving.engine import ServingEngine
     from repro.serving.metrics import ServingReport
-    from repro.serving.scheduler import SchedulerConfig
-    from repro.serving.telemetry import Tracer
     from repro.serving.workload_gen import TimedRequest
 
 
@@ -125,461 +124,84 @@ def compare_with_sequential(report: ServingReport,
                              engine_tokens_per_s=report.aggregate_tokens_per_s)
 
 
+
+
 @dataclass(frozen=True)
-class CapacityPoint:
-    """One point of the throughput-vs-KV-capacity curve."""
+class SweepPoint:
+    """One labelled configuration's report on a sweep's fixed trace."""
 
-    capacity_mb: Optional[float]   # None = unmanaged (PR 1 engine)
-    report: "ServingReport"
-
-    @property
-    def tokens_per_s(self) -> float:
-        return self.report.aggregate_tokens_per_s
-
-    @property
-    def preemptions(self) -> int:
-        return self.report.preemptions
+    label: str
+    report: Union[ServingReport, ClusterReport]
 
     def format(self) -> str:
-        label = ("unmanaged" if self.capacity_mb is None
-                 else f"{self.capacity_mb:8.1f} MB")
-        return (f"{label:>10}: {self.tokens_per_s:8.1f} tok/s, "
-                f"{self.report.completed}/{self.report.num_requests} done, "
-                f"{self.preemptions} preemption(s), "
-                f"peak kv util {self.report.peak_kv_utilization * 100:.0f}%")
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """One admission/placement/preemption/prefix-cache combination."""
-
-    admission: str = "fcfs"
-    placement: str = "round_robin"
-    preemption: str = "youngest"
-    prefix_cache: bool = False
-
-    @property
-    def label(self) -> str:
-        tag = f"{self.admission}/{self.placement}/{self.preemption}"
-        return tag + ("+prefix" if self.prefix_cache else "")
-
-
-@dataclass(frozen=True)
-class PolicyPoint:
-    """One policy combination's outcome on a fixed trace."""
-
-    spec: PolicySpec
-    report: "ServingReport"
-
-    @property
-    def tokens_per_s(self) -> float:
-        return self.report.aggregate_tokens_per_s
-
-    @property
-    def mean_ttft_s(self) -> float:
-        return self.report.ttft.mean
-
-    def format(self) -> str:
-        line = (f"{self.spec.label:>42}: {self.tokens_per_s:8.1f} tok/s, "
-                f"ttft mean {self.mean_ttft_s * 1e3:8.1f} ms, "
-                f"{self.report.completed}/{self.report.num_requests} done, "
-                f"{self.report.preemptions} preemption(s)")
-        if self.spec.prefix_cache:
-            line += f", prefix hit {self.report.prefix_hit_rate * 100:.0f}%"
+        """One line: throughput, latency and completions, then only the
+        columns this report carries (preemptions, KV and prefix-cache use,
+        autoscaled replica-seconds, SLO and class attainment, migrations)."""
+        r = self.report
+        tokens_per_s = (r.total_output_tokens / r.makespan_s
+                        if r.makespan_s > 0 else 0.0)
+        line = (f"{self.label:>16}: {tokens_per_s:8.1f} tok/s, "
+                f"p95 ttft {r.ttft.p95 * 1e3:8.1f} ms, "
+                f"tpot mean {r.tpot.mean * 1e3:6.2f} ms, "
+                f"{r.completed}/{r.num_requests} done")
+        if r.preemptions:
+            line += f", {r.preemptions} preemption(s)"
+        if getattr(r, "peak_kv_utilization", 0.0):
+            line += f", peak kv util {r.peak_kv_utilization * 100:.0f}%"
+        if r.prefix_hit_rate:
+            line += f", prefix hit {r.prefix_hit_rate * 100:.0f}%"
+        if getattr(r, "autoscaled", False):
+            line += f", {r.replica_seconds:.1f} replica-s"
+        if getattr(r, "slo_attainment", None) is not None:
+            line += f", slo {r.slo_attainment * 100:5.1f}%"
+        if getattr(r, "class_weighted_attainment", None) is not None:
+            line += (f", weighted attainment "
+                     f"{r.class_weighted_attainment * 100:5.1f}%, "
+                     f"Jain {r.jain_fairness:.3f}")
+        if getattr(r, "disaggregated", False):
+            line += (f", {r.kv_migrations} migration(s), "
+                     f"{r.kv_bytes_transferred / 1e6:.1f} MB moved")
         return line
 
 
-def run_policy_sweep(config: ModelConfig,
-                     trace: Sequence[TimedRequest],
-                     specs: Sequence[PolicySpec],
-                     num_devices: int = 1,
-                     scheduler_config: Optional[SchedulerConfig] = None,
-                     kv_capacity_mb: Optional[float] = None,
-                     block_size: int = 16,
-                     high_watermark: float = 0.95,
-                     low_watermark: float = 0.80,
-                     performance_model: Optional[FpgaPerformanceModel] = None,
-                     ) -> List[PolicyPoint]:
-    """Serve the same trace under every policy combination in ``specs``.
+def class_mix_stacks() -> Dict[str, Dict[str, Any]]:
+    """The class-mix ablation's scheduler stacks, as ``ServingCluster``
+    kwargs ready for :func:`run_sweep`.
 
-    The serving counterpart of an ablation table: one fixed trace, one row
-    per policy stack, so differences in throughput/TTFT/preemptions are
-    attributable to the policy alone.  ``kv_capacity_mb`` is required for
-    specs with ``prefix_cache`` (the cache lives in the block manager);
-    without it those specs raise ``ValueError``.
+    Each pairs one admission policy with its matching preemption and
+    routing face so a stack is coherent end to end (score admission with
+    priority preemption would mix two different notions of importance).
     """
-    import dataclasses
+    from repro.serving.scheduler import SchedulerConfig
 
-    from repro.serving.engine import ServingEngine
-    from repro.serving.kv_manager import KVCacheConfig
-    from repro.serving.scheduler import SchedulerConfig as _SchedulerConfig
-
-    base = scheduler_config if scheduler_config is not None \
-        else _SchedulerConfig()
-    points: List[PolicyPoint] = []
-    for spec in specs:
-        if spec.prefix_cache and kv_capacity_mb is None:
-            raise ValueError(
-                f"spec {spec.label!r} enables the prefix cache but the "
-                "sweep has no kv_capacity_mb (the cache lives in the KV "
-                "block manager)")
-        kv_config = None
-        if kv_capacity_mb is not None:
-            kv_config = KVCacheConfig.from_capacity_mb(
-                kv_capacity_mb, block_size=block_size,
-                high_watermark=high_watermark, low_watermark=low_watermark,
-                enable_prefix_cache=spec.prefix_cache)
-        engine = ServingEngine(
-            config, num_devices=num_devices,
-            scheduler_config=dataclasses.replace(base,
-                                                 admission=spec.admission),
-            performance_model=performance_model,
-            kv_config=kv_config,
-            placement=spec.placement,
-            preemption=spec.preemption)
-        points.append(PolicyPoint(spec, engine.run(trace)))
-    return points
+    return {
+        "fcfs": dict(scheduler_config=SchedulerConfig(admission="fcfs"),
+                     preemption="youngest", router="least_queue"),
+        "priority": dict(
+            scheduler_config=SchedulerConfig(admission="priority"),
+            preemption="lowest_priority", router="least_queue"),
+        "score": dict(scheduler_config=SchedulerConfig(admission="score"),
+                      preemption="lowest_score", router="score"),
+    }
 
 
-@dataclass(frozen=True)
-class ClusterPoint:
-    """One fleet configuration's outcome on a fixed trace."""
+def run_sweep(runner: Union[Type[ServingEngine], Type[ServingCluster]],
+              config: ModelConfig,
+              trace: Sequence[TimedRequest],
+              variants: Mapping[str, Mapping[str, Any]],
+              **common: Any) -> List[SweepPoint]:
+    """Serve one fixed trace under every labelled configuration.
 
-    replicas: int            # initial fleet size (the autoscaler may grow it)
-    router: str
-    report: "ClusterReport"
-
-    @property
-    def fleet_tokens_per_s(self) -> float:
-        return self.report.fleet_tokens_per_s
-
-    @property
-    def p95_ttft_s(self) -> float:
-        return self.report.ttft.p95
-
-    def format(self) -> str:
-        report = self.report
-        line = (f"{self.replicas} replica(s) / {self.router:>16}: "
-                f"{self.fleet_tokens_per_s:8.1f} tok/s, "
-                f"p95 ttft {self.p95_ttft_s * 1e3:8.1f} ms, "
-                f"{report.completed}/{report.num_requests} done, "
-                f"{report.replica_seconds:7.1f} replica-s")
-        if report.slo_attainment is not None:
-            line += f", slo {report.slo_attainment * 100:5.1f}%"
-        return line
-
-
-def run_cluster_sweep(config: ModelConfig,
-                      trace: Sequence[TimedRequest],
-                      replica_counts: Sequence[int],
-                      routers: Sequence[str] = ("round_robin",),
-                      scheduler_config: Optional[SchedulerConfig] = None,
-                      kv_config: Optional["KVCacheConfig"] = None,
-                      autoscaler: Optional["AutoscalerConfig"] = None,
-                      performance_model: Optional[FpgaPerformanceModel] = None,
-                      kernel: str = "event",
-                      tracer: Optional["Tracer"] = None,
-                      ) -> List[ClusterPoint]:
-    """Serve the same trace under every (fleet size, router) combination.
-
-    The cluster analogue of :func:`run_policy_sweep`: one fixed trace, one
-    row per fleet configuration, so throughput/TTFT/replica-second
-    differences are attributable to the fleet shape alone.  With an
-    ``autoscaler`` config, ``replica_counts`` are the *initial* sizes and
-    the control loop takes over from there — sweeping initial sizes then
-    shows how much of the outcome the controller recovers on its own.
-    ``kernel`` picks the simulation core (both produce identical reports;
-    see :class:`~repro.serving.cluster.ServingCluster`).  A ``tracer``
-    attaches to every run: each point's report then carries its own
-    ``telemetry`` section, and the tracer's raw spans end up holding the
-    final point's timeline (each ``run()`` resets it).
+    The serving counterpart of an ablation table: one row per variant, so
+    differences in the reports are attributable to the variant alone.
+    ``runner`` is :class:`~repro.serving.ServingEngine` or
+    :class:`~repro.serving.cluster.ServingCluster`; each variant's kwargs
+    are merged over ``common`` and go to its constructor.  Every runner is
+    built before the first one runs, so a bad variant fails before any
+    simulation time is spent.  A ``tracer`` in ``common`` attaches to
+    every run and ends up holding the last point's spans (each ``run()``
+    resets it).
     """
-    from repro.serving.cluster import ServingCluster
-
-    points: List[ClusterPoint] = []
-    for replicas in replica_counts:
-        for router in routers:
-            cluster = ServingCluster(
-                config, initial_replicas=replicas, router=router,
-                scheduler_config=scheduler_config,
-                performance_model=performance_model,
-                kv_config=kv_config,
-                autoscaler=autoscaler,
-                kernel=kernel,
-                tracer=tracer)
-            points.append(ClusterPoint(replicas, router,
-                                       cluster.run(trace)))
-    return points
-
-
-@dataclass(frozen=True)
-class DisaggregationPoint:
-    """One fleet split's outcome on a fixed trace.
-
-    ``prefill_replicas == 0`` marks the unified reference (all
-    ``decode_replicas`` replicas serve both phases) — every sweep should
-    include one so the TTFT win and TPOT cost of each split are measured
-    against the same total capacity.
-    """
-
-    prefill_replicas: int      # 0 = unified reference fleet
-    decode_replicas: int       # decode pool (or the whole unified fleet)
-    report: "ClusterReport"
-    # A colocated fleet serving with a per-step prefill token cap — the
-    # hybrid regime between unified and disaggregated (meaningful only
-    # when ``prefill_replicas == 0``).
-    prefill_token_cap: Optional[int] = None
-
-    @property
-    def unified(self) -> bool:
-        return self.prefill_replicas == 0
-
-    @property
-    def mode(self) -> str:
-        """Which of the three serving regimes this point ran:
-        ``unified`` (colocated, uncapped), ``hybrid`` (colocated with a
-        per-step prefill token cap) or ``disaggregated`` (split fleet)."""
-        if self.prefill_replicas > 0:
-            return "disaggregated"
-        return "hybrid" if self.prefill_token_cap is not None else "unified"
-
-    @property
-    def total_replicas(self) -> int:
-        return self.prefill_replicas + self.decode_replicas
-
-    @property
-    def p95_ttft_s(self) -> float:
-        return self.report.ttft.p95
-
-    @property
-    def mean_tpot_s(self) -> float:
-        return self.report.tpot.mean
-
-    @property
-    def fleet_tokens_per_s(self) -> float:
-        return self.report.fleet_tokens_per_s
-
-    def format(self) -> str:
-        if self.prefill_replicas > 0:
-            label = f"{self.prefill_replicas}p + {self.decode_replicas}d"
-        elif self.prefill_token_cap is not None:
-            label = f"hybrid x{self.decode_replicas}"
-        else:
-            label = f"unified x{self.decode_replicas}"
-        line = (f"{label:>12}: p95 ttft {self.p95_ttft_s * 1e3:8.1f} ms, "
-                f"tpot mean {self.mean_tpot_s * 1e3:6.2f} ms, "
-                f"{self.fleet_tokens_per_s:8.1f} tok/s, "
-                f"{self.report.completed}/{self.report.num_requests} done")
-        if not self.unified:
-            line += (f", {self.report.kv_migrations} migration(s), "
-                     f"{self.report.kv_bytes_transferred / 1e6:.1f} MB "
-                     f"moved")
-        return line
-
-
-def run_disaggregation_sweep(config: ModelConfig,
-                             trace: Sequence[TimedRequest],
-                             splits: Sequence[Tuple[int, ...]],
-                             kv_transfer_gbs: Optional[float] = None,
-                             router: str = "round_robin",
-                             decode_router: str = "kv_transfer_aware",
-                             scheduler_config: Optional[SchedulerConfig] = None,
-                             kv_config: Optional["KVCacheConfig"] = None,
-                             performance_model: Optional[FpgaPerformanceModel] = None,
-                             kernel: str = "event",
-                             kv_stream_chunks: int = 1,
-                             tracer: Optional["Tracer"] = None,
-                             ) -> List[DisaggregationPoint]:
-    """Serve the same trace under a sweep of prefill/decode fleet splits.
-
-    Each split is ``(prefill_replicas, decode_replicas)``;
-    ``(0, n)`` runs the *unified* n-replica fleet — the equal-capacity
-    reference every disaggregated split is judged against — and a
-    three-element ``(0, n, cap)`` runs the *hybrid* regime: the same
-    colocated n-replica fleet, but with at most ``cap`` prefill tokens
-    admitted per engine step (:attr:`SchedulerConfig.prefill_token_cap`),
-    so prefill bursts cannot monopolise a whole batch.  One fixed trace,
-    one row per split, so the TTFT-vs-TPOT trade (and the KV bytes that
-    bought it) is attributable to the fleet shape alone.
-    ``kv_stream_chunks > 1`` streams every disaggregated hand-off's KV in
-    that many layer-granular chunks (decode admits at the first chunk).
-    A ``tracer`` attaches to every run (see :func:`run_cluster_sweep`).
-    """
-    import dataclasses
-
-    from repro.serving.cluster import DisaggregationConfig, ServingCluster
-    from repro.serving.scheduler import SchedulerConfig as _SchedulerConfig
-
-    # Validate every split up front: a bad one at the tail must not
-    # discard the (expensive) simulations of the splits before it.
-    normalized: List[Tuple[int, int, Optional[int]]] = []
-    for split in splits:
-        if len(split) == 2:
-            prefill, decode = split
-            cap: Optional[int] = None
-        elif len(split) == 3:
-            prefill, decode, cap = split
-        else:
-            raise ValueError(
-                f"split {tuple(split)} invalid: expected "
-                "(prefill, decode) or (0, decode, prefill_token_cap)")
-        if prefill < 0 or decode < 1:
-            raise ValueError(
-                f"split ({prefill}, {decode}) invalid: prefill_replicas "
-                "must be >= 0 (0 = unified) and decode_replicas >= 1")
-        if cap is not None and prefill > 0:
-            raise ValueError(
-                f"split {tuple(split)} invalid: a prefill token cap is "
-                "the hybrid (colocated) regime and requires "
-                "prefill_replicas == 0")
-        normalized.append((prefill, decode, cap))
-    base = scheduler_config if scheduler_config is not None \
-        else _SchedulerConfig()
-    points: List[DisaggregationPoint] = []
-    for prefill, decode, cap in normalized:
-        disaggregation = None
-        if prefill > 0:
-            disaggregation = DisaggregationConfig(
-                prefill_replicas=prefill, decode_replicas=decode,
-                kv_transfer_gbs=kv_transfer_gbs,
-                decode_router=decode_router,
-                kv_stream_chunks=kv_stream_chunks)
-        split_scheduler = base if cap is None \
-            else dataclasses.replace(base, prefill_token_cap=cap)
-        cluster = ServingCluster(
-            config,
-            initial_replicas=decode if prefill == 0 else 1,
-            router=router,
-            scheduler_config=split_scheduler,
-            performance_model=performance_model,
-            kv_config=kv_config,
-            disaggregation=disaggregation,
-            kernel=kernel,
-            tracer=tracer)
-        points.append(DisaggregationPoint(prefill, decode,
-                                          cluster.run(trace),
-                                          prefill_token_cap=cap))
-    return points
-
-
-@dataclass(frozen=True)
-class ClassMixPoint:
-    """One scheduler stack's outcome on a fixed class-mixed trace."""
-
-    scheduler: str
-    report: "ClusterReport"
-
-    @property
-    def class_weighted_attainment(self) -> Optional[float]:
-        return self.report.class_weighted_attainment
-
-    @property
-    def jain_fairness(self) -> Optional[float]:
-        return self.report.jain_fairness
-
-    def format(self) -> str:
-        report = self.report
-        weighted = self.class_weighted_attainment
-        jain = self.jain_fairness
-        line = (f"{self.scheduler:>10}: "
-                + (f"weighted attainment {weighted * 100:5.1f}%"
-                   if weighted is not None else "no class evidence")
-                + (f", Jain {jain:.3f}" if jain is not None else "")
-                + f", {report.completed}/{report.num_requests} done, "
-                  f"p95 ttft {report.ttft.p95 * 1e3:8.1f} ms")
-        return line
-
-
-# The three scheduler stacks the class-mix sweep compares.  Each maps one
-# admission policy to its matching preemption + routing face so a stack is
-# coherent end to end (score admission with priority preemption would mix
-# two different notions of importance).
-_CLASS_MIX_STACKS = {
-    "fcfs": ("fcfs", "youngest", "least_queue"),
-    "priority": ("priority", "lowest_priority", "least_queue"),
-    "score": ("score", "lowest_score", "score"),
-}
-
-
-def run_class_mix_sweep(config: ModelConfig,
-                        trace: Sequence[TimedRequest],
-                        schedulers: Sequence[str] = ("fcfs", "priority",
-                                                     "score"),
-                        initial_replicas: int = 2,
-                        scheduler_config: Optional[SchedulerConfig] = None,
-                        kv_config: Optional["KVCacheConfig"] = None,
-                        autoscaler: Optional["AutoscalerConfig"] = None,
-                        performance_model: Optional[FpgaPerformanceModel] = None,
-                        kernel: str = "event",
-                        ) -> List[ClassMixPoint]:
-    """Serve the same class-mixed trace under each scheduler stack.
-
-    The multi-tenant ablation: one fixed trace (generate it with a
-    ``slo_class_mix`` so requests carry SLO classes), one row per
-    scheduler, judged on class-weighted TTFT attainment and Jain fairness
-    rather than raw throughput.  Each named stack bundles the admission
-    policy with its matching preemption and routing policies (see
-    ``_CLASS_MIX_STACKS``), so rows differ by the whole scheduling story,
-    not one knob.
-    """
-    import dataclasses
-
-    from repro.serving.cluster import ServingCluster
-    from repro.serving.scheduler import SchedulerConfig as _SchedulerConfig
-
-    base = scheduler_config if scheduler_config is not None \
-        else _SchedulerConfig()
-    points: List[ClassMixPoint] = []
-    for name in schedulers:
-        try:
-            admission, preemption, router = _CLASS_MIX_STACKS[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown scheduler stack {name!r}; choose from "
-                f"{sorted(_CLASS_MIX_STACKS)}") from None
-        cluster = ServingCluster(
-            config, initial_replicas=initial_replicas, router=router,
-            scheduler_config=dataclasses.replace(base, admission=admission),
-            performance_model=performance_model,
-            kv_config=kv_config,
-            autoscaler=autoscaler,
-            preemption=preemption,
-            kernel=kernel)
-        points.append(ClassMixPoint(name, cluster.run(trace)))
-    return points
-
-
-def run_capacity_sweep(config: ModelConfig,
-                       trace: Sequence[TimedRequest],
-                       capacities_mb: Sequence[Optional[float]],
-                       num_devices: int = 1,
-                       scheduler_config: Optional[SchedulerConfig] = None,
-                       block_size: int = 16,
-                       high_watermark: float = 0.95,
-                       low_watermark: float = 0.80,
-                       performance_model: Optional[FpgaPerformanceModel] = None,
-                       ) -> List[CapacityPoint]:
-    """Serve the same trace under a sweep of per-device KV capacities.
-
-    ``None`` in ``capacities_mb`` runs the capacity-oblivious engine — the
-    ample-memory reference the managed points are judged against.  The
-    resulting curve is the serving analogue of a roofline: flat (0
-    preemptions, reference throughput) while capacity covers the working
-    set, then throughput decays as recompute preemptions eat the budget.
-    """
-    from repro.serving.engine import ServingEngine
-    from repro.serving.kv_manager import KVCacheConfig
-
-    points: List[CapacityPoint] = []
-    for capacity_mb in capacities_mb:
-        kv_config = None
-        if capacity_mb is not None:
-            kv_config = KVCacheConfig.from_capacity_mb(
-                capacity_mb, block_size=block_size,
-                high_watermark=high_watermark, low_watermark=low_watermark)
-        engine = ServingEngine(config, num_devices=num_devices,
-                               scheduler_config=scheduler_config,
-                               performance_model=performance_model,
-                               kv_config=kv_config)
-        points.append(CapacityPoint(capacity_mb, engine.run(trace)))
-    return points
+    runners = [(label, runner(config, **{**common, **kwargs}))
+               for label, kwargs in variants.items()]
+    return [SweepPoint(label, built.run(trace)) for label, built in runners]

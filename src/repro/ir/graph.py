@@ -63,9 +63,6 @@ class Graph:
         """All ops that consume ``value``."""
         return [op for op in self.ops if value in op.inputs]
 
-    def consumers_of(self, op: LinalgOp) -> List[LinalgOp]:
-        return self.users(op.result)
-
     def producers_of(self, op: LinalgOp) -> List[LinalgOp]:
         return [v.producer for v in op.inputs if v.producer is not None]
 

@@ -75,16 +75,6 @@ class HlsProfiler:
                 total += port.tensor.num_elements * quant.weight_bits / 8.0
         return total
 
-    def _activation_bytes(self, kernel: DataflowKernel) -> float:
-        quant = self.platform.quantization
-        total = 0.0
-        for port in kernel.inputs:
-            if not port.is_parameter:
-                total += port.tensor.num_elements * quant.activation_bits / 8.0
-        total += sum(p.tensor.num_elements for p in kernel.outputs) \
-            * quant.activation_bits / 8.0
-        return total
-
     def profile_kernel(self, kernel: DataflowKernel,
                        memory_share: float = 1.0) -> KernelProfile:
         """Profile one kernel: II, initial delay, latency and resources.

@@ -47,9 +47,6 @@ class PartitionResult:
     objective: float = 0.0
     method: str = "greedy"
 
-    def die_of(self, task: str) -> int:
-        return self.assignment[task]
-
     def die_loads(self, tasks: Sequence[PartitionTask]) -> List[float]:
         loads = [0.0] * self.num_dies
         by_name = {t.name: t for t in tasks}

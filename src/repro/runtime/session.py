@@ -301,10 +301,6 @@ class InferenceSession:
         bytes_per_element = self.model.platform.quantization.activation_bits / 8.0
         return self.config.kv_cache_bytes_per_token(bytes_per_element)
 
-    def request_kv_bytes(self, active: ActiveRequest) -> float:
-        """Device bytes the request's KV cache occupies right now."""
-        return active.kv_tokens * self.kv_bytes_per_token
-
     # ------------------------------------------------------------------
     # Parameter packing (one-time, offline for static tensors)
     # ------------------------------------------------------------------

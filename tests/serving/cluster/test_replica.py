@@ -3,7 +3,7 @@
 import pytest
 
 from repro.models.config import GPT2
-from repro.serving import ServingRequest
+from repro.serving import KVCacheConfig, SchedulerConfig, ServingRequest
 from repro.serving.cluster import EngineReplica, ReplicaState
 from repro.serving.workload_gen import trace_from_specs
 
@@ -37,6 +37,19 @@ class TestLifecycle:
     def test_negative_warmup_rejected(self):
         with pytest.raises(ValueError, match="warmup"):
             EngineReplica(0, GPT2, warmup_s=-1.0)
+
+    def test_kv_pool_smaller_than_one_block_fails_at_construction(self):
+        # GPT-2 KV is ~49 KB/token at A8: 0.001 MB holds no 16-token block.
+        with pytest.raises(ValueError, match="holds no"):
+            EngineReplica(0, GPT2,
+                          kv_config=KVCacheConfig.from_capacity_mb(0.001))
+
+    def test_policies_resolve_without_an_engine(self):
+        replica = EngineReplica(0, GPT2, preemption="largest_kv")
+        assert replica.worker.preemption.name == "largest_kv"
+        assert replica.worker.scheduler.config == SchedulerConfig()
+        with pytest.raises(ValueError, match="preemption"):
+            EngineReplica(0, GPT2, preemption="oldest")
 
     def test_clock_starts_at_readiness(self):
         replica = EngineReplica(0, GPT2, spawned_s=4.0, warmup_s=2.0)

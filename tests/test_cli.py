@@ -80,6 +80,30 @@ class TestServeSimCommand:
         assert exit_code == 0
         assert "kv cache:" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [["--block-size", "32"],
+                                       ["--watermark", "0.5", "0.4"],
+                                       ["--block-size", "32", "--watermark",
+                                        "0.5", "0.4"]])
+    def test_kv_pool_flags_require_kv_capacity(self, flags, capsys):
+        """--block-size/--watermark must not be silently dropped on an
+        unmanaged run."""
+        exit_code = main(["serve-sim", "--requests", "4", "--no-baseline",
+                          *flags])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "--kv-capacity-mb" in err
+
+    def test_kv_pool_defaults_with_kv_capacity(self, tmp_path, capsys):
+        """Without --block-size/--watermark a managed run keeps the
+        documented 16-token blocks and 0.95/0.80 watermarks."""
+        paths = [tmp_path / "default.json", tmp_path / "explicit.json"]
+        base = ["serve-sim", "--requests", "16", "--arrival-rate", "100",
+                "--kv-capacity-mb", "16", "--no-baseline"]
+        assert main([*base, "--json", str(paths[0])]) == 0
+        assert main([*base, "--block-size", "16", "--watermark", "0.95",
+                     "0.80", "--json", str(paths[1])]) == 0
+        assert paths[0].read_text() == paths[1].read_text()
+
     def test_invalid_watermarks_rejected(self, capsys):
         exit_code = main(["serve-sim", "--requests", "4", "--kv-capacity-mb",
                           "64", "--watermark", "0.5", "0.9", "--no-baseline"])
