@@ -1050,13 +1050,11 @@ class ServingCluster:
         same-instant fleet samples.
 
         Run-ahead (see :mod:`.events`): a popped STEP of an ACTIVE
-        replica in a unified fleet keeps calling ``replica.step()``
-        while the replica has work and its ``next_ready_s`` is strictly
-        before ``min(next arrival, next control tick, next fault)`` —
-        no other event can reach the replica sooner — and only then
-        re-arms it.  While the worker holds a steady decode batch it
-        runs whole segments of those steps through
-        :meth:`DeviceWorker.advance` instead.  ``events_processed``
+        replica in a unified fleet keeps stepping its worker through
+        :meth:`DeviceWorker.run_until` while the replica has work and its
+        ``next_ready_s`` is strictly before ``min(next arrival, next
+        control tick, next fault)`` — no other event can reach the
+        replica sooner — and only then re-arms it.  ``events_processed``
         counts heap pops and ``run_ahead_steps`` the steps taken without
         one; their sum is the step loop's ``iterations``."""
         disaggregation = self.disaggregation
@@ -1179,18 +1177,7 @@ class ServingCluster:
                         horizon = next_tick_s
                     if faults and faults[0].time_s < horizon:
                         horizon = faults[0].time_s
-                    # A steady batch runs a whole segment per advance();
-                    # the step that ends a segment goes through step().
-                    worker = replica.worker
-                    step = replica.step
-                    while worker.has_work and worker.next_ready_s < horizon:
-                        if worker._steady is not None:
-                            taken = worker.advance(horizon)
-                            if taken:
-                                run_ahead += taken
-                                continue
-                        step()
-                        run_ahead += 1
+                    run_ahead += replica.worker.run_until(horizon)
                 if replica.has_work:
                     arm_step(replica)
                 else:

@@ -209,15 +209,13 @@ class ClusterReport:
     def _served(report: ServingReport) -> int:
         """Requests that *finished on* the replica (device counter, equal
         to the fold's ``completed`` for unified replicas)."""
-        return sum(d.requests_served for d in report.devices) \
-            if report.devices else report.completed
+        return sum(d.requests_served for d in report.devices)
 
     @staticmethod
     def _generated(report: ServingReport) -> int:
         """Tokens the replica's device actually emitted (equal to the
         fold's output-token total for unified replicas)."""
-        return sum(d.tokens_generated for d in report.devices) \
-            if report.devices else report.total_output_tokens
+        return sum(d.tokens_generated for d in report.devices)
 
     @property
     def jain_fairness(self) -> Optional[float]:

@@ -1012,11 +1012,22 @@ class DeviceWorker:
         self.handoff_count += 1
         self.value_in_system -= request_value(request)
 
-    def run_to_completion(self) -> None:
-        """Step until nothing is pending, waiting or running, running each
-        steady batch a whole segment at a time."""
-        while self.advance(math.inf) or self.step():
-            pass
+    def run_until(self, horizon: float) -> int:
+        """Step while work remains and the next step starts strictly
+        before ``horizon``; returns the steps taken.  A steady batch runs
+        a whole segment per :meth:`advance`, and the step that ends a
+        segment goes through :meth:`step`.  ``run_until(math.inf)`` runs
+        the worker to completion."""
+        taken = 0
+        while self.has_work and self.next_ready_s < horizon:
+            if self._steady is not None:
+                segment = self.advance(horizon)
+                if segment:
+                    taken += segment
+                    continue
+            self.step()
+            taken += 1
+        return taken
 
     @staticmethod
     def _kv_counters(manager: Optional[KVBlockManager]) -> dict:
@@ -1173,7 +1184,7 @@ class ServingEngine:
                                   tracer=tracer)
             for request in inbox:
                 worker.submit(request)
-            worker.run_to_completion()
+            worker.run_until(math.inf)
             devices.append(worker.device_stats())
 
         manifest = build_manifest(

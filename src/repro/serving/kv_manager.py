@@ -573,7 +573,9 @@ class KVBlockManager:
     # Disaggregation hand-off (export on the prefill pool, import on the
     # decode pool)
     # ------------------------------------------------------------------
-    def export(self, request_id: int, kv_tokens: int) -> KVExport:
+    def export_kv(self, request_id: int, kv_tokens: int,
+                  kv_bytes: float = 0.0, num_layers: int = 1,
+                  chunks: int = 1) -> KVExport:
         """Release a request's blocks because its KV state is *leaving*
         this device — a disaggregated hand-off, not a completion.
 
@@ -581,13 +583,6 @@ class KVBlockManager:
         references are decref'd the same way); the distinct entry point
         records the migration traffic and returns the :class:`KVExport`
         receipt the cluster prices the transfer from.
-        """
-        return self.export_kv(request_id, kv_tokens)
-
-    def export_kv(self, request_id: int, kv_tokens: int,
-                  kv_bytes: float = 0.0, num_layers: int = 1,
-                  chunks: int = 1) -> KVExport:
-        """:meth:`export`, plus the layer-granular stream split.
 
         When ``chunks > 1`` the receipt carries ``chunk_bytes`` — the
         migration payload divided over at most ``min(chunks, num_layers)``

@@ -167,14 +167,6 @@ class Tracer:
         self.span(kind, time_s, time_s, request_id, lane, aux)
 
     @property
-    def staged(self) -> list:
-        """The flat staging list, for hot loops that ``extend`` it with
-        ``(kind, request_id, lane, start_s, end_s, aux)`` scalar groups
-        directly instead of paying a :meth:`span` call per row.  Callers
-        must invoke :meth:`flush_batch` once after the batch."""
-        return self._staged
-
-    @property
     def step_entries(self) -> list:
         """Step-compact per-resident staging: ``extend`` with
         ``(kind, request_id, aux)`` int triples, where a chunk kind may

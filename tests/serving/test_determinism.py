@@ -135,22 +135,11 @@ class TestCliSeedPlumbing:
         return path.read_bytes()
 
     def test_event_kernel_cli_reports_are_deterministic(self, tmp_path):
-        """serve-cluster under the (default) event kernel: same seed →
-        byte-identical JSON, run to run."""
-        first = self.serve_cluster_kernel_report(
-            tmp_path, 11, "a.json", "--kernel", "event")
-        second = self.serve_cluster_kernel_report(
-            tmp_path, 11, "b.json", "--kernel", "event")
+        """serve-cluster under the event kernel: same seed → byte-identical
+        JSON, run to run."""
+        first = self.serve_cluster_kernel_report(tmp_path, 11, "a.json")
+        second = self.serve_cluster_kernel_report(tmp_path, 11, "b.json")
         assert first == second
-
-    def test_event_kernel_cli_matches_step_kernel(self, tmp_path):
-        """The kernel flag must not change the report: --kernel event and
-        --kernel step emit byte-identical JSON for the same seed."""
-        event = self.serve_cluster_kernel_report(
-            tmp_path, 11, "a.json", "--kernel", "event")
-        step = self.serve_cluster_kernel_report(
-            tmp_path, 11, "b.json", "--kernel", "step")
-        assert event == step
 
     def test_event_kernel_cli_disaggregated_deterministic(self, tmp_path):
         """The disaggregated path (KV migrations through TRANSFER_LANDED
@@ -162,6 +151,31 @@ class TestCliSeedPlumbing:
         second = self.serve_cluster_kernel_report(
             tmp_path, 5, "b.json", *disagg)
         assert first == second
-        step = self.serve_cluster_kernel_report(
-            tmp_path, 5, "c.json", *disagg, "--kernel", "step")
-        assert first == step
+
+
+class TestKernelEquivalence:
+    """The event kernel and the step-loop reference emit byte-identical
+    reports for the fleets the serve-cluster determinism tests run (the
+    configs those commands build, default scheduler included)."""
+
+    @staticmethod
+    def report(kernel, seed, **fleet):
+        from repro.serving import ServingCluster
+
+        trace = poisson_trace(12, 20.0, seed=seed)
+        cluster = ServingCluster(GPT2, kernel=kernel,
+                                 scheduler_config=SchedulerConfig(), **fleet)
+        return json.dumps(cluster.run(trace).to_dict(), sort_keys=True)
+
+    def test_event_kernel_matches_step_kernel(self):
+        fleet = dict(initial_replicas=2)
+        assert self.report("event", 11, **fleet) \
+            == self.report("step", 11, **fleet)
+
+    def test_disaggregated_event_kernel_matches_step_kernel(self):
+        from repro.serving import DisaggregationConfig
+
+        fleet = dict(initial_replicas=1, disaggregation=DisaggregationConfig(
+            prefill_replicas=1, decode_replicas=2))
+        assert self.report("event", 5, **fleet) \
+            == self.report("step", 5, **fleet)

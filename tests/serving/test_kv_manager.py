@@ -209,7 +209,7 @@ class TestExportImport:
     def test_export_releases_and_receipts(self):
         manager = make_manager()
         manager.claim(7, 3)
-        receipt = manager.export(7, kv_tokens=33)
+        receipt = manager.export_kv(7, kv_tokens=33)
         assert receipt.request_id == 7
         assert receipt.kv_tokens == 33
         assert receipt.blocks_freed == 3
@@ -219,14 +219,14 @@ class TestExportImport:
 
     def test_export_of_unknown_request_frees_nothing(self):
         manager = make_manager()
-        receipt = manager.export(99, kv_tokens=0)
+        receipt = manager.export_kv(99, kv_tokens=0)
         assert receipt.blocks_freed == 0
         assert manager.kv_exports == 1
 
     def test_export_rejects_negative_tokens(self):
         manager = make_manager()
         with pytest.raises(ValueError, match="negative"):
-            manager.export(1, kv_tokens=-1)
+            manager.export_kv(1, kv_tokens=-1)
 
     def test_import_claims_and_counts(self):
         manager = make_manager()
@@ -244,7 +244,7 @@ class TestExportImport:
     def test_reset_clears_handoff_counters(self):
         manager = make_manager()
         manager.claim(1, 2)
-        manager.export(1, kv_tokens=32)
+        manager.export_kv(1, kv_tokens=32)
         manager.import_kv(2, 1)
         manager.reset()
         assert manager.kv_exports == 0

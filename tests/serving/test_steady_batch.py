@@ -538,6 +538,30 @@ def test_advance_limit_one_matches_one_step(kv_config):
     assert advanced > 50
 
 
+@pytest.mark.parametrize("kv_config", [None, kv_blocks(160, block_size=4)],
+                         ids=["no_kv", "kv_block4"])
+def test_run_until_stops_at_horizon_and_counts_steps(kv_config):
+    """Each call takes the steps a one-at-a-time reference starts before
+    the horizon, reports how many, and run_until(inf) finishes."""
+    arrivals = (0.0,) * 4 + (0.3,)
+    worker = _steady_worker(kv_config, arrivals)
+    reference = _steady_worker(kv_config, arrivals)
+    horizon = worker.clock
+    while worker.has_work:
+        horizon += 0.05
+        steps = worker.steps
+        taken = worker.run_until(horizon)
+        assert taken == worker.steps - steps
+        assert not worker.has_work or worker.next_ready_s >= horizon
+        while reference.has_work and reference.next_ready_s < horizon:
+            assert reference.step()
+        assert _snapshot(worker) == _snapshot(reference)
+    assert worker.run_until(math.inf) == 0
+    finishing = _steady_worker(kv_config, arrivals)
+    assert finishing.run_until(math.inf) > 0 and not finishing.has_work
+    assert _snapshot(finishing) == _snapshot(worker)
+
+
 def test_a_claim_step_leaves_a_steady_batch():
     worker = _steady_worker(kv_blocks(160, block_size=4))
     manager = worker.manager

@@ -545,6 +545,24 @@ class TestServeClusterCommand:
         assert "--shared-prefix" in capsys.readouterr().err
 
 
+class TestSharedServingFlags:
+    """Flags serve-sim and serve-cluster define, and validate, once."""
+
+    @pytest.mark.parametrize("command", ["serve-sim", "serve-cluster"])
+    @pytest.mark.parametrize("flag,value", [("--priority-levels", "0"),
+                                            ("--priority-levels", "-3"),
+                                            ("--shared-prefix", "-1")])
+    def test_out_of_range_count_rejected(self, command, flag, value,
+                                         capsys):
+        """A priority-level count below 1 or a negative shared prefix is
+        an error, not a silent single-tier, prefix-free run."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--requests", "4", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "at least" in err
+
+
 class TestTraceCommand:
     def _write_trace(self, tmp_path):
         """Record a real Chrome trace via a serve-cluster run."""
