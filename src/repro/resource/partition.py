@@ -204,8 +204,11 @@ def _ilp_partition(tasks: Sequence[PartitionTask], num_dies: int,
     upper = np.ones(num_vars)
     upper[max_load_var] = total_resource
     bounds = Bounds(np.zeros(num_vars), upper)
+    # mip_rel_gap=0: HiGHS stops at a 1e-4 relative gap by default, which
+    # is not "exact" (the qwen prefill block's default-gap answer sits
+    # 1.1e-6 above its optimum).
     result = milp(c=c, constraints=constraints, integrality=integrality,
-                  bounds=bounds)
+                  bounds=bounds, options={"mip_rel_gap": 0})
     if not result.success or result.x is None:
         return None
     assignment = {}

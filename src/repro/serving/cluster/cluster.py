@@ -89,7 +89,6 @@ from repro.serving.cluster.replica import (
 from repro.serving.cluster.report import (
     ClusterReport,
     ReplicaCountSample,
-    ReplicaLifecycle,
     build_cluster_report,
 )
 from repro.serving.cluster.router import ClusterRouter, RoutingPolicy
@@ -1056,7 +1055,14 @@ class ServingCluster:
         control tick, next fault)`` — no other event can reach the
         replica sooner — and only then re-arms it.  ``events_processed``
         counts heap pops and ``run_ahead_steps`` the steps taken without
-        one; their sum is the step loop's ``iterations``."""
+        one; their sum is the step loop's ``iterations``.
+
+        Arrival run-ahead (see :mod:`.events`): after an ARRIVAL, the
+        next arrival is dispatched in the same branch while it sorts
+        before the heap top (:meth:`EventQueue.deliver_if_next`), so a
+        run of back-to-back arrivals costs no push and pop each.  It
+        still counts as one delivered event, so ``events_processed``
+        and the popped-event log are those of the push-and-pop loop."""
         disaggregation = self.disaggregation
         log_tracer: Optional[Tracer] = None
         if self.record_events:
@@ -1081,6 +1087,7 @@ class ServingCluster:
         busy: set = set()
         pop = queue.pop
         push = queue.push
+        deliver_if_next = queue.deliver_if_next
         arm_step = queue.arm_step
         faults = self._fault_actions
         active = ReplicaState.ACTIVE
@@ -1120,15 +1127,24 @@ class ServingCluster:
             kind = event[1]
             counts[kind] += 1
             if kind == arrival_k:
-                request = arrivals.popleft()
-                self._activate_due(request.arrival_s)
-                pool = self._routable() if disaggregation is None \
-                    else self._routable_pool(ReplicaRole.PREFILL)
-                enlist(self.router.dispatch(request, pool))
-                dispatched = True
-                self._sample_metrics(request.arrival_s)
-                if arrivals:
-                    push(arrivals[0].arrival_s, arrival_k)
+                # Arrival run-ahead (see .events): the next arrival is
+                # dispatched here, without a push and a pop, for as long
+                # as it sorts before everything in the heap.
+                while True:
+                    request = arrivals.popleft()
+                    self._activate_due(request.arrival_s)
+                    pool = self._routable() if disaggregation is None \
+                        else self._routable_pool(ReplicaRole.PREFILL)
+                    enlist(self.router.dispatch(request, pool))
+                    dispatched = True
+                    self._sample_metrics(request.arrival_s)
+                    if not arrivals:
+                        break
+                    if not deliver_if_next(arrivals[0].arrival_s,
+                                           arrival_k):
+                        push(arrivals[0].arrival_s, arrival_k)
+                        break
+                    counts[arrival_k] += 1
             elif kind == transfer_k:
                 replica = self._land_chunk(event[0], event[4])
                 if replica is not None:
@@ -1323,21 +1339,11 @@ class ServingCluster:
             component="cluster", model=self.config.name, requests=requests,
             configs=configs,
             extra=manifest_extra)
-        lifecycles = [ReplicaLifecycle(replica.replica_id,
-                                       replica.spawned_s,
-                                       replica.ready_s,
-                                       replica.stopped_s,
-                                       role=replica.role.value,
-                                       crashed=replica.crashed)
-                      for replica in self.replicas]
-        replica_reports = [replica.report(self.config.name)
-                           for replica in self.replicas]
         return build_cluster_report(
             self.config.name, self.router.policy.name,
             autoscaled=scaler is not None,
             requests=requests,
-            replica_reports=replica_reports,
-            lifecycles=lifecycles,
+            replicas=self.replicas,
             timeline=sorted(self._timeline, key=lambda s: s.time_s),
             end_s=end_s,
             slo_ttft_s=scaler.config.slo_ttft_s

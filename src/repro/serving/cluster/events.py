@@ -79,6 +79,16 @@ a prefill step can schedule a KV landing before the horizon) step only
 through the heap.  ``popped`` counts heap pops; the cluster counts the
 steps run ahead separately (``ServingCluster.run_ahead_steps``), and
 the two sum to the step loop's iterations.
+
+**Arrival run-ahead.**  Arrivals are ~96% of the events of a
+per-request workload, and back-to-back arrivals often have no other
+event between them.  After handling an ARRIVAL, the kernel offers the
+next one to :meth:`EventQueue.deliver_if_next`: if it sorts before the
+heap top (ARRIVAL is kind 0, so it wins every equal-time tie) it is
+dispatched at once, without a push and a pop, with the queue's
+``seq``, ``popped``, ordering check and ``on_pop`` log advanced exactly
+as the pair would.  Otherwise it is pushed as before.  The popped-event
+log, ``event_counts`` and ``events_processed`` are unchanged by it.
 """
 
 from __future__ import annotations
@@ -162,6 +172,37 @@ class EventQueue:
         self._seq += 1
         heapq.heappush(self._heap,
                        (time_s, int(kind), tie, self._seq, payload))
+
+    def deliver_if_next(self, time_s: float, kind: int) -> bool:
+        """Deliver one singleton event (``tie`` 0, no payload) without
+        the heap when it would pop next — the arrival run-ahead of the
+        cluster kernel.
+
+        When the new key sorts before the heap top, a :meth:`push`
+        followed by a :meth:`pop` would hand this very event back (the
+        top is the least entry, valid or stale, and a stale entry is
+        only dropped when it reaches the top).  So ``_seq``, ``popped``,
+        the ordering check and ``on_pop`` advance here exactly as that
+        pair would, and the heap is left untouched.  Returns False and
+        changes nothing when the heap holds an entry that pops first
+        (an equal key included: its ``seq`` is older); the caller then
+        pushes the event.  Not for STEP events, whose entries carry a
+        version."""
+        heap = self._heap
+        if heap:
+            top = heap[0]
+            if time_s > top[0] or (time_s == top[0]
+                                   and (kind, 0) >= (top[1], top[2])):
+                return False
+        self._seq += 1
+        key = (time_s, kind, 0)
+        if self._last_key is not None and key < self._last_key:
+            raise RuntimeError("event queue delivered out of order")
+        self._last_key = key
+        self.popped += 1
+        if self.on_pop is not None:
+            self.on_pop((time_s, kind, 0, self._seq, None))
+        return True
 
     def arm_step(self, replica) -> None:
         """(Re)schedule ``replica``'s next engine step at its current

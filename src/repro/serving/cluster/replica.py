@@ -34,7 +34,7 @@ from repro.models.config import ModelConfig
 from repro.runtime.session import InferenceSession
 from repro.serving.engine import DeviceWorker
 from repro.serving.kv_manager import KVCacheConfig
-from repro.serving.metrics import ServingReport, build_report
+from repro.serving.metrics import RequestTable, ServingReport, build_report
 from repro.serving.policies.preemption import (
     PreemptionPolicy,
     resolve_preemption_policy,
@@ -316,11 +316,18 @@ class EngineReplica:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def report(self, model_name: str) -> ServingReport:
-        """This replica's run folded into a standard serving report."""
+    def report(self, model_name: str,
+               table: Optional[RequestTable] = None) -> ServingReport:
+        """This replica's run folded into a standard serving report.
+
+        ``table`` is the fleet's end-of-run :class:`RequestTable`; the
+        replica's requests are then folded from its rows (a request
+        submitted here twice counts twice, as its repeat in
+        ``requests`` does)."""
         kv_config = self.worker.kv_config
         return build_report(
             model_name, 1, self.requests, [self.worker.device_stats()],
             self.worker.preemption_events,
             prefix_cache_enabled=kv_config is not None
-            and kv_config.enable_prefix_cache)
+            and kv_config.enable_prefix_cache,
+            table=table)

@@ -12,11 +12,16 @@ requests so they are exact, not an average of per-replica percentiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.serving.metrics import LatencyStats, ServingReport, fold_requests
-from repro.serving.request import RequestState, ServingRequest
+import numpy as np
+
+from repro.serving.metrics import LatencyStats, RequestTable, ServingReport
+from repro.serving.request import ServingRequest
 from repro.serving.slo import SLOClass
+
+if TYPE_CHECKING:
+    from repro.serving.cluster.replica import EngineReplica
 
 
 @dataclass(frozen=True)
@@ -450,7 +455,8 @@ class ClusterReport:
         return "\n".join(lines)
 
 
-def build_class_outcomes(requests: Sequence[ServingRequest]
+def build_class_outcomes(requests: Sequence[ServingRequest],
+                         table: Optional[RequestTable] = None,
                          ) -> List[ClassOutcome]:
     """Group requests by SLO class and judge each against its own targets.
 
@@ -458,47 +464,45 @@ def build_class_outcomes(requests: Sequence[ServingRequest]
     empty list, and the cluster report then grows no class sections).
     Outcomes come back in descending tier order — interactive first —
     which is also the deterministic order the JSON payload serializes
-    (tier ties, impossible among the built-in classes, break on name)."""
-    groups: Dict[str, List[ServingRequest]] = {}
+    (tier ties, impossible among the built-in classes, break on name).
+    ``table`` is ``requests``' :class:`RequestTable` when the caller
+    already built it."""
+    if table is None:
+        table = RequestTable(requests)
+    groups: Dict[str, List[int]] = {}
     classes: Dict[str, SLOClass] = {}
-    for request in requests:
-        slo = request.slo_class
+    for row, slo in enumerate(table.slo_classes()):
         if slo is None:
             continue
-        groups.setdefault(slo.name, []).append(request)
+        groups.setdefault(slo.name, []).append(row)
         classes[slo.name] = slo
     outcomes = []
     for name in sorted(groups, key=lambda n: (-classes[n].tier, n)):
         slo = classes[name]
-        members = groups[name]
-        finished = [r for r in members
-                    if r.state is RequestState.FINISHED]
-        rejected = sum(1 for r in members
-                       if r.state is RequestState.REJECTED)
-        tpot_eligible = [r for r in finished if r.workload.output_len > 1]
+        members = np.array(groups[name], dtype=np.intp)
+        done = table.done(members)
+        ttft = table.ttft[done]
+        tpot = table.tpot[done]
+        tpot = tpot[~np.isnan(tpot)]
         outcomes.append(ClassOutcome(
             slo_class=slo,
             submitted=len(members),
-            completed=len(finished),
-            rejected=rejected,
-            ttft=LatencyStats.from_values([r.ttft_s for r in finished]),
-            tpot=LatencyStats.from_values(
-                [r.tpot_s for r in tpot_eligible]),
-            ttft_attained=sum(1 for r in finished
-                              if r.ttft_s <= slo.ttft_target_s)
-            if finished else None,
-            tpot_attained=sum(1 for r in tpot_eligible
-                              if r.tpot_s <= slo.tpot_target_s)
-            if tpot_eligible else None,
-            tpot_eligible=len(tpot_eligible),
+            completed=len(done),
+            rejected=int(np.count_nonzero(table.rejected[members])),
+            ttft=LatencyStats.from_values(ttft),
+            tpot=LatencyStats.from_values(tpot),
+            ttft_attained=int(np.count_nonzero(ttft <= slo.ttft_target_s))
+            if len(done) else None,
+            tpot_attained=int(np.count_nonzero(tpot <= slo.tpot_target_s))
+            if len(tpot) else None,
+            tpot_eligible=len(tpot),
         ))
     return outcomes
 
 
 def build_cluster_report(model: str, router: str, autoscaled: bool,
                          requests: Sequence[ServingRequest],
-                         replica_reports: List[ServingReport],
-                         lifecycles: List[ReplicaLifecycle],
+                         replicas: Sequence["EngineReplica"],
                          timeline: List[ReplicaCountSample],
                          end_s: float,
                          slo_ttft_s: Optional[float] = None,
@@ -517,21 +521,34 @@ def build_cluster_report(model: str, router: str, autoscaled: bool,
                          fault_slow_nodes: int = 0,
                          fault_kv_link_degradations: int = 0,
                          ) -> ClusterReport:
-    """Fold per-request timestamps and replica lifecycles into the fleet
-    report.  Latency distributions are computed over all requests directly
-    (via the same :func:`~repro.serving.metrics.fold_requests` the engine
-    report uses) so fleet percentiles are exact.  Note a disaggregated
-    nuance in the per-replica drill-down: a migrated request appears in
-    both its prefill and its decode replica's ``ServingReport`` (each
-    replica really served part of it), so those folded reports overlap;
-    fleet-level counts and the payload's per-replica tokens/requests use
-    the deduplicated ``requests`` and the device counters respectively,
-    and never double-count."""
-    fold = fold_requests(requests)
+    """Fold per-request outcomes and the fleet's replicas into the fleet
+    report.
+
+    The requests' outcomes are read once into a
+    :class:`~repro.serving.metrics.RequestTable`; the fleet's latency
+    distributions fold all of its rows (so fleet percentiles are exact),
+    and each replica's ``ServingReport`` folds the rows of the requests
+    it served.  Note a disaggregated nuance in the per-replica
+    drill-down: a migrated request appears in both its prefill and its
+    decode replica's ``ServingReport`` (each replica really served part
+    of it), so those folded reports overlap; fleet-level counts and the
+    payload's per-replica tokens/requests use the deduplicated
+    ``requests`` and the device counters respectively, and never
+    double-count."""
+    table = RequestTable(requests)
+    # The fleet fold runs before the replica folds build the table's
+    # row index, so the two never hold their temporaries at once.
+    fold = table.fold()
+    replica_reports = [replica.report(model, table) for replica in replicas]
+    lifecycles = [ReplicaLifecycle(replica.replica_id, replica.spawned_s,
+                                   replica.ready_s, replica.stopped_s,
+                                   role=replica.role.value,
+                                   crashed=replica.crashed)
+                  for replica in replicas]
     slo_attained = None
     if slo_ttft_s is not None:
-        slo_attained = sum(1 for r in fold.finished
-                           if r.ttft_s <= slo_ttft_s)
+        slo_attained = int(np.count_nonzero(
+            table.ttft[table.finished] <= slo_ttft_s))
     faults = None
     if fault_plan is not None and fault_plan:
         # Gated on a *non-empty* plan: an empty FaultPlan is behaviourally
@@ -539,24 +556,25 @@ def build_cluster_report(model: str, router: str, autoscaled: bool,
         # Recovery TTFT is measured over requests that were lost to a
         # crash and still finished — from their original arrival, so the
         # distribution is the end-to-end recovery cost the client saw.
-        retried = [r for r in fold.finished if r.retries > 0]
+        retries = table.retries()
+        retried = table.finished & (retries > 0)
         faults = {
             "crashes": fault_crashes,
             "slow_nodes": fault_slow_nodes,
             "kv_link_degradations": fault_kv_link_degradations,
-            "retries": sum(r.retries for r in requests),
+            "retries": int(retries.sum()),
             "max_retries": fault_plan.max_retries,
-            "requests_failed": len(fold.failed),
+            "requests_failed": fold.failed,
             "recovery_ttft_ms": LatencyStats.from_values(
-                [r.ttft_s for r in retried]).to_ms_dict(),
+                table.ttft[retried]).to_ms_dict(),
         }
     return ClusterReport(
         model=model,
         router=router,
         autoscaled=autoscaled,
-        num_requests=len(requests),
-        completed=len(fold.finished),
-        rejected=len(fold.rejected),
+        num_requests=fold.num_requests,
+        completed=fold.completed,
+        rejected=fold.rejected,
         total_output_tokens=fold.total_output_tokens,
         makespan_s=fold.makespan_s,
         end_s=end_s,
@@ -577,8 +595,8 @@ def build_cluster_report(model: str, router: str, autoscaled: bool,
         kv_chunks_landed=kv_chunks_landed,
         kv_stall_seconds=kv_stall_seconds,
         kv_stall_steps=kv_stall_steps,
-        class_outcomes=build_class_outcomes(requests),
-        failed=len(fold.failed),
+        class_outcomes=build_class_outcomes(requests, table),
+        failed=fold.failed,
         faults=faults,
         manifest=manifest,
         telemetry=telemetry,

@@ -966,10 +966,15 @@ class DeviceWorker:
             self.kv_utilization_sum += self.manager.utilization
 
     def _finish(self, request: ServingRequest) -> None:
-        """Retire a request whose last token landed at the current clock."""
+        """Retire a request whose last token landed at the current clock.
+
+        Its ``active`` cursor is dropped: a finished request never steps
+        again, and a million-request run should not keep a million
+        cursors alive until its report is built."""
         clock = self.clock
         request.finish_s = clock
         request.state = RequestState.FINISHED
+        request.active = None
         self.running.remove(request)
         self.served += 1
         self.value_in_system -= request_value(request)

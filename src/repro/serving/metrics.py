@@ -7,112 +7,120 @@ KV-cache manager) how full the block pool runs and how often memory pressure
 forced a preemption.
 
 Hot-path accumulation costs O(1) per step and O(1) memory per request:
-per-request latency feeds go into preallocated-and-grown numpy arrays
+per-request latency feeds go into flat ``array('d')`` columns
 (:class:`SampleBuffer`) whose distribution summaries are computed
 vectorized at report time (:meth:`LatencyStats.from_values`), and the
 post-step queue and KV occupancy is kept as running counters on each
 device (:class:`DeviceStats`), not as a timeline — the report reads only
-their peak and means.  The standalone :func:`percentile` stays pure
-python — it is the autoscaler's small-window decision arithmetic, not a
-bulk path.
+their peak and means.  At end of run the requests' outcomes are read
+once into a columnar :class:`RequestTable`; every report folds that
+table.  The standalone :func:`percentile` stays pure python — it is the
+autoscaler's small-window decision arithmetic, not a bulk path.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter, is_
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.serving.request import ServingRequest
+from repro.serving.request import RequestState, ServingRequest
+from repro.serving.slo import SLOClass
 
 
 class SampleBuffer:
     """A growable columnar store of fixed-width float rows.
 
-    The serving tier's hot-path sample sink: ``append`` writes one row
-    into a preallocated ``float64`` array (doubled when full), and the
-    whole run's samples come back as numpy views (:meth:`rows`,
-    :meth:`column`) for vectorized summary.  For the cursor-style readers
-    that predate it (the autoscaler's rolling windows, tests poking at
-    worker feeds) it also reads like a list of row tuples: ``len()``,
-    truthiness, iteration, indexing and slicing all work.
+    The serving tier's hot-path sample sink: ``append`` extends one flat
+    ``array('d')`` with the row's values (one C call, about half the cost
+    of a numpy row write), and the whole run's samples come back as numpy
+    arrays (:meth:`rows`, :meth:`column`) for vectorized summary.  Those
+    are copies, so the buffer can keep growing while a reader holds one.
+    For the cursor-style readers that predate it (the autoscaler's
+    rolling windows, tests poking at worker feeds) it also reads like a
+    list of row tuples: ``len()``, truthiness, iteration, indexing and
+    slicing all work.
     """
 
-    __slots__ = ("_rows", "_size")
+    __slots__ = ("_data", "_width")
 
-    def __init__(self, columns: int, capacity: int = 256) -> None:
+    def __init__(self, columns: int) -> None:
         if columns < 1:
             raise ValueError("a SampleBuffer needs at least one column")
-        if capacity < 1:
-            raise ValueError("initial capacity must be positive")
-        self._rows = np.empty((capacity, columns), dtype=np.float64)
-        self._size = 0
+        self._data = array("d")
+        self._width = columns
 
     @property
     def columns(self) -> int:
         """Row width."""
-        return self._rows.shape[1]
+        return self._width
 
     def append(self, *values: float) -> None:
         """Append one row (one positional value per column)."""
-        rows = self._rows
-        if self._size == rows.shape[0]:
-            self._rows = rows = np.concatenate((rows, np.empty_like(rows)))
-        rows[self._size] = values
-        self._size += 1
+        if len(values) != self._width:
+            raise ValueError(f"a row of this buffer has {self._width} "
+                             f"values, got {len(values)}")
+        self._data.extend(values)
 
     def extend(self, rows: Sequence[Sequence[float]]) -> None:
         """Append a batch of rows at once (the tracer's flush path: one
-        vectorized copy instead of a python loop of appends)."""
+        bulk copy instead of a python loop of appends).  Raises on
+        ragged rows, like a numpy slice assignment would."""
         count = len(rows)
         if count == 0:
             return
-        store = self._rows
-        width = store.shape[1]
-        needed = self._size + count
-        if needed > store.shape[0]:
-            capacity = store.shape[0]
-            while capacity < needed:
-                capacity *= 2
-            grown = np.empty((capacity, width), dtype=np.float64)
-            grown[:self._size] = store[:self._size]
-            self._rows = store = grown
+        width = self._width
         if isinstance(rows, np.ndarray):
-            store[self._size:needed] = rows
+            if rows.shape != (count, width):
+                raise ValueError(f"rows of shape {rows.shape} do not fit "
+                                 f"a {width}-column buffer")
+            batch = np.ascontiguousarray(rows, dtype=np.float64)
         else:
-            # ~40% faster than numpy's list-of-tuples coercion on the
-            # tracer's flush batches; raises like the slice-assign would
-            # on ragged rows (fromiter demands exactly count*width items).
-            store[self._size:needed] = np.fromiter(
-                chain.from_iterable(rows), dtype=np.float64,
-                count=count * width).reshape(count, width)
-        self._size = needed
+            # fromiter demands exactly count*width items.
+            batch = np.fromiter(chain.from_iterable(rows), dtype=np.float64,
+                                count=count * width)
+        self._data.frombytes(batch.tobytes())
 
     def rows(self) -> np.ndarray:
-        """The filled rows as an ``(n, columns)`` view — no copy."""
-        return self._rows[:self._size]
+        """The filled rows as an ``(n, columns)`` array (a copy)."""
+        return np.frombuffer(self._data, dtype=np.float64) \
+            .reshape(-1, self._width).copy()
 
     def column(self, index: int) -> np.ndarray:
-        """One column over the filled rows — no copy."""
-        return self._rows[:self._size, index]
+        """One column over the filled rows (a copy)."""
+        width = self._width
+        if not -width <= index < width:
+            raise IndexError(f"column {index} of a {width}-column buffer")
+        return np.frombuffer(self._data, dtype=np.float64)[
+            index % width::width].copy()
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._data) // self._width
 
     def __iter__(self) -> Iterator[Tuple[float, ...]]:
-        rows = self._rows
-        for i in range(self._size):
-            yield tuple(rows[i])
+        return zip(*[iter(self._data)] * self._width)
 
     def __getitem__(self, index) -> Union[Tuple[float, ...],
                                           List[Tuple[float, ...]]]:
         """List-of-tuples compatibility: an int yields one row tuple, a
         slice a list of them."""
+        width = self._width
+        size = len(self._data) // width
         if isinstance(index, slice):
-            return [tuple(row) for row in self.rows()[index]]
-        return tuple(self.rows()[index])
+            start, stop, step = index.indices(size)
+            if step == 1:
+                flat = self._data[start * width:max(start, stop) * width]
+                return list(zip(*[iter(flat)] * width))
+            return [self[row] for row in range(start, stop, step)]
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("SampleBuffer index out of range")
+        return tuple(self._data[index * width:(index + 1) * width])
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -167,7 +175,14 @@ class LatencyStats:
         linear-interpolation rule as :func:`percentile` — so report-time
         summary of a million-sample run costs one numpy pass, not four
         python sorts."""
-        ordered = np.sort(np.asarray(values, dtype=np.float64))
+        return cls.from_owned(np.array(values, dtype=np.float64))
+
+    @classmethod
+    def from_owned(cls, ordered: np.ndarray) -> "LatencyStats":
+        """:meth:`from_values` of a float64 array the caller hands over:
+        it is sorted in place rather than copied (the request table's
+        folds pass fresh selections of a column)."""
+        ordered.sort()
         n = ordered.size
         if n == 0:
             return cls.empty()
@@ -467,54 +482,160 @@ class ServingReport:
 
 @dataclass(frozen=True)
 class RequestFold:
-    """Per-request timestamps folded into aggregate statistics — the one
-    definition of completed/rejected counting, makespan, and the four
-    latency distributions, shared by the engine report and the cluster
-    report (which recomputes them over the whole fleet's requests so its
-    percentiles are exact, never averaged across replicas)."""
+    """Per-request outcomes folded into aggregate statistics — the one
+    definition of completed/rejected/failed counting, makespan, and the
+    four latency distributions, shared by the engine report, every
+    replica report and the cluster report (which folds the whole fleet's
+    requests so its percentiles are exact, never averaged across
+    replicas)."""
 
-    finished: List[ServingRequest]
-    rejected: List[ServingRequest]
+    num_requests: int
+    completed: int
+    rejected: int
+    # Requests lost to a crash with retries exhausted (fault injection;
+    # always 0 on a fault-free run).
+    failed: int
+    total_output_tokens: int   # tokens emitted by finished requests
     makespan_s: float
     ttft: LatencyStats
     tpot: LatencyStats
     e2e_latency: LatencyStats
     queue_wait: LatencyStats
-    # Requests lost to a crash with retries exhausted (fault injection;
-    # always empty on a fault-free run, so the field is additive).
-    failed: List[ServingRequest] = field(default_factory=list)
-
-    @property
-    def total_output_tokens(self) -> int:
-        """Tokens emitted by finished requests (the throughput numerator)."""
-        return sum(r.tokens_emitted for r in self.finished)
 
 
-def fold_requests(requests: Sequence[ServingRequest]) -> RequestFold:
-    """Fold per-request timestamps into a :class:`RequestFold` summary."""
-    from repro.serving.request import RequestState
+class RequestTable:
+    """Every request's outcome as columns, one row per request.
 
-    finished = [r for r in requests if r.state is RequestState.FINISHED]
-    rejected = [r for r in requests if r.state is RequestState.REJECTED]
-    failed = [r for r in requests if r.state is RequestState.FAILED]
-    if finished:
-        makespan = max(r.finish_s for r in finished) \
-            - min(r.arrival_s for r in finished)
-    else:
-        makespan = 0.0
-    return RequestFold(
-        finished=finished,
-        rejected=rejected,
-        failed=failed,
-        makespan_s=makespan,
-        ttft=LatencyStats.from_values([r.ttft_s for r in finished]),
-        tpot=LatencyStats.from_values(
-            [r.tpot_s for r in finished if r.workload.output_len > 1]),
-        e2e_latency=LatencyStats.from_values(
-            [r.e2e_latency_s for r in finished]),
-        queue_wait=LatencyStats.from_values(
-            [r.queue_wait_s for r in finished]),
-    )
+    Built once at end of run: TTFT, TPOT and queue wait are computed
+    here, vectorized, and every report — the fleet fold, each replica's
+    report (by row-index arrays), the per-class outcomes, SLO attainment
+    and the fault section — summarises these columns instead of walking
+    the request objects again.  Row ``i`` is ``requests[i]``.  A fold
+    takes e2e latency as ``finish - arrival`` of the rows it reads, and
+    the columns only the gated report sections need (retries, SLO
+    classes) are read from the requests when asked for, which keeps the
+    table's memory below that of the per-request float lists it
+    replaced.
+
+    Timestamps a request never reached are NaN, and so is the TPOT of a
+    one-token output (it has no decode phase); a finished request has
+    every timestamp, so the folds, which read finished rows only, see
+    exactly the values of the request's ``ttft_s``/``tpot_s``/
+    ``e2e_latency_s``/``queue_wait_s`` properties.
+    """
+
+    __slots__ = ("finished", "rejected", "failed", "arrival", "finish",
+                 "ttft", "tpot", "queue_wait", "tokens", "_requests",
+                 "_ids", "_id_order")
+
+    def __init__(self, requests: Sequence[ServingRequest]) -> None:
+        # One column at a time, straight from the request attributes: a
+        # tuple per row would allocate 100k GC-tracked objects (and set
+        # off full collections over the request heap), and holding every
+        # column's list at once would double the table's peak memory.
+        self._requests = requests
+        self._ids = self._id_order = None
+        states = list(map(attrgetter("state"), requests))
+        self.finished, self.rejected, self.failed = (
+            np.fromiter(map(is_, states, repeat(state)), dtype=bool,
+                        count=len(states))
+            for state in (RequestState.FINISHED, RequestState.REJECTED,
+                          RequestState.FAILED))
+        del states
+        self.arrival = self._times("arrival_s")
+        self.finish = self._times("finish_s")
+        first_token = self._times("first_token_s")
+        decode_tokens = self._ints("workload.output_len") - 1
+        self.tpot = np.full(len(requests), np.nan)
+        np.divide(self.finish - first_token, decode_tokens, out=self.tpot,
+                  where=decode_tokens > 0)
+        del decode_tokens
+        first_token -= self.arrival
+        self.ttft = first_token
+        self.queue_wait = self._times("admitted_s")
+        self.queue_wait -= self.arrival
+        self.tokens = self._ints("tokens_emitted")
+
+    def _ints(self, name: str) -> np.ndarray:
+        return np.fromiter(map(attrgetter(name), self._requests),
+                           dtype=np.int64, count=len(self._requests))
+
+    def _times(self, name: str) -> np.ndarray:
+        # numpy converts None (never reached) to NaN.
+        return np.array(list(map(attrgetter(name), self._requests)),
+                        dtype=np.float64)
+
+    def retries(self) -> np.ndarray:
+        """Crash retries per row (read on demand: faulted runs only)."""
+        return self._ints("retries")
+
+    def slo_classes(self) -> List[Optional[SLOClass]]:
+        """SLO class per row, or an empty list when no request carries
+        one (a classless run stops at that check)."""
+        if not any(map(attrgetter("slo_class"), self._requests)):
+            return []
+        return list(map(attrgetter("slo_class"), self._requests))
+
+    def rows_of(self, requests: Sequence[ServingRequest]) -> np.ndarray:
+        """The rows of ``requests`` — any of the table's requests,
+        repeats kept — as an index array.  Requests compare by identity
+        (``ServingRequest`` is ``eq=False``), so rows are found by
+        ``id()`` in a sorted index built on first use."""
+        if self._ids is None:
+            ids = np.fromiter(map(id, self._requests), dtype=np.int64,
+                              count=len(self._requests))
+            self._id_order = np.argsort(ids, kind="stable")
+            self._ids = ids[self._id_order]
+        ids = np.fromiter(map(id, requests), dtype=np.int64,
+                          count=len(requests))
+        found = np.searchsorted(self._ids, ids)
+        found[found == len(self._ids)] = 0
+        if not np.array_equal(self._ids[found], ids):
+            raise ValueError("a request is not a row of this RequestTable")
+        return self._id_order[found]
+
+    def done(self, rows: Optional[np.ndarray] = None):
+        """Selects the finished rows among ``rows`` (all rows when
+        ``None``, as a mask; else an index array, repeats kept)."""
+        if rows is None:
+            return self.finished
+        return rows[self.finished[rows]]
+
+    def fold(self, rows: Optional[np.ndarray] = None) -> RequestFold:
+        """Fold ``rows`` (all rows when ``None``) into a
+        :class:`RequestFold`.  Each distribution is summarised from a
+        fresh selection that is sorted in place and dropped before the
+        next, so a fold holds at most two selections at a time."""
+        done = self.done(rows)
+        everyone = slice(None) if rows is None else rows
+        # e2e is finish - arrival of the same rows the makespan reads.
+        e2e = self.finish[done]
+        arrival = self.arrival[done]
+        completed = len(e2e)
+        if completed:
+            makespan = float(e2e.max()) - float(arrival.min())
+        else:
+            makespan = 0.0
+        e2e -= arrival
+        del arrival
+        e2e_latency = LatencyStats.from_owned(e2e)
+        del e2e
+        if rows is None:
+            multi_token = done & ~np.isnan(self.tpot)
+        else:
+            multi_token = done[~np.isnan(self.tpot[done])]
+        return RequestFold(
+            num_requests=len(self.finished[everyone]),
+            completed=completed,
+            rejected=int(np.count_nonzero(self.rejected[everyone])),
+            failed=int(np.count_nonzero(self.failed[everyone])),
+            total_output_tokens=int(self.tokens[done].sum()),
+            makespan_s=makespan,
+            ttft=LatencyStats.from_owned(self.ttft[done]),
+            tpot=LatencyStats.from_owned(self.tpot[multi_token]),
+            e2e_latency=e2e_latency,
+            queue_wait=LatencyStats.from_owned(self.queue_wait[done]),
+        )
 
 
 def build_report(model: str, num_devices: int,
@@ -524,16 +645,25 @@ def build_report(model: str, num_devices: int,
                  prefix_cache_enabled: bool = False,
                  manifest: Optional[dict] = None,
                  telemetry: Optional[dict] = None,
+                 table: Optional[RequestTable] = None,
                  ) -> ServingReport:
-    """Fold per-request timestamps into the aggregate report; queue and
-    KV occupancy come from the devices' running summaries."""
-    fold = fold_requests(requests)
+    """Fold per-request outcomes into the aggregate report; queue and
+    KV occupancy come from the devices' running summaries.
+
+    ``table`` is the run's :class:`RequestTable` when ``requests`` is a
+    part of a larger run (a cluster replica's share), which is then
+    folded from its rows.  Without one, ``requests`` are tabled on
+    their own."""
+    if table is None:
+        fold = RequestTable(requests).fold()
+    else:
+        fold = table.fold(table.rows_of(requests))
     return ServingReport(
         model=model,
         num_devices=num_devices,
-        num_requests=len(requests),
-        completed=len(fold.finished),
-        rejected=len(fold.rejected),
+        num_requests=fold.num_requests,
+        completed=fold.completed,
+        rejected=fold.rejected,
         total_output_tokens=fold.total_output_tokens,
         makespan_s=fold.makespan_s,
         ttft=fold.ttft,

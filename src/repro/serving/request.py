@@ -58,6 +58,8 @@ class ServingRequest:
     arrival_s: float
     state: RequestState = RequestState.QUEUED
     device_id: Optional[int] = None
+    # The step cursor while the request is admitted on a worker: None
+    # before its first admission and again once it finished.
     active: Optional[ActiveRequest] = field(default=None, repr=False)
     admitted_s: Optional[float] = None
     first_token_s: Optional[float] = None

@@ -58,7 +58,7 @@ class MetricsRegistry:
         """Append one (time, value) reading to the named gauge series."""
         series = self._gauges.get(name)
         if series is None:
-            series = self._gauges[name] = SampleBuffer(2, capacity=64)
+            series = self._gauges[name] = SampleBuffer(2)
         series.append(time_s, value)
 
     def gauge(self, name: str) -> SampleBuffer:
@@ -66,7 +66,7 @@ class MetricsRegistry:
         sampled)."""
         series = self._gauges.get(name)
         if series is None:
-            series = self._gauges[name] = SampleBuffer(2, capacity=64)
+            series = self._gauges[name] = SampleBuffer(2)
         return series
 
     @property

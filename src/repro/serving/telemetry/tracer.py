@@ -130,7 +130,7 @@ class Tracer:
         self._step_meta: List[float] = []
         self._step_entries: List[float] = []
         self._entry_flush_at = self.FLUSH_THRESHOLD * 3
-        self._buffer = SampleBuffer(6, capacity=self.FLUSH_THRESHOLD)
+        self._buffer = SampleBuffer(6)
         self._queued_since: Dict[int, float] = {}
         self._preempted: set = set()
         self.request_classes: Dict[int, str] = {}
@@ -142,7 +142,7 @@ class Tracer:
         self._staged = []
         self._step_meta = []
         self._step_entries = []
-        self._buffer = SampleBuffer(6, capacity=self.FLUSH_THRESHOLD)
+        self._buffer = SampleBuffer(6)
         self._queued_since = {}
         self._preempted = set()
         self.request_classes = {}
@@ -290,8 +290,8 @@ class Tracer:
         return len(self._buffer) + len(self._staged) // 6 + staged_steps
 
     def rows(self):
-        """All spans as an ``(n, 6)`` float view: (kind, request, lane,
-        start_s, end_s, aux)."""
+        """All spans as an ``(n, 6)`` float array (a copy): (kind,
+        request, lane, start_s, end_s, aux)."""
         self._flush()
         return self._buffer.rows()
 

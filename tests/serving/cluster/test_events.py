@@ -199,3 +199,100 @@ class TestOnPop:
         from repro.serving.telemetry import Tracer
 
         assert Tracer().kernel_events() is None
+
+
+def by_replica_id(entry):
+    """A heap or log entry with step payloads named by replica id."""
+    payload = entry[4]
+    if isinstance(payload, tuple):
+        payload = (payload[0].replica_id, payload[1])
+    elif isinstance(payload, FakeReplica):
+        payload = payload.replica_id
+    return entry[:4] + (payload,)
+
+
+def queue_state(queue):
+    return (queue._seq, queue.popped, queue.stale_dropped, queue._last_key,
+            sorted(map(by_replica_id, queue._heap)))
+
+
+class TestDeliverIfNext:
+    """The arrival run-ahead fast path: delivering an event without the
+    heap must be indistinguishable from pushing and popping it."""
+
+    def _history(self, rng, seen):
+        """A queue with a seeded mix of pending, stale and popped
+        entries, logging every delivery into ``seen``."""
+        queue = EventQueue(on_pop=seen.append)
+        replicas = [FakeReplica(i, 0.0) for i in range(3)]
+        for _ in range(rng.randint(0, 12)):
+            choice = rng.random()
+            time_s = rng.choice((0.5, 1.0, 1.5, 2.0))
+            if choice < 0.4:
+                replica = rng.choice(replicas)
+                replica.next_ready_s = time_s
+                queue.arm_step(replica)
+            elif choice < 0.6:
+                queue.disarm_step(rng.randrange(3))
+            else:
+                queue.push(time_s, rng.choice((EventKind.TRANSFER_LANDED,
+                                               EventKind.CONTROL_TICK,
+                                               EventKind.FAULT)),
+                           tie=rng.randrange(2))
+        if len(queue) and rng.random() < 0.5:
+            queue.pop()
+        return queue
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_push_then_pop(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        fast_seen, slow_seen = [], []
+        fast = self._history(random.Random(seed), fast_seen)
+        slow = self._history(random.Random(seed), slow_seen)
+        assert queue_state(fast) == queue_state(slow)
+        last = fast._last_key or (0.0,)
+        time_s = rng.choice([t for t in (0.5, 1.0, 1.5, 2.0, 2.5)
+                             if (t, 0, 0) >= last])
+        before = queue_state(fast)
+        if fast.deliver_if_next(time_s, int(EventKind.ARRIVAL)):
+            slow.push(time_s, EventKind.ARRIVAL)
+            delivered = slow.pop()
+            assert delivered[1] == int(EventKind.ARRIVAL)
+            assert queue_state(fast) == queue_state(slow)
+            assert list(map(by_replica_id, fast_seen)) \
+                == list(map(by_replica_id, slow_seen))
+        else:
+            assert queue_state(fast) == before
+            slow.push(time_s, EventKind.ARRIVAL)
+            assert slow.pop()[1] != int(EventKind.ARRIVAL) \
+                or slow.stale_dropped > fast.stale_dropped
+
+    def test_empty_heap_delivers(self):
+        seen = []
+        queue = EventQueue(on_pop=seen.append)
+        assert queue.deliver_if_next(1.0, int(EventKind.ARRIVAL))
+        assert seen == [(1.0, int(EventKind.ARRIVAL), 0, 1, None)]
+        assert queue.popped == 1 and len(queue) == 0
+
+    def test_arrival_wins_equal_time_ties(self):
+        queue = EventQueue()
+        queue.push(1.0, EventKind.CONTROL_TICK)
+        assert queue.deliver_if_next(1.0, int(EventKind.ARRIVAL))
+        assert len(queue) == 1
+
+    def test_equal_key_in_heap_pops_first(self):
+        """An entry already queued with the same key has the older seq."""
+        queue = EventQueue()
+        queue.push(1.0, EventKind.CONTROL_TICK)
+        assert not queue.deliver_if_next(1.0, int(EventKind.CONTROL_TICK))
+        assert not queue.deliver_if_next(1.5, int(EventKind.ARRIVAL))
+        assert queue.popped == 0 and queue._seq == 1
+
+    def test_out_of_order_delivery_is_caught(self):
+        queue = EventQueue()
+        queue.push(2.0, EventKind.ARRIVAL)
+        queue.pop()
+        with pytest.raises(RuntimeError, match="out of order"):
+            queue.deliver_if_next(1.0, int(EventKind.ARRIVAL))

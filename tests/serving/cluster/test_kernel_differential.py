@@ -262,6 +262,59 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of each config's per-replica reports
+# (``[r.to_dict() for r in report.replica_reports]``, sorted keys).  The
+# cluster payload reads the replica reports only for device counters, so
+# the per-replica latency statistics, counts and makespans are pinned
+# here instead.
+REPLICA_SHA256 = {
+    "autoscaled_queue_only":
+        "7f17118360db8b9c16632372b61c97bb29eb5581b48c489a3dac842ae703dfd3",
+    "autoscaled_slo_flash_crowd":
+        "5057bbc22340767111cdc71376c3b44893852ea20f10c82394b253513469ee85",
+    "disagg_autoscaled":
+        "50b3096e3c07f8087e37cbfd9d2ab226498af5f218eba9b4e171483901b83f7e",
+    "disagg_basic":
+        "cf136e1976b02385bd8e775be34e3c84255d2492cad619241ec6d4c1e924950e",
+    "disagg_decode_least_queue":
+        "11817c7ac89a33bd39dc6b4878b5b5c86d88b0f7506a5e0a170d69ee586741f0",
+    "disagg_kv_transfer_aware":
+        "4c6d63a7784c00d27147f323deccc6c06b6519b5ac98f5ac7c842a7e3c52be5e",
+    "disagg_streamed_kv":
+        "7435235d2223768bd3c24bdaa447a5aa2e75ddb0ae23812c5b03749817ade3b4",
+    "disagg_streamed_stalling":
+        "203aa3172f22fdfe21ff4793c60dd984b7363d3670f059fc27fc5db4144dc592",
+    "faulted_autoscaled_replacement":
+        "f96ea59bb47b300c94298689d5ee4f763ce312500e857ed2661c41f014b54bda",
+    "faulted_disagg_kvlink":
+        "7979548328f3b0c6b31cb574614771df345f1bb62585d248bc7652bb65d8aab0",
+    "faulted_fixed_crash_slow":
+        "4a5594a9836e3b0054469d5e6a71f2e9260526a7f4685363043fb66a1f7e6538",
+    "fixed_least_queue":
+        "cef9d03df31053cceaab73f3dbfca4318d9c4e65aa31faca261d40230c31c53c",
+    "fixed_round_robin":
+        "e86742298fc8c570f58f8bdeb0d1bbf38d9907284511e30614400f1138553c70",
+    "hybrid_prefill_capped":
+        "6cf4da0088f477d3d459be3b63379ea416fe4df3f057b5d835daa4e70af413e8",
+    "kv_pressure_preempting":
+        "9ccf4d35cce9e1f4af6556c8c7c70c9a206475212ede86f1b112e0e07e2b53c4",
+    "least_kv_pressure":
+        "f92898db1d68d47d9b11d9b64fbd27924dd5d72f2df0b27f300bdc365479b2e7",
+    "multi_turn_prefix_cached":
+        "9e690059a9253ba1a6f240f8cb388539c2c4e318d432b06d42b19a0e7a12437a",
+    "prefix_affinity_cached":
+        "1ae6f71d3e79004d3552728f951255bd0b2071c11734230d91ae69a27df3ca8b",
+    "score_class_mix":
+        "6d8d94b8584a0a67f2e3ac27eae9d915244ad8616d40800f0b53ac243541a1e8",
+    "score_preempting_class_autoscaled":
+        "7b269e0d104d003ad850249e178646909a52639d89f8076da0d005de5c2e77d3",
+    "single_replica":
+        "90e6e524e2da3e6cfddc3e1ec8601c580873949f67947d1157e49fbddefa3367",
+    "tool_use_fixed":
+        "0a28523f57b985ebfa998433ac850e9aae648739cfe8bf7ee6793a1eaa75d664",
+}
+
+
 def run_kernel(kernel, kwargs, trace):
     cluster = ServingCluster(GPT2, kernel=kernel, **kwargs)
     return cluster, cluster.run(trace)
@@ -281,6 +334,21 @@ class TestKernelEquivalence:
 
     def test_every_config_has_a_recorded_digest(self):
         assert set(GOLDEN_SHA256) == set(CONFIGS)
+        assert set(REPLICA_SHA256) == set(CONFIGS)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_replica_reports_unchanged(self, name):
+        kwargs, trace = CONFIGS[name]
+        _, event_report = run_kernel("event", kwargs, trace)
+        _, step_report = run_kernel("step", kwargs, trace)
+        payload = json.dumps([r.to_dict() for r in
+                              event_report.replica_reports], sort_keys=True)
+        assert payload == json.dumps([r.to_dict() for r in
+                                      step_report.replica_reports],
+                                     sort_keys=True)
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        assert digest == REPLICA_SHA256[name], \
+            f"{name}: replica reports moved; now {digest}"
 
     def test_matrix_exercises_every_regime(self):
         """Meta-coverage: the matrix must keep spanning the regimes the

@@ -1,10 +1,12 @@
 """Tests for serving metrics and report assembly."""
 
+import numpy as np
 import pytest
 
 from repro.models.workload import Workload
 from repro.serving.metrics import (
     LatencyStats,
+    RequestTable,
     SampleBuffer,
     build_report,
     percentile,
@@ -136,13 +138,12 @@ class TestSampleBuffer:
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(ValueError, match="column"):
             SampleBuffer(0)
-        with pytest.raises(ValueError, match="capacity"):
-            SampleBuffer(2, capacity=0)
+        with pytest.raises(ValueError, match="2 values, got 3"):
+            SampleBuffer(2).append(1.0, 2.0, 3.0)
 
-    def test_appends_past_initial_capacity(self):
-        """The buffer doubles transparently: appending far past the seed
-        capacity keeps every row, in order."""
-        buffer = SampleBuffer(2, capacity=2)
+    def test_appends_keep_every_row(self):
+        """Appending many rows keeps every row, in order."""
+        buffer = SampleBuffer(2)
         for i in range(100):
             buffer.append(float(i), float(i) * 10.0)
         assert len(buffer) == 100
@@ -151,9 +152,8 @@ class TestSampleBuffer:
         assert buffer[99] == (99.0, 990.0)
 
     def test_views_track_filled_rows_only(self):
-        """rows()/column() expose exactly the appended rows, never the
-        preallocated slack."""
-        buffer = SampleBuffer(3, capacity=8)
+        """rows()/column() expose exactly the appended rows."""
+        buffer = SampleBuffer(3)
         buffer.append(1.0, 2.0, 3.0)
         assert buffer.rows().shape == (1, 3)
         assert buffer.column(2).tolist() == [3.0]
@@ -176,15 +176,14 @@ class TestSampleBuffer:
         assert SampleBuffer(4).columns == 4
 
     def test_slicing_an_empty_buffer(self):
-        """Slices of nothing are empty lists, never views of the
-        preallocated slack."""
-        buffer = SampleBuffer(2, capacity=4)
+        """Slices of nothing are empty lists."""
+        buffer = SampleBuffer(2)
         assert buffer[:] == []
         assert buffer[0:10] == []
         assert buffer[-3:] == []
 
     def test_negative_indexing_matches_list_semantics(self):
-        buffer = SampleBuffer(1, capacity=2)
+        buffer = SampleBuffer(1)
         for i in range(3):
             buffer.append(float(i))
         assert buffer[-1] == (2.0,)
@@ -193,38 +192,145 @@ class TestSampleBuffer:
         with pytest.raises(IndexError):
             buffer[-4]
 
-    def test_growth_boundary_at_exact_capacity(self):
-        """Filling to exactly the seed capacity must not grow the store;
-        the next append doubles it and keeps every row."""
-        buffer = SampleBuffer(1, capacity=4)
+    def test_growing_after_a_view_was_taken(self):
+        """rows()/column() hand out copies: the buffer keeps growing
+        while a reader holds one, and the reader's array keeps the rows
+        it was taken with."""
+        buffer = SampleBuffer(1)
         for i in range(4):
             buffer.append(float(i))
-        assert buffer._rows.shape[0] == 4  # still the seed allocation
+        rows, column = buffer.rows(), buffer.column(0)
         buffer.append(4.0)
-        assert buffer._rows.shape[0] == 8
-        assert list(buffer.column(0)) == [0.0, 1.0, 2.0, 3.0, 4.0]
+        buffer.extend([(5.0,)])
+        assert rows.tolist() == [[0.0], [1.0], [2.0], [3.0]]
+        assert column.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert list(buffer.column(0)) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_extend_bulk_appends(self):
-        buffer = SampleBuffer(2, capacity=2)
+        buffer = SampleBuffer(2)
         buffer.append(0.0, 1.0)
         buffer.extend([(1.0, 2.0), (2.0, 3.0), (3.0, 4.0)])
         assert list(buffer) == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0),
                                 (3.0, 4.0)]
 
     def test_extend_empty_batch_is_a_noop(self):
-        buffer = SampleBuffer(2, capacity=2)
+        buffer = SampleBuffer(2)
         buffer.extend([])
         assert len(buffer) == 0
 
-    def test_extend_to_exact_capacity_does_not_grow(self):
-        buffer = SampleBuffer(1, capacity=4)
-        buffer.extend([(0.0,), (1.0,), (2.0,), (3.0,)])
-        assert buffer._rows.shape[0] == 4
-        assert len(buffer) == 4
+    def test_extend_takes_numpy_rows_of_the_buffer_width(self):
+        buffer = SampleBuffer(2)
+        buffer.extend(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        assert buffer[:] == [(0.0, 1.0), (2.0, 3.0)]
+        with pytest.raises(ValueError):
+            buffer.extend(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            buffer.extend([(1.0, 2.0), (3.0,)])
+        assert len(buffer) == 2
 
-    def test_extend_grows_past_multiple_doublings(self):
-        buffer = SampleBuffer(1, capacity=2)
+    def test_extend_keeps_every_row_in_order(self):
+        buffer = SampleBuffer(1)
         buffer.extend([(float(i),) for i in range(17)])
         assert len(buffer) == 17
-        assert buffer._rows.shape[0] == 32
         assert list(buffer.column(0)) == [float(i) for i in range(17)]
+
+
+def reference_fold(requests):
+    """The per-request loop the table replaced: the request properties,
+    folded one request at a time."""
+    finished = [r for r in requests if r.state is RequestState.FINISHED]
+    return {
+        "num_requests": len(requests),
+        "completed": len(finished),
+        "rejected": sum(r.state is RequestState.REJECTED for r in requests),
+        "failed": sum(r.state is RequestState.FAILED for r in requests),
+        "total_output_tokens": sum(r.tokens_emitted for r in finished),
+        "makespan_s": max(r.finish_s for r in finished)
+        - min(r.arrival_s for r in finished) if finished else 0.0,
+        "ttft": LatencyStats.from_values([r.ttft_s for r in finished]),
+        "tpot": LatencyStats.from_values(
+            [r.tpot_s for r in finished if r.workload.output_len > 1]),
+        "e2e_latency": LatencyStats.from_values(
+            [r.e2e_latency_s for r in finished]),
+        "queue_wait": LatencyStats.from_values(
+            [r.queue_wait_s for r in finished]),
+    }
+
+
+def random_requests(seed, count=60):
+    """Requests in every end state, with irregular float timestamps and
+    one-token outputs among them."""
+    import random
+
+    rng = random.Random(seed)
+    requests = []
+    for row in range(count):
+        arrival = rng.uniform(0.0, 3.0)
+        request = ServingRequest(row, Workload(rng.randint(1, 64),
+                                               rng.choice((1, 2, 7, 33))),
+                                 arrival)
+        state = rng.choice((RequestState.FINISHED, RequestState.FINISHED,
+                            RequestState.REJECTED, RequestState.FAILED,
+                            RequestState.QUEUED))
+        request.state = state
+        if state is RequestState.FINISHED:
+            request.admitted_s = arrival + rng.random() / 7.0
+            request.first_token_s = request.admitted_s + rng.random() / 3.0
+            request.finish_s = request.first_token_s + rng.random()
+            request.tokens_emitted = request.workload.output_len
+        requests.append(request)
+    return requests
+
+
+class TestRequestTable:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fold_equals_the_per_request_loop(self, seed):
+        """Every count, makespan and LatencyStats of the table's fold is
+        bit-equal to folding the request properties one by one."""
+        requests = random_requests(seed)
+        fold = RequestTable(requests).fold()
+        assert {name: getattr(fold, name)
+                for name in reference_fold(requests)} \
+            == reference_fold(requests)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rows_fold_a_subset_with_repeats(self, seed):
+        """A replica's share — any subset, a request repeated when it
+        was submitted twice — folds exactly like that list of requests."""
+        import random
+
+        requests = random_requests(seed)
+        table = RequestTable(requests)
+        rng = random.Random(seed)
+        share = rng.sample(requests, 25) + rng.sample(requests, 5)
+        fold = table.fold(table.rows_of(share))
+        assert {name: getattr(fold, name)
+                for name in reference_fold(share)} == reference_fold(share)
+
+    def test_columns_follow_the_request_properties(self):
+        requests = random_requests(3)
+        table = RequestTable(requests)
+        for row, request in enumerate(requests):
+            if request.state is not RequestState.FINISHED:
+                continue
+            assert table.ttft[row] == request.ttft_s
+            assert table.finish[row] - table.arrival[row] \
+                == request.e2e_latency_s
+            assert table.queue_wait[row] == request.queue_wait_s
+            if request.workload.output_len > 1:
+                assert table.tpot[row] == request.tpot_s
+            else:
+                assert np.isnan(table.tpot[row])
+
+    def test_rows_of_rejects_a_request_outside_the_table(self):
+        requests = random_requests(4)
+        table = RequestTable(requests[:10])
+        assert table.rows_of(requests[3:6]).tolist() == [3, 4, 5]
+        with pytest.raises(ValueError, match="not a row"):
+            table.rows_of(requests[9:11])
+
+    def test_empty_table_folds_to_the_sentinels(self):
+        fold = RequestTable([]).fold()
+        assert fold.num_requests == fold.completed == 0
+        assert fold.makespan_s == 0.0
+        assert fold.ttft.is_empty and fold.tpot.is_empty
