@@ -16,16 +16,16 @@ downstream executes it, so the generator focuses on structural fidelity
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.dataflow.structure import (
     DataflowGraph,
     DataflowKernel,
     DataflowTask,
-    EdgeKind,
     TaskKind,
 )
-from repro.itensor.itensor_type import ITensorType
+from repro.ir.dtypes import DType
+from repro.itensor.stream_type import StreamType
 
 
 @dataclass
@@ -41,22 +41,18 @@ class HlsArtifact:
         return self.source.count("\n") + 1
 
 
-def _ctype(itype: ITensorType) -> str:
-    bits = itype.dtype.bits
-    if itype.dtype.is_float:
-        return "float" if bits >= 32 else "half"
-    return f"ap_int<{bits}>"
+def _ctype(dtype: DType) -> str:
+    if dtype.is_float:
+        return "float" if dtype.bits >= 32 else "half"
+    return f"ap_int<{dtype.bits}>"
 
 
-def _stream_decl(name: str, itype: Optional[ITensorType], depth: int) -> str:
-    elem = _ctype(itype) if itype is not None else "ap_int<8>"
-    if itype is not None and itype.vector_shape is not None:
-        width = 1
-        for dim in itype.vector_shape:
-            width *= dim
-        elem = f"hls::vector<{elem}, {width}>"
+def _stream_decl(name: str, fifo: StreamType) -> str:
+    elem = _ctype(fifo.dtype)
+    if fifo.vector_shape is not None:
+        elem = f"hls::vector<{elem}, {fifo.token_elements}>"
     return (f"  hls::stream<{elem}> {name};\n"
-            f"#pragma HLS STREAM variable={name} depth={depth}")
+            f"#pragma HLS STREAM variable={name} depth={fifo.depth}")
 
 
 def _loop_nest(loop_nest, body_lines: List[str], indent: str = "  ") -> List[str]:
@@ -79,9 +75,9 @@ def _emit_task(kernel: DataflowKernel, task: DataflowTask) -> str:
     lines = [f"void {task.name}("]
     params = []
     for index, itype in enumerate(task.input_types):
-        params.append(f"    hls::stream<{_ctype(itype)}>& in{index}")
+        params.append(f"    hls::stream<{_ctype(itype.dtype)}>& in{index}")
     for index, itype in enumerate(task.output_types):
-        params.append(f"    hls::stream<{_ctype(itype)}>& out{index}")
+        params.append(f"    hls::stream<{_ctype(itype.dtype)}>& out{index}")
     if task.kind in (TaskKind.DMA_LOAD, TaskKind.DMA_STORE):
         params.append("    const ap_uint<512>* mem")
     lines.append(",\n".join(params) if params else "    ")
@@ -89,7 +85,7 @@ def _emit_task(kernel: DataflowKernel, task: DataflowTask) -> str:
 
     if task.buffer is not None:
         dims = "".join(f"[{d}]" for d in task.buffer.shape)
-        lines.append(f"  {_ctype_of_buffer(task)} buffer{dims};")
+        lines.append(f"  {_ctype(task.buffer.dtype)} buffer{dims};")
         lines.append("#pragma HLS ARRAY_PARTITION variable=buffer cyclic factor=2 dim=1")
         if task.buffer.double_buffered:
             lines.append("  // ping-pong: implemented as a double buffer by HLS dataflow")
@@ -121,15 +117,6 @@ def _emit_task(kernel: DataflowKernel, task: DataflowTask) -> str:
     return "\n".join(lines)
 
 
-def _ctype_of_buffer(task: DataflowTask) -> str:
-    if task.buffer is None:
-        return "ap_int<8>"
-    bits = task.buffer.dtype.bits
-    if task.buffer.dtype.is_float:
-        return "float" if bits >= 32 else "half"
-    return f"ap_int<{bits}>"
-
-
 def generate_hls(graph: DataflowGraph, top_name: Optional[str] = None) -> HlsArtifact:
     """Generate the full HLS C++ artefact for a compiled dataflow graph."""
     top = top_name or f"{graph.name}_top"
@@ -154,9 +141,7 @@ def generate_hls(graph: DataflowGraph, top_name: Optional[str] = None) -> HlsArt
     sections.append("#pragma HLS INTERFACE m_axi port=gmem_out bundle=hbm1")
     sections.append("#pragma HLS DATAFLOW")
     for edge in graph.stream_edges():
-        itype = edge.producer_type or edge.consumer_type
-        depth = edge.fifo_depth or 2
-        sections.append(_stream_decl(f"fifo_{edge.uid}", itype, depth))
+        sections.append(_stream_decl(f"fifo_{edge.uid}", edge.stream_type()))
     for kernel in graph.topological_order():
         for task in kernel.tasks:
             sections.append(f"  {task.name}(/* wired by connectivity codegen */);")

@@ -131,6 +131,8 @@ class StreamTensorCompiler:
             vectorization = (vectorize_graph(dataflow)
                              if options.enable_vectorization else None)
             packing = pack_kernel_interfaces(dataflow, options.memory_bus_bits)
+            # Last look at the itensor types: bufferization drops them.
+            dataflow.verify()
 
         # Stage 5: Resource allocation.
         with timer.stage("Resource_Alloc"):

@@ -1,6 +1,6 @@
 """Dataflow-level IR and transformations (kernels, tasks, fusion, lowering)."""
 
-from repro.dataflow.bufferize import BufferizationResult, bufferize, fifo_for_edge
+from repro.dataflow.bufferize import BufferizationResult, bufferize
 from repro.dataflow.conversion import convert_to_dataflow
 from repro.dataflow.folding import FoldingResult, fold_itensors
 from repro.dataflow.fusion import (
@@ -72,7 +72,6 @@ __all__ = [
     "default_tiling",
     "edge_fusion_cost",
     "explore_fusion",
-    "fifo_for_edge",
     "fold_itensors",
     "fuse_kernels",
     "fusion_memory_report",

@@ -3,8 +3,8 @@
 Bufferization strips the stream-layout information from every itensor and
 replaces it with a mutable hardware object:
 
-* every stream edge becomes a :class:`~repro.itensor.stream_type.StreamType`
-  FIFO (depth filled in by the FIFO-sizing LP, defaulting to 2);
+* every stream edge becomes the :class:`~repro.itensor.stream_type.StreamType`
+  FIFO of :meth:`~repro.dataflow.structure.DataflowEdge.stream_type`;
 * every converter / DMA staging buffer becomes a ping-pong
   :class:`~repro.itensor.stream_type.BufferType`;
 * `itensor_to_stream` / `stream_to_itensor` conversions are eliminated.
@@ -18,9 +18,9 @@ optimisation at the itensor level).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.dataflow.structure import DataflowGraph, EdgeKind, TaskKind
+from repro.dataflow.structure import DataflowGraph
 from repro.itensor.stream_type import BufferType, StreamType
 
 
@@ -38,26 +38,19 @@ class BufferizationResult:
         return self.total_fifo_bytes + self.total_buffer_bytes
 
 
-DEFAULT_FIFO_DEPTH = 2
-
-
 def bufferize(graph: DataflowGraph) -> BufferizationResult:
     """Lower every stream edge and materialised task buffer to hardware form.
 
     FIFO depths must already be decided (by :mod:`repro.resource.fifo_sizing`)
-    or they default to ``DEFAULT_FIFO_DEPTH``.  The result is recorded in
+    or they take the edge's default.  The result is recorded in
     ``graph.attributes['bufferization']`` and returned.
     """
     result = BufferizationResult()
 
-    for edge in graph.edges:
-        if edge.kind is not EdgeKind.STREAM:
+    for edge in graph.stream_edges():
+        if edge.producer_type is None and edge.consumer_type is None:
             continue
-        itype = edge.producer_type or edge.consumer_type
-        if itype is None:
-            continue
-        depth = edge.fifo_depth if edge.fifo_depth else DEFAULT_FIFO_DEPTH
-        fifo = StreamType(itype.dtype, depth, itype.vector_shape)
+        fifo = edge.stream_type()
         result.fifos[edge.uid] = fifo
         result.total_fifo_bytes += fifo.capacity_bytes
 
@@ -70,11 +63,3 @@ def bufferize(graph: DataflowGraph) -> BufferizationResult:
 
     graph.attributes["bufferization"] = result
     return result
-
-
-def fifo_for_edge(graph: DataflowGraph, edge_uid: int) -> Optional[StreamType]:
-    """Look up the FIFO created for an edge (None if not bufferized)."""
-    result = graph.attributes.get("bufferization")
-    if not isinstance(result, BufferizationResult):
-        return None
-    return result.fifos.get(edge_uid)

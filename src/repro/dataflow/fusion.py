@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.dataflow.structure import (
+    DEFAULT_FIFO_DEPTH,
     DataflowEdge,
     DataflowGraph,
     DataflowKernel,
@@ -63,7 +64,7 @@ class FusionPlan:
 
 
 def edge_fusion_cost(edge: DataflowEdge,
-                     fifo_depth_estimate: int = 2) -> float:
+                     fifo_depth_estimate: int = DEFAULT_FIFO_DEPTH) -> float:
     """On-chip memory cost (bytes) of streaming this edge.
 
     The dominant term is the layout-converter ping-pong buffer; the FIFO

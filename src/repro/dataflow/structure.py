@@ -30,6 +30,7 @@ from repro.ir.types import TensorType
 from repro.itensor.converter import ConverterSpec
 from repro.itensor.itensor_type import ITensorType
 from repro.itensor.stream_type import BufferType, StreamType
+from repro.itensor.verify import verify_connection, verify_coverage, verify_fifo_tokens
 
 
 class TaskKind(Enum):
@@ -88,6 +89,9 @@ class KernelProfile:
 
 
 _NODE_COUNTER = itertools.count()
+
+#: Depth of a stream edge's FIFO until the FIFO-sizing LP sets one.
+DEFAULT_FIFO_DEPTH = 2
 
 
 @dataclass(eq=False)
@@ -194,11 +198,16 @@ class DataflowEdge:
         return 1
 
     def stream_type(self) -> StreamType:
-        """FIFO type for this edge once lowered (depth defaults to 2)."""
+        """FIFO type for this edge once lowered.
+
+        This is the one place a stream edge's FIFO is decided: bufferization,
+        HLS stream declarations and on-chip accounting all read it.  The depth
+        is the sized ``fifo_depth``, or ``DEFAULT_FIFO_DEPTH`` before sizing.
+        """
         itype = self.producer_type or self.consumer_type
         if itype is None:
             raise ValueError("edge has no itensor type")
-        depth = self.fifo_depth if self.fifo_depth else 2
+        depth = self.fifo_depth or DEFAULT_FIFO_DEPTH
         return StreamType(itype.dtype, depth, itype.vector_shape)
 
     def name(self) -> str:
@@ -330,7 +339,17 @@ class DataflowGraph:
                    if e.converter is not None)
 
     def verify(self) -> None:
-        """Check structural sanity of the graph."""
+        """Check the graph's structure and its itensor types.
+
+        Every typed edge endpoint must cover its tensor, the two endpoint
+        types of an edge must describe the same tensor (a converter may
+        reconcile their layouts), and both ends of a stream edge without a
+        converter must agree on the token count.
+
+        Raises:
+            ValueError: on a structural error.
+            StreamVerificationError: on an itensor type error.
+        """
         names = [k.name for k in self.kernels]
         if len(names) != len(set(names)):
             raise ValueError("duplicate kernel names in dataflow graph")
@@ -341,6 +360,14 @@ class DataflowGraph:
                     raise ValueError(
                         f"edge {edge.name()} references a kernel not in the graph"
                     )
+            types = [t for t in (edge.producer_type, edge.consumer_type)
+                     if t is not None]
+            for itype in types:
+                verify_coverage(itype)
+            if len(types) == 2:
+                verify_connection(*types, allow_converter=True)
+                if edge.kind is EdgeKind.STREAM and edge.converter is None:
+                    verify_fifo_tokens(*types)
         self.topological_order()
 
     def __repr__(self) -> str:

@@ -19,13 +19,11 @@ structure plus the inferred itensor type for every operand and the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
-from repro.ir.affine import AffineDimExpr, AffineMap
 from repro.ir.ops import IteratorType, LinalgOp
-from repro.ir.types import TensorType
-from repro.itensor.itensor_type import ITensorType
+from repro.itensor.itensor_type import ITensorType, operand_itensor
 
 
 @dataclass
@@ -101,62 +99,6 @@ class TiledOp:
         return math.prod(self.loop_tripcounts) if self.loop_tripcounts else 1
 
 
-def _operand_itensor(operand_type: TensorType, indexing_map: AffineMap,
-                     loop_dims: Sequence[int], tile_sizes: Sequence[int],
-                     bounds: Sequence[int],
-                     drop_loops: Sequence[int] = ()) -> ITensorType:
-    """Infer the itensor type of one operand of a tiled op.
-
-    Args:
-        operand_type: Full tensor type of the operand.
-        indexing_map: The op's indexing map for this operand.
-        loop_dims: Tile-loop order (iteration-dim indices, outermost first).
-        tile_sizes: Tile size per iteration dim (indexed by iteration dim).
-        bounds: Loop bound per iteration dim.
-        drop_loops: Iteration dims excluded from this operand's iteration
-            space (used for results: reduction loops do not re-stream the
-            output tile).
-    """
-    drop = set(drop_loops)
-    kept_dims = [d for d in loop_dims if d not in drop]
-
-    tripcounts = []
-    steps = []
-    for dim in kept_dims:
-        tile = tile_sizes[dim]
-        tripcounts.append(max(1, math.ceil(bounds[dim] / tile)))
-        steps.append(tile)
-
-    element_shape = []
-    results = []
-    loop_position = {dim: i for i, dim in enumerate(kept_dims)}
-    for res_idx, expr in enumerate(indexing_map.results):
-        if isinstance(expr, AffineDimExpr) and expr.position in loop_position:
-            dim = expr.position
-            element_shape.append(min(tile_sizes[dim], operand_type.shape[res_idx]))
-            results.append(loop_position[dim])
-        else:
-            # Data dim not scanned by a kept loop: the whole extent is part of
-            # the element (streamed in one token).
-            element_shape.append(operand_type.shape[res_idx])
-            results.append(None)
-
-    # Constants are not supported by the itensor map; encode unscanned dims by
-    # pointing them at a unit re-access loop appended at the innermost level
-    # only if needed.  Simpler: treat them as constant exprs via projection.
-    from repro.ir.affine import AffineConstantExpr
-
-    exprs = []
-    for value in results:
-        if value is None:
-            exprs.append(AffineConstantExpr(0))
-        else:
-            exprs.append(AffineDimExpr(value))
-    iter_map = AffineMap(len(kept_dims), tuple(exprs))
-    return ITensorType(tuple(element_shape), operand_type.dtype,
-                       tuple(tripcounts), tuple(steps), iter_map)
-
-
 def tile_op(op: LinalgOp, config: TilingConfig) -> TiledOp:
     """Tile a structured op and infer all boundary itensor types."""
     config = config.normalized(op)
@@ -170,13 +112,13 @@ def tile_op(op: LinalgOp, config: TilingConfig) -> TiledOp:
     input_itensors = []
     for operand, imap in zip(op.inputs, op.indexing_maps[:-1]):
         input_itensors.append(
-            _operand_itensor(operand.type, imap, loop_dims, tile_sizes, bounds)
+            operand_itensor(operand.type, imap, loop_dims, tile_sizes, bounds)
         )
 
     # The result streams one tile per parallel-loop iteration; reduction loops
     # are dropped from its iteration space (the tile is only pushed once the
     # reduction completes).
-    result_itensor = _operand_itensor(
+    result_itensor = operand_itensor(
         op.result_type, op.indexing_maps[-1], loop_dims, tile_sizes, bounds,
         drop_loops=op.reduction_dims,
     )

@@ -1,29 +1,11 @@
 """Iterative tensor (itensor) type system — the paper's core contribution."""
 
 from repro.itensor.converter import ConverterSpec, converter_cost_bytes, infer_converter
-from repro.itensor.itensor_type import ITensorError, ITensorType, itensor_from_tiling
-from repro.itensor.ops import (
-    BufferOp,
-    ITensorCast,
-    ITensorChunk,
-    ITensorConcat,
-    ITensorConverterOp,
-    ITensorEmpty,
-    ITensorFork,
-    ITensorInstance,
-    ITensorJoin,
-    ITensorOp,
-    ITensorRead,
-    ITensorReassociate,
-    ITensorToStream,
-    ITensorValue,
-    ITensorWrite,
-    StreamCast,
-    StreamOp,
-    StreamRead,
-    StreamToITensor,
-    StreamValue,
-    StreamWrite,
+from repro.itensor.itensor_type import (
+    ITensorError,
+    ITensorType,
+    itensor_from_tiling,
+    operand_itensor,
 )
 from repro.itensor.stream_type import BufferType, StreamType
 from repro.itensor.verify import (
@@ -34,36 +16,16 @@ from repro.itensor.verify import (
 )
 
 __all__ = [
-    "BufferOp",
     "BufferType",
     "ConverterSpec",
-    "ITensorCast",
-    "ITensorChunk",
-    "ITensorConcat",
-    "ITensorConverterOp",
-    "ITensorEmpty",
     "ITensorError",
-    "ITensorFork",
-    "ITensorInstance",
-    "ITensorJoin",
-    "ITensorOp",
-    "ITensorRead",
-    "ITensorReassociate",
-    "ITensorToStream",
     "ITensorType",
-    "ITensorValue",
-    "ITensorWrite",
-    "StreamCast",
-    "StreamOp",
-    "StreamRead",
-    "StreamToITensor",
     "StreamType",
-    "StreamValue",
     "StreamVerificationError",
-    "StreamWrite",
     "converter_cost_bytes",
     "infer_converter",
     "itensor_from_tiling",
+    "operand_itensor",
     "verify_connection",
     "verify_coverage",
     "verify_fifo_tokens",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.ir.affine import AffineConstantExpr, AffineDimExpr, AffineMap
@@ -263,13 +263,60 @@ class ITensorType:
 
 
 # ----------------------------------------------------------------------
-# Construction helpers
+# Construction
 # ----------------------------------------------------------------------
+def operand_itensor(operand_type: TensorType, indexing_map: AffineMap,
+                    loop_dims: Sequence[int], tile_sizes: Sequence[int],
+                    bounds: Sequence[int],
+                    drop_loops: Sequence[int] = ()) -> ITensorType:
+    """Infer the itensor type of one operand of a tiled loop nest (Section 4.1).
+
+    The tile loops give the iteration space, the operand's indexing map gives
+    the iteration map (a loop it does not index re-accesses the operand), and
+    the tile sizes give the element shape.
+
+    Args:
+        operand_type: Full tensor type of the operand.
+        indexing_map: Map from iteration dims to the operand's data dims.
+        loop_dims: Tile-loop order (iteration-dim indices, outermost first).
+        tile_sizes: Tile size per iteration dim (indexed by iteration dim).
+        bounds: Loop bound per iteration dim.
+        drop_loops: Iteration dims excluded from this operand's iteration
+            space (used for results: reduction loops do not re-stream the
+            output tile).
+    """
+    drop = set(drop_loops)
+    kept_dims = [d for d in loop_dims if d not in drop]
+    tripcounts = [math.ceil(bounds[dim] / tile_sizes[dim]) for dim in kept_dims]
+    steps = [tile_sizes[dim] for dim in kept_dims]
+
+    element_shape = []
+    exprs = []
+    loop_position = {dim: i for i, dim in enumerate(kept_dims)}
+    for res_idx, expr in enumerate(indexing_map.results):
+        if isinstance(expr, AffineDimExpr) and expr.position in loop_position:
+            dim = expr.position
+            element_shape.append(min(tile_sizes[dim], operand_type.shape[res_idx]))
+            exprs.append(AffineDimExpr(loop_position[dim]))
+        else:
+            # Data dim not scanned by a kept loop: the whole extent is part of
+            # the element (streamed in one token).
+            element_shape.append(operand_type.shape[res_idx])
+            exprs.append(AffineConstantExpr(0))
+    iter_map = AffineMap(len(kept_dims), tuple(exprs))
+    return ITensorType(tuple(element_shape), operand_type.dtype,
+                       tuple(tripcounts), tuple(steps), iter_map)
+
+
 def itensor_from_tiling(tensor: TensorType, tile_shape: Sequence[int],
                         loop_order: Optional[Sequence[int]] = None,
                         reaccess_loops: Optional[Sequence[Tuple[int, int]]] = None,
                         ) -> ITensorType:
     """Build an itensor by tiling ``tensor`` with ``tile_shape``.
+
+    The tiling is a loop nest over the tensor's data dims (identity indexing
+    map) plus one unit-tile loop per re-access, built by
+    :func:`operand_itensor` like every kernel port.
 
     Args:
         tensor: The full tensor being streamed.
@@ -297,21 +344,13 @@ def itensor_from_tiling(tensor: TensorType, tile_shape: Sequence[int],
     if sorted(order) != list(range(tensor.rank)):
         raise ITensorError(f"loop order {order!r} is not a permutation")
 
-    # One loop per data dim, in the requested order.
-    tripcounts = [tensor.shape[d] // tile_shape[d] for d in order]
-    steps = [tile_shape[d] for d in order]
-    # Map: data dim d is scanned by the loop at position order.index(d).
-    results = [order.index(d) for d in range(tensor.rank)]
-    num_loops = tensor.rank
-
-    if reaccess_loops:
-        # Insert re-access loops (no data dim) at the requested positions.
-        for position, trip in sorted(reaccess_loops, key=lambda p: p[0]):
-            tripcounts.insert(position, trip)
-            steps.insert(position, 1)
-            results = [r + 1 if r >= position else r for r in results]
-            num_loops += 1
-
-    iter_map = AffineMap.from_results(num_loops, results)
-    return ITensorType(tuple(tile_shape), tensor.dtype, tuple(tripcounts),
-                       tuple(steps), iter_map)
+    # Iteration dims 0..rank-1 scan the data dims; each re-access loop is one
+    # more iteration dim with unit tiles that the indexing map leaves out.
+    tile_sizes = list(tile_shape)
+    bounds = list(tensor.shape)
+    for position, trip in sorted(reaccess_loops or (), key=lambda p: p[0]):
+        order.insert(position, len(bounds))
+        tile_sizes.append(1)
+        bounds.append(trip)
+    indexing_map = AffineMap.from_results(len(bounds), range(tensor.rank))
+    return operand_itensor(tensor, indexing_map, order, tile_sizes, bounds)

@@ -3,13 +3,12 @@
 Section 3.1 motivates the itensor type with *type-based verification*: after
 every transformation pass, connections between producers and consumers can be
 checked for stream-order agreement, and converters can be checked for
-realizability.  These verifiers are invoked by the dataflow passes and by
-tests.
+realizability.  ``DataflowGraph.verify`` runs all three verifiers on every
+edge; the compiler calls it after Linalg-to-dataflow conversion and again at
+the end of dataflow optimisation, before bufferization drops the layouts.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, List, Optional, Tuple
 
 from repro.itensor.converter import infer_converter
 from repro.itensor.itensor_type import ITensorError, ITensorType

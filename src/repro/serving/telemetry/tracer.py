@@ -110,15 +110,16 @@ class Tracer:
 
     #: Staged span count that triggers a columnar flush.
     FLUSH_THRESHOLD = 8192
+    #: Simulated seconds between two fleet metric samples.
+    metrics_interval_s = 0.25
 
-    __slots__ = ("metrics", "metrics_interval_s", "_staged", "_flush_at",
+    __slots__ = ("metrics", "_staged", "_flush_at",
                  "_step_meta", "_step_entries", "_entry_flush_at",
                  "_buffer", "_queued_since", "_preempted",
                  "request_classes", "_kernel_log")
 
-    def __init__(self, metrics_interval_s: float = 0.25) -> None:
+    def __init__(self) -> None:
         self.metrics = MetricsRegistry()
-        self.metrics_interval_s = metrics_interval_s
         #: Flat staging list: six scalars per span, no per-span object.
         self._staged: List[float] = []
         self._flush_at = self.FLUSH_THRESHOLD * 6

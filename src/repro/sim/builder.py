@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.dataflow.structure import DataflowGraph, EdgeKind
+from repro.dataflow.structure import DEFAULT_FIFO_DEPTH, DataflowGraph, EdgeKind
 from repro.platform.fpga import FpgaPlatform
 from repro.sim.simulator import DataflowSimulator, SimFifo, SimKernel
 
@@ -39,7 +39,7 @@ def _dma_timing(tensor_bytes: float, tokens: int, platform: FpgaPlatform,
 
 
 def build_simulation(graph: DataflowGraph, platform: FpgaPlatform,
-                     default_fifo_depth: int = 2,
+                     default_fifo_depth: int = DEFAULT_FIFO_DEPTH,
                      memory_edge_depth: int = 64) -> GraphSimulation:
     """Construct a token-level simulation of a compiled dataflow graph.
 

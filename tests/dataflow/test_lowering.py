@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.dataflow.bufferize import DEFAULT_FIFO_DEPTH, bufferize, fifo_for_edge
+from repro.dataflow.bufferize import bufferize
 from repro.dataflow.conversion import convert_to_dataflow
 from repro.dataflow.folding import fold_itensors
 from repro.dataflow.fusion import fuse_kernels
@@ -15,7 +15,7 @@ from repro.dataflow.packing import (
     pack_kernel_interfaces,
     widen_for_bus,
 )
-from repro.dataflow.structure import TaskKind
+from repro.dataflow.structure import DEFAULT_FIFO_DEPTH, TaskKind
 from repro.dataflow.vectorize import choose_vector_shape, vectorize_graph, vectorize_itensor
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import INT8, UINT8
@@ -119,9 +119,10 @@ class TestBufferize:
         dataflow = compiled_chain()
         result = bufferize(dataflow)
         assert len(result.fifos) == len(dataflow.stream_edges())
+        assert dataflow.attributes["bufferization"] is result
         for edge in dataflow.stream_edges():
-            fifo = fifo_for_edge(dataflow, edge.uid)
-            assert fifo is not None
+            fifo = result.fifos[edge.uid]
+            assert fifo == edge.stream_type()
             assert fifo.depth == (edge.fifo_depth or DEFAULT_FIFO_DEPTH)
 
     def test_buffers_collected_from_tasks(self):
@@ -130,8 +131,3 @@ class TestBufferize:
         assert result.total_buffer_bytes > 0
         assert result.total_bytes == (result.total_fifo_bytes
                                       + result.total_buffer_bytes)
-
-    def test_fifo_for_unknown_edge_is_none(self):
-        dataflow = compiled_chain()
-        bufferize(dataflow)
-        assert fifo_for_edge(dataflow, -1) is None

@@ -13,11 +13,14 @@ from repro.dataflow.structure import (
     Port,
     TaskKind,
 )
+from repro.ir.affine import AffineMap
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import INT8
 from repro.ir.types import TensorType
-from repro.itensor.itensor_type import itensor_from_tiling
+from repro.itensor.converter import infer_converter
+from repro.itensor.itensor_type import ITensorType, itensor_from_tiling
 from repro.itensor.stream_type import BufferType
+from repro.itensor.verify import StreamVerificationError
 
 
 def make_kernel(name):
@@ -68,6 +71,28 @@ class TestGraphQueries:
         graph.add_edge(make_edge(a, foreign))
         with pytest.raises(ValueError, match="not in the graph"):
             graph.verify()
+
+    def test_gapped_itensor_type_rejected(self):
+        graph = DataflowGraph()
+        a, b = graph.add_kernel(make_kernel("a")), graph.add_kernel(make_kernel("b"))
+        edge = graph.add_edge(make_edge(a, b))
+        # 2x2 tokens stepped by 4: three quarters of the tensor never stream.
+        edge.consumer_type = ITensorType((2, 2), INT8, (4, 4), (4, 4),
+                                         AffineMap.identity(2))
+        with pytest.raises(StreamVerificationError, match="gaps"):
+            graph.verify()
+
+    def test_stream_token_mismatch_needs_a_converter(self):
+        graph = DataflowGraph()
+        a, b = graph.add_kernel(make_kernel("a")), graph.add_kernel(make_kernel("b"))
+        edge = graph.add_edge(make_edge(a, b))
+        edge.consumer_type = itensor_from_tiling(edge.tensor, (8, 8))
+        graph.verify()  # a memory edge re-tiles through external memory
+        edge.kind = EdgeKind.STREAM
+        with pytest.raises(StreamVerificationError, match="token count"):
+            graph.verify()
+        edge.converter = infer_converter(edge.producer_type, edge.consumer_type)
+        graph.verify()
 
     def test_fusion_groups(self):
         graph = DataflowGraph()
