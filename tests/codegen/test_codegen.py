@@ -28,6 +28,17 @@ class TestHlsCodegen:
         for edge in graph.stream_edges():
             assert f"depth={edge.fifo_depth or 2}" in artifact.source
 
+    def test_stream_declarations_follow_stream_type(self, gpt2_compiled):
+        source = gpt2_compiled.hls.source
+        for edge in gpt2_compiled.dataflow_graph.stream_edges():
+            fifo = edge.stream_type()
+            elem = "ap_int<8>" if not fifo.dtype.is_float else "float"
+            if fifo.vector_shape is not None:
+                elem = f"hls::vector<{elem}, {fifo.token_elements}>"
+            name = f"fifo_{edge.uid}"
+            assert f"  hls::stream<{elem}> {name};" in source
+            assert f"#pragma HLS STREAM variable={name} depth={fifo.depth}" in source
+
     def test_unroll_pragmas_present(self, gpt2_compiled):
         assert "#pragma HLS UNROLL" in gpt2_compiled.hls.source
         assert "#pragma HLS PIPELINE" in gpt2_compiled.hls.source

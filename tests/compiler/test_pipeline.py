@@ -5,7 +5,7 @@ import pytest
 from repro.compiler.options import CompilerOptions
 from repro.compiler.pipeline import StreamTensorCompiler, compile_model_block
 from repro.compiler.report import STAGE_NAMES
-from repro.dataflow.structure import EdgeKind
+from repro.dataflow.structure import DataflowGraph, EdgeKind
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import INT8
 from repro.models.config import GPT2
@@ -52,6 +52,24 @@ class TestCompilerPipeline:
     def test_stream_edges_have_sized_fifos(self, gpt2_compiled):
         for edge in gpt2_compiled.dataflow_graph.stream_edges():
             assert edge.fifo_depth is not None
+
+    def test_final_graph_still_verifies(self, gpt2_compiled):
+        gpt2_compiled.dataflow_graph.verify()
+
+    def test_itensor_types_checked_before_bufferization(self, monkeypatch):
+        bufferized_at_verify = []
+        verify = DataflowGraph.verify
+
+        def spy(graph):
+            bufferized_at_verify.append("bufferization" in graph.attributes)
+            verify(graph)
+
+        monkeypatch.setattr(DataflowGraph, "verify", spy)
+        options = CompilerOptions(generate_code=False)
+        result = StreamTensorCompiler(options).compile(tiny_graph())
+        # Once after conversion, once at the end of dataflow optimisation.
+        assert bufferized_at_verify == [False, False]
+        assert "bufferization" in result.dataflow_graph.attributes
 
     def test_compile_without_codegen(self):
         options = CompilerOptions(generate_code=False)

@@ -125,6 +125,16 @@ class TestBufferize:
             assert fifo == edge.stream_type()
             assert fifo.depth == (edge.fifo_depth or DEFAULT_FIFO_DEPTH)
 
+    def test_untyped_stream_edge_gets_no_fifo(self):
+        dataflow = compiled_chain()
+        edge = dataflow.stream_edges()[0]
+        edge.producer_type = edge.consumer_type = None
+        result = bufferize(dataflow)
+        assert edge.uid not in result.fifos
+        assert len(result.fifos) == len(dataflow.stream_edges()) - 1
+        assert result.total_fifo_bytes == sum(
+            fifo.capacity_bytes for fifo in result.fifos.values())
+
     def test_buffers_collected_from_tasks(self):
         dataflow = compiled_chain()
         result = bufferize(dataflow)

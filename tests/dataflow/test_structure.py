@@ -5,6 +5,7 @@ import pytest
 from repro.dataflow.conversion import convert_to_dataflow
 from repro.dataflow.fusion import fuse_kernels
 from repro.dataflow.structure import (
+    DEFAULT_FIFO_DEPTH,
     DataflowEdge,
     DataflowGraph,
     DataflowKernel,
@@ -18,7 +19,7 @@ from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import INT8
 from repro.ir.types import TensorType
 from repro.itensor.converter import infer_converter
-from repro.itensor.itensor_type import ITensorType, itensor_from_tiling
+from repro.itensor.itensor_type import ITensorError, ITensorType, itensor_from_tiling
 from repro.itensor.stream_type import BufferType
 from repro.itensor.verify import StreamVerificationError
 
@@ -94,6 +95,47 @@ class TestGraphQueries:
         edge.converter = infer_converter(edge.producer_type, edge.consumer_type)
         graph.verify()
 
+    def test_converter_reconciles_a_stream_layout_mismatch(self):
+        graph = DataflowGraph()
+        a, b = graph.add_kernel(make_kernel("a")), graph.add_kernel(make_kernel("b"))
+        edge = graph.add_edge(make_edge(a, b))
+        edge.kind = EdgeKind.STREAM
+        edge.consumer_type = itensor_from_tiling(edge.tensor, (4, 4),
+                                                 loop_order=[1, 0])
+        assert edge.needs_converter
+        edge.converter = infer_converter(edge.producer_type, edge.consumer_type)
+        graph.verify()
+
+    def test_endpoints_over_different_tensors_rejected(self):
+        graph = DataflowGraph()
+        a, b = graph.add_kernel(make_kernel("a")), graph.add_kernel(make_kernel("b"))
+        edge = graph.add_edge(make_edge(a, b))
+        # No converter can turn a 16x16 stream into an 8x32 one.
+        edge.consumer_type = itensor_from_tiling(TensorType((8, 32), INT8), (4, 4))
+        with pytest.raises(ITensorError, match="same tensor"):
+            graph.verify()
+
+    def test_external_endpoint_coverage_checked(self):
+        graph = DataflowGraph()
+        a = graph.add_kernel(make_kernel("a"))
+        gapped = ITensorType((2, 2), INT8, (4, 4), (4, 4), AffineMap.identity(2))
+        graph.add_edge(DataflowEdge(producer=None, producer_port=None,
+                                    consumer=a, consumer_port="in0",
+                                    producer_type=None, consumer_type=gapped,
+                                    tensor=TensorType((16, 16), INT8)))
+        with pytest.raises(StreamVerificationError, match="gaps"):
+            graph.verify()
+
+    def test_converted_and_fused_graph_verifies(self):
+        builder = GraphBuilder("net")
+        x = builder.input((64, 64), INT8)
+        w = builder.weight((64, 64), INT8)
+        builder.output(builder.gelu(builder.matmul(x, w, name="mm"), name="act"))
+        dataflow = convert_to_dataflow(builder.build())
+        fuse_kernels(dataflow, c_max=1e12)
+        assert dataflow.stream_edges()
+        dataflow.verify()
+
     def test_fusion_groups(self):
         graph = DataflowGraph()
         a, b = graph.add_kernel(make_kernel("a")), graph.add_kernel(make_kernel("b"))
@@ -112,6 +154,28 @@ class TestEdgeProperties:
         assert edge.stream_type().depth == 2
         edge.fifo_depth = 7
         assert edge.stream_type().depth == 7
+
+    def test_stream_type_carries_dtype_and_vector_shape(self):
+        edge = make_edge(make_kernel("a"), make_kernel("b"))
+        edge.producer_type = edge.producer_type.with_vector_shape((1, 4))
+        fifo = edge.stream_type()
+        assert fifo.dtype == INT8
+        assert fifo.vector_shape == (1, 4)
+        assert fifo.capacity_bytes == DEFAULT_FIFO_DEPTH * 4
+
+    def test_stream_type_falls_back_to_the_consumer_type(self):
+        edge = make_edge(make_kernel("a"), make_kernel("b"))
+        edge.producer_type = None
+        edge.consumer_type = edge.consumer_type.with_vector_shape((2, 2))
+        edge.fifo_depth = 5
+        fifo = edge.stream_type()
+        assert (fifo.depth, fifo.vector_shape) == (5, (2, 2))
+
+    def test_stream_type_of_untyped_edge_raises(self):
+        edge = make_edge(make_kernel("a"), make_kernel("b"))
+        edge.producer_type = edge.consumer_type = None
+        with pytest.raises(ValueError, match="no itensor type"):
+            edge.stream_type()
 
     def test_needs_converter_false_for_matching_types(self):
         edge = make_edge(make_kernel("a"), make_kernel("b"))

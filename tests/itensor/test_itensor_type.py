@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.ir.affine import AffineMap
+from repro.ir.affine import AffineConstantExpr, AffineMap
 from repro.ir.dtypes import FLOAT32, INT8
-from repro.itensor.itensor_type import ITensorError, ITensorType, itensor_from_tiling
+from repro.itensor.itensor_type import (
+    ITensorError,
+    ITensorType,
+    itensor_from_tiling,
+    operand_itensor,
+)
+from repro.itensor.verify import verify_coverage
 from repro.ir.types import TensorType
 
 
@@ -140,6 +146,82 @@ class TestItensorFromTiling:
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ITensorError):
             itensor_from_tiling(TensorType((8, 8), INT8), (4,))
+
+
+class TestOperandItensor:
+    """The builder the tiling pass runs for every kernel port (Section 4.1).
+
+    The loop nest is a matmul ``C[m, n] += A[m, k] * B[k, n]`` with
+    iteration dims ``(m, n, k) = (d0, d1, d2)``.
+    """
+
+    BOUNDS = (64, 32, 128)
+    TILES = (16, 8, 32)
+
+    def test_unindexed_loop_reaccesses_the_operand(self):
+        itype = operand_itensor(TensorType((64, 128), INT8),
+                                AffineMap.from_results(3, [0, 2]),
+                                [0, 1, 2], self.TILES, self.BOUNDS)
+        assert itype.element_shape == (16, 32)
+        assert itype.iter_tripcounts == (4, 4, 4)
+        assert itype.iter_steps == (16, 8, 32)
+        assert itype.iter_map == AffineMap.from_results(3, [0, 2])
+        # The n loop streams every A tile once per column tile of C.
+        assert itype.reaccess_factor() == 4
+        verify_coverage(itype)
+
+    def test_result_drops_the_reduction_loop(self):
+        itype = operand_itensor(TensorType((64, 32), INT8),
+                                AffineMap.from_results(3, [0, 1]),
+                                [0, 1, 2], self.TILES, self.BOUNDS,
+                                drop_loops=(2,))
+        assert itype.element_shape == (16, 8)
+        assert itype.iter_tripcounts == (4, 4)
+        assert itype.iter_map == AffineMap.identity(2)
+        assert itype.reaccess_factor() == 1
+
+    def test_unscanned_data_dim_streams_its_whole_extent(self):
+        # With the k loop dropped, B's rows are not scanned by any loop.
+        itype = operand_itensor(TensorType((128, 32), INT8),
+                                AffineMap.from_results(3, [2, 1]),
+                                [0, 1, 2], self.TILES, self.BOUNDS,
+                                drop_loops=(2,))
+        assert itype.element_shape == (128, 8)
+        assert itype.iter_map.results[0] == AffineConstantExpr(0)
+        assert itype.loop_for_data_dim(0) is None
+        assert itype.loop_for_data_dim(1) == 1
+        verify_coverage(itype)
+
+    def test_partial_last_tile_rounds_the_trip_count_up(self):
+        itype = operand_itensor(TensorType((10, 8), INT8), AffineMap.identity(2),
+                                [0, 1], (4, 8), (10, 8))
+        assert itype.iter_tripcounts == (3, 1)
+        verify_coverage(itype)
+
+    def test_transposed_indexing_map_transposes_the_stream(self):
+        # Loop d0 scans data dim 1 and loop d1 scans data dim 0.
+        itype = operand_itensor(TensorType((32, 64), INT8),
+                                AffineMap.from_results(2, [1, 0]),
+                                [0, 1], (16, 8), (64, 32))
+        assert itype.element_shape == (8, 16)
+        assert itype.stream_order_list(3) == [(0, 0), (8, 0), (16, 0)]
+
+    def test_loop_order_sets_the_iteration_space_order(self):
+        itype = operand_itensor(TensorType((64, 32), INT8), AffineMap.identity(2),
+                                [1, 0], (16, 8), (64, 32))
+        assert itype.iter_tripcounts == (4, 4)
+        assert itype.iter_steps == (8, 16)
+        assert itype.iter_map == AffineMap.from_results(2, [1, 0])
+        assert itype.stream_order_list(2) == [(0, 0), (16, 0)]
+
+    def test_itensor_from_tiling_builds_through_it(self):
+        tensor = TensorType((8, 8), FLOAT32)
+        tiled = itensor_from_tiling(tensor, (4, 2), loop_order=[1, 0],
+                                    reaccess_loops=[(1, 2)])
+        # Data dims are iteration dims 0 and 1; the re-access loop is dim 2.
+        built = operand_itensor(tensor, AffineMap.from_results(3, [0, 1]),
+                                [1, 2, 0], (4, 2, 1), (8, 8, 2))
+        assert tiled == built
 
 
 class TestSameStreamOrder:
