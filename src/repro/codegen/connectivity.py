@@ -48,7 +48,9 @@ def generate_connectivity(graph: DataflowGraph, platform: FpgaPlatform,
 
     for kernel in graph.kernels:
         die = kernel.die_assignment if kernel.die_assignment is not None else 0
-        die = min(die, max(0, platform.num_dies - 1))
+        if not 0 <= die < platform.num_dies:
+            raise ValueError(f"kernel {kernel.name} is on die {die}, but "
+                             f"{platform.name} has {platform.num_dies} SLRs")
         slr[kernel.name] = die
         lines.append(f"slr={kernel.name}:SLR{die}")
 

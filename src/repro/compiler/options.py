@@ -46,6 +46,12 @@ class CompilerOptions:
     generate_code: bool = True
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        dies = self.platform.num_dies
+        if self.num_dies is not None and not 1 <= self.num_dies <= dies:
+            raise ValueError(f"num_dies must be in 1..{dies} for "
+                             f"{self.platform.name}, got {self.num_dies}")
+
     @property
     def fusion_c_max_bytes(self) -> float:
         return self.platform.onchip_memory_bytes * self.fusion_memory_fraction

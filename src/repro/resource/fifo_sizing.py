@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from repro.resource.token_model import (
     equalize_timings,
     max_tokens_from_delay,
 )
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 @dataclass
@@ -66,56 +63,76 @@ class SizingEdge:
     token_bytes: float = 4.0
 
 
-# networkx and scipy are imported where they are used, so importing the
-# serving stack (which never sizes FIFOs) loads neither.
-def _build_nx(edges: Sequence[SizingEdge]) -> nx.DiGraph:
-    import networkx as nx
-
-    graph = nx.DiGraph()
+def _successors(edges: Sequence[SizingEdge]) -> Dict[str, List[str]]:
+    """Each kernel's distinct consumers, kernels and consumers both in
+    first-appearance order (the order the LP rows are emitted in)."""
+    succ: Dict[str, Dict[str, None]] = {}
     for edge in edges:
-        graph.add_edge(edge.producer, edge.consumer)
-    return graph
+        succ.setdefault(edge.producer, {})[edge.consumer] = None
+        succ.setdefault(edge.consumer, {})
+    return {node: list(targets) for node, targets in succ.items()}
 
 
-def _thresholds(graph: nx.DiGraph,
+def _topological_order(succ: Dict[str, List[str]]) -> Optional[List[str]]:
+    """Kahn's algorithm; None if the graph has a cycle."""
+    indegree = dict.fromkeys(succ, 0)
+    for targets in succ.values():
+        for target in targets:
+            indegree[target] += 1
+    order = [node for node, degree in indegree.items() if degree == 0]
+    for node in order:
+        for target in succ[node]:
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                order.append(target)
+    return order if len(order) == len(succ) else None
+
+
+def _thresholds(succ: Dict[str, List[str]], order: List[str],
                 timings: Dict[str, KernelTiming]) -> Dict[Tuple[str, str], float]:
     """Eq. 5: longest accumulated initial delay between every kernel pair."""
-    import networkx as nx
-
     thresholds: Dict[Tuple[str, str], float] = {}
-    order = list(nx.topological_sort(graph))
     for source in order:
         # Longest path (in accumulated D of traversed producers) from source.
         dist: Dict[str, float] = {source: 0.0}
         for node in order:
             if node not in dist:
                 continue
-            for succ in graph.successors(node):
+            for target in succ[node]:
                 candidate = dist[node] + timings[node].initial_delay
-                if candidate > dist.get(succ, float("-inf")):
-                    dist[succ] = candidate
+                if candidate > dist.get(target, float("-inf")):
+                    dist[target] = candidate
         for target, value in dist.items():
             if target != source:
                 thresholds[(source, target)] = value
     return thresholds
 
 
-def _enumerate_paths(graph: nx.DiGraph, max_paths_per_pair: int = 64,
+def _enumerate_paths(succ: Dict[str, List[str]], order: List[str],
+                     max_paths_per_pair: int = 64,
                      ) -> Dict[Tuple[str, str], List[List[Tuple[str, str]]]]:
-    """All simple paths (as edge lists) between connected kernel pairs."""
-    import networkx as nx
+    """The first ``max_paths_per_pair`` paths (as edge lists) between every
+    connected kernel pair, depth first over each kernel's consumers."""
+    reach: Dict[str, set] = {}
+    for node in reversed(order):
+        reach[node] = set(succ[node]).union(*(reach[t] for t in succ[node]))
+
+    def walk(node: str, target: str, path: List[Tuple[str, str]],
+             found: List[List[Tuple[str, str]]]) -> None:
+        for nxt in succ[node]:
+            if len(found) == max_paths_per_pair:
+                return
+            if nxt == target:
+                found.append(path + [(node, nxt)])
+            elif target in reach[nxt]:
+                walk(nxt, target, path + [(node, nxt)], found)
 
     paths: Dict[Tuple[str, str], List[List[Tuple[str, str]]]] = {}
-    nodes = list(graph.nodes)
-    for source, target in itertools.permutations(nodes, 2):
-        if not nx.has_path(graph, source, target):
-            continue
-        pair_paths = []
-        for node_path in itertools.islice(
-                nx.all_simple_paths(graph, source, target), max_paths_per_pair):
-            pair_paths.append(list(zip(node_path[:-1], node_path[1:])))
-        if pair_paths:
-            paths[(source, target)] = pair_paths
+    for source, target in itertools.permutations(succ, 2):
+        if target in reach[source]:
+            found: List[List[Tuple[str, str]]] = []
+            walk(source, target, [], found)
+            paths[(source, target)] = found
     return paths
 
 
@@ -129,39 +146,33 @@ def solve_delays(edges: Sequence[SizingEdge],
     infeasible or degenerate (should not happen for a DAG), the per-edge
     thresholds are used as a safe fallback.
     """
-    import networkx as nx
+    # scipy is imported here, so importing the serving stack (which never
+    # sizes FIFOs) does not load it.
     from scipy.optimize import linprog
 
     if not edges:
         return {}, "empty"
 
-    graph = _build_nx(edges)
-    if not nx.is_directed_acyclic_graph(graph):
+    succ = _successors(edges)
+    order = _topological_order(succ)
+    if order is None:
         raise ValueError("FIFO sizing requires an acyclic dataflow graph")
 
     edge_keys = [(e.producer, e.consumer) for e in edges]
     edge_index = {key: i for i, key in enumerate(edge_keys)}
-    thresholds = _thresholds(graph, timings)
-    paths = _enumerate_paths(graph, max_paths_per_pair)
+    thresholds = _thresholds(succ, order, timings)
+    paths = _enumerate_paths(succ, order, max_paths_per_pair)
 
     # Build A_ub x <= b_ub for constraints  -sum(delay on path) <= -threshold.
-    rows: List[np.ndarray] = []
+    rows: List[List[int]] = []
     bounds_rhs: List[float] = []
     for (source, target), pair_paths in paths.items():
         threshold = thresholds.get((source, target), 0.0)
         if threshold <= 0:
             continue
         for path_edges in pair_paths:
-            row = np.zeros(len(edge_keys))
-            usable = True
-            for key in path_edges:
-                if key not in edge_index:
-                    usable = False
-                    break
-                row[edge_index[key]] -= 1.0
-            if usable:
-                rows.append(row)
-                bounds_rhs.append(-threshold)
+            rows.append([edge_index[key] for key in path_edges])
+            bounds_rhs.append(-threshold)
 
     # Every delay is at least the producer's own initial delay and non-negative.
     lower_bounds = []
@@ -169,8 +180,12 @@ def solve_delays(edges: Sequence[SizingEdge],
         lower_bounds.append(max(0.0, timings[producer].initial_delay))
 
     c = np.ones(len(edge_keys))
-    a_ub = np.vstack(rows) if rows else None
-    b_ub = np.array(bounds_rhs) if rows else None
+    a_ub = b_ub = None
+    if rows:
+        a_ub = np.zeros((len(rows), len(edge_keys)))
+        for r, columns in enumerate(rows):
+            a_ub[r, columns] = -1.0
+        b_ub = np.array(bounds_rhs)
     variable_bounds = [(lb, None) for lb in lower_bounds]
 
     result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=variable_bounds,

@@ -9,20 +9,21 @@ assigns tasks to dies with an ILP whose objective balances two terms:
   a die boundary;
 * resource imbalance — the spread of per-die resource utilisation.
 
-We formulate the same 0/1 assignment problem.  When ``scipy.optimize.milp``
-is available and the problem is small enough it is solved exactly; otherwise
-a deterministic greedy refinement (Kernighan-Lin style single moves) provides
-a good solution with the identical cost function, so downstream consumers see
-the same interface either way.
+We formulate the same 0/1 assignment problem: minimise ``comm * cut +
+balance * max_load / total`` with every die's load under a capacity.  While
+``tasks * dies + edges <= 400`` it is solved exactly by a branch and bound
+over canonical die labels (the first task on die 0, dies opened in order),
+so equal inputs always get the same labels and a two-die design lands on
+dies 0 and 1.  Beyond that a deterministic greedy refinement
+(Kernighan-Lin style single moves) gives a good solution under the same
+cost function, so downstream consumers see the same interface either way.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.dataflow.structure import DataflowGraph
 
@@ -126,97 +127,68 @@ def _greedy_partition(tasks: Sequence[PartitionTask], num_dies: int,
 def _ilp_partition(tasks: Sequence[PartitionTask], num_dies: int,
                    capacity: Optional[float], comm_weight: float,
                    balance_weight: float) -> Optional[Dict[str, int]]:
-    """Exact ILP via scipy.optimize.milp; returns None if unavailable/too big."""
-    try:
-        from scipy.optimize import Bounds, LinearConstraint, milp
-        from scipy.sparse import csr_array
-    except ImportError:  # pragma: no cover - scipy always ships milp >= 1.9
-        return None
+    """Exact optimum of the ILP by branch and bound; None if too big or
+    infeasible.
+
+    Tasks are placed in the given order and labelled as a restricted-growth
+    string: a task may join any die already used or open the next unused
+    one, so each die grouping is visited once, not once per relabelling.  A
+    partial placement is pruned when ``comm * cut_so_far + balance *
+    max(max_load_so_far, total / dies) / total`` cannot beat the best
+    complete one, and only a strictly better placement replaces the best,
+    so the answer is the first optimum in this order.
+    """
     edges = _edges_of(tasks)
     n, d, m = len(tasks), num_dies, len(edges)
     if n * d + m > 400:  # keep the exact solve small; greedy handles the rest
         return None
+    resource = [t.resource for t in tasks]
+    total = sum(resource)
     if capacity is None:
-        # The ILP objective only counts cut edges; balance is enforced by an
-        # implicit per-die capacity slightly above an even split.
-        total = sum(t.resource for t in tasks)
-        capacity = 1.15 * total / num_dies + max(t.resource for t in tasks)
-
+        # The objective only rewards balance through the maximum load; an
+        # implicit per-die capacity slightly above an even split enforces it.
+        capacity = 1.15 * total / d + max(resource)
+    scale = balance_weight / (total or 1.0)
+    even = total / d
+    # An edge is cut or not once both ends are placed: at its later end.
     index = {t.name: i for i, t in enumerate(tasks)}
-    total_resource = sum(t.resource for t in tasks) or 1.0
-    # Variables: x[i, k] assignment binaries, y[e] cut binaries, and one
-    # continuous variable bounding the maximum per-die load (balance term).
-    num_x = n * d
-    num_vars = num_x + m + 1
-    max_load_var = num_vars - 1
-    c = np.zeros(num_vars)
-    c[num_x:num_x + m] = comm_weight
-    c[max_load_var] = balance_weight / total_resource
+    earlier: List[List[int]] = [[] for _ in tasks]
+    for a, b in edges:
+        i, j = sorted((index[a], index[b]))
+        if i != j:
+            earlier[j].append(i)
 
-    # One sparse constraint matrix, rows in blocks: d max-load rows, n
-    # one-die rows, m * d cut rows, d capacity rows.  Zero resources are
-    # not stored, so the solver sees the nonzeros a dense build gives it.
-    resource = np.array([t.resource for t in tasks], dtype=float)
-    loaded = np.flatnonzero(resource)
-    dies = np.arange(d)
-    x_of = np.arange(num_x).reshape(n, d)      # x_of[i, k] = i * d + k
-    rows, cols, vals = [], [], []
+    labels = [0] * n
+    loads = [0.0] * d
+    best: Optional[List[int]] = None
+    best_value = math.inf
 
-    def load_rows(first_row: int) -> None:
-        # Row first_row + k sums the resources placed on die k.
-        rows.append(np.repeat(first_row + dies, len(loaded)))
-        cols.append(x_of[loaded].T.ravel())
-        vals.append(np.tile(resource[loaded], d))
+    def place(i: int, opened: int, cut: int, max_load: float) -> None:
+        nonlocal best, best_value
+        same = [0] * d
+        for j in earlier[i]:
+            same[labels[j]] += 1
+        for die in range(min(opened + 1, d)):
+            load = loads[die] + resource[i]
+            if load > capacity:
+                continue
+            new_cut = cut + len(earlier[i]) - same[die]
+            new_max = max(max_load, load)
+            labels[i] = die
+            if i == n - 1:
+                value = comm_weight * new_cut + scale * new_max
+                if value < best_value:
+                    best, best_value = list(labels), value
+            elif comm_weight * new_cut + scale * max(new_max, even) \
+                    < best_value:
+                previous, loads[die] = loads[die], load
+                place(i + 1, max(opened, die + 1), new_cut, new_max)
+                loads[die] = previous
 
-    # Max-load definition: every die's load is below the bound variable.
-    load_rows(0)
-    rows.append(dies)
-    cols.append(np.full(d, max_load_var))
-    vals.append(np.full(d, -1.0))
-    # Each task on exactly one die.
-    rows.append(np.repeat(d + np.arange(n), d))
-    cols.append(x_of.ravel())
-    vals.append(np.ones(num_x))
-    # Cut indicators: y_e >= x[a,k] - x[b,k] for every die k.
-    if m:
-        src = np.array([index[a] for a, _ in edges])
-        dst = np.array([index[b] for _, b in edges])
-        cut_rows = d + n + np.arange(m * d)
-        rows += [cut_rows, cut_rows, cut_rows]
-        cols += [x_of[src].ravel(), x_of[dst].ravel(),
-                 np.repeat(num_x + np.arange(m), d)]
-        vals += [np.ones(m * d), np.full(m * d, -1.0), np.full(m * d, -1.0)]
-    # Per-die capacity (always present: explicit or implicit above).
-    load_rows(d + n + m * d)
-
-    num_rows = d + n + m * d + d
-    matrix = csr_array((np.concatenate(vals),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(num_rows, num_vars))
-    row_lower = np.concatenate([np.full(d, -np.inf), np.ones(n),
-                                np.full(m * d, -np.inf), np.zeros(d)])
-    row_upper = np.concatenate([np.zeros(d), np.ones(n), np.zeros(m * d),
-                                 np.full(d, capacity)])
-    constraints = LinearConstraint(matrix, row_lower, row_upper)
-
-    integrality = np.ones(num_vars)
-    integrality[max_load_var] = 0
-    upper = np.ones(num_vars)
-    upper[max_load_var] = total_resource
-    bounds = Bounds(np.zeros(num_vars), upper)
-    # mip_rel_gap=0: HiGHS stops at a 1e-4 relative gap by default, which
-    # is not "exact" (the qwen prefill block's default-gap answer sits
-    # 1.1e-6 above its optimum).
-    result = milp(c=c, constraints=constraints, integrality=integrality,
-                  bounds=bounds, options={"mip_rel_gap": 0})
-    if not result.success or result.x is None:
+    place(0, 0, 0, 0.0)
+    if best is None:
         return None
-    assignment = {}
-    for task in tasks:
-        i = index[task.name]
-        die = int(np.argmax(result.x[i * d:(i + 1) * d]))
-        assignment[task.name] = die
-    return assignment
+    return {task.name: die for task, die in zip(tasks, best)}
 
 
 def partition_tasks(tasks: Sequence[PartitionTask], num_dies: int,

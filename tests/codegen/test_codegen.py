@@ -76,6 +76,13 @@ class TestConnectivity:
                                        num_hbm_channels=4)
         assert all(ch < 4 for ch in config.hbm_assignments.values())
 
+    def test_die_beyond_the_platform_rejected(self, gpt2_compiled,
+                                              monkeypatch):
+        kernel = gpt2_compiled.dataflow_graph.kernels[0]
+        monkeypatch.setattr(kernel, "die_assignment", AMD_U55C.num_dies)
+        with pytest.raises(ValueError, match="has 3 SLRs"):
+            generate_connectivity(gpt2_compiled.dataflow_graph, AMD_U55C)
+
 
 class TestHostCodegen:
     def test_host_plan_buffers(self, gpt2_compiled):

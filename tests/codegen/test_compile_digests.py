@@ -23,12 +23,12 @@ CASES = {
         "--model gpt2 --mode prefill --seq-len 256 --explore",
         {"kernel.cpp": "1e30d073f3229d24912f548d2bb2d94169c264a0ed510c03820de6f0f854610b",
          "host.cpp": "d473123b5a10490ce599d6051b2db758e7445d4b08e2875daeaf345575b2455c",
-         "link.cfg": "564db63e69fe1adf36e45b5a08c70c4c774caccdce2ea3bd90b1c9f972e7b1aa"}),
+         "link.cfg": "2d87902988eb2969c1d0f4ab8486f0f2488f7dd9b2ce527a3e90be1498ffae5d"}),
     "gpt2 decode": (
         "--model gpt2 --mode decode",
         {"kernel.cpp": "272cf1918386d0c48aab69cadda1f81e8f5543f8850f55d8cabc54ee79910cce",
          "host.cpp": "63dc0ebd1bd27cc696f1fcd4a23dadf811334a9ed7836aeb57df87289eca9ace",
-         "link.cfg": "b5d142195561a235274bd505bdb2bb1d0ac0fc43c4094c7e84e10e3152e94135"}),
+         "link.cfg": "333fb59ee4bce95d16dc54cde1e0c1ee781667c578a17494df6763df3bcbd74d"}),
 }
 
 

@@ -123,3 +123,8 @@ class TestCompilerOptions:
     def test_num_dies_defaults_to_platform(self):
         assert CompilerOptions().effective_num_dies == 3
         assert CompilerOptions(num_dies=2).effective_num_dies == 2
+
+    @pytest.mark.parametrize("num_dies", [0, -1, 4, 6])
+    def test_num_dies_outside_the_platform_rejected(self, num_dies):
+        with pytest.raises(ValueError, match="num_dies must be in 1..3"):
+            CompilerOptions(num_dies=num_dies)

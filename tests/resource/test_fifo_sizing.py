@@ -1,6 +1,11 @@
 """Tests for LP-based FIFO sizing (Section 5.3.4, Figure 8(f))."""
 
+import hashlib
+import random
+
+import numpy as np
 import pytest
+import scipy.optimize
 
 from repro.resource.fifo_sizing import (
     FifoSizingResult,
@@ -117,3 +122,69 @@ class TestGraphIntegration:
 
     def test_lp_status_recorded(self, gpt2_compiled):
         assert gpt2_compiled.fifo_sizing.lp_status in ("optimal", "no-stream-edges")
+
+
+def random_sizing_case(seed):
+    """A seeded DAG of 2-14 kernels, listed in shuffled order with a few
+    repeated edges; some kernels have zero initial delay.  Of seeds 0-199,
+    11 have a kernel pair with more than 64 paths."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 14)
+    density = rng.uniform(0.15, 0.7)
+    names = [f"k{i}" for i in range(n)]
+    rng.shuffle(names)
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < density] or [(names[0], names[1])]
+    pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(pairs)
+    timings = {
+        name: KernelTiming(name, float(rng.choice([0, rng.randint(0, 500)])),
+                           float(rng.randint(1, 4)), rng.randint(1, 100))
+        for name in names}
+    edges = [SizingEdge(a, b, rng.randint(1, 100)) for a, b in pairs]
+    return edges, timings
+
+
+def lp_digest(lps):
+    """sha256 of the objective, rows, right-hand sides and bounds of LPs."""
+    digest = hashlib.sha256()
+    for c, a_ub, b_ub, bounds in lps:
+        digest.update(np.asarray(c, dtype=float).tobytes())
+        if a_ub is None:
+            digest.update(b"no rows")
+        else:
+            digest.update(repr(a_ub.shape).encode())
+            digest.update(np.ascontiguousarray(a_ub, dtype=float).tobytes())
+            digest.update(np.asarray(b_ub, dtype=float).tobytes())
+        digest.update(repr(bounds).encode())
+    return digest.hexdigest()
+
+
+class TestDelayLpPinned:
+    """The delay LP's rows (Eq. 4) are pinned byte for byte: pairs in
+    ``permutations`` order of first appearance, paths depth first over each
+    kernel's consumers, at most 64 paths per pair.  The digests were taken
+    from the networkx-built LP."""
+
+    def test_random_dags(self, monkeypatch):
+        lps = []
+        linprog = scipy.optimize.linprog
+
+        def capture(c, A_ub=None, b_ub=None, bounds=None, **kwargs):
+            lps.append((c, A_ub, b_ub, bounds))
+            return linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", capture)
+        for seed in range(200):
+            solve_delays(*random_sizing_case(seed))
+        assert lp_digest(lps) == ("000448e521caa941cbf2912a494950cc"
+                                   "1d72626a369ce5adb3f236de1f0220ac")
+
+    def test_zoo_blocks(self, zoo_allocations):
+        blocks = list(zoo_allocations.values())
+        assert lp_digest([block["lp"] for block in blocks]) == (
+            "20d05920fff64fb2e6ebe0b6c0a3513ce3cb1759d86305502375a2c0814aa9e1")
+        depths = [sorted(block["compiled"].fifo_sizing.depths.items())
+                  for block in blocks]
+        assert hashlib.sha256(repr(depths).encode()).hexdigest() == (
+            "146e7c682d919ceabd05d8429c5bc718708dc61442db0c626c73887c3512f4bc")

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.resource import partition
@@ -152,6 +153,112 @@ class TestIlpExactness:
         value, _ = ilp_objective(tasks, result.assignment, result.num_dies,
                                  1.0, 4.0)
         assert value == pytest.approx(3.1369764522, rel=0, abs=1e-10)
+
+
+def sweep_case(seed):
+    """A seeded DAG of 2-8 tasks on 2-4 dies, with the implicit capacity on
+    even seeds and a tighter explicit one on odd seeds; returns the tasks,
+    dies, capacity argument and the capacity in force."""
+    rng = random.Random(seed)
+    n, num_dies = rng.randint(2, 8), rng.randint(2, 4)
+    tasks = [PartitionTask(f"t{i}", float(rng.randint(1, 20)),
+                           tuple(f"t{j}" for j in range(i)
+                                 if rng.random() < 0.35))
+             for i in range(n)]
+    total = sum(t.resource for t in tasks)
+    largest = max(t.resource for t in tasks)
+    if seed % 2 == 0:
+        return tasks, num_dies, None, 1.15 * total / num_dies + largest
+    capacity = total / num_dies + largest * rng.uniform(1.0, 1.2)
+    return tasks, num_dies, capacity, capacity
+
+
+def brute_force_minimum(tasks, num_dies, capacity, comm=1.0, balance=4.0):
+    """The ILP objective's minimum over all num_dies ** len(tasks)
+    assignments that respect the capacity."""
+    n = len(tasks)
+    dies = np.indices((num_dies,) * n).reshape(n, -1).T
+    index = {t.name: i for i, t in enumerate(tasks)}
+    cut = sum(dies[:, index[pred]] != dies[:, i]
+              for i, task in enumerate(tasks) for pred in task.predecessors)
+    resource = np.array([t.resource for t in tasks])
+    max_load = np.stack([(dies == k) @ resource for k in range(num_dies)],
+                        axis=1).max(axis=1)
+    values = comm * cut + balance * max_load / resource.sum()
+    return values[max_load <= capacity].min()
+
+
+def first_appearances(tasks, assignment):
+    """The dies in the order the tasks first use them."""
+    return list(dict.fromkeys(assignment[t.name] for t in tasks))
+
+
+class TestExactSearch:
+    """The branch and bound reaches the ILP optimum and labels dies in the
+    order the tasks first use them."""
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_brute_force(self, seed):
+        tasks, num_dies, capacity, bound = sweep_case(seed)
+        result = partition_tasks(tasks, num_dies, capacity=capacity)
+        assert result.method == "ilp"
+        value, max_load = ilp_objective(tasks, result.assignment, num_dies,
+                                        1.0, 4.0)
+        assert max_load <= bound
+        assert value == pytest.approx(
+            brute_force_minimum(tasks, num_dies, bound), rel=1e-12)
+
+    def test_dies_open_in_order(self):
+        for seed in range(200):
+            tasks, num_dies, capacity, _ = sweep_case(seed)
+            result = partition_tasks(tasks, num_dies, capacity=capacity)
+            used = first_appearances(tasks, result.assignment)
+            assert used == list(range(len(used))), seed
+
+    def test_ties_go_to_the_first_labelling(self):
+        """Of equal optima, the search keeps the first it reaches: the
+        lexicographically smallest labelling."""
+        tasks = [PartitionTask(f"t{i}", 1.0) for i in range(4)]
+        result = partition_tasks(tasks, num_dies=2)
+        assert [result.assignment[t.name] for t in tasks] == [0, 0, 1, 1]
+
+
+# Each zoo block as the compile benchmark builds it: the kernels on die 0
+# (every other kernel shares die 1) and the ILP objective.  Every block
+# cuts one edge.  The groups, cuts and objectives equal those of the
+# HiGHS MILP model the search replaced.
+ZOO_PARTITIONS = {
+    ("gpt2", "prefill"): ("input_norm k_proj v_proj", 3.0116507210714607),
+    ("gpt2", "decode"): ("input_norm k_proj v_proj", 3.06587447900679),
+    ("qwen", "prefill"): ("attn_scores input_norm k_proj k_rotary q_proj "
+                          "q_rotary v_proj", 3.136976452156058),
+    ("qwen", "decode"): ("attn_scores attn_softmax input_norm k_proj "
+                         "k_rotary q_proj q_rotary v_proj",
+                         3.0074651087309316),
+    ("llama", "prefill"): ("input_norm k_proj k_rotary q_proj q_rotary "
+                           "v_proj", 3.0440507977717295),
+    ("llama", "decode"): ("input_norm k_proj k_rotary q_proj v_proj",
+                          3.0938783276963777),
+    ("gemma", "prefill"): ("input_norm k_proj k_rotary q_proj q_rotary "
+                           "v_proj", 3.0041740715239134),
+    ("gemma", "decode"): ("attn_context attn_scores attn_softmax input_norm "
+                          "k_proj k_rotary q_proj q_rotary v_proj",
+                          3.3647248485904755),
+}
+
+
+@pytest.mark.parametrize("block", sorted(ZOO_PARTITIONS))
+def test_zoo_partition_pinned(block, zoo_allocations):
+    tasks, result = zoo_allocations[block]["partition"]
+    first_die, objective = ZOO_PARTITIONS[block]
+    on_die = {die: {name for name, placed in result.assignment.items()
+                    if placed == die} for die in (0, 1)}
+    assert on_die[0] == set(first_die.split())
+    assert on_die[0] | on_die[1] == {t.name for t in tasks}
+    assert result.method == "ilp" and result.cut_edges == 1
+    value, _ = ilp_objective(tasks, result.assignment, result.num_dies,
+                             1.0, 4.0)
+    assert value == pytest.approx(objective, rel=0, abs=1e-12)
 
 
 class TestPartitionGraph:
