@@ -20,7 +20,6 @@ partitioning, simulation and code generation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -88,8 +87,6 @@ class KernelProfile:
     uram_bytes: float = 0.0
 
 
-_NODE_COUNTER = itertools.count()
-
 #: Depth of a stream edge's FIFO until the FIFO-sizing LP sets one.
 DEFAULT_FIFO_DEPTH = 2
 
@@ -106,7 +103,6 @@ class DataflowTask:
     loop_nest: List[Tuple[int, int]] = field(default_factory=list)
     attributes: Dict[str, object] = field(default_factory=dict)
     subtasks: List["DataflowTask"] = field(default_factory=list)
-    uid: int = field(default_factory=lambda: next(_NODE_COUNTER))
 
     @property
     def buffer_bytes(self) -> float:
@@ -131,7 +127,6 @@ class DataflowKernel:
     die_assignment: Optional[int] = None
     profile: KernelProfile = field(default_factory=KernelProfile)
     attributes: Dict[str, object] = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_NODE_COUNTER))
 
     @property
     def kind(self) -> str:
@@ -172,7 +167,10 @@ class DataflowEdge:
     converter: Optional[ConverterSpec] = None
     fifo_depth: Optional[int] = None
     is_parameter: bool = False
-    uid: int = field(default_factory=lambda: next(_NODE_COUNTER))
+    #: Position in its graph's edge list, set by ``DataflowGraph.add_edge``.
+    #: Generated names (``fifo_N``, ``dma_*_N``, ``m_axi_N``, ...) use it, so
+    #: a design's names depend on its graph alone.
+    uid: int = -1
 
     @property
     def is_external_input(self) -> bool:
@@ -237,6 +235,7 @@ class DataflowGraph:
         return kernel
 
     def add_edge(self, edge: DataflowEdge) -> DataflowEdge:
+        edge.uid = len(self.edges)
         self.edges.append(edge)
         return edge
 
