@@ -38,6 +38,18 @@ def test_benchmark_full_compilation_llama_prefill(benchmark):
 
 
 @pytest.mark.benchmark(group="compiler")
+def test_benchmark_full_compilation_gpt2_prefill_explore(benchmark):
+    # The tiling exploration converts and fuses every distinct layout of its
+    # trials: most of an explored compile.
+    graph = build_prefill_block(GPT2, 256)
+    options = CompilerOptions(explore_tiling=True)
+
+    result = benchmark(lambda: StreamTensorCompiler(options).compile(graph, GPT2))
+    assert (result.tiling_space.default_tile_size,
+            result.tiling_space.overall_unroll_size) == (64, 256)
+
+
+@pytest.mark.benchmark(group="compiler")
 def test_benchmark_kernel_fusion_stage(benchmark):
     graph = build_prefill_block(GPT2, 256)
     space = build_tiling_space(graph, 16, 128)

@@ -24,7 +24,7 @@ and the evaluation harness can inspect any stage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.codegen.connectivity import ConnectivityConfig, generate_connectivity
 from repro.codegen.hls import HlsArtifact, generate_hls
@@ -32,7 +32,7 @@ from repro.codegen.host import HostArtifact, generate_host
 from repro.compiler.options import CompilerOptions
 from repro.compiler.report import CompileReport, StageTimer
 from repro.dataflow.bufferize import BufferizationResult, bufferize
-from repro.dataflow.conversion import convert_to_dataflow
+from repro.dataflow.conversion import convert_to_dataflow, set_kernel_parallelism
 from repro.dataflow.folding import FoldingResult, fold_itensors
 from repro.dataflow.fusion import FusionPlan, fuse_kernels, fusion_memory_report
 from repro.dataflow.materialize import materialize, remove_redundant_converters
@@ -102,11 +102,12 @@ class StreamTensorCompiler:
             optimized = default_linalg_pipeline().run(graph)
 
         # Stage 2: Linalg tiling space (optionally explored).
+        fused: Dict[Tuple, DataflowGraph] = {}
         with timer.stage("Linalg_Tiling"):
             if options.explore_tiling:
                 space, _study = explore_tiling_space(
                     optimized,
-                    fusion_feedback=self._fusion_feedback(optimized),
+                    fusion_feedback=self._fusion_feedback(optimized, fused),
                     n_trials=options.exploration_trials,
                     memory_budget_bytes=options.fusion_c_max_bytes,
                     seed=options.seed,
@@ -118,10 +119,17 @@ class StreamTensorCompiler:
                 )
             tiling_configs = space.to_configs()
 
-        # Stage 3: Linalg to dataflow + kernel fusion.
+        # Stage 3: Linalg to dataflow + kernel fusion.  An explored space
+        # was already converted and fused while it was a trial.
         with timer.stage("Kernel_Fusion"):
-            dataflow = convert_to_dataflow(optimized, tiling_configs)
-            plan = fuse_kernels(dataflow, options.fusion_c_max_bytes)
+            dataflow = fused.pop(space.layout(), None)
+            fused.clear()  # the other layouts' graphs
+            if dataflow is None:
+                dataflow = convert_to_dataflow(optimized, tiling_configs)
+                fuse_kernels(dataflow, options.fusion_c_max_bytes)
+            else:
+                set_kernel_parallelism(dataflow, tiling_configs)
+            plan = dataflow.attributes["fusion_plan"]
             remove_redundant_converters(dataflow)
 
         # Stage 4: Dataflow optimisation.
@@ -183,13 +191,25 @@ class StreamTensorCompiler:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _fusion_feedback(self, graph: Graph):
-        """Objective feedback used by the black-box tiling exploration."""
-        options = self.options
+    def _fusion_feedback(self, graph: Graph,
+                         fused: Dict[Tuple, DataflowGraph]):
+        """Objective feedback used by the black-box tiling exploration.
+
+        The fused graph depends only on the space's layout (see
+        ``TilingSpace.layout``), so each distinct layout is converted,
+        verified and fused once; ``fused`` keeps the graph of every layout
+        for the rest of the compile, and trials sharing a layout share its
+        feedback.
+        """
+        c_max = self.options.fusion_c_max_bytes
 
         def feedback(space: TilingSpace) -> Dict[str, float]:
-            dataflow = convert_to_dataflow(graph, space.to_configs())
-            fuse_kernels(dataflow, options.fusion_c_max_bytes)
+            layout = space.layout()
+            dataflow = fused.get(layout)
+            if dataflow is None:
+                dataflow = convert_to_dataflow(graph, space.to_configs())
+                fuse_kernels(dataflow, c_max)
+                fused[layout] = dataflow
             return {
                 "converter_bytes": dataflow.converter_bytes(),
                 "stream_edges": float(len(dataflow.stream_edges())),

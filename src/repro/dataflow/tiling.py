@@ -44,9 +44,14 @@ class TilingConfig:
     unroll_factor: int = 1
     vector_width: int = 1
 
-    def normalized(self, op: LinalgOp) -> "TilingConfig":
-        """Clamp tile sizes to loop bounds and fill defaults."""
-        bounds = op.loop_bounds()
+    def normalized(self, op: LinalgOp,
+                   bounds: Optional[Sequence[int]] = None) -> "TilingConfig":
+        """Clamp tile sizes to loop bounds and fill defaults.
+
+        ``bounds`` are the op's loop bounds, inferred when omitted.
+        """
+        if bounds is None:
+            bounds = op.loop_bounds()
         sizes = list(self.tile_sizes)
         if len(sizes) < len(bounds):
             sizes = sizes + [sizes[-1] if sizes else 1] * (len(bounds) - len(sizes))
@@ -99,10 +104,15 @@ class TiledOp:
         return math.prod(self.loop_tripcounts) if self.loop_tripcounts else 1
 
 
-def tile_op(op: LinalgOp, config: TilingConfig) -> TiledOp:
-    """Tile a structured op and infer all boundary itensor types."""
-    config = config.normalized(op)
-    bounds = op.loop_bounds()
+def tile_op(op: LinalgOp, config: TilingConfig,
+            bounds: Optional[Sequence[int]] = None) -> TiledOp:
+    """Tile a structured op and infer all boundary itensor types.
+
+    ``bounds`` are the op's loop bounds, inferred when omitted.
+    """
+    if bounds is None:
+        bounds = op.loop_bounds()
+    config = config.normalized(op, bounds)
     tile_sizes = config.tile_sizes
     loop_dims = list(config.permutation or range(op.num_loops))
 
@@ -130,17 +140,25 @@ def tile_op(op: LinalgOp, config: TilingConfig) -> TiledOp:
                    tile_iterations=tile_iterations)
 
 
-def default_tiling(op: LinalgOp, default_tile_size: int = 16) -> TilingConfig:
-    """The paper's naive tiling: one hyperparameter applied to all dims."""
-    bounds = op.loop_bounds()
-    return TilingConfig([min(default_tile_size, b) for b in bounds]).normalized(op)
+def default_tiling(op: LinalgOp, default_tile_size: int = 16,
+                   bounds: Optional[Sequence[int]] = None) -> TilingConfig:
+    """The paper's naive tiling: one hyperparameter applied to all dims.
+
+    ``bounds`` are the op's loop bounds, inferred when omitted.
+    """
+    if bounds is None:
+        bounds = op.loop_bounds()
+    return TilingConfig([min(default_tile_size, b) for b in bounds]).normalized(
+        op, bounds)
 
 
 def tile_graph(ops: Sequence[LinalgOp],
                configs: Dict[str, TilingConfig]) -> Dict[str, TiledOp]:
-    """Tile every op in a graph with its per-op config (or a default)."""
+    """Tile every op in a graph with its per-op config (or a default),
+    inferring each op's loop bounds once."""
     tiled: Dict[str, TiledOp] = {}
     for op in ops:
-        config = configs.get(op.name) or default_tiling(op)
-        tiled[op.name] = tile_op(op, config)
+        bounds = op.loop_bounds()
+        config = configs.get(op.name) or default_tiling(op, bounds=bounds)
+        tiled[op.name] = tile_op(op, config, bounds)
     return tiled

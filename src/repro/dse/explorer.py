@@ -39,10 +39,15 @@ class StudyResult:
     trials: List[Trial] = field(default_factory=list)
 
     @property
-    def best_trial(self) -> Trial:
+    def best_index(self) -> int:
+        """Position of the best trial: the first one with the least objective."""
         if not self.trials:
             raise ValueError("the study has no completed trials")
-        return min(self.trials, key=lambda t: t.objective)
+        return min(range(len(self.trials)), key=lambda i: self.trials[i].objective)
+
+    @property
+    def best_trial(self) -> Trial:
+        return self.trials[self.best_index]
 
     @property
     def best_params(self) -> Dict[str, int]:
@@ -117,12 +122,14 @@ class BlackBoxOptimizer:
             candidates = self._exhaustive()
         else:
             candidates = self._grid(n_trials)
+            keys = {tuple(sorted(c.items())) for c in candidates}
             attempts = 0
             while len(candidates) < n_trials and attempts < 50 * n_trials:
                 attempts += 1
                 point = self._random_point()
                 key = tuple(sorted(point.items()))
-                if key not in {tuple(sorted(c.items())) for c in candidates}:
+                if key not in keys:
+                    keys.add(key)
                     candidates.append(point)
 
         for params in candidates[:n_trials]:
@@ -152,8 +159,12 @@ def build_tiling_space(graph: Graph, default_tile_size: int,
     intensity-driven unrolling, then vectorisation inference and the
     permutation heuristic.
     """
-    space = TilingSpace.from_graph(graph, default_tile_size=default_tile_size,
-                                   overall_unroll_size=overall_unroll_size)
+    return _populate(TilingSpace.from_graph(
+        graph, default_tile_size=default_tile_size,
+        overall_unroll_size=overall_unroll_size))
+
+
+def _populate(space: TilingSpace) -> TilingSpace:
     space.apply_naive_tiling()
     intensity_driven_unrolling(space)
     space.infer_vectorization()
@@ -173,24 +184,33 @@ def explore_tiling_space(graph: Graph,
     the fused design's converter memory exceeds the on-chip budget (the case
     the paper feeds back to the tiling space for refinement).
 
+    Each op's loop bounds are inferred once for the whole study; every
+    trial builds its space over them.
+
     Args:
         graph: Linalg graph to tile.
         fusion_feedback: Callable evaluating a candidate tiling space and
-            returning at least ``{"converter_bytes": ...}``.
+            returning at least ``{"converter_bytes": ...}``.  It must not
+            mutate the space: the best trial's space is returned as it was
+            evaluated.
         search_space: Optional custom hyperparameter grid.
         n_trials: Exploration budget.
         memory_budget_bytes: On-chip memory budget used in the penalty.
         seed: RNG seed.
 
     Returns:
-        The tiling space built from the best parameters, and the study result.
+        The best trial's own tiling space (the first trial with the least
+        objective), and the study result.
     """
     space_grid = search_space or default_search_space()
     optimizer = BlackBoxOptimizer(space_grid, seed=seed)
+    base = TilingSpace.from_graph(graph)
+    spaces: List[TilingSpace] = []
 
     def objective(params: Dict[str, int]) -> Tuple[float, Dict[str, float]]:
-        space = build_tiling_space(graph, params["default_tile_size"],
-                                   params["overall_unroll_size"])
+        space = _populate(base.fresh(params["default_tile_size"],
+                                     params["overall_unroll_size"]))
+        spaces.append(space)
         feedback = fusion_feedback(space)
         latency = space.total_latency_estimate()
         converter_bytes = feedback.get("converter_bytes", 0.0)
@@ -200,7 +220,4 @@ def explore_tiling_space(graph: Graph,
         return latency + penalty, feedback
 
     study = optimizer.optimize(objective, n_trials=n_trials)
-    best = study.best_params
-    best_space = build_tiling_space(graph, best["default_tile_size"],
-                                    best["overall_unroll_size"])
-    return best_space, study
+    return spaces[study.best_index], study

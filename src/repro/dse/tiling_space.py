@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 from repro.dataflow.tiling import TilingConfig, _largest_divisor
 from repro.ir.graph import Graph
@@ -42,15 +42,16 @@ class KernelNode:
     #: Intra-tile pipeline loop order from the reduction-outward heuristic;
     #: it only affects the achievable pipeline II, not the stream layout.
     permutation: Optional[List[int]] = None
+    #: Total scalar operations of the kernel (latency proxy), derived once
+    #: from ``loop_bounds``.
+    work: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.work = math.prod(self.loop_bounds) * self.op.flops_per_iteration
 
     @property
     def name(self) -> str:
         return self.op.name
-
-    @property
-    def work(self) -> int:
-        """Total scalar operations of the kernel (latency proxy)."""
-        return self.op.flops()
 
     def latency_estimate(self) -> float:
         """Cycles assuming ``unroll_factor``-way spatial parallelism."""
@@ -94,6 +95,28 @@ class TilingSpace:
             ))
         return TilingSpace(nodes=nodes, default_tile_size=default_tile_size,
                            overall_unroll_size=overall_unroll_size)
+
+    def fresh(self, default_tile_size: int,
+              overall_unroll_size: int) -> "TilingSpace":
+        """An unexplored space over the same ops with new hyperparameters.
+
+        The new nodes share each op's loop bounds and loop types (read-only)
+        instead of inferring them again.
+        """
+        nodes = [KernelNode(op=node.op, loop_bounds=node.loop_bounds,
+                            loop_types=node.loop_types) for node in self.nodes]
+        return TilingSpace(nodes=nodes, default_tile_size=default_tile_size,
+                           overall_unroll_size=overall_unroll_size)
+
+    def layout(self) -> Tuple:
+        """Each kernel's tile sizes and tile-loop order.
+
+        This is all of the space that the Linalg-to-dataflow conversion
+        turns into itensor types; unroll factors and vector widths only
+        become kernel attributes.
+        """
+        return tuple((tuple(node.tile_sizes), tuple(node.tile_loop_order or ()))
+                     for node in self.nodes)
 
     def node(self, name: str) -> KernelNode:
         for node in self.nodes:

@@ -35,6 +35,22 @@ class IteratorType(Enum):
 
 _VALUE_COUNTER = itertools.count()
 
+#: Operations per loop-nest point of the op kinds that do more than one.
+_FLOPS_PER_ITERATION = {
+    "matmul": 2,
+    "batch_matmul": 2,
+    "head_projection": 2,
+    "attention_scores": 2,
+    "attention_context": 2,
+    "output_projection": 2,
+    "softmax": 5,
+    "layer_norm": 8,
+    "rms_norm": 6,
+    "gelu": 10,
+    "silu": 6,
+    "rotary": 6,
+}
+
 
 @dataclass(eq=False)
 class Value:
@@ -164,24 +180,14 @@ class LinalgOp:
     def iteration_count(self) -> int:
         return math.prod(self.loop_bounds()) if self.num_loops else 1
 
+    @property
+    def flops_per_iteration(self) -> int:
+        """Floating point / MAC operations in one point of the loop nest."""
+        return _FLOPS_PER_ITERATION.get(self.kind, 1)
+
     def flops(self) -> int:
         """Approximate floating point / MAC operation count."""
-        iters = self.iteration_count()
-        per_iter = {
-            "matmul": 2,
-            "batch_matmul": 2,
-            "head_projection": 2,
-            "attention_scores": 2,
-            "attention_context": 2,
-            "output_projection": 2,
-            "softmax": 5,
-            "layer_norm": 8,
-            "rms_norm": 6,
-            "gelu": 10,
-            "silu": 6,
-            "rotary": 6,
-        }.get(self.kind, 1)
-        return iters * per_iter
+        return self.iteration_count() * self.flops_per_iteration
 
     def bytes_accessed(self) -> float:
         """Total external-memory bytes if every operand went off-chip."""

@@ -1,0 +1,167 @@
+"""The tiling exploration converts each distinct layout once.
+
+Trials whose spaces share a layout (each op's tile sizes and tile-loop
+order) share one converted and fused graph, and the winner's graph is the
+one Stage 3 continues with.  The tests hold that this memo changes nothing
+the study sees: each trial's feedback equals a fresh conversion of its own
+space, and every study matches the one recorded before the memo existed.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro import CompilerOptions, StreamTensorCompiler
+from repro.compiler import pipeline
+from repro.dataflow.conversion import convert_to_dataflow
+from repro.dataflow.fusion import fuse_kernels
+from repro.ir.builder import GraphBuilder
+from repro.ir.dtypes import INT8
+
+#: (default_tile_size, overall_unroll_size, objective, converter_bytes,
+#: stream_edges) of every trial, in evaluation order, recorded by compiling
+#: each block before trials shared their conversions.
+PINNED_STUDIES = {
+    ('gpt2', 'prefill'): [
+        (4, 8, 2628293193.142857, 2148352.0, 14.0),
+        (64, 256, 49794876.952380955, 3407872.0, 14.0),
+        (16, 64, 202787108.57142857, 2424832.0, 14.0),
+        (32, 64, 202787108.57142857, 2752512.0, 14.0),
+        (4, 32, 404113700.57142854, 2148352.0, 14.0),
+        (64, 64, 202787108.57142857, 3407872.0, 14.0),
+    ],
+    ('gpt2', 'decode'): [
+        (4, 8, 10209499.42857143, 19456.0, 14.0),
+        (64, 256, 184619.22077922078, 18432.0, 14.0),
+        (16, 64, 734866.2857142857, 22528.0, 14.0),
+        (32, 64, 734866.2857142857, 22528.0, 14.0),
+        (4, 32, 1521298.2857142857, 19456.0, 14.0),
+        (64, 64, 734866.2857142857, 18432.0, 14.0),
+    ],
+    ('qwen', 'prefill'): [
+        (4, 8, 2694848030.117647, 1893376.0, 18.0),
+        (64, 256, 51249152.0, 3260416.0, 18.0),
+        (16, 64, 275659836.2352941, 2191360.0, 18.0),
+        (32, 64, 275659836.2352941, 2547712.0, 18.0),
+        (4, 32, 698647170.509804, 1893376.0, 18.0),
+        (64, 64, 275659836.2352941, 3260416.0, 18.0),
+    ],
+    ('qwen', 'decode'): [
+        (4, 8, 10485481.411764706, 20992.0, 18.0),
+        (64, 256, 198907.7761836442, 20480.0, 18.0),
+        (16, 64, 1035527.5294117647, 24064.0, 18.0),
+        (32, 64, 1035527.5294117647, 24064.0, 18.0),
+        (4, 32, 2687821.8039215687, 20992.0, 18.0),
+        (64, 64, 1035527.5294117647, 20480.0, 18.0),
+    ],
+    ('llama', 'prefill'): [
+        (4, 8, 7264889193.411764, 4313088.0, 18.0),
+        (64, 256, 195266439.52941176, 6750208.0, 18.0),
+        (16, 64, 736907344.3137255, 4833280.0, 18.0),
+        (32, 64, 736907344.3137255, 5472256.0, 18.0),
+        (4, 32, 1884337332.7058823, 4313088.0, 18.0),
+        (64, 64, 736907344.3137255, 6750208.0, 18.0),
+    ],
+    ('llama', 'decode'): [
+        (4, 8, 28284144.94117647, 39936.0, 18.0),
+        (64, 256, 714691.7647058824, 35840.0, 18.0),
+        (16, 64, 2784215.843137255, 44032.0, 18.0),
+        (32, 64, 2784215.843137255, 44032.0, 18.0),
+        (4, 32, 7266364.235294118, 39936.0, 18.0),
+        (64, 64, 2784215.843137255, 35840.0, 18.0),
+    ],
+    ('gemma', 'prefill'): [
+        (4, 8, 4914551386.3529415, 2450432.0, 18.0),
+        (64, 256, 89513502.11764705, 3817472.0, 18.0),
+        (16, 64, 462976180.7058824, 2723840.0, 18.0),
+        (32, 64, 462976180.7058824, 3088384.0, 18.0),
+        (4, 32, 1267357334.5882354, 2450432.0, 18.0),
+        (64, 64, 462976180.7058824, 3817472.0, 18.0),
+    ],
+    ('gemma', 'decode'): [
+        (4, 8, 19145197.17647059, 30464.0, 18.0),
+        (64, 256, 348435.4027149321, 28160.0, 18.0),
+        (16, 64, 1756231.5294117648, 30464.0, 18.0),
+        (32, 64, 1756231.5294117648, 30464.0, 18.0),
+        (4, 32, 4898345.411764706, 30464.0, 18.0),
+        (64, 64, 1756231.5294117648, 28160.0, 18.0),
+    ],
+}
+
+BLOCKS = sorted(PINNED_STUDIES)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_study_matches_pinned(zoo_explorations, block):
+    study = zoo_explorations[block]["study"]
+    rows = [(t.params["default_tile_size"], t.params["overall_unroll_size"],
+             t.objective, t.feedback["converter_bytes"],
+             t.feedback["stream_edges"]) for t in study.trials]
+    assert rows == PINNED_STUDIES[block]
+    assert study.best_params == {"default_tile_size": 64,
+                                 "overall_unroll_size": 256}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_feedback_equals_a_fresh_conversion(zoo_explorations, block):
+    recorded = zoo_explorations[block]
+    graph = recorded["compiled"].linalg_graph
+    c_max = CompilerOptions().fusion_c_max_bytes
+    for space, feedback in recorded["trials"]:
+        fresh = convert_to_dataflow(graph, space.to_configs())
+        fuse_kernels(fresh, c_max)
+        assert feedback == {
+            "converter_bytes": fresh.converter_bytes(),
+            "stream_edges": float(len(fresh.stream_edges())),
+        }
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_one_conversion_per_distinct_layout(zoo_explorations, block):
+    recorded = zoo_explorations[block]
+    layouts = {space.layout() for space, _feedback in recorded["trials"]}
+    assert len(recorded["trials"]) == 6
+    assert len(layouts) == 4
+    # Stage 3 takes the winner's graph instead of converting again.
+    assert recorded["conversions"] == len(layouts)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_compiled_space_is_the_best_trials_own(zoo_explorations, block):
+    recorded = zoo_explorations[block]
+    best_index = recorded["study"].best_index
+    assert recorded["compiled"].tiling_space is recorded["trials"][best_index][0]
+
+
+def test_winner_sharing_an_earlier_layout_gets_its_own_parallelism(
+        monkeypatch):
+    """Every dim of this graph is 4, so all trials share one layout: the
+    graph converted for the first trial must carry the winner's unroll
+    factors, exactly as a compile with the winner's parameters does."""
+    builder = GraphBuilder("small")
+    x = builder.input((4, 4), INT8)
+    w = builder.weight((4, 4), INT8)
+    builder.output(builder.gelu(builder.matmul(x, w)))
+    graph = builder.build()
+
+    conversions = []
+    convert = pipeline.convert_to_dataflow
+    monkeypatch.setattr(pipeline, "convert_to_dataflow",
+                        lambda *args: conversions.append(args) or convert(*args))
+    explored = StreamTensorCompiler(
+        CompilerOptions(explore_tiling=True)).compile(graph)
+    assert len(conversions) == 1
+
+    best = explored.tiling_space
+    assert best.overall_unroll_size > 8  # the first trial's unroll budget
+    direct = StreamTensorCompiler(CompilerOptions(
+        default_tile_size=best.default_tile_size,
+        overall_unroll_size=best.overall_unroll_size)).compile(graph)
+    for kernel in explored.dataflow_graph.kernels:
+        node = best.node(kernel.name)
+        assert kernel.attributes["unroll_factor"] == node.unroll_factor
+        assert kernel.attributes["vector_width"] == node.vector_width
+        assert kernel.attributes["tiled"].config == node.to_config()
+    assert explored.hls.source == direct.hls.source
+    assert (replace(explored.report, stage_seconds={})
+            == replace(direct.report, stage_seconds={}))

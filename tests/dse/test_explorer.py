@@ -4,6 +4,8 @@ import pytest
 
 from repro.dse.explorer import (
     BlackBoxOptimizer,
+    StudyResult,
+    Trial,
     build_tiling_space,
     default_search_space,
     explore_tiling_space,
@@ -47,9 +49,14 @@ class TestBlackBoxOptimizer:
         assert [t.params for t in first.trials] == [t.params for t in second.trials]
 
     def test_no_trials_raises_on_best(self):
-        from repro.dse.explorer import StudyResult
         with pytest.raises(ValueError):
             StudyResult().best_trial
+
+    def test_best_is_the_first_least_objective(self):
+        study = StudyResult([Trial({"x": x}, objective)
+                             for x, objective in enumerate([3.0, 1.0, 2.0, 1.0])])
+        assert study.best_index == 1
+        assert study.best_trial is study.trials[1]
 
 
 class TestSearchSpace:
@@ -100,3 +107,35 @@ class TestExploreTilingSpace:
         best, _study = explore_tiling_space(graph, feedback, n_trials=6,
                                             memory_budget_bytes=1e6, seed=0)
         assert best.default_tile_size < 64
+
+    def test_returns_the_best_trials_own_space(self):
+        evaluated = []
+
+        def feedback(space):
+            evaluated.append(space)
+            return {"converter_bytes": 0.0}
+
+        best, study = explore_tiling_space(small_graph(), feedback,
+                                           n_trials=6, seed=0)
+        assert len(evaluated) == len(study.trials)
+        assert best is evaluated[study.best_index]
+        assert (best.default_tile_size, best.overall_unroll_size) == (
+            study.best_params["default_tile_size"],
+            study.best_params["overall_unroll_size"])
+
+    def test_tie_keeps_the_first_minimum(self):
+        # Tiles of 64 and 128 both clamp to the 64-wide loops: two equal
+        # spaces, two equal objectives.
+        evaluated = []
+
+        def feedback(space):
+            evaluated.append(space)
+            return {"converter_bytes": 0.0}
+
+        best, study = explore_tiling_space(
+            small_graph(), feedback,
+            search_space={"default_tile_size": [64, 128],
+                          "overall_unroll_size": [32]}, n_trials=2)
+        assert study.trials[0].objective == study.trials[1].objective
+        assert best is evaluated[0]
+        assert study.best_params["default_tile_size"] == 64

@@ -77,3 +77,28 @@ class TestTilingSpace:
         space = TilingSpace.from_graph(two_matmul_graph())
         assert space.total_latency_estimate() > 0
         assert TilingSpace(nodes=[]).total_latency_estimate() == 0.0
+
+    def test_work_is_the_ops_flops(self):
+        for node in TilingSpace.from_graph(two_matmul_graph()).nodes:
+            assert node.work == node.op.flops()
+
+    def test_fresh_space_shares_bounds_and_drops_decisions(self):
+        space = TilingSpace.from_graph(two_matmul_graph())
+        space.apply_naive_tiling()
+        fresh = space.fresh(default_tile_size=8, overall_unroll_size=32)
+        assert (fresh.default_tile_size, fresh.overall_unroll_size) == (8, 32)
+        for old, new in zip(space.nodes, fresh.nodes):
+            assert new.op is old.op
+            assert new.loop_bounds is old.loop_bounds
+            assert new.work == old.work
+            assert new.tile_sizes == [] and new.unroll_factor == 1
+
+    def test_layout_ignores_unroll_and_vector_width(self):
+        space = TilingSpace.from_graph(two_matmul_graph(), default_tile_size=16)
+        space.apply_naive_tiling()
+        layout = space.layout()
+        space.nodes[0].unroll_factor = 8
+        space.nodes[0].vector_width = 4
+        assert space.layout() == layout
+        space.nodes[0].tile_loop_order = [1, 0, 2]
+        assert space.layout() != layout
