@@ -70,10 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                 help="KV-cache length for decode mode")
     compile_parser.add_argument("--platform", choices=sorted(FPGA_PLATFORMS),
                                 default="u55c")
-    compile_parser.add_argument("--tile-size", type=int, default=16)
-    compile_parser.add_argument("--unroll", type=int, default=128)
+    compile_parser.add_argument("--tile-size", type=int, default=None,
+                                help="tile size of every loop (default 16)")
+    compile_parser.add_argument("--unroll", type=int, default=None,
+                                help="total unroll budget (default 128)")
     compile_parser.add_argument("--explore", action="store_true",
-                                help="run the black-box tiling exploration")
+                                help="run the black-box tiling exploration, "
+                                     "which picks --tile-size and --unroll")
     compile_parser.add_argument("--out", type=Path, default=None,
                                 help="directory to write artefacts into")
 
@@ -293,17 +296,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_compile(args: argparse.Namespace) -> int:
+    for flag, value in (("--seq-len", args.seq_len), ("--kv-len", args.kv_len),
+                        ("--tile-size", args.tile_size),
+                        ("--unroll", args.unroll)):
+        if value is not None and value < 1:
+            print(f"compile: {flag} must be at least 1, got {value}",
+                  file=sys.stderr)
+            return 2
+    if args.explore and (args.tile_size is not None or args.unroll is not None):
+        print("compile: --explore picks the tile size and unroll budget; "
+              "drop --tile-size/--unroll", file=sys.stderr)
+        return 2
     config = get_model_config(args.model)
     if args.mode == "decode":
         graph = build_decode_block(config, kv_len=args.kv_len)
     else:
         graph = build_prefill_block(config, args.seq_len)
 
+    sizes = {name: value for name, value in (
+        ("default_tile_size", args.tile_size),
+        ("overall_unroll_size", args.unroll)) if value is not None}
     options = CompilerOptions(
         platform=FPGA_PLATFORMS[args.platform],
-        default_tile_size=args.tile_size,
-        overall_unroll_size=args.unroll,
         explore_tiling=args.explore,
+        **sizes,
     )
     result = StreamTensorCompiler(options).compile(graph, config)
     print(result.report)

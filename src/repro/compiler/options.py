@@ -47,6 +47,14 @@ class CompilerOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("default_tile_size", "overall_unroll_size",
+                     "exploration_trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
+        if not 0.0 < self.fusion_memory_fraction <= 1.0:
+            raise ValueError("fusion_memory_fraction must be in (0, 1], "
+                             f"got {self.fusion_memory_fraction}")
         dies = self.platform.num_dies
         if self.num_dies is not None and not 1 <= self.num_dies <= dies:
             raise ValueError(f"num_dies must be in 1..{dies} for "

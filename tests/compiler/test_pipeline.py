@@ -128,3 +128,21 @@ class TestCompilerOptions:
     def test_num_dies_outside_the_platform_rejected(self, num_dies):
         with pytest.raises(ValueError, match="num_dies must be in 1..3"):
             CompilerOptions(num_dies=num_dies)
+
+    @pytest.mark.parametrize("field", ["default_tile_size",
+                                       "overall_unroll_size",
+                                       "exploration_trials"])
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_non_positive_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            CompilerOptions(**{field: value})
+
+    @pytest.mark.parametrize("fraction", [0.0, -1.0, 1.5])
+    def test_fusion_memory_fraction_outside_unit_interval_rejected(
+            self, fraction):
+        with pytest.raises(ValueError, match="fusion_memory_fraction"):
+            CompilerOptions(fusion_memory_fraction=fraction)
+
+    def test_whole_onchip_memory_is_a_valid_fusion_budget(self):
+        assert CompilerOptions(fusion_memory_fraction=1.0).fusion_c_max_bytes \
+            == pytest.approx(41e6)

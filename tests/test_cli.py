@@ -31,6 +31,35 @@ class TestCompileCommand:
         with pytest.raises(SystemExit):
             main(["compile", "--model", "opt"])
 
+    @pytest.mark.parametrize("flags", [["--tile-size", "0"], ["--unroll", "-3"],
+                                       ["--mode", "prefill", "--seq-len", "0"],
+                                       ["--kv-len", "0"]])
+    def test_non_positive_size_rejected(self, flags, capsys):
+        assert main(["compile", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"{flags[-2]} must be at least 1" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--tile-size", "--unroll"])
+    def test_explore_rejects_explicit_sizes(self, flag, capsys):
+        assert main(["compile", "--explore", flag, "8"]) == 2
+        assert "--explore picks" in capsys.readouterr().err
+
+    def test_explicit_sizes_reach_the_tiling_space(self, monkeypatch):
+        from repro import cli
+        seen = {}
+        compile_block = cli.StreamTensorCompiler.compile
+
+        def capture(self, graph, config=None):
+            seen["options"] = self.options
+            return compile_block(self, graph, config)
+
+        monkeypatch.setattr(cli.StreamTensorCompiler, "compile", capture)
+        assert main(["compile", "--kv-len", "16", "--tile-size", "8",
+                     "--unroll", "32"]) == 0
+        assert (seen["options"].default_tile_size,
+                seen["options"].overall_unroll_size) == (8, 32)
+
 
 class TestServeSimCommand:
     def test_serves_poisson_workload(self, capsys):
