@@ -198,8 +198,8 @@ class StreamTensorCompiler:
         The fused graph depends only on the space's layout (see
         ``TilingSpace.layout``), so each distinct layout is converted,
         verified and fused once; ``fused`` keeps the graph of every layout
-        for the rest of the compile, and trials sharing a layout share its
-        feedback.
+        until Stage 3 of the same compile takes the winner's, and trials
+        sharing a layout share its feedback.
         """
         c_max = self.options.fusion_c_max_bytes
 
