@@ -1,6 +1,19 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and the pin ledger.
+
+Every recorded sha256 the suite checks lives in ``tests/pins.json``, keyed
+``"<test file>::<case>"`` with the file relative to ``tests/``.  A test
+checks a digest through the :func:`pin` fixture, always by strict
+equality.  ``pytest --regen-pins`` instead records what each check
+computed, rewrites the ledger and prints the keys that moved; CI never
+passes it, so a moved digest fails CI until a commit re-pins it on
+purpose.
+"""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Dict, Set
 
 import pytest
 
@@ -62,3 +75,107 @@ def gpt2_compiled(gpt2_decode_graph):
     """A full compilation of the GPT-2 decode block (shared across tests)."""
     compiler = StreamTensorCompiler(CompilerOptions())
     return compiler.compile(gpt2_decode_graph, GPT2)
+
+
+# ----------------------------------------------------------------------
+# Pin ledger
+# ----------------------------------------------------------------------
+TESTS_DIR = Path(__file__).resolve().parent
+PINS_PATH = TESTS_DIR / "pins.json"
+
+
+class PinLedger:
+    """The recorded digests of ``tests/pins.json`` and, under
+    ``--regen-pins``, the digests this run computed in their place."""
+
+    def __init__(self, path: Path, regen: bool) -> None:
+        self.path = path
+        self.regen = regen
+        self.recorded: Dict[str, str] = json.loads(path.read_text())
+        self.observed: Dict[str, str] = {}
+
+    def check(self, key: str, actual: str) -> None:
+        if self.regen:
+            self.observed[key] = actual
+            return
+        assert key in self.recorded, (
+            f"{key}: no digest recorded in tests/pins.json "
+            "(record it with pytest --regen-pins)")
+        assert actual == self.recorded[key], (
+            f"{key}: digest moved to {actual} "
+            f"(recorded {self.recorded[key]})")
+
+    def moved(self) -> list:
+        """Observed keys whose digest differs from (or is missing in) the
+        recorded ledger, sorted."""
+        return sorted(key for key, digest in self.observed.items()
+                      if self.recorded.get(key) != digest)
+
+    def write(self) -> None:
+        merged = {**self.recorded, **self.observed}
+        self.path.write_text(
+            json.dumps(dict(sorted(merged.items())), indent=2) + "\n")
+
+
+class FilePins:
+    """One test file's view of the ledger: ``pin(case, digest)`` checks
+    the key ``"<file>::<case>"``."""
+
+    def __init__(self, ledger: PinLedger, file: str) -> None:
+        self.ledger = ledger
+        self.prefix = f"{file}::"
+
+    def __call__(self, case: str, actual: str) -> None:
+        self.ledger.check(self.prefix + case, actual)
+
+    @property
+    def regen(self) -> bool:
+        """Whether this run rewrites the ledger (tests then skip checks
+        that the recorded case set matches what they compute)."""
+        return self.ledger.regen
+
+    @property
+    def cases(self) -> Set[str]:
+        """The case names recorded for this file."""
+        return {key[len(self.prefix):] for key in self.ledger.recorded
+                if key.startswith(self.prefix)}
+
+
+_LEDGER = pytest.StashKey[PinLedger]()
+
+
+def pytest_addoption(parser: pytest.Parser) -> None:
+    parser.addoption(
+        "--regen-pins", action="store_true", default=False,
+        help="rewrite tests/pins.json with the digests this run computes "
+             "and print the keys that moved")
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    config.stash[_LEDGER] = PinLedger(PINS_PATH,
+                                      config.getoption("--regen-pins"))
+
+
+def pytest_sessionfinish(session: pytest.Session) -> None:
+    ledger = session.config.stash.get(_LEDGER, None)
+    if ledger is not None and ledger.regen:
+        ledger.write()
+
+
+def pytest_terminal_summary(terminalreporter, config: pytest.Config) -> None:
+    ledger = config.stash.get(_LEDGER, None)
+    if ledger is None or not ledger.regen:
+        return
+    moved = ledger.moved()
+    terminalreporter.write_line(
+        f"pin ledger: {len(ledger.observed)} key(s) checked, "
+        f"{len(moved)} moved")
+    for key in moved:
+        terminalreporter.write_line(f"  moved: {key}")
+
+
+@pytest.fixture
+def pin(request: pytest.FixtureRequest) -> FilePins:
+    """Check a digest against the ledger entry of the calling test file."""
+    file = request.node.path.resolve().relative_to(TESTS_DIR).as_posix()
+    return FilePins(request.config.stash[_LEDGER], file)

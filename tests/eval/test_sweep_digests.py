@@ -3,9 +3,10 @@ traces, one sweep per config axis (policy stack, fleet shape, prefill/decode
 split, class-mix scheduler stack, KV capacity).
 
 Every point's ``json.dumps(report.to_dict(), sort_keys=True)`` is pinned to
-a recorded sha256.  The digests were recorded with the per-axis sweep
-functions ``run_sweep`` replaced, called with the same constructor
-arguments, so they prove the port moved no report byte.
+a recorded sha256 in ``tests/pins.json``, keyed ``<sweep>/<label>``.  The
+digests were recorded with the per-axis sweep functions ``run_sweep``
+replaced, called with the same constructor arguments, so they prove the
+port moved no report byte.
 """
 
 import dataclasses
@@ -107,43 +108,8 @@ def capacity():
     })
 
 
-SWEEP_SHA256 = {
-    policy: [
-        "a5970f6b3a8272f2c4757b8596e0a7c0bb5d2cf17fe3a09385ca38a08695024e",
-        "42d2aab3681c105070ba41d6a51492ba13c120e09b464f8c25107a815333bbe3",
-        "0c4e909c8c2d34620c437823fd58d9393a349d345a66122e04f3e4e353ec8c57",
-        "a785ef5f62d6cdc6d85813df32a882f0e8e635416d315e3e841c29d8170c27a7",
-        "32160e7c2e6abbb51b923d1432d3c2e01bcc6247b59e57fc003e4bed644db838",
-        "3dfe42d32db039e4314d86b8e0200c476855362a63f7396a0e9a79bd90ce62c7",
-    ],
-    policy_unmanaged: [
-        "14f9ba440fe0c01b26c9ec8017e24162140730c229b6b560015279c209ec2edd",
-    ],
-    cluster: [
-        "a69dfdcdd1fe40c6ee158e1fcb2e98d0ef323ebc7bf0e07d4d892a803d80d9df",
-        "b6a241bdb3e76b9a09cde23419a4af0678710089d9921bd058b2ed53f01a3e2c",
-        "e349c17f2ecfe7e969e22c591cc6c52015213015f3e4a782b98366b44d0d4090",
-        "5a40c631e0790c3ca409e65a11ce33ed2181b69eddf869d5210404c1fc13b14d",
-    ],
-    cluster_autoscaled: [
-        "3abeb2e84c73a972e58829e27c5afb07e92354a85833e2d4dc0db1f5a66c5e70",
-    ],
-    disaggregation: [
-        "f34eca404642303d67e36c62f01120f306a37a4ac8c16792b99ffe2828e9da2a",
-        "9df354fca8e25ec586e89de77e9fba9e55ada7cceba48879e99e0ebc8f98e93f",
-        "88613141435dd67151c513430faba50bb1818b9f3617eed39d8209bf9649ebf5",
-    ],
-    class_mix: [
-        "8cdfae6039fb879c526678103feb618b0619710db3e5dc1b75d09087e7896be7",
-        "f3bb49992bb513a1afe723cb216b78c0e52270b0c4b1e4ccddccee4b61930486",
-        "9a4fd2a4648d05d08356f4caf7ae5e424a9ec553dc1081eec4fe973f866049de",
-    ],
-    capacity: [
-        "278892ac80f67400e42e589ab5f8e4bf2109e7aed52de79be89956706fcd9478",
-        "816cd504d025e1b4a40ec67633ac59de454a84de535e582aef183ccd83a3a318",
-        "909a193b7423a2921cecde51fa8f5bd010fec128a5404579e4e7b615bd13196e",
-    ],
-}
+SWEEPS = (policy, policy_unmanaged, cluster, cluster_autoscaled,
+          disaggregation, class_mix, capacity)
 
 
 def digest(report) -> str:
@@ -151,7 +117,12 @@ def digest(report) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("sweep", list(SWEEP_SHA256),
-                         ids=lambda sweep: sweep.__name__)
-def test_sweep_digests_pinned(sweep):
-    assert [digest(p.report) for p in sweep()] == SWEEP_SHA256[sweep]
+@pytest.mark.parametrize("sweep", SWEEPS, ids=lambda sweep: sweep.__name__)
+def test_sweep_digests_pinned(sweep, pin):
+    points = sweep()
+    cases = [f"{sweep.__name__}/{point.label}" for point in points]
+    recorded = {case for case in pin.cases
+                if case.startswith(f"{sweep.__name__}/")}
+    assert pin.regen or sorted(cases) == sorted(recorded)
+    for case, point in zip(cases, points):
+        pin(case, digest(point.report))

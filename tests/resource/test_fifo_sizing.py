@@ -166,7 +166,7 @@ class TestDelayLpPinned:
     kernel's consumers, at most 64 paths per pair.  The digests were taken
     from the networkx-built LP."""
 
-    def test_random_dags(self, monkeypatch):
+    def test_random_dags(self, monkeypatch, pin):
         lps = []
         linprog = scipy.optimize.linprog
 
@@ -177,14 +177,13 @@ class TestDelayLpPinned:
         monkeypatch.setattr(scipy.optimize, "linprog", capture)
         for seed in range(200):
             solve_delays(*random_sizing_case(seed))
-        assert lp_digest(lps) == ("000448e521caa941cbf2912a494950cc"
-                                   "1d72626a369ce5adb3f236de1f0220ac")
+        pin("TestDelayLpPinned/random_dags", lp_digest(lps))
 
-    def test_zoo_blocks(self, zoo_allocations):
+    def test_zoo_blocks(self, zoo_allocations, pin):
         blocks = list(zoo_allocations.values())
-        assert lp_digest([block["lp"] for block in blocks]) == (
-            "20d05920fff64fb2e6ebe0b6c0a3513ce3cb1759d86305502375a2c0814aa9e1")
+        pin("TestDelayLpPinned/zoo_lp_rows",
+            lp_digest([block["lp"] for block in blocks]))
         depths = [sorted(block["compiled"].fifo_sizing.depths.items())
                   for block in blocks]
-        assert hashlib.sha256(repr(depths).encode()).hexdigest() == (
-            "146e7c682d919ceabd05d8429c5bc718708dc61442db0c626c73887c3512f4bc")
+        pin("TestDelayLpPinned/zoo_fifo_depths",
+            hashlib.sha256(repr(depths).encode()).hexdigest())

@@ -100,14 +100,10 @@ def digest(value):
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
-# sha256 of the popped-event log of burst_trace_on_ties(), per fleet,
-# recorded on the kernel that pushed and popped every arrival.
-KERNEL_LOG_SHA256 = {
-    "autoscaled":
-        "55a276e453f562555694da54fb508f5e640e9496154955233b8f147b4585a75a",
-    "fixed":
-        "67df72e5bbc190c802ca8096fec69e0871d29361f85b8e5e61c910f7836a505f",
-}
+# Fleets whose popped-event log of burst_trace_on_ties() is pinned in
+# tests/pins.json (``kernel_log/<fleet>``), recorded on the kernel that
+# pushed and popped every arrival.
+FLEETS = ("autoscaled", "fixed")
 
 # Per differential config, recorded on the same kernel: the
 # ``event_counts`` tallies in EventKind order (ARRIVAL, TRANSFER_LANDED,
@@ -144,15 +140,13 @@ class TestArrivalRunAhead:
     def trace(self):
         return burst_trace_on_ties()
 
-    @pytest.mark.parametrize("fleet", sorted(KERNEL_LOG_SHA256))
-    def test_kernel_log_unchanged(self, trace, fleet):
+    @pytest.mark.parametrize("fleet", FLEETS)
+    def test_kernel_log_unchanged(self, trace, fleet, pin):
         cluster = _cluster(autoscaled=fleet == "autoscaled")
         cluster.run(trace)
-        rows = log_rows(cluster.last_event_log)
-        assert digest(rows) == KERNEL_LOG_SHA256[fleet], \
-            f"{fleet}: kernel log moved; now {digest(rows)}"
+        pin(f"kernel_log/{fleet}", digest(log_rows(cluster.last_event_log)))
 
-    @pytest.mark.parametrize("fleet", sorted(KERNEL_LOG_SHA256))
+    @pytest.mark.parametrize("fleet", FLEETS)
     def test_parity_with_step_loop(self, trace, fleet):
         event = _cluster(autoscaled=fleet == "autoscaled")
         event_report = event.run(trace)

@@ -10,7 +10,8 @@ sample — compared as serialized JSON".  The parametrized matrix below
 spans the representative regimes: unified/autoscaled/disaggregated
 fleets, every routing policy, prefix caching, KV pressure with
 preemption, and migration under decode-pool scaling.  Each report is
-also pinned to a recorded sha256 (``GOLDEN_SHA256``), so a change that
+also pinned to a recorded sha256 in ``tests/pins.json`` (``report/<name>``,
+and ``replicas/<name>`` for its per-replica reports), so a change that
 moves both kernels alike fails too.
 
 Also here: the regression pinning event-count + run-ahead steps ==
@@ -209,112 +210,6 @@ CONFIGS = {
 }
 
 
-# sha256 of each config's report JSON (sorted keys): the recorded truth
-# both kernels must keep reproducing, so a hot-path rewrite that moves a
-# single simulated bit fails here even when the two kernels agree.  A
-# change that moves results on purpose replaces the digests the failing
-# test prints and says so in CHANGES.md.
-GOLDEN_SHA256 = {
-    "autoscaled_queue_only":
-        "6ab194e24c98bae252548865f3dd954c9ba5102db02a0e9c18035bea66f4bc48",
-    "autoscaled_slo_flash_crowd":
-        "bee683e471fcd7881c2ce93f409ef1853dda3f5076856208a4d07b90231d7ee8",
-    "disagg_autoscaled":
-        "8c7b14cd3efeac3b8fa000a9d03db1e8ef631579ef21ae5d0d73d4d11648e2fb",
-    "disagg_basic":
-        "744ea6c83ae906ddc8173cd0a09c44098b1d427c6b8990473daaad9e4c1b0da4",
-    "disagg_decode_least_queue":
-        "8174226ed655bdeccf6ea7ab2760254305b0527a6f7c1268270d42b9ad3fdd87",
-    "disagg_kv_transfer_aware":
-        "975fc635bf522ef8f239296283b7c2b647e59c9a79efa0855a38697a5f60039d",
-    "disagg_streamed_kv":
-        "1b4c66eee1d6805399672bb66246db0118d37aba77936b2e510c73ff7cfe3689",
-    "disagg_streamed_stalling":
-        "c65b234bd0c01a6c198a958c85fc842c95e581aac3c14e5af6c4f029cc2db7e7",
-    "faulted_autoscaled_replacement":
-        "948229263ad5b3fd50e75f2d0807c25f537a51b872c4c2853c1fd19488e84fc2",
-    "faulted_disagg_kvlink":
-        "1cfaf2d60881857243daeb57ee754a42a517044bf7b30022dc3a43dc8ee80b86",
-    "faulted_fixed_crash_slow":
-        "9dba8d1343096a781264d9b50467d0022077a4ff7d074639c791fe69a70883c7",
-    "fixed_least_queue":
-        "6cd7efeab623e335c3fd5835f1f66998465fa9d7cecb38e0ea83a7ee0ad4e25a",
-    "fixed_round_robin":
-        "c21db527bc3a4091927a2c82c4c04a76e6adc745e34591faf8622a665e89c15c",
-    "hybrid_prefill_capped":
-        "e3847f9a3a78afef5dbdc5a5ba2ec9429a5acf56644c03f69ab3a16a66a9131e",
-    "kv_pressure_preempting":
-        "bdc370286b245c86243f501c4f9ab4abdf1203367935113685659b48516f4fb3",
-    "least_kv_pressure":
-        "70dbb19622fbf0b5d535e08b993daf919e6591b4a98e165e507aa9fe603b2765",
-    "multi_turn_prefix_cached":
-        "4c7473ebdc181b5f04d8edae2ca591e852bab9c792d401314c4a4521113cf36e",
-    "prefix_affinity_cached":
-        "9a10b4bbfb45bebb5f9a6d9f4d6c26a4031304dccf9c7956b87132ec795f89d9",
-    "score_class_mix":
-        "8aa745b36ea7d62586054ebd13b23f84806edc94ab352fef149ab3433ccd1e3e",
-    "score_preempting_class_autoscaled":
-        "e439c0bf69f623f7256e0e12bc7c98bc1536316c03851bd7eae054679dcdd084",
-    "single_replica":
-        "2dce3dd606b0f2b9ae19848173d1bde1016c3ba9719a5ccdcadc037bd039a788",
-    "tool_use_fixed":
-        "8c6145bc83d267c82b0e6a48de992bdb5412b8037ea1b3d33cbeec6ce62e5e35",
-}
-
-
-# sha256 of each config's per-replica reports
-# (``[r.to_dict() for r in report.replica_reports]``, sorted keys).  The
-# cluster payload reads the replica reports only for device counters, so
-# the per-replica latency statistics, counts and makespans are pinned
-# here instead.
-REPLICA_SHA256 = {
-    "autoscaled_queue_only":
-        "7f17118360db8b9c16632372b61c97bb29eb5581b48c489a3dac842ae703dfd3",
-    "autoscaled_slo_flash_crowd":
-        "5057bbc22340767111cdc71376c3b44893852ea20f10c82394b253513469ee85",
-    "disagg_autoscaled":
-        "50b3096e3c07f8087e37cbfd9d2ab226498af5f218eba9b4e171483901b83f7e",
-    "disagg_basic":
-        "cf136e1976b02385bd8e775be34e3c84255d2492cad619241ec6d4c1e924950e",
-    "disagg_decode_least_queue":
-        "11817c7ac89a33bd39dc6b4878b5b5c86d88b0f7506a5e0a170d69ee586741f0",
-    "disagg_kv_transfer_aware":
-        "4c6d63a7784c00d27147f323deccc6c06b6519b5ac98f5ac7c842a7e3c52be5e",
-    "disagg_streamed_kv":
-        "7435235d2223768bd3c24bdaa447a5aa2e75ddb0ae23812c5b03749817ade3b4",
-    "disagg_streamed_stalling":
-        "203aa3172f22fdfe21ff4793c60dd984b7363d3670f059fc27fc5db4144dc592",
-    "faulted_autoscaled_replacement":
-        "f96ea59bb47b300c94298689d5ee4f763ce312500e857ed2661c41f014b54bda",
-    "faulted_disagg_kvlink":
-        "7979548328f3b0c6b31cb574614771df345f1bb62585d248bc7652bb65d8aab0",
-    "faulted_fixed_crash_slow":
-        "4a5594a9836e3b0054469d5e6a71f2e9260526a7f4685363043fb66a1f7e6538",
-    "fixed_least_queue":
-        "cef9d03df31053cceaab73f3dbfca4318d9c4e65aa31faca261d40230c31c53c",
-    "fixed_round_robin":
-        "e86742298fc8c570f58f8bdeb0d1bbf38d9907284511e30614400f1138553c70",
-    "hybrid_prefill_capped":
-        "6cf4da0088f477d3d459be3b63379ea416fe4df3f057b5d835daa4e70af413e8",
-    "kv_pressure_preempting":
-        "9ccf4d35cce9e1f4af6556c8c7c70c9a206475212ede86f1b112e0e07e2b53c4",
-    "least_kv_pressure":
-        "f92898db1d68d47d9b11d9b64fbd27924dd5d72f2df0b27f300bdc365479b2e7",
-    "multi_turn_prefix_cached":
-        "9e690059a9253ba1a6f240f8cb388539c2c4e318d432b06d42b19a0e7a12437a",
-    "prefix_affinity_cached":
-        "1ae6f71d3e79004d3552728f951255bd0b2071c11734230d91ae69a27df3ca8b",
-    "score_class_mix":
-        "6d8d94b8584a0a67f2e3ac27eae9d915244ad8616d40800f0b53ac243541a1e8",
-    "score_preempting_class_autoscaled":
-        "7b269e0d104d003ad850249e178646909a52639d89f8076da0d005de5c2e77d3",
-    "single_replica":
-        "90e6e524e2da3e6cfddc3e1ec8601c580873949f67947d1157e49fbddefa3367",
-    "tool_use_fixed":
-        "0a28523f57b985ebfa998433ac850e9aae648739cfe8bf7ee6793a1eaa75d664",
-}
-
-
 def run_kernel(kernel, kwargs, trace):
     cluster = ServingCluster(GPT2, kernel=kernel, **kwargs)
     return cluster, cluster.run(trace)
@@ -322,22 +217,23 @@ def run_kernel(kernel, kwargs, trace):
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_event_kernel_reproduces_step_loop(self, name):
+    def test_event_kernel_reproduces_step_loop(self, name, pin):
         kwargs, trace = CONFIGS[name]
         _, event_report = run_kernel("event", kwargs, trace)
         _, step_report = run_kernel("step", kwargs, trace)
         payload = json.dumps(event_report.to_dict(), sort_keys=True)
         assert payload == json.dumps(step_report.to_dict(), sort_keys=True)
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        assert digest == GOLDEN_SHA256[name], \
-            f"{name}: report moved from the recorded digest; now {digest}"
+        pin(f"report/{name}", hashlib.sha256(payload.encode()).hexdigest())
 
-    def test_every_config_has_a_recorded_digest(self):
-        assert set(GOLDEN_SHA256) == set(CONFIGS)
-        assert set(REPLICA_SHA256) == set(CONFIGS)
+    def test_every_config_has_a_recorded_digest(self, pin):
+        """Both tables of ``tests/pins.json`` hold exactly the configs:
+        ``report/<name>`` the report JSON, ``replicas/<name>`` the
+        per-replica reports."""
+        assert pin.cases == {f"{table}/{name}" for name in CONFIGS
+                             for table in ("report", "replicas")}
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_replica_reports_unchanged(self, name):
+    def test_replica_reports_unchanged(self, name, pin):
         kwargs, trace = CONFIGS[name]
         _, event_report = run_kernel("event", kwargs, trace)
         _, step_report = run_kernel("step", kwargs, trace)
@@ -346,9 +242,7 @@ class TestKernelEquivalence:
         assert payload == json.dumps([r.to_dict() for r in
                                       step_report.replica_reports],
                                      sort_keys=True)
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        assert digest == REPLICA_SHA256[name], \
-            f"{name}: replica reports moved; now {digest}"
+        pin(f"replicas/{name}", hashlib.sha256(payload.encode()).hexdigest())
 
     def test_matrix_exercises_every_regime(self):
         """Meta-coverage: the matrix must keep spanning the regimes the
