@@ -2,9 +2,10 @@
 and ``BENCH_cluster.json``.
 
 Every serving benchmark records its headline numbers here; the conftest
-session hook writes the collected entries once the run finishes — engine
-scenarios to ``benchmarks/BENCH_serving.json`` (:func:`record`), cluster
-scenarios to ``benchmarks/BENCH_cluster.json`` (:func:`record_cluster`).
+session hook writes the collected entries once the run finishes — fixed-
+fleet serving scenarios to ``benchmarks/BENCH_serving.json``
+(:func:`record`), cluster scenarios to ``benchmarks/BENCH_cluster.json``
+(:func:`record_cluster`).
 CI uploads both files as build artifacts, so the serving perf trajectory
 (throughput, TTFT/TPOT percentiles, preemptions, prefix hit rate, fleet
 scaling, SLO attainment, replica-seconds) is tracked across PRs instead of
@@ -62,8 +63,9 @@ def _provenance() -> Dict[str, str]:
 def record(name: str, report, **extra) -> None:
     """Register one serving scenario's outcome under ``name``.
 
-    ``report`` is a :class:`~repro.serving.metrics.ServingReport`; ``extra``
-    adds scenario-specific scalars (speedups, sweep parameters, …).
+    ``report`` is the :class:`~repro.serving.cluster.ClusterReport` of a
+    fixed fleet; ``extra`` adds scenario-specific scalars (speedups, sweep
+    parameters, …).
     Re-recording a name overwrites it, so parametrised reruns stay
     idempotent.
     """
@@ -73,7 +75,7 @@ def record(name: str, report, **extra) -> None:
         **_provenance(),
         "completed": report.completed,
         "num_requests": report.num_requests,
-        "tokens_per_s": report.aggregate_tokens_per_s,
+        "tokens_per_s": report.fleet_tokens_per_s,
         "makespan_s": report.makespan_s,
         "ttft_ms_p50": report.ttft.p50 * 1e3,
         "ttft_ms_p99": report.ttft.p99 * 1e3,

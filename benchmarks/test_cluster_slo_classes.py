@@ -23,7 +23,6 @@ import pytest
 import serving_artifact
 from repro.eval.serving import class_mix_stacks, run_sweep
 from repro.models.config import GPT2
-from repro.serving.cluster import ServingCluster
 from repro.serving.workload_gen import poisson_trace
 
 # REPRO_BENCH_FAST=1 (the CI smoke job) shrinks the trace; the asserted
@@ -51,8 +50,8 @@ def class_mix_trace():
 
 @pytest.fixture(scope="module")
 def class_mix_points(class_mix_trace):
-    points = run_sweep(ServingCluster, GPT2, class_mix_trace,
-                       class_mix_stacks(), initial_replicas=REPLICAS)
+    points = run_sweep(GPT2, class_mix_trace, class_mix_stacks(),
+                       initial_replicas=REPLICAS)
     return {point.label: point for point in points}
 
 
@@ -66,7 +65,7 @@ def test_score_beats_fcfs_and_priority_on_weighted_attainment(
     # fixture's seed, it doubles as a determinism check on the sweep.
     score_stack = {"score": class_mix_stacks()["score"]}
     timed = benchmark(
-        lambda: run_sweep(ServingCluster, GPT2, class_mix_trace, score_stack,
+        lambda: run_sweep(GPT2, class_mix_trace, score_stack,
                           initial_replicas=REPLICAS)[0].report)
     assert timed.class_weighted_attainment == score.class_weighted_attainment
 

@@ -3,7 +3,7 @@
 Not a paper artefact — the paper (conf_micro_YeC25) measures single-request
 latency and its host runtime never faces KV contention.  This benchmark
 sweeps the per-device KV block pool over the same Poisson trace and records
-the curve the KV manager produces: at ample capacity the engine matches the
+the curve the KV manager produces: at ample capacity the device matches the
 capacity-oblivious PR 1 engine exactly (0 preemptions, identical tokens/s);
 as the pool shrinks below the working set, watermark-driven preemption +
 recompute eat into throughput but every request still completes.
@@ -23,7 +23,7 @@ from repro.models.config import GPT2
 from repro.serving import (
     KVCacheConfig,
     SchedulerConfig,
-    ServingEngine,
+    ServingCluster,
     poisson_trace,
 )
 
@@ -40,17 +40,16 @@ CAPACITIES_MB = [None, 512.0, 96.0, 48.0, 24.0]
 
 
 def capacity_sweep(trace, capacities_mb):
-    """One point per capacity; ``None`` is the unmanaged engine."""
+    """One point per capacity; ``None`` is the unmanaged device."""
     variants = {"unmanaged" if mb is None else f"{mb:.1f} MB": (
         {} if mb is None else dict(kv_config=KVCacheConfig.from_capacity_mb(
             mb, high_watermark=0.90, low_watermark=0.70)))
         for mb in capacities_mb}
-    return run_sweep(ServingEngine, GPT2, trace, variants,
-                     scheduler_config=SCHEDULER)
+    return run_sweep(GPT2, trace, variants, scheduler_config=SCHEDULER)
 
 
 def tok_s(point):
-    return point.report.aggregate_tokens_per_s
+    return point.report.fleet_tokens_per_s
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +65,8 @@ def curve(trace):
 
 @pytest.mark.benchmark(group="serving-kv")
 def test_throughput_vs_capacity_curve(benchmark, trace, curve):
-    kv_engine = ServingEngine(GPT2, scheduler_config=SCHEDULER)
-    benchmark(kv_engine.run, trace)
+    unmanaged_cluster = ServingCluster(GPT2, scheduler_config=SCHEDULER)
+    benchmark(unmanaged_cluster.run, trace)
 
     print("\nthroughput vs KV capacity (GPT-2, 1 device):")
     for point in curve:

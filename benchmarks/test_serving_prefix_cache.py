@@ -3,7 +3,7 @@
 Not a paper artefact — the paper (conf_micro_YeC25) serves one request at a
 time and never revisits a prompt.  This benchmark drives the shared-prompt
 workload prefix caching exists for (every request opens with the same
-system-prompt-style prefix) through the engine twice — identical trace,
+system-prompt-style prefix) through one device twice — identical trace,
 identical KV pool, cache on vs off — and asserts the acceptance bar of the
 policy/prefix-cache refactor: with the cache on, followers skip the cached
 prefill, so aggregate throughput must exceed 1.2x the uncached run and mean
@@ -23,7 +23,7 @@ from repro.models.config import GPT2
 from repro.serving import (
     KVCacheConfig,
     SchedulerConfig,
-    ServingEngine,
+    ServingCluster,
     shared_prefix_trace,
 )
 
@@ -46,27 +46,26 @@ def trace():
 def run(trace, prefix_cache: bool):
     kv = KVCacheConfig.from_capacity_mb(CAPACITY_MB,
                                         enable_prefix_cache=prefix_cache)
-    return ServingEngine(GPT2, kv_config=kv,
-                         scheduler_config=SCHEDULER).run(trace)
+    return ServingCluster(GPT2, kv_config=kv,
+                          scheduler_config=SCHEDULER).run(trace)
 
 
 @pytest.mark.benchmark(group="serving-prefix")
 def test_prefix_cache_speeds_up_shared_prompt_trace(benchmark, trace):
-    engine = ServingEngine(
+    cluster = ServingCluster(
         GPT2,
         kv_config=KVCacheConfig.from_capacity_mb(CAPACITY_MB,
                                                  enable_prefix_cache=True),
         scheduler_config=SCHEDULER)
-    cached = benchmark(engine.run, trace)
+    cached = benchmark(cluster.run, trace)
     uncached = run(trace, prefix_cache=False)
-    speedup = (cached.aggregate_tokens_per_s
-               / uncached.aggregate_tokens_per_s)
+    speedup = cached.fleet_tokens_per_s / uncached.fleet_tokens_per_s
 
     print(f"\nshared-prefix trace ({NUM_REQUESTS} requests, "
           f"[{PREFIX_LEN}+{UNIQUE_LEN}:{OUTPUT_LEN}]):")
-    print(f"  prefix cache off: {uncached.aggregate_tokens_per_s:8.1f} tok/s, "
+    print(f"  prefix cache off: {uncached.fleet_tokens_per_s:8.1f} tok/s, "
           f"ttft mean {uncached.ttft.mean * 1e3:8.1f} ms")
-    print(f"  prefix cache on:  {cached.aggregate_tokens_per_s:8.1f} tok/s, "
+    print(f"  prefix cache on:  {cached.fleet_tokens_per_s:8.1f} tok/s, "
           f"ttft mean {cached.ttft.mean * 1e3:8.1f} ms "
           f"({speedup:.1f}x, hit rate {cached.prefix_hit_rate * 100:.0f}%)")
     serving_artifact.record("prefix_cache_on", cached,
@@ -82,7 +81,9 @@ def test_prefix_cache_speeds_up_shared_prompt_trace(benchmark, trace):
 
 @pytest.mark.benchmark(group="serving-prefix")
 def test_prefix_cache_bookkeeping_consistent(benchmark, trace):
-    cached = benchmark(lambda: run(trace, prefix_cache=True))
+    report = benchmark(lambda: run(trace, prefix_cache=True))
+    # One device: its replica report carries the prefix-cache counters.
+    cached = report.replica_reports[0]
 
     # One group: the leader creates the prefix blocks once; every follower
     # reuses all of them.

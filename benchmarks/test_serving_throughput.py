@@ -2,8 +2,8 @@
 
 Not a paper artefact — the paper (conf_micro_YeC25) measures single-request
 latency only.  This benchmark records what the serving tier built on the same
-analytical model adds: aggregate tokens/s of the continuous-batching engine
-(1 and 2 devices) against `InferenceSession.throughput_sweep`, which serves
+analytical model adds: aggregate tokens/s of a fixed continuous-batching
+fleet (1 and 2 devices) against `InferenceSession.throughput_sweep`, which serves
 the identical request set one at a time.  The win comes from the model's
 cost structure — each engine step streams the layer weights from HBM once
 regardless of batch size — not from a tuned constant.
@@ -16,7 +16,7 @@ import pytest
 import serving_artifact
 from repro.eval.serving import compare_with_sequential, run_sequential_baseline
 from repro.models.config import GPT2
-from repro.serving import SchedulerConfig, ServingEngine, poisson_trace
+from repro.serving import SchedulerConfig, ServingCluster, poisson_trace
 
 
 # REPRO_BENCH_FAST=1 (the CI smoke job) shrinks the trace; the asserted
@@ -38,9 +38,10 @@ def baseline(trace):
 
 @pytest.mark.benchmark(group="serving")
 def test_continuous_batching_beats_sequential_sweep(benchmark, trace, baseline):
-    engine = ServingEngine(GPT2, num_devices=1,
-                           scheduler_config=SchedulerConfig(max_batch_size=8))
-    report = benchmark(engine.run, trace)
+    cluster = ServingCluster(
+        GPT2, initial_replicas=1,
+        scheduler_config=SchedulerConfig(max_batch_size=8))
+    report = benchmark(cluster.run, trace)
     comparison = compare_with_sequential(report, baseline)
     print("\n" + report.format())
     print(comparison.format())
@@ -55,9 +56,10 @@ def test_continuous_batching_beats_sequential_sweep(benchmark, trace, baseline):
 
 @pytest.mark.benchmark(group="serving")
 def test_sharding_scales_aggregate_throughput(benchmark, trace, baseline):
-    engine = ServingEngine(GPT2, num_devices=2,
-                           scheduler_config=SchedulerConfig(max_batch_size=8))
-    report = benchmark(engine.run, trace)
+    cluster = ServingCluster(
+        GPT2, initial_replicas=2,
+        scheduler_config=SchedulerConfig(max_batch_size=8))
+    report = benchmark(cluster.run, trace)
     comparison = compare_with_sequential(report, baseline)
     print("\n" + report.format())
     print(comparison.format())
@@ -67,21 +69,22 @@ def test_sharding_scales_aggregate_throughput(benchmark, trace, baseline):
     assert report.completed == NUM_REQUESTS
     assert comparison.speedup > 2.0
     # Both shards carry traffic.
-    assert all(d.requests_served > 0 for d in report.devices)
+    assert all(replica["requests_completed"] > 0
+               for replica in report.to_dict()["replicas"])
 
 
 @pytest.mark.benchmark(group="serving")
 def test_batching_headroom_over_batch_of_one(benchmark, trace):
     """Aggregate tokens/s with batch=8 vs batch=1 on identical traffic."""
-    batched = ServingEngine(GPT2, num_devices=1,
-                            scheduler_config=SchedulerConfig(max_batch_size=8))
-    unbatched = ServingEngine(GPT2, num_devices=1,
-                              scheduler_config=SchedulerConfig(max_batch_size=1))
+    batched = ServingCluster(
+        GPT2, scheduler_config=SchedulerConfig(max_batch_size=8))
+    unbatched = ServingCluster(
+        GPT2, scheduler_config=SchedulerConfig(max_batch_size=1))
     batched_report = benchmark(batched.run, trace)
     unbatched_report = unbatched.run(trace)
-    ratio = (batched_report.aggregate_tokens_per_s
-             / unbatched_report.aggregate_tokens_per_s)
-    print(f"\nbatch=8: {batched_report.aggregate_tokens_per_s:.1f} tok/s, "
-          f"batch=1: {unbatched_report.aggregate_tokens_per_s:.1f} tok/s "
+    ratio = (batched_report.fleet_tokens_per_s
+             / unbatched_report.fleet_tokens_per_s)
+    print(f"\nbatch=8: {batched_report.fleet_tokens_per_s:.1f} tok/s, "
+          f"batch=1: {unbatched_report.fleet_tokens_per_s:.1f} tok/s "
           f"({ratio:.1f}x)")
     assert ratio > 1.5

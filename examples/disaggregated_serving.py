@@ -33,7 +33,7 @@ Run with:  python examples/disaggregated_serving.py
 
 from repro.eval.serving import run_sweep
 from repro.models import GPT2
-from repro.serving import ServingCluster, poisson_trace
+from repro.serving import poisson_trace
 from repro.serving.cluster import DisaggregationConfig
 
 # Short prompts, long outputs, arrivals well above the fleet's decode
@@ -48,7 +48,7 @@ def main() -> None:
 
     print("--- equal capacity, three fleet shapes "
           "(0 prefill = unified) ---")
-    points = run_sweep(ServingCluster, GPT2, TRACE, {
+    points = run_sweep(GPT2, TRACE, {
         "unified x4": dict(initial_replicas=4),
         "1p + 3d": dict(disaggregation=DisaggregationConfig(1, 3)),
         "2p + 2d": dict(disaggregation=DisaggregationConfig(2, 2)),
@@ -63,7 +63,7 @@ def main() -> None:
           f"TPOT {tpot_cost:.1f}x worse — the disaggregation trade.\n")
 
     print("--- the interconnect decides: 2p+2d at three link speeds ---")
-    links = run_sweep(ServingCluster, GPT2, TRACE, {
+    links = run_sweep(GPT2, TRACE, {
         f"{gbs:6.2f} GB/s": dict(disaggregation=DisaggregationConfig(
             2, 2, kv_transfer_gbs=gbs)) for gbs in (48.0, 1.0, 0.05)})
     for point in links:

@@ -1,13 +1,13 @@
 """What happens when the KV cache runs out: preemption under memory pressure.
 
-``examples/serving_at_scale.py`` shows the serving engine with unbounded
+``examples/serving_at_scale.py`` shows the serving fleet with unbounded
 KV memory.  Real devices are not unbounded — the KV cache of a batch of
 long requests is often the binding constraint, not compute.  This example
 serves the *same* burst of long-generation requests twice through the
 block-based KV manager (:mod:`repro.serving.kv_manager`):
 
 1. **Ample pool** — every request's blocks fit; the run is identical to the
-   capacity-oblivious engine (0 preemptions);
+   capacity-oblivious device (0 preemptions);
 2. **Tight pool** — the batch's working set overflows the pool; crossing the
    high watermark evicts the *youngest* request (blocks freed, KV recomputed
    on re-admission), the low watermark stops the eviction sweep, and the
@@ -26,23 +26,25 @@ from repro.models.workload import Workload
 from repro.serving import (
     KVCacheConfig,
     SchedulerConfig,
-    ServingEngine,
+    ServingCluster,
     burst_trace,
 )
 
 
 def serve(label: str, kv_config: KVCacheConfig, trace) -> None:
-    engine = ServingEngine(
+    cluster = ServingCluster(
         GPT2,
         scheduler_config=SchedulerConfig(max_batch_size=8, token_budget=256),
         kv_config=kv_config,
     )
-    report = engine.run(trace)
+    report = cluster.run(trace)
     print(f"--- {label} ---")
     print(report.format())
-    if report.preemption_events:
+    # One device: its replica report carries the preemption timeline.
+    events = report.replica_reports[0].preemption_events
+    if events:
         print("  blocks-swapped timeline (first 8 events):")
-        for event in report.preemption_events[:8]:
+        for event in events[:8]:
             print(f"    t={event.time_s:7.3f}s  request {event.request_id:2d} "
                   f"evicted, {event.blocks_freed} blocks freed")
     print()

@@ -8,7 +8,7 @@ KV blocks; every follower reuses those blocks (no allocation) and skips the
 cached positions in its own prefill, so TTFT collapses and aggregate
 throughput jumps.
 
-The second half sweeps the pluggable policy stacks (admission, placement,
+The second half sweeps the pluggable policy stacks (admission, routing,
 preemption, prefix cache) over one fixed trace — the serving counterpart of
 an ablation table.
 
@@ -22,7 +22,7 @@ from repro.models.config import GPT2
 from repro.serving import (
     KVCacheConfig,
     SchedulerConfig,
-    ServingEngine,
+    ServingCluster,
     shared_prefix_trace,
 )
 
@@ -36,8 +36,8 @@ def main() -> None:
     for enabled in (False, True):
         kv = KVCacheConfig.from_capacity_mb(512.0,
                                             enable_prefix_cache=enabled)
-        report = ServingEngine(GPT2, kv_config=kv,
-                               scheduler_config=scheduler).run(trace)
+        report = ServingCluster(GPT2, kv_config=kv,
+                                scheduler_config=scheduler).run(trace)
         print(f"--- prefix cache {'ON' if enabled else 'OFF'} ---")
         print(report.format())
         print()
@@ -57,12 +57,12 @@ def main() -> None:
         "shortest_prompt": stack(admission="shortest_prompt"),
         "priority": stack(admission="priority",
                           preemption="lowest_priority"),
-        "least_loaded": stack(placement="least_loaded"),
+        "least_queue": stack(router="least_queue"),
         "prefix": stack(prefix_cache=True),
-        "kv_aware+prefix": stack(placement="kv_aware", prefix_cache=True),
+        "least_kv+prefix": stack(router="least_kv_pressure",
+                                 prefix_cache=True),
     }
-    for point in run_sweep(ServingEngine, GPT2, trace, variants,
-                           num_devices=2):
+    for point in run_sweep(GPT2, trace, variants, initial_replicas=2):
         print(point.format())
 
 

@@ -2,9 +2,9 @@
 
 ``examples/llm_serving.py`` answers "what does ONE request look like"; this
 example answers the production question: what happens when 64 users hit a
-pool of accelerators at once?  It drives the continuous-batching engine
-(:mod:`repro.serving`) with a Poisson arrival trace and shows the three
-levers that matter:
+pool of accelerators at once?  It drives a fixed fleet of
+continuous-batching devices (:class:`repro.serving.ServingCluster`) with a
+Poisson arrival trace and shows the three levers that matter:
 
 1. **Continuous batching** — the fused block streams each layer's weights
    from HBM once per engine step no matter how many requests share it, so
@@ -22,13 +22,13 @@ Run with:  python examples/serving_at_scale.py
 
 from repro.eval.serving import compare_with_sequential, run_sequential_baseline
 from repro.models import GPT2
-from repro.serving import SchedulerConfig, ServingEngine, poisson_trace
+from repro.serving import SchedulerConfig, ServingCluster, poisson_trace
 
 
 def run(label: str, num_devices: int, scheduler: SchedulerConfig, trace) -> None:
-    engine = ServingEngine(GPT2, num_devices=num_devices,
-                           scheduler_config=scheduler)
-    report = engine.run(trace)
+    cluster = ServingCluster(GPT2, initial_replicas=num_devices,
+                             scheduler_config=scheduler)
+    report = cluster.run(trace)
     comparison = compare_with_sequential(
         report, run_sequential_baseline(GPT2, trace))
     print(f"--- {label} ---")

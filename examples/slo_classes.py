@@ -15,7 +15,7 @@ under three scheduler stacks (:func:`repro.eval.serving.run_sweep` over
    low tiers dead last: under a sustained high-tier stream a best-effort
    request waits *unboundedly* (the starvation bug the score stack fixes);
 3. **score** — one function, ``value x urgency / expected_cost + aging``,
-   drives admission, placement, preemption, and routing.  Value-density
+   drives admission, preemption, and routing.  Value-density
    favors urgent, cheap, high-value work; the aging term guarantees every
    waiter's score eventually dominates any fresh arrival's, so nobody
    starves.
@@ -32,7 +32,7 @@ Run with:  python examples/slo_classes.py
 
 from repro.eval.serving import class_mix_stacks, run_sweep
 from repro.models import GPT2
-from repro.serving import ServingCluster, poisson_trace
+from repro.serving import poisson_trace
 
 # ~3x one fleet's service rate: admission order, not capacity, decides
 # who makes their target.
@@ -48,7 +48,7 @@ def main() -> None:
           f"{TRACE[-1].arrival_s:.1f}s across four SLO classes, "
           f"2 fixed replicas\n")
 
-    points = run_sweep(ServingCluster, GPT2, TRACE, class_mix_stacks(),
+    points = run_sweep(GPT2, TRACE, class_mix_stacks(),
                        initial_replicas=2)
     for point in points:
         print(f"--- {point.label} ---")

@@ -42,8 +42,9 @@ from repro.models import (
 from repro.platform import AMD_U280, AMD_U55C, NVIDIA_2080TI, NVIDIA_A100
 from repro.runtime import GenerationResult, InferenceSession
 from repro.serving import (
+    ClusterReport,
     SchedulerConfig,
-    ServingEngine,
+    ServingCluster,
     ServingReport,
     burst_trace,
     poisson_trace,
@@ -54,6 +55,7 @@ __version__ = "0.2.0"
 __all__ = [
     "AMD_U280",
     "AMD_U55C",
+    "ClusterReport",
     "CompilationResult",
     "CompileReport",
     "CompilerOptions",
@@ -69,7 +71,7 @@ __all__ = [
     "NVIDIA_A100",
     "QWEN",
     "SchedulerConfig",
-    "ServingEngine",
+    "ServingCluster",
     "ServingReport",
     "StreamTensorCompiler",
     "StreamType",

@@ -4,18 +4,19 @@
   artefacts (HLS C++, link connectivity, host runtime source, report);
 * ``evaluate`` regenerates one of the paper's tables/figures (``all``
   runs everything, like ``examples/paper_evaluation.py``);
-* ``serve-sim`` serves a synthetic Poisson trace through the
-  continuous-batching engine over N simulated devices and compares it
-  with the sequential one-request-at-a-time baseline;
+* ``serve-sim`` serves a synthetic Poisson trace through a fixed fleet of
+  N simulated devices behind a router and compares it with the sequential
+  one-request-at-a-time baseline;
 * ``serve-cluster`` serves a trace through a fleet of engine replicas
   behind a router: unified, hybrid or disaggregated into prefill/decode
   pools, optionally autoscaled or under an injected fault plan;
 * ``trace`` analyses a Chrome trace written by ``--trace-out``;
 * ``reproduce`` regenerates every ``BENCH_*.json`` artifact from source.
 
-The two serving commands define their common flags once
-(:func:`_add_serving_flags`) and share the builders that turn them into
-engine/cluster configuration, a decorated trace and output files.
+Both serving commands run a :class:`~repro.serving.cluster.ServingCluster`.
+They define their common flags once (:func:`_add_serving_flags`) and share
+the builders that turn them into cluster configuration, a decorated trace
+and output files.
 ``--help`` and the README flag tables describe each flag.
 """
 
@@ -49,8 +50,26 @@ from repro.models.transformer import build_decode_block, build_prefill_block
 from repro.platform.fpga import FPGA_PLATFORMS
 
 
+#: Removed flags, each with the flag that replaced it.
+_RETIRED_FLAGS = {
+    "--placement": "--router (least_loaded -> least_queue, kv_aware -> "
+                   "least_kv_pressure, score -> score)",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose "unrecognized arguments" error names the
+    replacement of a retired flag."""
+
+    def error(self, message: str):
+        for flag, replacement in _RETIRED_FLAGS.items():
+            if flag in message:
+                message += f"; {flag} was replaced by {replacement}"
+        super().error(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="StreamTensor reproduction: compile LLM blocks to "
                     "dataflow accelerators and regenerate the paper's "
@@ -88,17 +107,14 @@ def _build_parser() -> argparse.ArgumentParser:
                  "figure10a", "figure10b", "figure10c"])
     serve_parser = subparsers.add_parser(
         "serve-sim",
-        help="serve a synthetic workload through the continuous-batching "
-             "engine (simulation)")
+        help="serve a synthetic workload through a fixed fleet of "
+             "continuous-batching devices (simulation)")
     _add_serving_flags(serve_parser, requests=64)
     add = serve_parser.add_argument
     add("--devices", type=int, default=2,
-        help="simulated accelerator instances")
+        help="simulated accelerator instances (the fixed fleet size)")
     add("--no-chunked-prefill", action="store_true",
         help="give long prompts a dedicated step instead of chunking them")
-    add("--placement", default="round_robin",
-        choices=["round_robin", "least_loaded", "kv_aware", "score"],
-        help="device placement policy for arriving requests")
     add("--watermark", type=float, nargs=2, default=None,
         metavar=("HIGH", "LOW"),
         help="KV utilization watermarks: crossing HIGH preempts down to LOW "
@@ -119,12 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="initial fleet size (single-device engine replicas; default 2; "
              "a disaggregated fleet is sized by --prefill-replicas + "
              "--decode-replicas instead)")
-    add("--router", default=None,
-        choices=["round_robin", "least_queue", "least_kv_pressure",
-                 "prefix_affinity", "kv_transfer_aware", "score"],
-        help="routing policy dispatching arrivals across replicas (the "
-             "prefill pool when disaggregated; default round_robin, or "
-             "score under --scheduler score)")
     add("--scheduler", default=None, choices=["fcfs", "priority", "score"],
         help="pick a coherent scheduling stack in one flag: admission plus "
              "its matching preemption and router (score -> lowest_score + "
@@ -452,6 +462,12 @@ def _add_serving_flags(parser: argparse.ArgumentParser,
         help="max concurrent requests per device or replica")
     add("--token-budget", type=int, default=256,
         help="max tokens per engine step")
+    add("--router", default=None,
+        choices=["round_robin", "least_queue", "least_kv_pressure",
+                 "prefix_affinity", "kv_transfer_aware", "score"],
+        help="routing policy dispatching each arrival to a device or "
+             "replica (the prefill pool when disaggregated; default "
+             "round_robin, or score under serve-cluster --scheduler score)")
     add("--policy", default=None,
         choices=["fcfs", "priority", "shortest_prompt", "score"],
         help="admission policy: who gets the next free batch slot "
@@ -513,10 +529,10 @@ def _given(**values) -> dict:
 
 def _serving_kwargs(args: argparse.Namespace, watermark=None,
                     **scheduler) -> dict:
-    """The constructor arguments ``ServingEngine`` and ``ServingCluster``
-    share, from the shared flags: scheduler and KV-pool configs (plus the
-    command's own ``SchedulerConfig`` fields in ``scheduler``), the
-    preemption policy, and a tracer when ``--trace-out`` is given."""
+    """The ``ServingCluster`` arguments both serving commands build from
+    the shared flags: scheduler and KV-pool configs (plus the command's own
+    ``SchedulerConfig`` fields in ``scheduler``), the preemption policy,
+    and a tracer when ``--trace-out`` is given."""
     from repro.serving import KVCacheConfig, SchedulerConfig, Tracer
 
     _require("--kv-capacity-mb", args.kv_capacity_mb is not None,
@@ -566,18 +582,21 @@ def _decorated_trace(args: argparse.Namespace, generate, groups: int = 1,
     ]
 
 
-def _write_outputs(args: argparse.Namespace, runner, report, lanes: dict,
+def _write_outputs(args: argparse.Namespace, cluster, report,
                    **extra) -> None:
-    """Write ``--trace-out`` (the runner's spans as a Chrome trace, one
-    named lane per device or replica) and ``--json`` (the report dict
-    followed by ``extra``)."""
+    """Write ``--trace-out`` (the cluster's spans as a Chrome trace, one
+    named lane per replica) and ``--json`` (the report dict followed by
+    ``extra``)."""
     from repro.serving import write_chrome_trace
 
-    if runner.tracer is not None:
+    if cluster.tracer is not None:
         path = args.trace_out
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_chrome_trace(path, runner.tracer, manifest=report.manifest,
-                           lanes=lanes)
+        write_chrome_trace(
+            path, cluster.tracer, manifest=report.manifest,
+            lanes={replica.replica_id:
+                   f"replica {replica.replica_id} [{replica.role.value}]"
+                   for replica in cluster.replicas})
         print(f"trace written to {path} "
               "(load at https://ui.perfetto.dev, or run "
               f"'python -m repro trace summarize {path}')")
@@ -590,20 +609,20 @@ def _write_outputs(args: argparse.Namespace, runner, report, lanes: dict,
 
 def _run_serve_sim(args: argparse.Namespace) -> int:
     from repro.eval.serving import compare_with_sequential, run_sequential_baseline
-    from repro.serving import ServingEngine, poisson_trace
+    from repro.serving import ServingCluster, poisson_trace
 
     config = get_model_config(args.model)
     try:
         shared = _serving_kwargs(args, args.watermark,
                                  chunked_prefill=not args.no_chunked_prefill)
         trace = _decorated_trace(args, poisson_trace)
-        engine = ServingEngine(config, num_devices=args.devices,
-                               cold_start=args.cold_start,
-                               placement=args.placement, **shared)
+        cluster = ServingCluster(config, initial_replicas=args.devices,
+                                 router=args.router or "round_robin",
+                                 cold_start=args.cold_start, **shared)
     except ValueError as error:
         print(f"serve-sim: {error}", file=sys.stderr)
         return 2
-    report = engine.run(trace, manifest_extra={"seed": args.seed})
+    report = cluster.run(trace, manifest_extra={"seed": args.seed})
     print(report.format())
 
     extra = {}
@@ -614,8 +633,7 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
         print(comparison.format())
         extra = {"sequential_tokens_per_s": baseline.tokens_per_s,
                  "speedup_vs_sequential": comparison.speedup}
-    _write_outputs(args, engine, report,
-                   {d: f"device {d}" for d in range(args.devices)}, **extra)
+    _write_outputs(args, cluster, report, **extra)
     return 0
 
 
@@ -797,10 +815,7 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
         return 2
     report = cluster.run(trace, manifest_extra={"seed": args.seed})
     print(report.format())
-    _write_outputs(args, cluster, report,
-                   {replica.replica_id:
-                    f"replica {replica.replica_id} [{replica.role.value}]"
-                    for replica in cluster.replicas})
+    _write_outputs(args, cluster, report)
     return 0
 
 

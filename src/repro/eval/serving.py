@@ -1,10 +1,10 @@
-"""Sequential-serving baseline for the continuous-batching engine.
+"""Sequential-serving baseline and config sweeps for the serving cluster.
 
 The pre-serving way to push many requests through the simulated accelerator
 is :meth:`InferenceSession.throughput_sweep` — one request at a time, back
 to back, parameters packed once.  These helpers replay a *timed* trace that
 way: the single device serves requests in arrival order, idling when the
-queue is empty, exactly as the serving engine sees the same trace.  Both
+queue is empty, exactly as the serving cluster sees the same trace.  Both
 sides are then measured as output tokens per makespan second, so the
 reported speedup isolates what continuous batching and sharding add and is
 ~1x (not spuriously below it) when traffic is sparse enough that both
@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
-                    Sequence, Type, Union)
+                    Sequence)
 
 if TYPE_CHECKING:  # imported lazily at call time to avoid a package cycle
     from repro.eval.latency import FpgaPerformanceModel
     from repro.models.config import ModelConfig
-    from repro.serving.cluster import ClusterReport, ServingCluster
-    from repro.serving.engine import ServingEngine
-    from repro.serving.metrics import ServingReport
+    from repro.serving.cluster import ClusterReport
     from repro.serving.workload_gen import TimedRequest
 
 
@@ -39,7 +37,7 @@ class SequentialBaseline:
     @property
     def tokens_per_s(self) -> float:
         """Output tokens per wall-clock second, arrival gaps included —
-        directly comparable to ``ServingReport.aggregate_tokens_per_s``."""
+        directly comparable to ``ClusterReport.fleet_tokens_per_s``."""
         if self.makespan_s <= 0:
             return 0.0
         return self.total_output_tokens / self.makespan_s
@@ -58,17 +56,17 @@ class ServingComparison:
     """Continuous batching versus the sequential sweep."""
 
     baseline: SequentialBaseline
-    engine_tokens_per_s: float
+    serving_tokens_per_s: float
 
     @property
     def speedup(self) -> float:
         if self.baseline.tokens_per_s <= 0:
             return 0.0
-        return self.engine_tokens_per_s / self.baseline.tokens_per_s
+        return self.serving_tokens_per_s / self.baseline.tokens_per_s
 
     def format(self) -> str:
         return (f"sequential baseline: {self.baseline.tokens_per_s:.1f} tok/s; "
-                f"continuous batching: {self.engine_tokens_per_s:.1f} tok/s "
+                f"continuous batching: {self.serving_tokens_per_s:.1f} tok/s "
                 f"({self.speedup:.1f}x)")
 
 
@@ -83,10 +81,10 @@ def run_sequential_baseline(config: ModelConfig,
     (parameters packed once); the device idles until the next arrival when
     the queue is empty.  Admission reuses the session's own rejection rule
     (:meth:`InferenceSession.start_request`), so comparisons stay over
-    exactly the request set the serving engine would accept.  ``cold_start``
+    exactly the request set the serving cluster would accept.  ``cold_start``
     charges the one-time packing before serving begins, mirroring
-    ``ServingEngine(cold_start=True)``; off by default to match the
-    engine's steady-state default.
+    ``ServingCluster(cold_start=True)``; off by default to match the
+    cluster's steady-state default.
     """
     from repro.runtime.session import InferenceSession
 
@@ -117,13 +115,12 @@ def run_sequential_baseline(config: ModelConfig,
     )
 
 
-def compare_with_sequential(report: ServingReport,
+def compare_with_sequential(report: ClusterReport,
                             baseline: SequentialBaseline) -> ServingComparison:
-    """Pair an engine report with the sequential baseline on the same trace."""
+    """Pair a cluster report with the sequential baseline on the same
+    trace."""
     return ServingComparison(baseline=baseline,
-                             engine_tokens_per_s=report.aggregate_tokens_per_s)
-
-
+                             serving_tokens_per_s=report.fleet_tokens_per_s)
 
 
 @dataclass(frozen=True)
@@ -131,34 +128,32 @@ class SweepPoint:
     """One labelled configuration's report on a sweep's fixed trace."""
 
     label: str
-    report: Union[ServingReport, ClusterReport]
+    report: ClusterReport
 
     def format(self) -> str:
         """One line: throughput, latency and completions, then only the
-        columns this report carries (preemptions, KV and prefix-cache use,
+        columns this run exercised (preemptions, KV and prefix-cache use,
         autoscaled replica-seconds, SLO and class attainment, migrations)."""
         r = self.report
-        tokens_per_s = (r.total_output_tokens / r.makespan_s
-                        if r.makespan_s > 0 else 0.0)
-        line = (f"{self.label:>16}: {tokens_per_s:8.1f} tok/s, "
+        line = (f"{self.label:>16}: {r.fleet_tokens_per_s:8.1f} tok/s, "
                 f"p95 ttft {r.ttft.p95 * 1e3:8.1f} ms, "
                 f"tpot mean {r.tpot.mean * 1e3:6.2f} ms, "
                 f"{r.completed}/{r.num_requests} done")
         if r.preemptions:
             line += f", {r.preemptions} preemption(s)"
-        if getattr(r, "peak_kv_utilization", 0.0):
+        if r.peak_kv_utilization:
             line += f", peak kv util {r.peak_kv_utilization * 100:.0f}%"
         if r.prefix_hit_rate:
             line += f", prefix hit {r.prefix_hit_rate * 100:.0f}%"
-        if getattr(r, "autoscaled", False):
+        if r.autoscaled:
             line += f", {r.replica_seconds:.1f} replica-s"
-        if getattr(r, "slo_attainment", None) is not None:
+        if r.slo_attainment is not None:
             line += f", slo {r.slo_attainment * 100:5.1f}%"
-        if getattr(r, "class_weighted_attainment", None) is not None:
+        if r.class_weighted_attainment is not None:
             line += (f", weighted attainment "
                      f"{r.class_weighted_attainment * 100:5.1f}%, "
                      f"Jain {r.jain_fairness:.3f}")
-        if getattr(r, "disaggregated", False):
+        if r.disaggregated:
             line += (f", {r.kv_migrations} migration(s), "
                      f"{r.kv_bytes_transferred / 1e6:.1f} MB moved")
         return line
@@ -185,8 +180,7 @@ def class_mix_stacks() -> Dict[str, Dict[str, Any]]:
     }
 
 
-def run_sweep(runner: Union[Type[ServingEngine], Type[ServingCluster]],
-              config: ModelConfig,
+def run_sweep(config: ModelConfig,
               trace: Sequence[TimedRequest],
               variants: Mapping[str, Mapping[str, Any]],
               **common: Any) -> List[SweepPoint]:
@@ -194,14 +188,16 @@ def run_sweep(runner: Union[Type[ServingEngine], Type[ServingCluster]],
 
     The serving counterpart of an ablation table: one row per variant, so
     differences in the reports are attributable to the variant alone.
-    ``runner`` is :class:`~repro.serving.ServingEngine` or
-    :class:`~repro.serving.cluster.ServingCluster`; each variant's kwargs
-    are merged over ``common`` and go to its constructor.  Every runner is
-    built before the first one runs, so a bad variant fails before any
-    simulation time is spent.  A ``tracer`` in ``common`` attaches to
-    every run and ends up holding the last point's spans (each ``run()``
-    resets it).
+    Each variant's kwargs are merged over ``common`` and go to the
+    :class:`~repro.serving.cluster.ServingCluster` constructor.  Every
+    cluster is built before the first one runs, so a bad variant fails
+    before any simulation time is spent.  A ``tracer`` in ``common``
+    attaches to every run and ends up holding the last point's spans
+    (each ``run()`` resets it).
     """
-    runners = [(label, runner(config, **{**common, **kwargs}))
-               for label, kwargs in variants.items()]
-    return [SweepPoint(label, built.run(trace)) for label, built in runners]
+    from repro.serving.cluster import ServingCluster
+
+    clusters = [(label, ServingCluster(config, **{**common, **kwargs}))
+                for label, kwargs in variants.items()]
+    return [SweepPoint(label, cluster.run(trace))
+            for label, cluster in clusters]

@@ -5,7 +5,7 @@ dataflow accelerator and evaluates **single-request** GPT-2 latency and
 energy; its Section 2 host runtime drives one request at a time.  This
 package deliberately goes beyond that: it layers a production-style serving
 tier — request queue, iteration-level continuous batching with a per-step
-token budget, round-robin multi-device sharding, block-based KV-cache
+token budget, a routed fleet of devices, block-based KV-cache
 management with watermark-driven preemption, TTFT/TPOT/percentile
 metrics — on top of the same analytical performance model
 (:class:`~repro.eval.latency.FpgaPerformanceModel`).
@@ -20,18 +20,18 @@ constant.
 
 Entry points::
 
-    from repro.serving import ServingEngine, SchedulerConfig, poisson_trace
+    from repro.serving import ServingCluster, poisson_trace
 
     trace = poisson_trace(num_requests=64, arrival_rate_hz=8.0, seed=0)
-    engine = ServingEngine(GPT2, num_devices=2)
-    report = engine.run(trace)
+    cluster = ServingCluster(GPT2, initial_replicas=2)
+    report = cluster.run(trace)
     print(report.format())
 
 or from the command line: ``python -m repro serve-sim --model gpt2
 --devices 2 --requests 64``.
 """
 
-from repro.serving.engine import DeviceWorker, HandoffEvent, ServingEngine
+from repro.serving.engine import DeviceWorker, HandoffEvent
 from repro.serving.kv_manager import (
     KVBlockManager,
     KVCacheConfig,
@@ -41,10 +41,8 @@ from repro.serving.kv_manager import (
 )
 from repro.serving.policies import (
     ADMISSION_POLICIES,
-    PLACEMENT_POLICIES,
     PREEMPTION_POLICIES,
     AdmissionPolicy,
-    PlacementPolicy,
     PreemptionPolicy,
 )
 from repro.serving.metrics import (
@@ -138,9 +136,7 @@ __all__ = [
     "KVExport",
     "LatencyStats",
     "MetricsRegistry",
-    "PLACEMENT_POLICIES",
     "PREEMPTION_POLICIES",
-    "PlacementPolicy",
     "PreemptionEvent",
     "PreemptionPolicy",
     "PrefixReuse",
@@ -149,7 +145,6 @@ __all__ = [
     "SLO_CLASSES",
     "SampleBuffer",
     "SchedulerConfig",
-    "ServingEngine",
     "ServingReport",
     "ServingRequest",
     "SpanKind",

@@ -3,9 +3,10 @@
 Real deployments of the serving lineage this repo models (Orca's
 iteration-level batching, vLLM's paged KV cache) run many engine instances
 behind a load balancer, and the cluster layer is where load balancing,
-replica scaling and SLO attainment are decided.  This package adds that
-layer on top of the single-node :class:`~repro.serving.ServingEngine`
-without disturbing it:
+replica scaling and SLO attainment are decided.  This package is the one
+serving runner: each replica wraps the single-device
+:class:`~repro.serving.engine.DeviceWorker`, and a fixed fleet of ``n``
+replicas is the ``n``-device simulator ``repro serve-sim`` runs.
 
 * :class:`EngineReplica` — one engine + KV pool with a serving lifecycle
   (warming, active, draining, stopped);

@@ -46,16 +46,14 @@ identical decisions on the same trace (``tests/serving/cluster/
 test_kernel_differential.py`` asserts the reports are equal), the event
 kernel just finds each decision without the scan.
 
-Replica clocks advance only through their own steps, exactly like the
-single-node engine's devices; the global ordering just decides *which*
-replica steps next, so a fixed single-replica cluster reproduces
-``ServingEngine(num_devices=1)`` decision-for-decision.  One telemetry
-nuance follows from live dispatch: the engine pre-submits a device's whole
-inbox, so its queue-depth samples count arrivals that land mid-step, while
-the cluster dispatches at arrival events — a request arriving during a
-step reaches the replica (and its samples) only after that step returns.
-Scheduling decisions are identical; per-replica queue-depth timelines can
-read slightly lower than the engine's for the same trace.
+Replica clocks advance only through their own steps; the global ordering
+just decides *which* replica steps next.  A fixed fleet (no autoscaler, no
+disaggregation) is the plain ``n``-device serving simulator that
+``repro serve-sim`` runs: ``initial_replicas`` devices behind the router,
+optionally cold-started (each device's clock starts at its parameter-
+packing time).  The cluster dispatches at arrival events, so a request
+arriving during a step reaches its replica — and that replica's post-step
+queue-depth sample — only after the step returns.
 
 **Disaggregation** (:class:`DisaggregationConfig`) splits the fleet into
 dedicated prefill and decode pools so the two phases stop interfering:
@@ -78,6 +76,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.eval.latency import FpgaPerformanceModel
 from repro.models.config import ModelConfig
+from repro.runtime.session import InferenceSession
 from repro.serving.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.serving.cluster.events import EventKind, EventQueue
 from repro.serving.cluster.faults import FaultAction, FaultPlan
@@ -208,8 +207,8 @@ class ServingCluster:
     Args:
         config: The model every replica serves.
         initial_replicas: Fleet size at time zero (these replicas are warm
-            — like the engine's steady-state default, their one-time
-            packing is not charged).
+            — their one-time packing is not charged — unless
+            ``cold_start`` is set).
         router: Routing policy name or instance (``round_robin``,
             ``least_queue``, ``least_kv_pressure``, ``prefix_affinity``,
             ``kv_transfer_aware``, ``score``).
@@ -246,6 +245,12 @@ class ServingCluster:
             transient KV-link degradation.  The report grows a gated
             ``faults`` section; ``None`` — or an *empty* plan — leaves
             every report byte-identical to an unfaulted run.
+        cold_start: Charge each initial replica's one-time parameter
+            packing to its clock (a cold deploy): the replica takes
+            traffic from time zero but its device cannot step before the
+            packed binaries are resident, so the packing lands on the
+            first requests' TTFT.  Off by default, so throughput reflects
+            the steady state with packed binaries resident.
     """
 
     KERNELS = ("event", "step")
@@ -262,6 +267,7 @@ class ServingCluster:
                  kernel: str = "event",
                  tracer: Optional[Tracer] = None,
                  fault_plan: Optional[FaultPlan] = None,
+                 cold_start: bool = False,
                  ) -> None:
         if initial_replicas < 1:
             raise ValueError("initial_replicas must be at least 1")
@@ -292,6 +298,12 @@ class ServingCluster:
         self.scheduler_config = scheduler_config
         self.performance_model = performance_model
         self.kv_config = kv_config
+        if kv_config is not None:
+            # Fail fast on a pool too small to hold one block of this
+            # model's KV rows, instead of at the first replica spawn.
+            kv_config.manager_for(InferenceSession(
+                config, performance_model=performance_model)
+                .kv_bytes_per_token)
         self.preemption = preemption
         if isinstance(autoscaler, Autoscaler):
             self.autoscaler: Optional[Autoscaler] = autoscaler
@@ -390,6 +402,7 @@ class ServingCluster:
         self.fault_slow_nodes = 0
         self.fault_kv_link_degradations = 0
         self.retry_dispatches = 0
+        self.cold_start = cold_start
 
     @property
     def last_event_log(self):
@@ -406,7 +419,8 @@ class ServingCluster:
     # Fleet bookkeeping
     # ------------------------------------------------------------------
     def _spawn(self, spawned_s: float, warmup_s: Optional[float],
-               role: ReplicaRole = ReplicaRole.UNIFIED) -> EngineReplica:
+               role: ReplicaRole = ReplicaRole.UNIFIED,
+               cold_start: bool = False) -> EngineReplica:
         replica = EngineReplica(
             len(self.replicas), self.config,
             scheduler_config=self.scheduler_config,
@@ -417,7 +431,7 @@ class ServingCluster:
             role=role,
             kv_stream_chunks=self.disaggregation.kv_stream_chunks
             if self.disaggregation is not None else 1,
-            tracer=self.tracer)
+            tracer=self.tracer, cold_start=cold_start)
         self.replicas.append(replica)
         if replica.state is ReplicaState.WARMING:
             self._warming.append(replica)
@@ -1211,8 +1225,8 @@ class ServingCluster:
     def run(self, trace: Sequence[TimedRequest],
             manifest_extra: Optional[dict] = None) -> ClusterReport:
         """Serve a whole trace through the fleet; returns the cluster
-        report.  Like the engine, every ``run()`` builds a fresh fleet so
-        repeated runs measure the same system.
+        report.  Every ``run()`` builds a fresh fleet so repeated runs
+        measure the same system.
 
         ``manifest_extra`` lands verbatim in the report's run manifest
         (e.g. the CLI records its ``--seed`` there)."""
@@ -1258,14 +1272,17 @@ class ServingCluster:
         if self.decode_autoscaler is not None:
             self.decode_autoscaler.reset()
         disaggregation = self.disaggregation
+        cold = self.cold_start
         if disaggregation is None:
             for _ in range(self.initial_replicas):
-                self._spawn(0.0, warmup_s=0.0)
+                self._spawn(0.0, warmup_s=0.0, cold_start=cold)
         else:
             for _ in range(disaggregation.prefill_replicas):
-                self._spawn(0.0, warmup_s=0.0, role=ReplicaRole.PREFILL)
+                self._spawn(0.0, warmup_s=0.0, role=ReplicaRole.PREFILL,
+                            cold_start=cold)
             for _ in range(disaggregation.decode_replicas):
-                self._spawn(0.0, warmup_s=0.0, role=ReplicaRole.DECODE)
+                self._spawn(0.0, warmup_s=0.0, role=ReplicaRole.DECODE,
+                            cold_start=cold)
         self._record(0.0)
 
         requests = requests_from_trace(trace)
@@ -1335,6 +1352,9 @@ class ServingCluster:
             # Only a non-empty plan earns a manifest key: an empty plan
             # (or none) must leave the manifest byte-identical.
             configs["faults"] = plan.to_dict()
+        if self.cold_start:
+            # Same convention: a warm start leaves the manifest unchanged.
+            configs["cold_start"] = True
         manifest = build_manifest(
             component="cluster", model=self.config.name, requests=requests,
             configs=configs,

@@ -2,10 +2,9 @@
 
 An :class:`EngineReplica` owns one :class:`~repro.runtime.InferenceSession`,
 its private KV block pool and the step-granular
-:class:`~repro.serving.engine.DeviceWorker` a single-device
-:class:`~repro.serving.ServingEngine` runs, so the cluster can interleave
-replica steps under a global clock instead of running each engine to
-completion.
+:class:`~repro.serving.engine.DeviceWorker` that runs one device's
+continuous-batching loop, so the cluster can interleave replica steps under
+a global clock.
 
 On top of the worker it adds the lifecycle a fleet manager needs:
 
@@ -105,6 +104,10 @@ class EngineReplica:
             monolithic transfers).
         tracer: Optional request-lifecycle tracer threaded through to the
             worker; the replica id is the span lane.
+        cold_start: Start the worker's clock at ``ready_s`` plus its
+            one-time parameter-packing time: the replica is routable from
+            ``ready_s`` but its device cannot step before the packed
+            binaries are resident (a cold deploy of the initial fleet).
     """
 
     def __init__(self, replica_id: int, config: ModelConfig,
@@ -116,12 +119,12 @@ class EngineReplica:
                  warmup_s: Optional[float] = 0.0,
                  role: Union[str, ReplicaRole] = ReplicaRole.UNIFIED,
                  kv_stream_chunks: int = 1,
-                 tracer=None) -> None:
+                 tracer=None,
+                 cold_start: bool = False) -> None:
         self.replica_id = replica_id
         self.role = resolve_replica_role(role)
-        # The worker is the engine's own DeviceWorker — the code path
-        # every engine test exercises — and sizes the KV pool up front, so
-        # a pool too small for one block fails fast here.
+        # The worker sizes the KV pool up front, so a pool too small for
+        # one block fails fast here.
         session = InferenceSession(config, performance_model=performance_model)
         self.worker = DeviceWorker(
             replica_id, session, scheduler_config or SchedulerConfig(),
@@ -136,8 +139,10 @@ class EngineReplica:
             raise ValueError("warmup_s must be non-negative")
         self.ready_s = spawned_s + self.warmup_s
         # The worker's clock starts at readiness: a freshly scaled-up
-        # replica cannot execute a step before its warm-up elapsed.
-        self.worker.clock = self.ready_s
+        # replica cannot execute a step before its warm-up elapsed (nor a
+        # cold-started one before its packing finished).
+        self.worker.clock = self.ready_s + (self.worker.packing_s
+                                            if cold_start else 0.0)
         self.state = ReplicaState.WARMING if self.warmup_s > 0 \
             else ReplicaState.ACTIVE
         self.stopped_s: Optional[float] = None

@@ -1,6 +1,6 @@
 """Fleet-level aggregation of per-replica serving reports.
 
-A cluster run is judged on different axes than a single engine: aggregate
+A cluster run is judged on different axes than a single device: aggregate
 fleet throughput, what fraction of requests met the TTFT SLO, how many
 replica-seconds of capacity the run consumed (the cost side of
 autoscaling), and how the fleet size evolved over the run.  The per-replica
@@ -204,6 +204,13 @@ class ClusterReport:
         """Fleet-wide memory-pressure preemptions across all replicas."""
         return sum(report.preemptions for report in self.replica_reports)
 
+    @property
+    def peak_kv_utilization(self) -> float:
+        """Highest block-pool occupancy any replica reached (0.0 when the
+        fleet ran without KV pools)."""
+        return max((report.peak_kv_utilization
+                    for report in self.replica_reports), default=0.0)
+
     def role_replica_ids(self, role: str) -> List[int]:
         """Replica ids that served the given role (``prefill``/``decode``/
         ``unified``), in id order."""
@@ -385,6 +392,14 @@ class ClusterReport:
             f"{self.fleet_tokens_per_s:.1f} tok/s",
             f"  capacity:      {self.replica_seconds:.1f} replica-seconds",
         ]
+        blocks = max((device.kv_blocks_total
+                      for report in self.replica_reports
+                      for device in report.devices), default=0)
+        if blocks:
+            lines.append(
+                f"  kv cache:      {blocks} blocks/replica, peak util "
+                f"{self.peak_kv_utilization * 100:.0f}%, "
+                f"{self.preemptions} preemption(s)")
         if self.disaggregated:
             lines.append(
                 f"  kv hand-off:   {self.kv_migrations} migration(s), "

@@ -1,10 +1,9 @@
 """Routing policies: which replica an arriving request is dispatched to.
 
-The cluster front door.  Unlike the engine's *placement* policies — which
-shard a whole trace up front from a static tally — routing happens live:
-the policy sees the replicas' actual queue depths, batch occupancy and KV
-pressure at the request's arrival instant, because the cluster interleaves
-replica execution under a global clock.  Policies follow the same registry
+The cluster front door, and the only placement decision in the serving
+tier.  Routing happens live: the policy sees the replicas' actual queue
+depths, batch occupancy and KV pressure at the request's arrival instant,
+because the cluster interleaves replica execution under a global clock.  Policies follow the same registry
 pattern as :mod:`repro.serving.policies` (a name -> class dict plus a
 ``resolve_*`` helper accepting names or instances) and are deterministic:
 every tie breaks on the lowest replica id.
@@ -88,8 +87,8 @@ class RoundRobinRouting(RoutingPolicy):
 
     The fleet can grow and shrink between dispatches, so the counter
     indexes the *current* routable list (ascending replica id) rather than
-    a fixed device range; with a static fleet this is exactly the engine's
-    round-robin placement.
+    a fixed device range; with a static fleet it is arrival index modulo
+    the fleet size.
     """
 
     name = "round_robin"
@@ -282,8 +281,8 @@ class ClusterRouter:
     """The cluster front door: dispatches one arrival to one replica.
 
     A thin, policy-driven component so the orchestration loop never
-    hard-codes a balancing strategy; it also validates the policy's choice
-    the way the engine validates placement.
+    hard-codes a balancing strategy; it also validates the policy's
+    choice.
     """
 
     def __init__(self, policy: Union[str, RoutingPolicy] = "round_robin"

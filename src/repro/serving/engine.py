@@ -1,11 +1,9 @@
-"""Continuous-batching serving engine over the analytical FPGA model.
+"""The continuous-batching engine of one simulated accelerator.
 
 This is the multi-request counterpart of :class:`~repro.runtime.InferenceSession`:
-requests arrive over time (a trace from :mod:`repro.serving.workload_gen`),
-are sharded across ``num_devices`` simulated accelerator instances by a
-pluggable placement policy, and each device runs an iteration-level
-continuous-batching loop — every engine step executes a batch of
-prefill/decode slices chosen by the
+a :class:`DeviceWorker` owns one device's request queues and runs an
+iteration-level continuous-batching loop over them — every engine step
+executes a batch of prefill/decode slices chosen by the
 :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`, with the step
 cost a closed form in the step's totals
 (:meth:`InferenceSession.execute_step`; weights stream once per layer per
@@ -14,14 +12,14 @@ decoding).
 
 Every scheduling decision is a policy object (see
 :mod:`repro.serving.policies`): *admission order* is configured on the
-scheduler (``SchedulerConfig.admission``), *placement* and *preemption* on
-the engine.  The defaults — FCFS, round-robin, youngest-first — reproduce
-the PR 1/PR 2 engine byte-for-byte.
+scheduler (``SchedulerConfig.admission``) and *preemption* on the worker;
+which device a request reaches is the cluster router's choice
+(:mod:`repro.serving.cluster.router`).
 
 With a :class:`~repro.serving.kv_manager.KVCacheConfig` the loop is also
 memory-pressure-aware: each device owns a block pool sized from the config,
 admission and decode growth claim blocks through the scheduler's plan, and
-when the pool is exhausted (or crosses the high watermark) the engine
+when the pool is exhausted (or crosses the high watermark) the worker
 preempts the policy-chosen victim — frees its blocks, requeues it at the
 head of the waiting queue, and recomputes its KV on re-admission.  Every
 preemption is recorded in the report's blocks-swapped timeline.  With
@@ -30,17 +28,16 @@ across requests of the same prefix group, and admissions skip prefill for
 positions whose KV rows are already cached (the report then carries the
 prefix hit rate and shared-block counters).
 
-The per-device loop itself lives in :class:`DeviceWorker`, a *step-driven*
-object: ``step()`` advances exactly one engine iteration and returns whether
-work remains, and ``advance()`` runs a steady decode batch for a whole
-segment of iterations in one call.  ``ServingEngine`` drives each worker to
-completion over its statically placed inbox; the cluster tier
-(:mod:`repro.serving.cluster`) instead interleaves worker steps across many
-replicas under a global clock, routing arrivals and scaling the fleet
-between steps.  The worker also carries the two hooks the cluster needs:
-``queue_depth`` (admission backlog, the router/autoscaler load signal) and
-``drain()`` (finish everything already submitted, accept nothing new, then
-release the KV pool).
+The worker is *step-driven*: ``step()`` advances exactly one engine
+iteration and returns whether work remains, and ``advance()`` runs a steady
+decode batch for a whole segment of iterations in one call.  The serving
+runner, :class:`~repro.serving.cluster.ServingCluster`, wraps each worker in
+a fleet replica and interleaves worker steps across replicas under a global
+clock, routing arrivals and scaling the fleet between steps; a fixed fleet
+of ``n`` replicas is the ``n``-device serving simulator.  The worker carries
+the hooks the cluster needs: ``queue_depth`` (admission backlog, the
+router/autoscaler load signal) and ``drain()`` (finish everything already
+submitted, accept nothing new, then release the KV pool).
 
 Honesty note: the paper (conf_micro_YeC25) evaluates *single-request*
 latency/energy and its Section 2 host runtime triggers one request at a
@@ -56,49 +53,22 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.compiler.pipeline import CompilationResult
-from repro.eval.latency import FpgaPerformanceModel
-from repro.models.config import ModelConfig
 from repro.runtime.session import InferenceSession, StepTotals
 from repro.serving.kv_manager import (
     KVBlockManager,
     KVCacheConfig,
     split_kv_stream,
 )
-from repro.serving.metrics import (
-    DeviceStats,
-    PreemptionEvent,
-    SampleBuffer,
-    ServingReport,
-    build_report,
-)
+from repro.serving.metrics import DeviceStats, PreemptionEvent, SampleBuffer
 from repro.serving.policies.admission import resolve_admission_policy
-from repro.serving.policies.placement import (
-    DeviceLoad,
-    PlacementPolicy,
-    resolve_placement_policy,
-)
-from repro.serving.policies.preemption import (
-    PreemptionPolicy,
-    resolve_preemption_policy,
-)
-from repro.serving.request import (
-    RequestState,
-    ServingRequest,
-    requests_from_trace,
-)
+from repro.serving.policies.preemption import PreemptionPolicy
+from repro.serving.request import RequestState, ServingRequest
 from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerConfig
 from repro.serving.slo import request_value
-from repro.serving.telemetry import (
-    SpanKind,
-    Tracer,
-    build_manifest,
-    telemetry_section,
-)
+from repro.serving.telemetry import SpanKind, Tracer
 from repro.serving.telemetry.tracer import STALL_FLAG
-from repro.serving.workload_gen import TimedRequest
 
 # SpanKind values as plain ints: the tracer hooks sit on the engine's
 # hottest loop and an attribute load per span would be measurable.
@@ -169,8 +139,7 @@ class DeviceWorker:
     ``submit()`` hands it requests in arrival order; each ``step()`` runs one
     engine iteration — admission sweep, watermark hysteresis, plan (with
     preempt-and-replan on KV starvation), execute, record — exactly as the
-    monolithic PR 1/PR 2 loop did, so driving a worker to completion is
-    byte-for-byte the historical ``ServingEngine`` behaviour.
+    monolithic PR 1/PR 2 loop did.
 
     The step granularity is what the cluster tier builds on: a
     :class:`~repro.serving.cluster.ServingCluster` interleaves steps across
@@ -183,8 +152,6 @@ class DeviceWorker:
                  scheduler_config: SchedulerConfig,
                  preemption: PreemptionPolicy,
                  kv_config: Optional[KVCacheConfig] = None,
-                 cold_start: bool = False,
-                 preemption_events: Optional[List[PreemptionEvent]] = None,
                  prefill_only: bool = False,
                  kv_stream_chunks: int = 1,
                  tracer: Optional[Tracer] = None,
@@ -222,22 +189,22 @@ class DeviceWorker:
 
         # Post-step occupancy summaries, O(1) per worker so memory does
         # not grow with tokens.  Queue: samples, summed and peak backlog;
-        # KV: samples and summed pool occupancy, added in step order.  Preemptions stay a typed
-        # list (the engine shares one across its devices) — they are rare
-        # events, not a per-step stream.
+        # KV: samples and summed pool occupancy, added in step order.
+        # Preemptions stay a typed list — they are rare events, not a
+        # per-step stream.
         self.queue_samples = 0
         self.queue_depth_sum = 0
         self.queue_depth_peak = 0
         self.kv_samples = 0
         self.kv_utilization_sum = 0.0
-        self.preemption_events = preemption_events \
-            if preemption_events is not None else []
+        self.preemption_events: List[PreemptionEvent] = []
 
         # Every worker starts from a cold device so repeated runs (parameter
-        # sweeps, benchmark repetitions) measure the same system.
+        # sweeps, benchmark repetitions) measure the same system.  Its
+        # replica decides whether the packing is charged to the clock.
         session.reset()
         self.packing_s = session.pack_parameters()
-        self.clock = self.packing_s if cold_start else 0.0
+        self.clock = 0.0
         self.busy_s = 0.0
         self.steps = 0
         self.tokens = 0
@@ -1071,142 +1038,3 @@ class DeviceWorker:
             kv_utilization_sum=self.kv_utilization_sum,
             **manager_fields,
         )
-
-
-class ServingEngine:
-    """Schedules many concurrent generation requests over N accelerators.
-
-    Args:
-        config: The model every device serves.
-        num_devices: Simulated accelerator instances; arriving requests are
-            sharded across them by the placement policy.
-        scheduler_config: Iteration-level scheduling knobs (batch size,
-            per-step token budget, chunked prefill, admission policy).
-        performance_model: Analytical accelerator model shared by all
-            devices.
-        compiled: Optional compilation result; as for
-            :class:`InferenceSession` it decides the FIFO-sizing strategy.
-        max_seq_len: Static shape hint; requests beyond it are rejected at
-            arrival rather than crashing the engine.
-        cold_start: Charge each device's one-time parameter packing to the
-            serving clock (a cold deploy).  Off by default so throughput
-            reflects the steady state with packed binaries resident.
-        kv_config: Optional per-device KV-cache pool.  ``None`` (the
-            default) reproduces the capacity-oblivious PR 1 engine exactly;
-            with a config, scheduling is bounded by KV blocks and memory
-            pressure is resolved by preemption.
-        placement: Placement policy name or instance (``round_robin`` —
-            the default, PR 1 behaviour — ``least_loaded``, ``kv_aware``,
-            ``score``).
-        preemption: Preemption policy name or instance (``youngest`` — the
-            default, PR 2 behaviour — ``lowest_priority``, ``largest_kv``,
-            ``lowest_score``).
-        tracer: Optional request-lifecycle :class:`Tracer`; every hook is
-            gated on its presence, so the default ``None`` costs nothing
-            and changes nothing.
-    """
-
-    def __init__(self, config: ModelConfig,
-                 num_devices: int = 1,
-                 scheduler_config: Optional[SchedulerConfig] = None,
-                 performance_model: Optional[FpgaPerformanceModel] = None,
-                 compiled: Optional[CompilationResult] = None,
-                 max_seq_len: Optional[int] = None,
-                 cold_start: bool = False,
-                 kv_config: Optional[KVCacheConfig] = None,
-                 placement: Union[str, PlacementPolicy] = "round_robin",
-                 preemption: Union[str, PreemptionPolicy] = "youngest",
-                 tracer: Optional[Tracer] = None,
-                 ) -> None:
-        if num_devices < 1:
-            raise ValueError("num_devices must be at least 1")
-        self.config = config
-        self.num_devices = num_devices
-        self.scheduler_config = scheduler_config or SchedulerConfig()
-        self.cold_start = cold_start
-        self.kv_config = kv_config
-        self.placement = resolve_placement_policy(placement)
-        self.preemption = resolve_preemption_policy(preemption)
-        self.tracer = tracer
-        self.sessions = [
-            InferenceSession(config, compiled=compiled,
-                             performance_model=performance_model,
-                             max_seq_len=max_seq_len)
-            for _ in range(num_devices)
-        ]
-        self._pool_blocks = 0
-        if kv_config is not None:
-            # Fail fast if the pool cannot hold even one block for this
-            # model's KV row size.
-            self._pool_blocks = kv_config.manager_for(
-                self.sessions[0].kv_bytes_per_token).num_blocks
-
-    # ------------------------------------------------------------------
-    # Simulation
-    # ------------------------------------------------------------------
-    def run(self, trace: Sequence[TimedRequest],
-            manifest_extra: Optional[dict] = None) -> ServingReport:
-        """Serve a whole trace; returns the aggregate report.
-
-        ``manifest_extra`` lands verbatim in the report's run manifest
-        (the CLI threads seeds and trace shape through it)."""
-        requests = requests_from_trace(trace)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.reset()
-
-        # Arrival-order placement: the policy sees the same running tally a
-        # front-end load balancer would (every arrival counts, including
-        # requests later rejected at admission — exactly the information
-        # available before admission runs).
-        inboxes: List[List[ServingRequest]] = [[] for _ in range(self.num_devices)]
-        loads = [DeviceLoad(device_id=i, kv_blocks_total=self._pool_blocks)
-                 for i in range(self.num_devices)]
-        for request in requests:
-            device_id = self.placement.select_device(request, loads)
-            if not 0 <= device_id < self.num_devices:
-                raise ValueError(
-                    f"placement policy {self.placement.name!r} chose device "
-                    f"{device_id} of {self.num_devices}")
-            inboxes[device_id].append(request)
-            load = loads[device_id]
-            load.requests += 1
-            load.queued_tokens += request.workload.total_tokens
-            load.weighted_tokens += (request.workload.total_tokens
-                                     * request_value(request))
-            if self.kv_config is not None:
-                load.kv_blocks += math.ceil(request.workload.total_tokens
-                                            / self.kv_config.block_size)
-
-        devices: List[DeviceStats] = []
-        preemptions: List[PreemptionEvent] = []
-        for device_id, (session, inbox) in enumerate(zip(self.sessions, inboxes)):
-            worker = DeviceWorker(device_id, session, self.scheduler_config,
-                                  preemption=self.preemption,
-                                  kv_config=self.kv_config,
-                                  cold_start=self.cold_start,
-                                  preemption_events=preemptions,
-                                  tracer=tracer)
-            for request in inbox:
-                worker.submit(request)
-            worker.run_until(math.inf)
-            devices.append(worker.device_stats())
-
-        manifest = build_manifest(
-            component="engine", model=self.config.name, requests=requests,
-            configs={
-                "num_devices": self.num_devices,
-                "cold_start": self.cold_start,
-                "scheduler": self.scheduler_config,
-                "kv_cache": self.kv_config,
-                "placement": self.placement,
-                "preemption": self.preemption,
-            },
-            extra=manifest_extra)
-        return build_report(self.config.name, self.num_devices, requests,
-                            devices, preemptions,
-                            prefix_cache_enabled=self.kv_config is not None
-                            and self.kv_config.enable_prefix_cache,
-                            manifest=manifest,
-                            telemetry=telemetry_section(tracer)
-                            if tracer is not None else None)

@@ -281,7 +281,8 @@ class DeviceStats:
 
 @dataclass
 class ServingReport:
-    """Aggregate outcome of one serving-engine run."""
+    """Aggregate outcome of one device's share of a serving run (a
+    cluster replica's drill-down report)."""
 
     model: str
     num_devices: int
@@ -297,11 +298,6 @@ class ServingReport:
     devices: List[DeviceStats] = field(default_factory=list)
     preemption_events: List[PreemptionEvent] = field(default_factory=list)
     prefix_cache_enabled: bool = False
-    # The run manifest (config snapshot + workload fingerprint); attached
-    # by top-level runs only, never by cluster replica sub-reports.
-    manifest: Optional[dict] = None
-    # Gated telemetry section (span counts + metrics); tracer runs only.
-    telemetry: Optional[dict] = None
 
     @property
     def aggregate_tokens_per_s(self) -> float:
@@ -428,10 +424,6 @@ class ServingReport:
                 "shared_blocks_reused": self.shared_kv_blocks_reused,
                 "cow_copies": self.prefix_cow_copies,
             }
-        if self.manifest is not None:
-            payload["manifest"] = self.manifest
-        if self.telemetry is not None:
-            payload["telemetry"] = self.telemetry
         return payload
 
     def format(self) -> str:
@@ -484,8 +476,8 @@ class ServingReport:
 class RequestFold:
     """Per-request outcomes folded into aggregate statistics — the one
     definition of completed/rejected/failed counting, makespan, and the
-    four latency distributions, shared by the engine report, every
-    replica report and the cluster report (which folds the whole fleet's
+    four latency distributions, shared by every replica report and the
+    cluster report (which folds the whole fleet's
     requests so its percentiles are exact, never averaged across
     replicas)."""
 
@@ -643,8 +635,6 @@ def build_report(model: str, num_devices: int,
                  devices: List[DeviceStats],
                  preemption_events: Optional[List[PreemptionEvent]] = None,
                  prefix_cache_enabled: bool = False,
-                 manifest: Optional[dict] = None,
-                 telemetry: Optional[dict] = None,
                  table: Optional[RequestTable] = None,
                  ) -> ServingReport:
     """Fold per-request outcomes into the aggregate report; queue and
@@ -674,6 +664,4 @@ def build_report(model: str, num_devices: int,
         preemption_events=sorted(preemption_events or [],
                                  key=lambda e: e.time_s),
         prefix_cache_enabled=prefix_cache_enabled,
-        manifest=manifest,
-        telemetry=telemetry,
     )

@@ -1,29 +1,29 @@
-"""Pluggable serving policies: admission ordering, placement, preemption.
+"""Pluggable serving policies: admission ordering and preemption.
 
 PR 1/PR 2 hard-coded every scheduling decision — FCFS admission inside
-``ContinuousBatchingScheduler.plan_step``, round-robin sharding inside
-``ServingEngine.run``, preempt-youngest inside the engine's pressure loop.
-This package lifts each decision into an explicit policy object so new
-traffic scenarios (priority tiers, load-aware placement, shared-prompt
+``ContinuousBatchingScheduler.plan_step``, preempt-youngest inside the
+engine's pressure loop.  This package lifts each decision into an explicit
+policy object so new traffic scenarios (priority tiers, shared-prompt
 workloads) plug in without touching the engine loop:
 
 * :mod:`~repro.serving.policies.admission` — in what order waiting requests
   are considered for a batch slot (consumed by the scheduler);
-* :mod:`~repro.serving.policies.placement` — which device an arriving
-  request is sharded to (consumed by the engine at arrival);
 * :mod:`~repro.serving.policies.preemption` — which resident request is
   evicted under KV memory pressure (consumed by the engine's pressure loop).
+
+Which device an arriving request reaches is the third decision; the cluster
+router makes it from live replica state (:mod:`repro.serving.cluster.router`).
 
 Every policy is **deterministic**: selection is a pure function of the
 requests, the device/manager state it is shown and (for the time-varying
 ``score`` family) the device clock it is handed, with ties broken by
 arrival time and request id, so two runs over the same trace make
-byte-identical decisions.  The defaults (``fcfs`` + ``round_robin`` +
-``youngest``) reproduce the PR 1/PR 2 engine behaviour exactly.  The
-``score`` admission / ``score`` placement / ``lowest_score`` preemption
-trio consumes one shared ranking — the SLO-class value-density score of
-:mod:`repro.serving.slo` — making scheduling globally consistent across
-the three decision points.
+byte-identical decisions.  The defaults (``fcfs`` + ``youngest``, behind
+the ``round_robin`` router) reproduce the PR 1/PR 2 engine behaviour
+exactly.  The ``score`` admission / ``lowest_score`` preemption pair and
+the ``score`` router consume one shared ranking — the SLO-class
+value-density score of :mod:`repro.serving.slo` — making scheduling
+globally consistent across the three decision points.
 """
 
 from repro.serving.policies.admission import (
@@ -34,16 +34,6 @@ from repro.serving.policies.admission import (
     ScoreAdmission,
     ShortestPromptAdmission,
     resolve_admission_policy,
-)
-from repro.serving.policies.placement import (
-    PLACEMENT_POLICIES,
-    DeviceLoad,
-    KVAwarePlacement,
-    LeastLoadedPlacement,
-    PlacementPolicy,
-    RoundRobinPlacement,
-    ScorePlacement,
-    resolve_placement_policy,
 )
 from repro.serving.policies.preemption import (
     PREEMPTION_POLICIES,
@@ -58,24 +48,16 @@ from repro.serving.policies.preemption import (
 __all__ = [
     "ADMISSION_POLICIES",
     "AdmissionPolicy",
-    "DeviceLoad",
     "FCFSAdmission",
-    "KVAwarePlacement",
     "LargestKVFirstPreemption",
-    "LeastLoadedPlacement",
     "LowestPriorityFirstPreemption",
     "LowestScoreFirstPreemption",
-    "PLACEMENT_POLICIES",
     "PREEMPTION_POLICIES",
-    "PlacementPolicy",
     "PreemptionPolicy",
     "PriorityAdmission",
-    "RoundRobinPlacement",
     "ScoreAdmission",
-    "ScorePlacement",
     "ShortestPromptAdmission",
     "YoungestFirstPreemption",
     "resolve_admission_policy",
-    "resolve_placement_policy",
     "resolve_preemption_policy",
 ]

@@ -35,9 +35,9 @@ policy cannot offer.
 
 The one score function below is consumed everywhere a scheduling decision
 ranks requests: admission ordering (``score``), preemption victim selection
-(``lowest_score``), placement (``score``), cluster routing (``score``) and
-the autoscaler's class-weighted SLO-miss signal — one consistent notion of
-"who matters most right now" across the whole stack.
+(``lowest_score``), cluster routing (``score``) and the autoscaler's
+class-weighted SLO-miss signal — one consistent notion of "who matters
+most right now" across the whole stack.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Request-lifecycle tracing: typed per-request spans in columnar storage.
 
-A :class:`Tracer` is handed to a :class:`~repro.serving.engine.ServingEngine`
-or :class:`~repro.serving.cluster.ServingCluster` and records one
+A :class:`Tracer` is handed to a :class:`~repro.serving.cluster.ServingCluster`
+(which threads it to every replica's
+:class:`~repro.serving.engine.DeviceWorker`) and records one
 :class:`SpanKind`-typed span per scheduling decision a request lives
 through — queueing, admission, prefill chunks, decode steps, KV transfers
 and stream stalls, preemption/resume cycles, replica drains.  The design

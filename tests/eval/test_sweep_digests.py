@@ -4,9 +4,12 @@ split, class-mix scheduler stack, KV capacity).
 
 Every point's ``json.dumps(report.to_dict(), sort_keys=True)`` is pinned to
 a recorded sha256 in ``tests/pins.json``, keyed ``<sweep>/<label>``.  The
-digests were recorded with the per-axis sweep functions ``run_sweep``
-replaced, called with the same constructor arguments, so they prove the
-port moved no report byte.
+fleet, disaggregation and class-mix digests were recorded with the per-axis
+sweep functions ``run_sweep`` replaced, called with the same constructor
+arguments, so they prove that port moved no report byte.  The policy and
+capacity points were re-pinned when a fixed ``ServingCluster`` fleet
+replaced the pre-placing engine driver: their reports took the cluster
+report's shape (see CHANGES.md).
 """
 
 import dataclasses
@@ -20,15 +23,10 @@ from repro.models.config import GPT2
 from repro.serving import (
     KVCacheConfig,
     SchedulerConfig,
-    ServingEngine,
     poisson_trace,
     shared_prefix_trace,
 )
-from repro.serving.cluster import (
-    AutoscalerConfig,
-    DisaggregationConfig,
-    ServingCluster,
-)
+from repro.serving.cluster import AutoscalerConfig, DisaggregationConfig
 
 PREFIX_TRACE = shared_prefix_trace(8, prefix_len=96, unique_len=16,
                                    output_len=16)
@@ -46,32 +44,35 @@ CAPACITY_TRACE = poisson_trace(12, 100.0, seed=4, input_choices=(64, 128),
 def policy():
     scheduler = SchedulerConfig(max_batch_size=4, token_budget=256)
 
-    def stack(admission="fcfs", placement="round_robin",
+    def stack(admission="fcfs", router="round_robin",
               preemption="youngest", prefix_cache=False):
         return dict(
             scheduler_config=dataclasses.replace(scheduler,
                                                  admission=admission),
             kv_config=KVCacheConfig.from_capacity_mb(
                 256.0, enable_prefix_cache=prefix_cache),
-            placement=placement, preemption=preemption)
+            router=router, preemption=preemption)
 
-    return run_sweep(ServingEngine, GPT2, PREFIX_TRACE, {
+    # The least_loaded and kv_aware labels name the retired placement
+    # policies these points ran before the live routers replaced them.
+    return run_sweep(GPT2, PREFIX_TRACE, {
         "fcfs": stack(),
         "shortest_prompt": stack(admission="shortest_prompt"),
         "priority": stack(admission="priority",
                           preemption="lowest_priority"),
-        "least_loaded": stack(placement="least_loaded"),
+        "least_loaded": stack(router="least_queue"),
         "prefix": stack(prefix_cache=True),
-        "kv_aware+prefix": stack(placement="kv_aware", prefix_cache=True),
-    }, num_devices=2)
+        "kv_aware+prefix": stack(router="least_kv_pressure",
+                                 prefix_cache=True),
+    }, initial_replicas=2)
 
 
 def policy_unmanaged():
-    return run_sweep(ServingEngine, GPT2, PREFIX_TRACE, {"fcfs": {}})
+    return run_sweep(GPT2, PREFIX_TRACE, {"fcfs": {}})
 
 
 def cluster():
-    return run_sweep(ServingCluster, GPT2, CLUSTER_TRACE, {
+    return run_sweep(GPT2, CLUSTER_TRACE, {
         f"{replicas}x {router}": dict(initial_replicas=replicas,
                                       router=router)
         for replicas in (1, 2) for router in ("round_robin", "least_queue")})
@@ -79,13 +80,13 @@ def cluster():
 
 def cluster_autoscaled():
     return run_sweep(
-        ServingCluster, GPT2, CLUSTER_TRACE, {"1 initial": {}},
+        GPT2, CLUSTER_TRACE, {"1 initial": {}},
         autoscaler=AutoscalerConfig(max_replicas=2, warmup_s=0.2,
                                     slo_ttft_s=5.0))
 
 
 def disaggregation():
-    return run_sweep(ServingCluster, GPT2, DISAGG_TRACE, {
+    return run_sweep(GPT2, DISAGG_TRACE, {
         "unified x2": dict(initial_replicas=2),
         "hybrid x2": dict(initial_replicas=2,
                           scheduler_config=SchedulerConfig(
@@ -96,12 +97,12 @@ def disaggregation():
 
 
 def class_mix():
-    return run_sweep(ServingCluster, GPT2, CLASS_MIX_TRACE,
-                     class_mix_stacks(), initial_replicas=2)
+    return run_sweep(GPT2, CLASS_MIX_TRACE, class_mix_stacks(),
+                     initial_replicas=2)
 
 
 def capacity():
-    return run_sweep(ServingEngine, GPT2, CAPACITY_TRACE, {
+    return run_sweep(GPT2, CAPACITY_TRACE, {
         "unmanaged": {},
         **{f"{mb:.0f} MB": dict(kv_config=KVCacheConfig.from_capacity_mb(
             mb, high_watermark=0.9, low_watermark=0.7)) for mb in (48, 24)},

@@ -1,21 +1,56 @@
 """Integration tests for the cluster orchestration loop."""
 
 import json
+import math
 
 import pytest
 
 from repro.models.config import GPT2
-from repro.serving import KVCacheConfig, ServingEngine
+from repro.runtime.session import InferenceSession
+from repro.serving import DeviceWorker, KVCacheConfig, SchedulerConfig
 from repro.serving.cluster import (
     AutoscalerConfig,
     ReplicaState,
     ServingCluster,
 )
+from repro.serving.metrics import build_report
+from repro.serving.policies.preemption import resolve_preemption_policy
+from repro.serving.request import requests_from_trace
 from repro.serving.workload_gen import (
     flash_crowd_trace,
     poisson_trace,
     shared_prefix_trace,
 )
+
+
+def worker_to_completion(trace) -> dict:
+    """The reference loop: one ``DeviceWorker`` with the whole trace
+    submitted up front and stepped to completion, folded into a one-device
+    report dict without its queue-depth fields.
+
+    Submitting up front lets the worker's post-step queue samples count
+    requests that arrive during a step, which a cluster dispatches only
+    after the step returns; every scheduling decision is the same."""
+    worker = DeviceWorker(0, InferenceSession(GPT2), SchedulerConfig(),
+                          resolve_preemption_policy("youngest"))
+    requests = requests_from_trace(trace)
+    for request in requests:
+        worker.submit(request)
+    worker.run_until(math.inf)
+    payload = build_report(GPT2.name, 1, requests, [worker.device_stats()],
+                           worker.preemption_events).to_dict()
+    for key in ("mean_queue_depth", "peak_queue_depth"):
+        del payload[key]
+    return payload
+
+
+def single_replica_dict(trace) -> dict:
+    """A one-replica cluster's replica report dict, queue depth dropped."""
+    payload = ServingCluster(GPT2, initial_replicas=1).run(
+        trace).replica_reports[0].to_dict()
+    for key in ("mean_queue_depth", "peak_queue_depth"):
+        del payload[key]
+    return payload
 
 
 class TestConstruction:
@@ -34,25 +69,14 @@ class TestConstruction:
 
 
 class TestFixedFleet:
-    def test_single_replica_matches_single_device_engine_decisions(self):
-        """A 1-replica cluster reproduces ServingEngine(num_devices=1)
-        decision-for-decision: identical per-request timing, identical
-        device stats.  Only the queue-depth *sampling* may differ (the
-        engine counts arrivals that are still queued at the front door,
-        the cluster dispatches them after the covering step)."""
+    def test_single_replica_matches_worker_loop_decisions(self):
+        """A 1-replica cluster reproduces its device worker stepped to
+        completion over a pre-submitted trace, decision for decision:
+        identical per-request timing, identical device stats.  Only the
+        queue-depth *sampling* may differ (see worker_to_completion)."""
         trace = poisson_trace(32, 20.0, seed=1)
-        engine_dict = ServingEngine(GPT2, num_devices=1).run(trace).to_dict()
-        cluster = ServingCluster(GPT2, initial_replicas=1).run(trace)
-        replica_dict = cluster.replica_reports[0].to_dict()
-        for payload in (engine_dict, replica_dict):
-            payload.pop("mean_queue_depth")
-            payload.pop("peak_queue_depth")
-            # Top-level engine runs embed a run manifest; replica
-            # sub-reports deliberately do not (the cluster report carries
-            # the fleet's).
-            payload.pop("manifest", None)
-        assert json.dumps(engine_dict, sort_keys=True) \
-            == json.dumps(replica_dict, sort_keys=True)
+        assert json.dumps(worker_to_completion(trace), sort_keys=True) \
+            == json.dumps(single_replica_dict(trace), sort_keys=True)
 
     def test_two_replicas_increase_fleet_throughput(self):
         trace = poisson_trace(32, 40.0, seed=0)
@@ -282,16 +306,11 @@ class TestAutoscaling:
 
 
 class TestEmptyTraces:
-    def test_engine_empty_trace(self):
-        report = ServingEngine(GPT2, num_devices=2).run([])
-        assert report.completed == 0
-        assert report.num_requests == 0
-        assert report.makespan_s == 0.0
-        assert report.ttft.is_empty
-
     def test_cluster_empty_trace(self):
         report = ServingCluster(GPT2, initial_replicas=2).run([])
         assert report.completed == 0
+        assert report.num_requests == 0
+        assert report.makespan_s == 0.0
         assert report.fleet_tokens_per_s == 0.0
         assert report.ttft.is_empty
         assert report.peak_replicas == 2

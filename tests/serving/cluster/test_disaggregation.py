@@ -10,12 +10,15 @@ from repro.serving import (
     DisaggregationConfig,
     KVCacheConfig,
     ServingCluster,
-    ServingEngine,
 )
 from repro.serving.cluster import AutoscalerConfig, ReplicaRole
 from repro.serving.cluster.replica import EngineReplica, resolve_replica_role
 from repro.serving.workload_gen import TimedRequest, poisson_trace
 from repro.models.workload import Workload
+from tests.serving.cluster.test_cluster import (
+    single_replica_dict,
+    worker_to_completion,
+)
 
 
 def decode_heavy_trace(num_requests=24, rate=30.0, seed=0):
@@ -186,17 +189,10 @@ class TestUnifiedModeUnchanged:
         assert not report.disaggregated
         assert report.kv_migrations == 0
 
-    def test_unified_still_matches_single_device_engine(self):
+    def test_unified_still_matches_worker_loop(self):
         trace = poisson_trace(16, 20.0, seed=1)
-        engine_dict = ServingEngine(GPT2, num_devices=1).run(trace).to_dict()
-        replica_dict = ServingCluster(GPT2, initial_replicas=1).run(
-            trace).replica_reports[0].to_dict()
-        for payload in (engine_dict, replica_dict):
-            payload.pop("mean_queue_depth")
-            payload.pop("peak_queue_depth")
-            payload.pop("manifest", None)
-        assert json.dumps(engine_dict, sort_keys=True) \
-            == json.dumps(replica_dict, sort_keys=True)
+        assert json.dumps(worker_to_completion(trace), sort_keys=True) \
+            == json.dumps(single_replica_dict(trace), sort_keys=True)
 
 
 class TestDisaggregatedBeatsUnifiedTTFT:

@@ -27,7 +27,7 @@ import math
 import pytest
 
 from repro.models.config import GPT2
-from repro.serving import ServingEngine, Tracer
+from repro.serving import Tracer
 from repro.serving.cluster import Event, ServingCluster
 from repro.serving.telemetry import SpanKind, timelines_from_tracer
 from repro.serving.workload_gen import poisson_trace
@@ -179,14 +179,14 @@ class TestManifest:
         report = cluster.run(trace, manifest_extra={"seed": 42})
         assert report.manifest["seed"] == 42
 
-    def test_engine_manifest_and_gated_telemetry(self):
+    def test_fixed_fleet_manifest_and_gated_telemetry(self):
         trace = poisson_trace(24, 12.0, seed=0)
-        untraced = ServingEngine(GPT2, num_devices=2).run(trace)
-        assert untraced.manifest["component"] == "engine"
+        untraced = ServingCluster(GPT2, initial_replicas=2).run(trace)
+        assert untraced.manifest["component"] == "cluster"
         assert "telemetry" not in untraced.to_dict()
 
         tracer = Tracer()
-        traced = ServingEngine(GPT2, num_devices=2, tracer=tracer) \
+        traced = ServingCluster(GPT2, initial_replicas=2, tracer=tracer) \
             .run(trace)
         payload = traced.to_dict()
         assert payload["telemetry"]["spans"] == tracer.span_counts()

@@ -14,7 +14,7 @@ from repro.models.config import GPT2
 from repro.serving import (
     KVCacheConfig,
     SchedulerConfig,
-    ServingEngine,
+    ServingCluster,
     poisson_trace,
 )
 
@@ -53,16 +53,16 @@ class TestTraceDeterminism:
 class TestEngineDeterminism:
     def test_two_runs_identical_report_dict(self):
         trace = poisson_trace(24, 20.0, seed=3)
-        first = ServingEngine(GPT2, num_devices=2).run(trace)
-        second = ServingEngine(GPT2, num_devices=2).run(trace)
+        first = ServingCluster(GPT2, initial_replicas=2).run(trace)
+        second = ServingCluster(GPT2, initial_replicas=2).run(trace)
         assert json.dumps(first.to_dict(), sort_keys=True) \
             == json.dumps(second.to_dict(), sort_keys=True)
 
-    def test_same_engine_rerun_identical(self):
+    def test_same_cluster_rerun_identical(self):
         trace = poisson_trace(12, 20.0, seed=5)
-        engine = ServingEngine(GPT2, num_devices=1)
-        assert json.dumps(engine.run(trace).to_dict()) \
-            == json.dumps(engine.run(trace).to_dict())
+        cluster = ServingCluster(GPT2, initial_replicas=1)
+        assert json.dumps(cluster.run(trace).to_dict()) \
+            == json.dumps(cluster.run(trace).to_dict())
 
     def test_preemption_path_deterministic(self):
         """The memory-pressure regime — preemption victim choice, requeue
@@ -72,10 +72,10 @@ class TestEngineDeterminism:
         kv = KVCacheConfig.from_capacity_mb(
             20.0, high_watermark=0.90, low_watermark=0.70)
         scheduler = SchedulerConfig(max_batch_size=8)
-        first = ServingEngine(GPT2, scheduler_config=scheduler,
-                              kv_config=kv).run(trace)
-        second = ServingEngine(GPT2, scheduler_config=scheduler,
+        first = ServingCluster(GPT2, scheduler_config=scheduler,
                                kv_config=kv).run(trace)
+        second = ServingCluster(GPT2, scheduler_config=scheduler,
+                                kv_config=kv).run(trace)
         assert first.preemptions >= 1, "regime check: pressure expected"
         assert json.dumps(first.to_dict(), sort_keys=True) \
             == json.dumps(second.to_dict(), sort_keys=True)

@@ -1,4 +1,5 @@
-"""Tests for the pluggable admission/placement/preemption policy layers."""
+"""Tests for the pluggable admission/preemption policy layers, and for
+load-aware routing as the fixed fleet's placement decision."""
 
 import json
 
@@ -9,17 +10,14 @@ from repro.models.workload import Workload
 from repro.serving import (
     KVCacheConfig,
     SchedulerConfig,
-    ServingEngine,
+    ServingCluster,
     burst_trace,
     poisson_trace,
 )
 from repro.serving.policies import (
     ADMISSION_POLICIES,
-    PLACEMENT_POLICIES,
     PREEMPTION_POLICIES,
-    DeviceLoad,
     resolve_admission_policy,
-    resolve_placement_policy,
     resolve_preemption_policy,
 )
 from repro.serving.request import ServingRequest
@@ -72,10 +70,6 @@ class TestPolicyUnits:
         assert policy.select_victim(
             [requests[0], requests[2]], manager) is requests[2]
 
-    def test_device_load_free_blocks(self):
-        load = DeviceLoad(0, kv_blocks=12, kv_blocks_total=10)
-        assert load.kv_blocks_free == -2
-
     def test_largest_kv_ranks_by_releasable_not_gross_footprint(self):
         """A follower whose footprint is mostly shared prefix blocks (still
         referenced by the leader) frees almost nothing when evicted — the
@@ -107,32 +101,36 @@ class TestPolicyUnits:
 
 class TestRegistries:
     def test_registry_names_match_policy_names(self):
-        for registry in (ADMISSION_POLICIES, PLACEMENT_POLICIES,
-                         PREEMPTION_POLICIES):
+        for registry in (ADMISSION_POLICIES, PREEMPTION_POLICIES):
             for name, cls in registry.items():
                 assert cls.name == name
 
     def test_resolvers_accept_names_and_instances(self):
         policy = resolve_admission_policy("priority")
         assert resolve_admission_policy(policy) is policy
-        policy = resolve_placement_policy("least_loaded")
-        assert resolve_placement_policy(policy) is policy
         policy = resolve_preemption_policy("largest_kv")
         assert resolve_preemption_policy(policy) is policy
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="admission"):
             resolve_admission_policy("lifo")
-        with pytest.raises(ValueError, match="placement"):
-            resolve_placement_policy("random")
         with pytest.raises(ValueError, match="preemption"):
             resolve_preemption_policy("oldest")
         with pytest.raises(ValueError, match="admission"):
             SchedulerConfig(admission="lifo")
-        with pytest.raises(ValueError, match="placement"):
-            ServingEngine(GPT2, placement="nope")
+        with pytest.raises(ValueError, match="routing"):
+            ServingCluster(GPT2, router="nope")
         with pytest.raises(ValueError, match="preemption"):
-            ServingEngine(GPT2, preemption="nope")
+            ServingCluster(GPT2, preemption="nope").run(
+                burst_trace([Workload(8, 4)]))
+
+
+def outcome(report):
+    """The report JSON without its manifest, which records the scheduler
+    config as given (``None`` when left to the default)."""
+    payload = report.to_dict()
+    del payload["manifest"]
+    return json.dumps(payload, sort_keys=True)
 
 
 class TestDefaultsReproducePriorArt:
@@ -141,32 +139,31 @@ class TestDefaultsReproducePriorArt:
 
     def test_defaults_equal_explicit_default_policies(self):
         trace = poisson_trace(24, 30.0, seed=3)
-        implicit = ServingEngine(GPT2, num_devices=2).run(trace)
-        explicit = ServingEngine(
-            GPT2, num_devices=2,
+        implicit = ServingCluster(GPT2, initial_replicas=2).run(trace)
+        explicit = ServingCluster(
+            GPT2, initial_replicas=2,
             scheduler_config=SchedulerConfig(admission="fcfs"),
-            placement="round_robin", preemption="youngest").run(trace)
-        assert json.dumps(implicit.to_dict(), sort_keys=True) \
-            == json.dumps(explicit.to_dict(), sort_keys=True)
+            router="round_robin", preemption="youngest").run(trace)
+        assert outcome(implicit) == outcome(explicit)
 
     def test_defaults_equal_explicit_under_kv_pressure(self):
         trace = poisson_trace(16, 200.0, seed=0,
                               input_choices=(128,), output_choices=(128,))
         kv = kv_blocks(256, slack_blocks=8)
-        implicit = ServingEngine(GPT2, kv_config=kv).run(trace)
-        explicit = ServingEngine(
+        implicit = ServingCluster(GPT2, kv_config=kv).run(trace)
+        explicit = ServingCluster(
             GPT2, kv_config=kv,
             scheduler_config=SchedulerConfig(admission="fcfs"),
-            placement="round_robin", preemption="youngest").run(trace)
+            router="round_robin", preemption="youngest").run(trace)
         assert implicit.preemptions >= 1, "regime check: pressure expected"
-        assert json.dumps(implicit.to_dict(), sort_keys=True) \
-            == json.dumps(explicit.to_dict(), sort_keys=True)
+        assert outcome(implicit) == outcome(explicit)
 
     def test_round_robin_matches_arrival_index_sharding(self):
         trace = burst_trace([Workload(8, 4) for _ in range(6)])
-        report = ServingEngine(GPT2, num_devices=3,
-                               placement="round_robin").run(trace)
-        assert [d.requests_served for d in report.devices] == [2, 2, 2]
+        report = ServingCluster(GPT2, initial_replicas=3,
+                                router="round_robin").run(trace)
+        assert [d.requests_served for r in report.replica_reports
+                for d in r.devices] == [2, 2, 2]
 
 
 class TestAdmissionPolicies:
@@ -224,10 +221,10 @@ class TestAdmissionPolicies:
         TTFT must drop versus FCFS (the classic convoy effect)."""
         workloads = [Workload(256, 8)] + [Workload(16, 8)] * 6
         trace = burst_trace(workloads)
-        fcfs = ServingEngine(
+        fcfs = ServingCluster(
             GPT2,
             scheduler_config=SchedulerConfig(max_batch_size=1)).run(trace)
-        sjf = ServingEngine(
+        sjf = ServingCluster(
             GPT2,
             scheduler_config=SchedulerConfig(
                 max_batch_size=1, admission="shortest_prompt")).run(trace)
@@ -238,61 +235,51 @@ class TestAdmissionPolicies:
         trace = poisson_trace(20, 50.0, seed=9,
                               priority_choices=(0, 1, 2))
         scheduler = SchedulerConfig(max_batch_size=2, admission="priority")
-        first = ServingEngine(GPT2, scheduler_config=scheduler).run(trace)
-        second = ServingEngine(GPT2, scheduler_config=scheduler).run(trace)
+        first = ServingCluster(GPT2, scheduler_config=scheduler).run(trace)
+        second = ServingCluster(GPT2, scheduler_config=scheduler).run(trace)
         assert json.dumps(first.to_dict(), sort_keys=True) \
             == json.dumps(second.to_dict(), sort_keys=True)
 
 
-class TestPlacementPolicies:
-    def test_least_loaded_balances_token_load(self):
-        """Round-robin piles both long requests onto device 0; least-loaded
-        alternates by token mass."""
-        workloads = [Workload(128, 128), Workload(8, 8),
-                     Workload(128, 128), Workload(8, 8)]
-        trace = burst_trace(workloads)
-        rr = ServingEngine(GPT2, num_devices=2,
-                           placement="round_robin").run(trace)
-        ll = ServingEngine(GPT2, num_devices=2,
-                           placement="least_loaded").run(trace)
-        rr_tokens = sorted(d.tokens_generated for d in rr.devices)
-        ll_tokens = sorted(d.tokens_generated for d in ll.devices)
-        assert rr_tokens == [16, 256]       # both long ones on one device
-        assert ll_tokens == [136, 136]      # one long + one short each
-        assert ll.makespan_s < rr.makespan_s
+def staggered_trace():
+    """Long, short, long, short: the short requests finish before the next
+    long one arrives, so live queue depth sees the first long one still
+    running."""
+    workloads = [Workload(128, 128), Workload(8, 8),
+                 Workload(128, 128), Workload(8, 8)]
+    return [TimedRequest(i, workload, arrival_s)
+            for i, (workload, arrival_s)
+            in enumerate(zip(workloads, (0.0, 0.01, 0.5, 0.51)))]
 
-    def test_kv_aware_spreads_block_demand(self):
-        workloads = [Workload(128, 128), Workload(8, 8),
-                     Workload(128, 128), Workload(8, 8)]
-        trace = burst_trace(workloads)
-        report = ServingEngine(GPT2, num_devices=2,
-                               kv_config=KVCacheConfig.from_capacity_mb(64.0),
-                               placement="kv_aware").run(trace)
-        assert sorted(d.tokens_generated for d in report.devices) \
-            == [136, 136]
 
-    def test_kv_aware_without_manager_degrades_to_least_loaded(self):
-        workloads = [Workload(128, 128), Workload(8, 8),
-                     Workload(128, 128), Workload(8, 8)]
-        trace = burst_trace(workloads)
-        kv_aware = ServingEngine(GPT2, num_devices=2,
-                                 placement="kv_aware").run(trace).to_dict()
-        least = ServingEngine(GPT2, num_devices=2,
-                              placement="least_loaded").run(trace).to_dict()
-        # The manifest truthfully records the *configured* policies, which
-        # differ; everything the runs produced must still be identical.
-        assert kv_aware.pop("manifest")["placement"] == "kv_aware"
-        assert least.pop("manifest")["placement"] == "least_loaded"
-        assert json.dumps(kv_aware, sort_keys=True) \
-            == json.dumps(least, sort_keys=True)
+def tokens_per_device(report):
+    return sorted(d.tokens_generated for r in report.replica_reports
+                  for d in r.devices)
 
-    def test_selector_sees_running_tally(self):
-        loads = [DeviceLoad(0), DeviceLoad(1)]
-        rr = resolve_placement_policy("round_robin")
-        request = ServingRequest(0, Workload(8, 8), 0.0)
-        assert rr.select_device(request, loads) == 0
-        loads[0].requests += 1
-        assert rr.select_device(request, loads) == 1
+
+class TestLoadAwareRouting:
+    def test_least_queue_balances_long_requests(self):
+        """Round-robin piles both long requests onto device 0; least-queue
+        sends the second one to the device that already drained its short
+        request."""
+        trace = staggered_trace()
+        rr = ServingCluster(GPT2, initial_replicas=2,
+                            router="round_robin").run(trace)
+        lq = ServingCluster(GPT2, initial_replicas=2,
+                            router="least_queue").run(trace)
+        assert tokens_per_device(rr) == [16, 256]  # both long ones on one
+        assert tokens_per_device(lq) == [136, 136]  # one long + one short
+        assert lq.makespan_s < rr.makespan_s
+
+    def test_least_kv_pressure_spreads_block_demand(self):
+        """The two long requests' KV lands on different devices; the last
+        short request follows the lower occupancy, to the device whose
+        long request has generated fewer tokens so far."""
+        report = ServingCluster(
+            GPT2, initial_replicas=2,
+            kv_config=KVCacheConfig.from_capacity_mb(64.0),
+            router="least_kv_pressure").run(staggered_trace())
+        assert tokens_per_device(report) == [128, 144]
 
 
 class TestPreemptionPolicies:
@@ -302,8 +289,8 @@ class TestPreemptionPolicies:
 
     def test_all_policies_complete_under_pressure(self):
         for name in PREEMPTION_POLICIES:
-            report = ServingEngine(GPT2, kv_config=self.TIGHT,
-                                   preemption=name).run(self.TRACE)
+            report = ServingCluster(GPT2, kv_config=self.TIGHT,
+                                    preemption=name).run(self.TRACE)
             assert report.completed == len(self.TRACE), name
             assert report.preemptions >= 1, name
             assert report.total_output_tokens == sum(
@@ -312,11 +299,11 @@ class TestPreemptionPolicies:
     def test_lowest_priority_equals_youngest_on_uniform_tiers(self):
         """With all priorities equal the tie-break is youngest-first, so
         the two policies must make byte-identical decisions."""
-        youngest = ServingEngine(GPT2, kv_config=self.TIGHT,
-                                 preemption="youngest").run(self.TRACE) \
+        youngest = ServingCluster(GPT2, kv_config=self.TIGHT,
+                                  preemption="youngest").run(self.TRACE) \
             .to_dict()
-        lowest = ServingEngine(GPT2, kv_config=self.TIGHT,
-                               preemption="lowest_priority") \
+        lowest = ServingCluster(GPT2, kv_config=self.TIGHT,
+                                preemption="lowest_priority") \
             .run(self.TRACE).to_dict()
         # The manifest truthfully records the *configured* policies, which
         # differ; everything the runs produced must still be identical.
@@ -333,27 +320,27 @@ class TestPreemptionPolicies:
                               priority=(2 if i == 0 else 0))
                  for i in range(4)]
         config = kv_blocks(192, slack_blocks=4)
-        report = ServingEngine(GPT2, kv_config=config,
-                               preemption="lowest_priority").run(trace)
+        report = ServingCluster(GPT2, kv_config=config,
+                                preemption="lowest_priority").run(trace)
         assert report.preemptions >= 1
         assert all(event.request_id != 0
-                   for event in report.preemption_events)
+                   for event in report.replica_reports[0].preemption_events)
         assert report.completed == 4
 
     def test_largest_kv_frees_most_per_eviction(self):
         """Largest-footprint eviction needs at most as many victims as
         youngest-first on the same pressured trace."""
-        youngest = ServingEngine(GPT2, kv_config=self.TIGHT,
-                                 preemption="youngest").run(self.TRACE)
-        largest = ServingEngine(GPT2, kv_config=self.TIGHT,
-                                preemption="largest_kv").run(self.TRACE)
+        youngest = ServingCluster(GPT2, kv_config=self.TIGHT,
+                                  preemption="youngest").run(self.TRACE)
+        largest = ServingCluster(GPT2, kv_config=self.TIGHT,
+                                 preemption="largest_kv").run(self.TRACE)
         assert largest.preemptions <= youngest.preemptions
 
     def test_policy_selection_determinism(self):
         for name in PREEMPTION_POLICIES:
-            first = ServingEngine(GPT2, kv_config=self.TIGHT,
-                                  preemption=name).run(self.TRACE)
-            second = ServingEngine(GPT2, kv_config=self.TIGHT,
+            first = ServingCluster(GPT2, kv_config=self.TIGHT,
                                    preemption=name).run(self.TRACE)
+            second = ServingCluster(GPT2, kv_config=self.TIGHT,
+                                    preemption=name).run(self.TRACE)
             assert json.dumps(first.to_dict(), sort_keys=True) \
                 == json.dumps(second.to_dict(), sort_keys=True), name

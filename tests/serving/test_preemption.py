@@ -1,4 +1,4 @@
-"""Engine-level tests for KV-capacity-bounded serving with preemption.
+"""Device-level tests for KV-capacity-bounded serving with preemption.
 
 The acceptance bar for the KV manager: a trace that overflows capacity must
 complete via preemption + recompute (>= 1 preemption reported), while the
@@ -12,8 +12,8 @@ from repro.models.config import GPT2
 from repro.models.workload import Workload
 from repro.serving import (
     KVCacheConfig,
-    ServingEngine,
     SchedulerConfig,
+    ServingCluster,
     burst_trace,
     poisson_trace,
 )
@@ -31,6 +31,11 @@ def kv_mb(total_tokens: int, slack_blocks: int = 0, block_size: int = 16,
                          high_watermark=high, low_watermark=low)
 
 
+def serve(trace, **kwargs):
+    """One device's report: the replica report of a one-device fleet."""
+    return ServingCluster(GPT2, **kwargs).run(trace).replica_reports[0]
+
+
 # A trace whose working set (8 concurrent x 256 positions) overflows the
 # tight pool below but fits the ample one.
 TRACE = poisson_trace(16, 200.0, seed=0,
@@ -41,7 +46,7 @@ AMPLE = KVCacheConfig.from_capacity_mb(4096.0)
 
 class TestOverflowRegime:
     def test_overflow_completes_via_preemption(self):
-        report = ServingEngine(GPT2, kv_config=TIGHT).run(TRACE)
+        report = serve(TRACE, kv_config=TIGHT)
         assert report.completed == len(TRACE)
         assert report.rejected == 0
         assert report.preemptions >= 1
@@ -50,7 +55,7 @@ class TestOverflowRegime:
             t.workload.output_len for t in TRACE)
 
     def test_preemption_events_carry_freed_blocks(self):
-        report = ServingEngine(GPT2, kv_config=TIGHT).run(TRACE)
+        report = serve(TRACE, kv_config=TIGHT)
         for event in report.preemption_events:
             assert event.blocks_freed > 0
             assert event.device_id == 0
@@ -61,7 +66,7 @@ class TestOverflowRegime:
         """Preempted requests recompute KV, not output: every finished
         request emits exactly its requested output length."""
         trace = burst_trace([Workload(64, 64) for _ in range(6)])
-        report = ServingEngine(GPT2, kv_config=kv_mb(128, 4)).run(trace)
+        report = serve(trace, kv_config=kv_mb(128, 4))
         assert report.preemptions >= 1
         assert report.completed == 6
         assert report.total_output_tokens == 6 * 64
@@ -69,14 +74,14 @@ class TestOverflowRegime:
     def test_recompute_costs_device_time(self):
         """The same trace must take longer under preemption than with ample
         memory — recompute work is charged to the clock."""
-        tight = ServingEngine(GPT2, kv_config=TIGHT).run(TRACE)
-        ample = ServingEngine(GPT2, kv_config=AMPLE).run(TRACE)
+        tight = serve(TRACE, kv_config=TIGHT)
+        ample = serve(TRACE, kv_config=AMPLE)
         assert tight.preemptions > 0
         assert tight.makespan_s > ample.makespan_s
         assert tight.aggregate_tokens_per_s < ample.aggregate_tokens_per_s
 
     def test_memory_metrics_populated(self):
-        report = ServingEngine(GPT2, kv_config=TIGHT).run(TRACE)
+        report = serve(TRACE, kv_config=TIGHT)
         assert 0.0 < report.peak_kv_utilization <= 1.0
         assert 0.0 < report.mean_kv_utilization <= report.peak_kv_utilization
         assert report.devices[0].kv_samples == report.devices[0].engine_steps, \
@@ -93,7 +98,7 @@ class TestOverflowRegime:
         """Under pressure the oldest resident keeps its blocks: it is never
         the first victim, so it drains and guarantees forward progress."""
         trace = burst_trace([Workload(96, 96) for _ in range(4)])
-        report = ServingEngine(GPT2, kv_config=kv_mb(192, 4)).run(trace)
+        report = serve(trace, kv_config=kv_mb(192, 4))
         assert report.preemptions >= 1
         first_victim = report.preemption_events[0].request_id
         assert first_victim != 0, "oldest request must not be evicted first"
@@ -101,8 +106,8 @@ class TestOverflowRegime:
 
 class TestAmpleRegime:
     def test_no_preemptions_and_unchanged_throughput(self):
-        managed = ServingEngine(GPT2, kv_config=AMPLE).run(TRACE)
-        unmanaged = ServingEngine(GPT2).run(TRACE)
+        managed = serve(TRACE, kv_config=AMPLE)
+        unmanaged = serve(TRACE)
         assert managed.preemptions == 0
         assert managed.preemption_events == []
         assert managed.completed == unmanaged.completed == len(TRACE)
@@ -113,7 +118,7 @@ class TestAmpleRegime:
         assert managed.e2e_latency == unmanaged.e2e_latency
 
     def test_unmanaged_engine_reports_no_kv_metrics(self):
-        report = ServingEngine(GPT2).run(TRACE)
+        report = serve(TRACE)
         assert report.devices[0].kv_samples == 0
         assert report.mean_kv_utilization == 0.0
         assert report.peak_kv_utilization == 0.0
@@ -126,8 +131,10 @@ class TestAdmissionGuards:
         even alone — reject at arrival instead of preempt-thrashing."""
         trace = burst_trace([Workload(64, 64), Workload(512, 512),
                              Workload(64, 64)])
-        report = ServingEngine(GPT2, max_seq_len=2048,
-                               kv_config=kv_mb(256)).run(trace)
+        report = serve(trace, kv_config=kv_mb(256))
+        # The rejection is the pool's, not the session's: 1024 positions
+        # fit GPT-2's max_seq_len but not the 16 blocks of 16 tokens.
+        assert Workload(512, 512).total_tokens <= GPT2.max_seq_len
         assert report.rejected == 1
         assert report.completed == 2
 
@@ -135,14 +142,13 @@ class TestAdmissionGuards:
         """The idle-device override: a request above the high watermark but
         within the pool is admitted once the device drains."""
         config = kv_mb(256, slack_blocks=0, high=0.5, low=0.3)
-        report = ServingEngine(GPT2, kv_config=config).run(
-            burst_trace([Workload(128, 128)]))
+        report = serve(burst_trace([Workload(128, 128)]), kv_config=config)
         assert report.completed == 1
         assert report.rejected == 0
 
     def test_kv_capacity_below_one_block_rejected_at_init(self):
         with pytest.raises(ValueError, match="block"):
-            ServingEngine(GPT2, kv_config=KVCacheConfig(capacity_bytes=1.0))
+            ServingCluster(GPT2, kv_config=KVCacheConfig(capacity_bytes=1.0))
 
     def test_filling_to_exactly_high_watermark_never_preempts(self):
         """Admission may fill to exactly the high mark; only growing
@@ -155,7 +161,7 @@ class TestAdmissionGuards:
                                block_size=16,
                                high_watermark=0.95, low_watermark=0.70)
         trace = burst_trace([Workload(60, 4)] * 4 + [Workload(44, 4)])
-        report = ServingEngine(GPT2, kv_config=config).run(trace)
+        report = serve(trace, kv_config=config)
         assert report.completed == 5
         assert report.preemptions == 0
         assert report.peak_kv_utilization == pytest.approx(0.95)
@@ -174,9 +180,8 @@ class TestPreemptedRequestAccounting:
             request.resume_workload()
 
     def test_per_request_preemption_counts_sum_to_report(self):
-        engine = ServingEngine(GPT2, kv_config=TIGHT)
-        report = engine.run(TRACE)
-        # Per-request counters are on the engine's internal requests; the
+        report = serve(TRACE, kv_config=TIGHT)
+        # Per-request counters are on the cluster's internal requests; the
         # report aggregates per device — totals must agree.
         assert report.preemptions == sum(
             d.preemptions for d in report.devices)
@@ -184,5 +189,5 @@ class TestPreemptedRequestAccounting:
     def test_states_all_terminal(self):
         trace = poisson_trace(12, 100.0, seed=1,
                               input_choices=(64, 128), output_choices=(64,))
-        report = ServingEngine(GPT2, kv_config=kv_mb(256, 6)).run(trace)
+        report = serve(trace, kv_config=kv_mb(256, 6))
         assert report.completed + report.rejected == len(trace)

@@ -1,4 +1,4 @@
-"""Tests for prefix-caching KV block reuse: manager lifecycle and engine
+"""Tests for prefix-caching KV block reuse: manager lifecycle and device
 integration (ref counting, copy-on-write divergence, computed gating,
 idle-cache reclamation, skip-prefill accounting, report metrics)."""
 
@@ -12,7 +12,7 @@ from repro.runtime.session import InferenceSession
 from repro.serving import (
     KVCacheConfig,
     SchedulerConfig,
-    ServingEngine,
+    ServingCluster,
     poisson_trace,
     shared_prefix_trace,
 )
@@ -216,13 +216,17 @@ AMPLE_OFF = KVCacheConfig.from_capacity_mb(512.0)
 SCHEDULER = SchedulerConfig(max_batch_size=4, token_budget=256)
 
 
+def serve(trace, **kwargs):
+    """One device's report: the replica report of a one-device fleet."""
+    return ServingCluster(GPT2, **kwargs).run(trace).replica_reports[0]
+
+
 class TestEngineIntegration:
     TRACE = shared_prefix_trace(12, prefix_len=192, unique_len=16,
                                 output_len=32)
 
     def test_shared_trace_completes_with_high_hit_rate(self):
-        report = ServingEngine(GPT2, kv_config=AMPLE,
-                               scheduler_config=SCHEDULER).run(self.TRACE)
+        report = serve(self.TRACE, kv_config=AMPLE, scheduler_config=SCHEDULER)
         assert report.completed == 12
         assert report.prefix_cache_enabled
         assert report.prefix_hit_rate > 0.5
@@ -231,10 +235,8 @@ class TestEngineIntegration:
         assert report.preemptions == 0
 
     def test_cache_on_beats_cache_off(self):
-        on = ServingEngine(GPT2, kv_config=AMPLE,
-                           scheduler_config=SCHEDULER).run(self.TRACE)
-        off = ServingEngine(GPT2, kv_config=AMPLE_OFF,
-                            scheduler_config=SCHEDULER).run(self.TRACE)
+        on = serve(self.TRACE, kv_config=AMPLE, scheduler_config=SCHEDULER)
+        off = serve(self.TRACE, kv_config=AMPLE_OFF, scheduler_config=SCHEDULER)
         assert on.aggregate_tokens_per_s > off.aggregate_tokens_per_s
         assert on.ttft.mean < off.ttft.mean
         assert on.makespan_s < off.makespan_s
@@ -242,10 +244,8 @@ class TestEngineIntegration:
     def test_cache_off_identical_to_unmanaged(self):
         """Shared-prefix metadata on the trace is inert without the cache:
         the managed-ample engine still matches the unmanaged engine."""
-        off = ServingEngine(GPT2, kv_config=AMPLE_OFF,
-                            scheduler_config=SCHEDULER).run(self.TRACE)
-        unmanaged = ServingEngine(GPT2,
-                                  scheduler_config=SCHEDULER).run(self.TRACE)
+        off = serve(self.TRACE, kv_config=AMPLE_OFF, scheduler_config=SCHEDULER)
+        unmanaged = serve(self.TRACE, scheduler_config=SCHEDULER)
         assert off.makespan_s == unmanaged.makespan_s
         assert off.ttft == unmanaged.ttft
         assert off.prefix_hit_rate == 0.0
@@ -256,10 +256,14 @@ class TestEngineIntegration:
         """With no prefix groups in the trace, enabling the cache must not
         change a single scheduling decision."""
         trace = poisson_trace(16, 50.0, seed=2)
-        on = ServingEngine(GPT2, kv_config=AMPLE,
-                           scheduler_config=SCHEDULER).run(trace)
-        off = ServingEngine(GPT2, kv_config=AMPLE_OFF,
-                            scheduler_config=SCHEDULER).run(trace)
+        on_run = ServingCluster(GPT2, kv_config=AMPLE,
+                                scheduler_config=SCHEDULER).run(trace)
+        off_run = ServingCluster(GPT2, kv_config=AMPLE_OFF,
+                                 scheduler_config=SCHEDULER).run(trace)
+        # The manifest truthfully records the differing cache flag.
+        assert on_run.manifest["kv_cache"]["enable_prefix_cache"]
+        assert not off_run.manifest["kv_cache"]["enable_prefix_cache"]
+        on, off = on_run.replica_reports[0], off_run.replica_reports[0]
         on_payload = on.to_dict()
         # The hit-rate denominator counts every admitted prompt token; with
         # no groups in the trace nothing is reused or shared.
@@ -269,18 +273,12 @@ class TestEngineIntegration:
             "tokens_reused": 0,
             "shared_blocks_created": 0, "shared_blocks_reused": 0,
             "cow_copies": 0}
-        off_payload = off.to_dict()
-        # The manifest truthfully records the differing cache flag; every
-        # scheduling outcome must still be identical.
-        assert on_payload.pop("manifest")["kv_cache"]["enable_prefix_cache"]
-        assert not off_payload.pop("manifest")["kv_cache"][
-            "enable_prefix_cache"]
+        # Every scheduling outcome must still be identical.
         assert json.dumps(on_payload, sort_keys=True) \
-            == json.dumps(off_payload, sort_keys=True)
+            == json.dumps(off.to_dict(), sort_keys=True)
 
     def test_report_dict_carries_prefix_metrics(self):
-        report = ServingEngine(GPT2, kv_config=AMPLE,
-                               scheduler_config=SCHEDULER).run(self.TRACE)
+        report = serve(self.TRACE, kv_config=AMPLE, scheduler_config=SCHEDULER)
         payload = report.to_dict()["prefix_cache"]
         assert payload["hit_rate"] == pytest.approx(report.prefix_hit_rate)
         assert payload["tokens_reused"] == report.prefix_tokens_reused
@@ -288,18 +286,15 @@ class TestEngineIntegration:
         assert "prefix cache:" in report.format()
 
     def test_determinism_with_prefix_cache(self):
-        first = ServingEngine(GPT2, kv_config=AMPLE,
-                              scheduler_config=SCHEDULER).run(self.TRACE)
-        second = ServingEngine(GPT2, kv_config=AMPLE,
-                               scheduler_config=SCHEDULER).run(self.TRACE)
+        first = serve(self.TRACE, kv_config=AMPLE, scheduler_config=SCHEDULER)
+        second = serve(self.TRACE, kv_config=AMPLE, scheduler_config=SCHEDULER)
         assert json.dumps(first.to_dict(), sort_keys=True) \
             == json.dumps(second.to_dict(), sort_keys=True)
 
     def test_multiple_groups_cached_independently(self):
         trace = shared_prefix_trace(12, prefix_len=96, unique_len=16,
                                     output_len=16, num_groups=3)
-        report = ServingEngine(GPT2, kv_config=AMPLE,
-                               scheduler_config=SCHEDULER).run(trace)
+        report = serve(trace, kv_config=AMPLE, scheduler_config=SCHEDULER)
         assert report.completed == 12
         assert report.shared_kv_blocks_created == 3 * (96 // 16)
         assert report.prefix_hit_rate > 0.3
@@ -318,8 +313,8 @@ class TestEngineIntegration:
                                  enable_prefix_cache=prefix)
         trace = shared_prefix_trace(8, prefix_len=96, unique_len=32,
                                     output_len=64)
-        on = ServingEngine(GPT2, kv_config=config(True)).run(trace)
-        off = ServingEngine(GPT2, kv_config=config(False)).run(trace)
+        on = serve(trace, kv_config=config(True))
+        off = serve(trace, kv_config=config(False))
         assert on.completed == off.completed == 8
         assert on.aggregate_tokens_per_s > off.aggregate_tokens_per_s
 
@@ -332,7 +327,7 @@ class TestEngineIntegration:
                                low_watermark=0.7, enable_prefix_cache=True)
         trace = shared_prefix_trace(6, prefix_len=64, unique_len=32,
                                     output_len=96)
-        report = ServingEngine(GPT2, kv_config=config).run(trace)
+        report = serve(trace, kv_config=config)
         assert report.completed == 6
         assert report.total_output_tokens == 6 * 96
         assert report.preemptions >= 1
@@ -347,8 +342,7 @@ class TestEngineIntegration:
         trace = [TimedRequest(i, workload, 0.0,
                               prefix_group="tiny", prefix_len=8)
                  for i in range(6)]
-        report = ServingEngine(GPT2, kv_config=AMPLE,
-                               scheduler_config=SCHEDULER).run(trace)
+        report = serve(trace, kv_config=AMPLE, scheduler_config=SCHEDULER)
         assert report.completed == 6
         assert report.shared_kv_blocks_created == 0
         assert report.shared_kv_blocks_reused == 0
@@ -366,7 +360,7 @@ class TestEngineIntegration:
     def test_priority_zero_trace_requests_accept_prefix_fields(self):
         trace = [TimedRequest(0, Workload(64, 8), 0.0,
                               prefix_group="g", prefix_len=32)]
-        report = ServingEngine(GPT2, kv_config=AMPLE).run(trace)
+        report = serve(trace, kv_config=AMPLE)
         assert report.completed == 1
         # A lone group member creates blocks but reuses nothing.
         assert report.prefix_hit_rate == 0.0

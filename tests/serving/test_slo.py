@@ -2,7 +2,7 @@
 
 Covers the class registry and class-mix parsing, the score function's
 algebra (value density, urgency, aging), the score policy trio
-(admission / preemption / placement), and — the headline bugfix — the
+(admission / preemption / routing), and — the headline bugfix — the
 starvation regression: under ``priority`` admission a low-tier request's
 wait grows with the length of a saturating high-tier stream (unbounded
 in the trace size), while under ``score`` admission the aging term
@@ -13,13 +13,8 @@ import pytest
 
 from repro.models.config import GPT2
 from repro.models.workload import Workload
-from repro.serving import SchedulerConfig, ServingEngine
-from repro.serving.policies import (
-    LowestScoreFirstPreemption,
-    ScoreAdmission,
-    ScorePlacement,
-)
-from repro.serving.policies.placement import DeviceLoad
+from repro.serving import SchedulerConfig, ServingCluster
+from repro.serving.policies import LowestScoreFirstPreemption, ScoreAdmission
 from repro.serving.request import ServingRequest
 from repro.serving.slo import (
     DEFAULT_AGING_RATE,
@@ -208,19 +203,6 @@ class TestScorePolicies:
             running, None, now=1.0)
         assert victim is running[1]
 
-    def test_placement_balances_weighted_tokens(self):
-        loads = [DeviceLoad(0), DeviceLoad(1)]
-        loads[0].weighted_tokens = 800.0
-        loads[1].weighted_tokens = 100.0
-        request = classed_request(0, "interactive")
-        assert ScorePlacement().select_device(request, loads) == 1
-
-    def test_placement_ties_break_on_queue_then_id(self):
-        loads = [DeviceLoad(0), DeviceLoad(1)]
-        loads[0].queued_tokens = 50
-        assert ScorePlacement().select_device(
-            classed_request(0, "batch"), loads) == 1
-
 
 def saturating_trace(num_stream, stream_interval_s=0.13,
                      workload=Workload(48, 24)):
@@ -238,8 +220,6 @@ def saturating_trace(num_stream, stream_interval_s=0.13,
 
 
 def victim_wait(admission, num_stream):
-    from repro.serving.cluster import ServingCluster
-
     trace = saturating_trace(num_stream)
     cluster = ServingCluster(
         GPT2, initial_replicas=1,
@@ -291,10 +271,10 @@ class TestScoreSchedulerDeterminism:
             trace = poisson_trace(
                 50, 30.0, seed=21,
                 slo_class_mix="interactive=1,standard=2,best_effort=1")
-            engine = ServingEngine(
-                GPT2, num_devices=2,
+            cluster = ServingCluster(
+                GPT2, initial_replicas=2,
                 scheduler_config=SchedulerConfig(admission="score"),
-                placement="score", preemption="lowest_score")
-            return json.dumps(engine.run(trace).to_dict(), sort_keys=True)
+                router="score", preemption="lowest_score")
+            return json.dumps(cluster.run(trace).to_dict(), sort_keys=True)
 
         assert run() == run()

@@ -22,9 +22,8 @@ import math
 import pytest
 
 import repro.serving.cluster.cluster as cluster_module
-import repro.serving.engine as engine_module
 from repro.models.config import GPT2
-from repro.serving import KVCacheConfig, SchedulerConfig, ServingEngine
+from repro.serving import KVCacheConfig, SchedulerConfig
 from repro.serving.cluster import (
     DisaggregationConfig,
     FaultPlan,
@@ -61,15 +60,14 @@ def _poisson(seed, count=36, rate=30.0, inputs=(16, 64), outputs=(24, 48),
                          output_choices=outputs, **kwargs)
 
 
-# name -> seed -> (runner kwargs, trace).  ``engine`` marks a
-# ServingEngine run; every other config runs a ServingCluster.
+# name -> seed -> (ServingCluster kwargs, trace).
 CONFIGS = {
     "no_kv": lambda seed: (
         dict(initial_replicas=2, router="least_queue",
              scheduler_config=SchedulerConfig(max_batch_size=8)),
         _poisson(seed)),
-    "engine_two_devices": lambda seed: (
-        dict(engine=True, num_devices=2,
+    "fixed_two_devices": lambda seed: (
+        dict(initial_replicas=2,
              scheduler_config=SchedulerConfig(max_batch_size=6)),
         _poisson(seed, rate=60.0)),
     "kv_watermark_preempting": lambda seed: (
@@ -159,28 +157,22 @@ def _run(kwargs, trace):
     """Run one config; returns (device stats, request outcomes, spans)."""
     kwargs = dict(kwargs)
     tracer = Tracer() if kwargs.pop("tracer", False) else None
-    if kwargs.pop("engine", False):
-        module = engine_module
-        runner = ServingEngine(GPT2, tracer=tracer, **kwargs)
-    else:
-        module = cluster_module
-        runner = ServingCluster(GPT2, tracer=tracer, **kwargs)
+    cluster = ServingCluster(GPT2, tracer=tracer, **kwargs)
     # Observe the request list the run builds: the requests carry the
     # per-request outcomes the report only summarises.
     captured = []
-    original = module.requests_from_trace
+    original = cluster_module.requests_from_trace
 
     def capture(trace_arg):
         captured.append(original(trace_arg))
         return captured[-1]
 
-    module.requests_from_trace = capture
+    cluster_module.requests_from_trace = capture
     try:
-        report = runner.run(trace)
+        report = cluster.run(trace)
     finally:
-        module.requests_from_trace = original
-    reports = getattr(report, "replica_reports", [report])
-    devices = [dataclasses.asdict(device) for replica in reports
+        cluster_module.requests_from_trace = original
+    devices = [dataclasses.asdict(device) for replica in report.replica_reports
                for device in replica.devices]
     outcomes = [(r.request_id, r.first_token_s, r.finish_s,
                  r.tokens_emitted, r.preemptions) for r in captured[0]]
@@ -264,7 +256,7 @@ def test_reordering_policy_sees_every_planned_reorder(planned_every_step):
         if planned:
             planned_every_step()
         policy = _RecordingScore()
-        ServingEngine(GPT2, scheduler_config=SchedulerConfig(
+        ServingCluster(GPT2, scheduler_config=SchedulerConfig(
             max_batch_size=3, admission=policy)).run(trace)
         logs.append(policy.calls)
     assert logs[0] and logs[0] == logs[1]

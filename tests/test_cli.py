@@ -67,7 +67,8 @@ class TestServeSimCommand:
                           "--requests", "8", "--arrival-rate", "20"])
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "serving report: gpt2 on 2 device(s)" in out
+        assert "cluster report: gpt2, router round_robin (fixed fleet, " \
+               "peak 2 replica(s))" in out
         assert "8/8 completed" in out
         assert "tok/s" in out
         assert "sequential baseline" in out
@@ -79,7 +80,7 @@ class TestServeSimCommand:
         assert exit_code == 0
         payload = json.loads(report_path.read_text())
         assert payload["completed"] == 4
-        assert payload["aggregate_tokens_per_s"] > 0
+        assert payload["fleet_tokens_per_s"] > 0
         assert "speedup_vs_sequential" not in payload
 
     def test_scheduler_flags_accepted(self, capsys):
@@ -99,10 +100,10 @@ class TestServeSimCommand:
         out = capsys.readouterr().out
         assert "kv cache:" in out
         assert "preemption(s)" in out
+        assert "peak util 0%" not in out
         payload = json.loads(report_path.read_text())
         assert payload["completed"] == 16
         assert payload["preemptions"] >= 1
-        assert payload["peak_kv_utilization"] > 0
 
     def test_kv_flags_default_to_unmanaged(self, capsys):
         exit_code = main(["serve-sim", "--requests", "4", "--no-baseline"])
@@ -142,7 +143,7 @@ class TestServeSimCommand:
     def test_policy_flags_accepted(self, capsys):
         exit_code = main(["serve-sim", "--requests", "8", "--devices", "2",
                           "--policy", "shortest_prompt",
-                          "--placement", "least_loaded",
+                          "--router", "least_queue",
                           "--preemption", "largest_kv",
                           "--priority-levels", "3", "--no-baseline"])
         assert exit_code == 0
@@ -163,8 +164,7 @@ class TestServeSimCommand:
         assert "prefix cache:" in out
         payload = json.loads(report_path.read_text())
         assert payload["completed"] == 8
-        assert payload["prefix_cache"]["hit_rate"] > 0
-        assert payload["prefix_cache"]["shared_blocks_reused"] > 0
+        assert payload["prefix_hit_rate"] > 0
 
     def test_prefix_cache_requires_kv_capacity(self, capsys):
         exit_code = main(["serve-sim", "--requests", "4", "--prefix-cache",
@@ -182,7 +182,7 @@ class TestServeSimCommand:
                      "--seed", "--max-batch", "--token-budget",
                      "--no-chunked-prefill", "--kv-capacity-mb",
                      "--block-size", "--watermark", "--cold-start",
-                     "--no-baseline", "--json", "--policy", "--placement",
+                     "--no-baseline", "--json", "--policy", "--router",
                      "--preemption", "--priority-levels", "--prefix-cache",
                      "--shared-prefix"]:
             assert flag in help_text, f"{flag} missing from --help"
@@ -590,6 +590,37 @@ class TestSharedServingFlags:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert flag in err and "at least" in err
+
+
+class TestOneServingStack:
+    """serve-sim is a fixed-fleet cluster run: the same report as
+    serve-cluster, plus the sequential-baseline extras."""
+
+    def test_serve_sim_and_serve_cluster_report_the_same_keys(
+            self, tmp_path, capsys):
+        shared = ["--requests", "8", "--arrival-rate", "20", "--seed", "3"]
+        sim, cluster = tmp_path / "sim.json", tmp_path / "cluster.json"
+        assert main(["serve-sim", "--devices", "2", *shared,
+                     "--json", str(sim)]) == 0
+        assert main(["serve-cluster", "--replicas", "2", *shared,
+                     "--json", str(cluster)]) == 0
+        capsys.readouterr()
+        sim_payload = json.loads(sim.read_text())
+        cluster_payload = json.loads(cluster.read_text())
+        baseline = {"sequential_tokens_per_s", "speedup_vs_sequential"}
+        assert baseline <= set(sim_payload)
+        assert set(sim_payload) - baseline == set(cluster_payload)
+        for key in baseline:
+            del sim_payload[key]
+        assert sim_payload == cluster_payload
+
+    @pytest.mark.parametrize("value", ["least_loaded", "kv_aware"])
+    def test_placement_is_retired_for_router(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-sim", "--requests", "4", "--placement", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--placement" in err and "--router" in err
 
 
 class TestTraceCommand:

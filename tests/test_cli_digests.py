@@ -21,7 +21,7 @@ CASES = {
         "--no-baseline"),
     "serve-sim policies and prefix caching": (
         "serve-sim --requests 16 --devices 2 --arrival-rate 40 --policy "
-        "priority --priority-levels 3 --placement least_loaded "
+        "priority --priority-levels 3 --router least_queue "
         "--preemption lowest_priority --kv-capacity-mb 256 --prefix-cache "
         "--shared-prefix 64 --no-baseline"),
     "serve-cluster autoscaling": (
