@@ -83,10 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                 default="gpt2")
     compile_parser.add_argument("--mode", choices=["decode", "prefill"],
                                 default="decode")
-    compile_parser.add_argument("--seq-len", type=int, default=64,
-                                help="prompt length for prefill mode")
-    compile_parser.add_argument("--kv-len", type=int, default=256,
-                                help="KV-cache length for decode mode")
+    compile_parser.add_argument("--seq-len", type=int, default=None,
+                                help="prompt length (prefill mode only; "
+                                     "default 64)")
+    compile_parser.add_argument("--kv-len", type=int, default=None,
+                                help="KV-cache length (decode mode only; "
+                                     "default 256)")
     compile_parser.add_argument("--platform", choices=sorted(FPGA_PLATFORMS),
                                 default="u55c")
     compile_parser.add_argument("--tile-size", type=int, default=None,
@@ -306,6 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_compile(args: argparse.Namespace) -> int:
+    try:
+        _require("--mode prefill", args.mode == "prefill",
+                 ("--seq-len", args.seq_len))
+        _require("--mode decode", args.mode == "decode",
+                 ("--kv-len", args.kv_len))
+    except ValueError as error:
+        print(f"compile: {error}", file=sys.stderr)
+        return 2
     for flag, value in (("--seq-len", args.seq_len), ("--kv-len", args.kv_len),
                         ("--tile-size", args.tile_size),
                         ("--unroll", args.unroll)):
@@ -319,9 +329,11 @@ def _run_compile(args: argparse.Namespace) -> int:
         return 2
     config = get_model_config(args.model)
     if args.mode == "decode":
-        graph = build_decode_block(config, kv_len=args.kv_len)
+        graph = build_decode_block(
+            config, kv_len=args.kv_len if args.kv_len is not None else 256)
     else:
-        graph = build_prefill_block(config, args.seq_len)
+        graph = build_prefill_block(
+            config, args.seq_len if args.seq_len is not None else 64)
 
     sizes = {name: value for name, value in (
         ("default_tile_size", args.tile_size),

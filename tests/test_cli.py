@@ -40,6 +40,19 @@ class TestCompileCommand:
         assert f"{flags[-2]} must be at least 1" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("mode,flag,needs", [
+        ("decode", "--seq-len", "--mode prefill"),
+        ("prefill", "--kv-len", "--mode decode")])
+    def test_flag_of_the_other_mode_rejected(self, mode, flag, needs,
+                                             capsys):
+        """--seq-len shapes only a prefill block and --kv-len only a
+        decode block; given to the other mode it is an error, not a
+        silently ignored flag."""
+        assert main(["compile", "--mode", mode, flag, "4096"]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and needs in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("flag", ["--tile-size", "--unroll"])
     def test_explore_rejects_explicit_sizes(self, flag, capsys):
         assert main(["compile", "--explore", flag, "8"]) == 2
