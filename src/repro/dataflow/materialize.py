@@ -20,7 +20,7 @@ them uniformly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.dataflow.structure import (
     DataflowEdge,
@@ -146,16 +146,15 @@ def remove_redundant_converters(graph: DataflowGraph) -> int:
         by_producer.setdefault(id(edge.producer), []).append(edge)
 
     for edges in by_producer.values():
-        seen: Dict[str, DataflowEdge] = {}
+        seen: Set[str] = set()
         for edge in edges:
             key = str(edge.consumer_type)
             if key in seen:
                 edge.converter = None
-                edge.attributes_shared_with = seen[key].uid  # type: ignore[attr-defined]
                 removed += 1
             else:
                 if edge.converter is None:
                     edge.converter = infer_converter(edge.producer_type,
                                                      edge.consumer_type)
-                seen[key] = edge
+                seen.add(key)
     return removed
