@@ -24,10 +24,7 @@ class CompilerOptions:
         fusion_memory_fraction: Fraction of on-chip memory a single fused
             kernel may spend on converters/FIFOs (the C_max of Algorithm 2).
         equalization: FIFO-sizing equalisation strategy.
-        memory_bus_bits: External-memory bus width used for interface widening.
         num_dies: Dies used for graph partitioning (defaults to the platform).
-        enable_folding: Run the itensor folding optimisation.
-        enable_vectorization: Run itensor vectorisation on stream edges.
         generate_code: Emit the HLS/host/connectivity artefacts.
         seed: Seed for any randomised exploration (deterministic by default).
     """
@@ -39,10 +36,7 @@ class CompilerOptions:
     exploration_trials: int = 6
     fusion_memory_fraction: float = 0.5
     equalization: EqualizationStrategy = EqualizationStrategy.NORMAL
-    memory_bus_bits: int = 512
     num_dies: Optional[int] = None
-    enable_folding: bool = True
-    enable_vectorization: bool = True
     generate_code: bool = True
     seed: int = 0
 

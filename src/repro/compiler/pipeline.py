@@ -63,13 +63,13 @@ class CompilationResult:
     dataflow_graph: DataflowGraph
     tiling_space: TilingSpace
     fusion_plan: FusionPlan
+    folding: FoldingResult
+    vectorization: VectorizationResult
     kernel_timings: Dict[str, KernelTiming] = field(default_factory=dict)
     fifo_sizing: Optional[FifoSizingResult] = None
     partition: Optional[PartitionResult] = None
     memory_allocation: Optional[MemoryAllocation] = None
     bufferization: Optional[BufferizationResult] = None
-    folding: Optional[FoldingResult] = None
-    vectorization: Optional[VectorizationResult] = None
     packing: Optional[PackingResult] = None
     hls: Optional[HlsArtifact] = None
     host: Optional[HostArtifact] = None
@@ -135,10 +135,9 @@ class StreamTensorCompiler:
         # Stage 4: Dataflow optimisation.
         with timer.stage("Dataflow_Opt"):
             materialize(dataflow)
-            folding = fold_itensors(dataflow) if options.enable_folding else None
-            vectorization = (vectorize_graph(dataflow)
-                             if options.enable_vectorization else None)
-            packing = pack_kernel_interfaces(dataflow, options.memory_bus_bits)
+            folding = fold_itensors(dataflow)
+            vectorization = vectorize_graph(dataflow)
+            packing = pack_kernel_interfaces(dataflow)
             # Last look at the itensor types: bufferization drops them.
             dataflow.verify()
 

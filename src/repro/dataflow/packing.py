@@ -26,6 +26,10 @@ from repro.ir.dtypes import DType
 from repro.ir.types import TensorType, VectorType
 from repro.itensor.itensor_type import ITensorType
 
+#: External-memory bus width (bits) every interface is widened to: one
+#: 512-bit HBM pseudo-channel port of the target boards.
+MEMORY_BUS_BITS = 512
+
 
 @dataclass(frozen=True)
 class PackedLayout:
@@ -72,7 +76,7 @@ class PackedLayout:
 
 
 def widen_for_bus(tile_shape: Sequence[int], dtype: DType,
-                  bus_bits: int = 512) -> Tuple[int, ...]:
+                  bus_bits: int = MEMORY_BUS_BITS) -> Tuple[int, ...]:
     """Choose a vector shape inside the tile that fills the memory bus.
 
     The widening budget (bus bits / element bits) is distributed as evenly as
@@ -98,7 +102,7 @@ def widen_for_bus(tile_shape: Sequence[int], dtype: DType,
 
 
 def pack_interface(tensor: TensorType, itype: ITensorType,
-                   bus_bits: int = 512) -> PackedLayout:
+                   bus_bits: int = MEMORY_BUS_BITS) -> PackedLayout:
     """Derive the packed + widened external layout for one kernel interface."""
     tile_shape = itype.element_shape
     outer_shape = tuple(
@@ -119,7 +123,7 @@ class PackingResult:
     layouts: List[PackedLayout] = field(default_factory=list)
 
 
-def pack_kernel_interfaces(graph: DataflowGraph, bus_bits: int = 512) -> PackingResult:
+def pack_kernel_interfaces(graph: DataflowGraph) -> PackingResult:
     """Pack and widen every external-memory interface of the graph.
 
     Only memory edges are packed (stream edges never touch external memory).
@@ -132,7 +136,7 @@ def pack_kernel_interfaces(graph: DataflowGraph, bus_bits: int = 512) -> Packing
         itype = edge.consumer_type or edge.producer_type
         if itype is None:
             continue
-        layout = pack_interface(edge.tensor, itype, bus_bits)
+        layout = pack_interface(edge.tensor, itype)
         edge_kind = "parameter" if edge.is_parameter else "dynamic"
         if edge.is_parameter:
             result.parameter_interfaces += 1
