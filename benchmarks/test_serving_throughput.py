@@ -3,8 +3,8 @@
 Not a paper artefact — the paper (conf_micro_YeC25) measures single-request
 latency only.  This benchmark records what the serving tier built on the same
 analytical model adds: aggregate tokens/s of a fixed continuous-batching
-fleet (1 and 2 devices) against `InferenceSession.throughput_sweep`, which serves
-the identical request set one at a time.  The win comes from the model's
+fleet (1 and 2 devices) against `InferenceSession.throughput_sweep`, which
+serves the identical request set one at a time.  The win comes from the model's
 cost structure — each engine step streams the layer weights from HBM once
 regardless of batch size — not from a tuned constant.
 """

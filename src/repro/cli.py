@@ -50,21 +50,15 @@ from repro.models.transformer import build_decode_block, build_prefill_block
 from repro.platform.fpga import FPGA_PLATFORMS
 
 
-#: Removed flags, each with the flag that replaced it.
-_RETIRED_FLAGS = {
-    "--placement": "--router (least_loaded -> least_queue, kv_aware -> "
-                   "least_kv_pressure, score -> score)",
-}
-
-
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose "unrecognized arguments" error names the
-    replacement of a retired flag."""
+    """An argument parser whose "unrecognized arguments" error names
+    ``--router`` when it rejects the retired ``--placement`` flag."""
 
     def error(self, message: str):
-        for flag, replacement in _RETIRED_FLAGS.items():
-            if flag in message:
-                message += f"; {flag} was replaced by {replacement}"
+        if "--placement" in message:
+            message += ("; --placement was replaced by --router "
+                        "(least_loaded -> least_queue, kv_aware -> "
+                        "least_kv_pressure, score -> score)")
         super().error(message)
 
 

@@ -276,6 +276,7 @@ class ServingCluster:
                 f"unknown kernel {kernel!r}; choose from {self.KERNELS}")
         self.kernel = kernel
         self.config = config
+        self.cold_start = cold_start
         self.disaggregation = disaggregation
         if disaggregation is not None:
             if initial_replicas not in (1, disaggregation.total_replicas):
@@ -402,7 +403,6 @@ class ServingCluster:
         self.fault_slow_nodes = 0
         self.fault_kv_link_degradations = 0
         self.retry_dispatches = 0
-        self.cold_start = cold_start
 
     @property
     def last_event_log(self):
@@ -419,8 +419,7 @@ class ServingCluster:
     # Fleet bookkeeping
     # ------------------------------------------------------------------
     def _spawn(self, spawned_s: float, warmup_s: Optional[float],
-               role: ReplicaRole = ReplicaRole.UNIFIED,
-               cold_start: bool = False) -> EngineReplica:
+               role: ReplicaRole = ReplicaRole.UNIFIED) -> EngineReplica:
         replica = EngineReplica(
             len(self.replicas), self.config,
             scheduler_config=self.scheduler_config,
@@ -431,7 +430,7 @@ class ServingCluster:
             role=role,
             kv_stream_chunks=self.disaggregation.kv_stream_chunks
             if self.disaggregation is not None else 1,
-            tracer=self.tracer, cold_start=cold_start)
+            tracer=self.tracer)
         self.replicas.append(replica)
         if replica.state is ReplicaState.WARMING:
             self._warming.append(replica)
@@ -1272,17 +1271,19 @@ class ServingCluster:
         if self.decode_autoscaler is not None:
             self.decode_autoscaler.reset()
         disaggregation = self.disaggregation
-        cold = self.cold_start
         if disaggregation is None:
             for _ in range(self.initial_replicas):
-                self._spawn(0.0, warmup_s=0.0, cold_start=cold)
+                self._spawn(0.0, warmup_s=0.0)
         else:
             for _ in range(disaggregation.prefill_replicas):
-                self._spawn(0.0, warmup_s=0.0, role=ReplicaRole.PREFILL,
-                            cold_start=cold)
+                self._spawn(0.0, warmup_s=0.0, role=ReplicaRole.PREFILL)
             for _ in range(disaggregation.decode_replicas):
-                self._spawn(0.0, warmup_s=0.0, role=ReplicaRole.DECODE,
-                            cold_start=cold)
+                self._spawn(0.0, warmup_s=0.0, role=ReplicaRole.DECODE)
+        if self.cold_start:
+            # A cold deploy: the initial fleet takes traffic from time
+            # zero, but no device steps before its packing finished.
+            for replica in self.replicas:
+                replica.worker.clock += replica.worker.packing_s
         self._record(0.0)
 
         requests = requests_from_trace(trace)

@@ -104,10 +104,6 @@ class EngineReplica:
             monolithic transfers).
         tracer: Optional request-lifecycle tracer threaded through to the
             worker; the replica id is the span lane.
-        cold_start: Start the worker's clock at ``ready_s`` plus its
-            one-time parameter-packing time: the replica is routable from
-            ``ready_s`` but its device cannot step before the packed
-            binaries are resident (a cold deploy of the initial fleet).
     """
 
     def __init__(self, replica_id: int, config: ModelConfig,
@@ -119,8 +115,7 @@ class EngineReplica:
                  warmup_s: Optional[float] = 0.0,
                  role: Union[str, ReplicaRole] = ReplicaRole.UNIFIED,
                  kv_stream_chunks: int = 1,
-                 tracer=None,
-                 cold_start: bool = False) -> None:
+                 tracer=None) -> None:
         self.replica_id = replica_id
         self.role = resolve_replica_role(role)
         # The worker sizes the KV pool up front, so a pool too small for
@@ -139,10 +134,8 @@ class EngineReplica:
             raise ValueError("warmup_s must be non-negative")
         self.ready_s = spawned_s + self.warmup_s
         # The worker's clock starts at readiness: a freshly scaled-up
-        # replica cannot execute a step before its warm-up elapsed (nor a
-        # cold-started one before its packing finished).
-        self.worker.clock = self.ready_s + (self.worker.packing_s
-                                            if cold_start else 0.0)
+        # replica cannot execute a step before its warm-up elapsed.
+        self.worker.clock = self.ready_s
         self.state = ReplicaState.WARMING if self.warmup_s > 0 \
             else ReplicaState.ACTIVE
         self.stopped_s: Optional[float] = None

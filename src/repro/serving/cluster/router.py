@@ -3,10 +3,11 @@
 The cluster front door, and the only placement decision in the serving
 tier.  Routing happens live: the policy sees the replicas' actual queue
 depths, batch occupancy and KV pressure at the request's arrival instant,
-because the cluster interleaves replica execution under a global clock.  Policies follow the same registry
-pattern as :mod:`repro.serving.policies` (a name -> class dict plus a
-``resolve_*`` helper accepting names or instances) and are deterministic:
-every tie breaks on the lowest replica id.
+because the cluster interleaves replica execution under a global clock.
+Policies follow the same registry pattern as :mod:`repro.serving.policies`
+(a name -> class dict plus a ``resolve_*`` helper accepting names or
+instances) and are deterministic: every tie breaks on the lowest replica
+id.
 
 ``round_robin``
     Dispatch counter modulo the routable fleet — the baseline spreader.

@@ -236,7 +236,8 @@ class TestEngineIntegration:
 
     def test_cache_on_beats_cache_off(self):
         on = serve(self.TRACE, kv_config=AMPLE, scheduler_config=SCHEDULER)
-        off = serve(self.TRACE, kv_config=AMPLE_OFF, scheduler_config=SCHEDULER)
+        off = serve(self.TRACE, kv_config=AMPLE_OFF,
+                    scheduler_config=SCHEDULER)
         assert on.aggregate_tokens_per_s > off.aggregate_tokens_per_s
         assert on.ttft.mean < off.ttft.mean
         assert on.makespan_s < off.makespan_s
@@ -244,7 +245,8 @@ class TestEngineIntegration:
     def test_cache_off_identical_to_unmanaged(self):
         """Shared-prefix metadata on the trace is inert without the cache:
         the managed-ample engine still matches the unmanaged engine."""
-        off = serve(self.TRACE, kv_config=AMPLE_OFF, scheduler_config=SCHEDULER)
+        off = serve(self.TRACE, kv_config=AMPLE_OFF,
+                    scheduler_config=SCHEDULER)
         unmanaged = serve(self.TRACE, scheduler_config=SCHEDULER)
         assert off.makespan_s == unmanaged.makespan_s
         assert off.ttft == unmanaged.ttft
