@@ -200,8 +200,9 @@ class DeviceWorker:
         self.preemption_events: List[PreemptionEvent] = []
 
         # Every worker starts from a cold device so repeated runs (parameter
-        # sweeps, benchmark repetitions) measure the same system.  Its
-        # replica decides whether the packing is charged to the clock.
+        # sweeps, benchmark repetitions) measure the same system.  The
+        # fleet moves the clock to the replica's readiness, plus the
+        # packing on a cold start.
         session.reset()
         self.packing_s = session.pack_parameters()
         self.clock = 0.0
