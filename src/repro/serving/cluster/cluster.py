@@ -93,7 +93,10 @@ from repro.serving.cluster.report import (
 from repro.serving.cluster.router import ClusterRouter, RoutingPolicy
 from repro.serving.engine import HandoffEvent
 from repro.serving.kv_manager import KVCacheConfig
-from repro.serving.policies.preemption import PreemptionPolicy
+from repro.serving.policies.preemption import (
+    PreemptionPolicy,
+    resolve_preemption_policy,
+)
 from repro.serving.request import (
     RequestState,
     ServingRequest,
@@ -305,6 +308,9 @@ class ServingCluster:
             kv_config.manager_for(InferenceSession(
                 config, performance_model=performance_model)
                 .kv_bytes_per_token)
+        # Reject an unknown policy name here, not at the first replica
+        # spawn inside run().
+        resolve_preemption_policy(preemption)
         self.preemption = preemption
         if isinstance(autoscaler, Autoscaler):
             self.autoscaler: Optional[Autoscaler] = autoscaler
