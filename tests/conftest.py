@@ -4,16 +4,16 @@ Every recorded sha256 the suite checks lives in ``tests/pins.json``, keyed
 ``"<test file>::<case>"`` with the file relative to ``tests/``.  A test
 checks a digest through the :func:`pin` fixture, always by strict
 equality.  ``pytest --regen-pins`` instead records what each check
-computed, rewrites the ledger and prints the keys that moved; CI never
-passes it, so a moved digest fails CI until a commit re-pins it on
-purpose.
+computed, rewrites the ledger, prints the keys that moved and drops the
+keys of cases that no longer exist; CI never passes it, so a moved digest
+fails CI until a commit re-pins it on purpose.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Set
+from typing import Dict, List, Optional, Set
 
 import pytest
 
@@ -86,13 +86,21 @@ PINS_PATH = TESTS_DIR / "pins.json"
 
 class PinLedger:
     """The recorded digests of ``tests/pins.json`` and, under
-    ``--regen-pins``, the digests this run computed in their place."""
+    ``--regen-pins``, the digests this run computed in their place.
+
+    A regenerated ledger also drops the stale keys of every test file this
+    run checked in full: a recorded key under that file's prefix that no
+    check computed (a renamed or removed case).  Files the run only
+    partly covered (tests deselected, named by node id, or failed) keep
+    their recorded keys."""
 
     def __init__(self, path: Path, regen: bool) -> None:
         self.path = path
         self.regen = regen
         self.recorded: Dict[str, str] = json.loads(path.read_text())
         self.observed: Dict[str, str] = {}
+        self.partial: Set[str] = set()   # test files not run in full
+        self.dropped: List[str] = []
 
     def check(self, key: str, actual: str) -> None:
         if self.regen:
@@ -111,10 +119,31 @@ class PinLedger:
         return sorted(key for key, digest in self.observed.items()
                       if self.recorded.get(key) != digest)
 
+    def stale(self) -> list:
+        """Recorded keys of the files this run checked in full that no
+        check computed, sorted."""
+        checked = {key.split("::", 1)[0] for key in self.observed}
+        checked -= self.partial
+        return sorted(key for key in self.recorded
+                      if key not in self.observed
+                      and key.split("::", 1)[0] in checked)
+
     def write(self) -> None:
+        self.dropped = self.stale()
         merged = {**self.recorded, **self.observed}
+        for key in self.dropped:
+            del merged[key]
         self.path.write_text(
             json.dumps(dict(sorted(merged.items())), indent=2) + "\n")
+
+
+def ledger_file(path: Path) -> Optional[str]:
+    """``path``'s ledger prefix (relative to ``tests/``), or ``None`` for
+    a file outside it."""
+    try:
+        return path.resolve().relative_to(TESTS_DIR).as_posix()
+    except ValueError:
+        return None
 
 
 class FilePins:
@@ -152,14 +181,45 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 
 
 def pytest_configure(config: pytest.Config) -> None:
-    config.stash[_LEDGER] = PinLedger(PINS_PATH,
-                                      config.getoption("--regen-pins"))
+    ledger = PinLedger(PINS_PATH, config.getoption("--regen-pins"))
+    config.stash[_LEDGER] = ledger
+    # A file named down to its tests on the command line runs in part.
+    for arg in config.args:
+        if "::" in arg:
+            file = ledger_file(Path(arg.split("::", 1)[0]))
+            if file is not None:
+                ledger.partial.add(file)
 
 
-def pytest_sessionfinish(session: pytest.Session) -> None:
+def _mark_partial(config: pytest.Config, path: Path) -> None:
+    ledger = config.stash.get(_LEDGER, None)
+    file = ledger_file(path)
+    if ledger is not None and file is not None:
+        ledger.partial.add(file)
+
+
+def pytest_deselected(items) -> None:
+    for item in items:
+        _mark_partial(item.config, item.path)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_makereport(item: pytest.Item, call):
+    report = yield
+    if report.failed:
+        _mark_partial(item.config, item.path)
+    return report
+
+
+def pytest_sessionfinish(session: pytest.Session, exitstatus) -> None:
     ledger = session.config.stash.get(_LEDGER, None)
-    if ledger is not None and ledger.regen:
-        ledger.write()
+    if ledger is None or not ledger.regen:
+        return
+    if exitstatus == pytest.ExitCode.INTERRUPTED:
+        # An interrupted run may have left any file half done.
+        ledger.partial.update(key.split("::", 1)[0]
+                              for key in ledger.observed)
+    ledger.write()
 
 
 def pytest_terminal_summary(terminalreporter, config: pytest.Config) -> None:
@@ -169,13 +229,15 @@ def pytest_terminal_summary(terminalreporter, config: pytest.Config) -> None:
     moved = ledger.moved()
     terminalreporter.write_line(
         f"pin ledger: {len(ledger.observed)} key(s) checked, "
-        f"{len(moved)} moved")
+        f"{len(moved)} moved, {len(ledger.dropped)} dropped")
     for key in moved:
         terminalreporter.write_line(f"  moved: {key}")
+    for key in ledger.dropped:
+        terminalreporter.write_line(f"  dropped: {key}")
 
 
 @pytest.fixture
 def pin(request: pytest.FixtureRequest) -> FilePins:
     """Check a digest against the ledger entry of the calling test file."""
-    file = request.node.path.resolve().relative_to(TESTS_DIR).as_posix()
-    return FilePins(request.config.stash[_LEDGER], file)
+    return FilePins(request.config.stash[_LEDGER],
+                    ledger_file(request.node.path))
