@@ -69,7 +69,7 @@ def record(name: str, report, **extra) -> None:
     Re-recording a name overwrites it, so parametrised reruns stay
     idempotent.
     """
-    if getattr(report, "manifest", None) is not None:
+    if report.manifest is not None:
         _manifests[name] = report.manifest
     _entries[name] = {
         **_provenance(),
@@ -94,7 +94,7 @@ def record_cluster(name: str, report, **extra) -> None:
     ``report`` is a :class:`~repro.serving.cluster.ClusterReport`; ``extra``
     adds scenario-specific scalars (scaling factors, sweep parameters, …).
     """
-    if getattr(report, "manifest", None) is not None:
+    if report.manifest is not None:
         _manifests[name] = report.manifest
     entry = {
         **_provenance(),
@@ -121,7 +121,7 @@ def write(path: Path = ARTIFACT_PATH,
           cluster_path: Path = CLUSTER_ARTIFACT_PATH,
           manifest_path: Path = MANIFEST_ARTIFACT_PATH) -> Path:
     """Write the collected entries (sorted by name) as JSON; returns the
-    engine-artifact path.  Each file is a no-op when nothing was recorded
+    serving-artifact path.  Each file is a no-op when nothing was recorded
     for it.  ``REPRO_BENCH_DIR`` redirects every artifact into that
     directory (creating it) — ``repro reproduce --check`` uses this to
     regenerate into a scratch directory without touching the committed

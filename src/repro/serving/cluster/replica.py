@@ -324,7 +324,7 @@ class EngineReplica:
         ``requests`` does)."""
         kv_config = self.worker.kv_config
         return build_report(
-            model_name, 1, self.requests, [self.worker.device_stats()],
+            model_name, self.requests, [self.worker.device_stats()],
             self.worker.preemption_events,
             prefix_cache_enabled=kv_config is not None
             and kv_config.enable_prefix_cache,

@@ -285,7 +285,6 @@ class ServingReport:
     cluster replica's drill-down report)."""
 
     model: str
-    num_devices: int
     num_requests: int
     completed: int
     rejected: int
@@ -381,7 +380,9 @@ class ServingReport:
 
         payload = {
             "model": self.model,
-            "num_devices": self.num_devices,
+            # A replica report covers one device; the key keeps the
+            # payload's shape.
+            "num_devices": 1,
             "num_requests": self.num_requests,
             "completed": self.completed,
             "rejected": self.rejected,
@@ -425,51 +426,6 @@ class ServingReport:
                 "cow_copies": self.prefix_cow_copies,
             }
         return payload
-
-    def format(self) -> str:
-        """Human-readable multi-line summary of the run."""
-        lines = [
-            f"serving report: {self.model} on {self.num_devices} device(s)",
-            f"  requests:      {self.completed}/{self.num_requests} completed"
-            + (f", {self.rejected} rejected" if self.rejected else ""),
-            f"  output tokens: {self.total_output_tokens} over "
-            f"{self.makespan_s:.2f} s -> "
-            f"{self.aggregate_tokens_per_s:.1f} tok/s aggregate",
-            f"  queue depth:   peak {self.peak_queue_depth}, "
-            f"mean {self.mean_queue_depth:.1f}",
-        ]
-        if any(d.kv_blocks_total for d in self.devices):
-            blocks = max(d.kv_blocks_total for d in self.devices)
-            lines.append(
-                f"  kv cache:      {blocks} blocks/device, "
-                f"peak util {self.peak_kv_utilization * 100:.0f}%, "
-                f"mean util {self.mean_kv_utilization * 100:.0f}%, "
-                f"{self.preemptions} preemption(s)")
-        if self.prefix_cache_enabled:
-            lines.append(
-                f"  prefix cache:  hit rate "
-                f"{self.prefix_hit_rate * 100:.0f}% "
-                f"({self.prefix_tokens_reused} prompt tokens skipped), "
-                f"{self.shared_kv_blocks_reused} block reuse(s), "
-                f"{self.shared_kv_blocks_created} shared block(s) created")
-        lines += [
-            "  latency (ms):",
-            f"    ttft        {self.ttft.format_ms()}",
-            f"    tpot        {self.tpot.format_ms()}",
-            f"    e2e         {self.e2e_latency.format_ms()}",
-            f"    queue wait  {self.queue_wait.format_ms()}",
-        ]
-        for device in self.devices:
-            line = (f"  device {device.device_id}: {device.engine_steps} steps, "
-                    f"{device.tokens_generated} tokens, "
-                    f"{device.requests_served} requests, "
-                    f"utilization {device.utilization * 100:.0f}%")
-            if device.kv_blocks_total:
-                line += (f", kv peak {device.kv_peak_blocks}"
-                         f"/{device.kv_blocks_total} blocks, "
-                         f"{device.preemptions} preemption(s)")
-            lines.append(line)
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -630,7 +586,7 @@ class RequestTable:
         )
 
 
-def build_report(model: str, num_devices: int,
+def build_report(model: str,
                  requests: Sequence[ServingRequest],
                  devices: List[DeviceStats],
                  preemption_events: Optional[List[PreemptionEvent]] = None,
@@ -650,7 +606,6 @@ def build_report(model: str, num_devices: int,
         fold = table.fold(table.rows_of(requests))
     return ServingReport(
         model=model,
-        num_devices=num_devices,
         num_requests=fold.num_requests,
         completed=fold.completed,
         rejected=fold.rejected,

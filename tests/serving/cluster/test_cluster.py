@@ -37,7 +37,7 @@ def worker_to_completion(trace) -> dict:
     for request in requests:
         worker.submit(request)
     worker.run_until(math.inf)
-    payload = build_report(GPT2.name, 1, requests, [worker.device_stats()],
+    payload = build_report(GPT2.name, requests, [worker.device_stats()],
                            worker.preemption_events).to_dict()
     for key in ("mean_queue_depth", "peak_queue_depth"):
         del payload[key]
@@ -324,7 +324,9 @@ class TestEmptyTraces:
 
     def test_empty_trace_report_formats(self):
         report = ServingCluster(GPT2, initial_replicas=1).run([])
-        assert "0/0 completed" in report.format()
+        text = report.format()
+        assert "0/0 completed" in text
+        assert "ttft        no samples" in text
         json.dumps(report.to_dict())
 
 

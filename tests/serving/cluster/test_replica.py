@@ -136,5 +136,5 @@ class TestLoadSignals:
             pass
         report = replica.report("gpt2")
         assert report.completed == 3
-        assert report.num_devices == 1
+        assert len(report.devices) == 1
         assert report.devices[0].device_id == 0

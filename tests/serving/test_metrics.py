@@ -82,7 +82,7 @@ class TestBuildReport:
             self._finished_request(0, 0.0, 1.0, 2.0),
             self._finished_request(1, 1.0, 2.0, 4.0),
         ]
-        report = build_report("gpt2", 1, requests, [], [])
+        report = build_report("gpt2", requests, [], [])
         assert report.completed == 2
         assert report.total_output_tokens == 8
         assert report.makespan_s == pytest.approx(4.0)
@@ -94,22 +94,15 @@ class TestBuildReport:
             self._finished_request(0, 0.0, 1.0, 1.0, workload=Workload(8, 1)),
             self._finished_request(1, 0.0, 1.0, 2.0, workload=Workload(8, 3)),
         ]
-        report = build_report("gpt2", 1, requests, [], [])
+        report = build_report("gpt2", requests, [], [])
         # Only the 3-token request contributes: (2.0 - 1.0) / 2 decodes.
         assert report.tpot.max == pytest.approx(0.5)
         assert report.tpot.mean == pytest.approx(0.5)
 
-    def test_format_is_printable(self):
-        report = build_report("gpt2", 1,
-                              [self._finished_request(0, 0.0, 1.0, 2.0)], [], [])
-        text = report.format()
-        assert "serving report" in text
-        assert "tok/s" in text
-
     def test_to_dict_round_trips_through_json(self):
         import json
 
-        report = build_report("gpt2", 1,
+        report = build_report("gpt2",
                               [self._finished_request(0, 0.0, 1.0, 2.0)], [], [])
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["completed"] == 1
@@ -120,15 +113,15 @@ class TestBuildReport:
         assert payload["preemption_events"] == []
 
     def test_zero_request_trace_yields_sentinel_report(self):
-        """An empty trace must format and serialise cleanly, with every
-        latency block marked as the no-samples sentinel."""
+        """An empty trace must serialise cleanly, with every latency block
+        marked as the no-samples sentinel."""
         import json
 
-        report = build_report("gpt2", 1, [], [], [])
+        report = build_report("gpt2", [], [], [])
         assert report.completed == 0
         assert report.ttft.is_empty and report.tpot.is_empty
         assert report.e2e_latency.is_empty and report.queue_wait.is_empty
-        assert "no samples" in report.format()
+        assert report.ttft.format_ms() == "no samples"
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["ttft_ms"]["count"] == 0
         assert payload["aggregate_tokens_per_s"] == 0.0

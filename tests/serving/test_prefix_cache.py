@@ -280,12 +280,15 @@ class TestEngineIntegration:
             == json.dumps(off.to_dict(), sort_keys=True)
 
     def test_report_dict_carries_prefix_metrics(self):
-        report = serve(self.TRACE, kv_config=AMPLE, scheduler_config=SCHEDULER)
+        fleet = ServingCluster(GPT2, kv_config=AMPLE,
+                               scheduler_config=SCHEDULER).run(self.TRACE)
+        report = fleet.replica_reports[0]
         payload = report.to_dict()["prefix_cache"]
         assert payload["hit_rate"] == pytest.approx(report.prefix_hit_rate)
         assert payload["tokens_reused"] == report.prefix_tokens_reused
         assert payload["shared_blocks_created"] == 12
-        assert "prefix cache:" in report.format()
+        assert f"prefix cache:  fleet hit rate " \
+               f"{report.prefix_hit_rate * 100:.0f}%" in fleet.format()
 
     def test_determinism_with_prefix_cache(self):
         first = serve(self.TRACE, kv_config=AMPLE, scheduler_config=SCHEDULER)
