@@ -117,6 +117,8 @@ class TestServeSimCommand:
         payload = json.loads(report_path.read_text())
         assert payload["completed"] == 16
         assert payload["preemptions"] >= 1
+        assert sum(replica["preemptions"] for replica in payload["replicas"]) \
+            == payload["preemptions"]
 
     def test_kv_flags_default_to_unmanaged(self, capsys):
         exit_code = main(["serve-sim", "--requests", "4", "--no-baseline"])
