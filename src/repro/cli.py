@@ -600,9 +600,9 @@ def _write_outputs(args: argparse.Namespace, cluster, report,
         path.parent.mkdir(parents=True, exist_ok=True)
         write_chrome_trace(
             path, cluster.tracer, manifest=report.manifest,
-            lanes={replica.replica_id:
-                   f"replica {replica.replica_id} [{replica.role.value}]"
-                   for replica in cluster.replicas})
+            lanes={worker.device_id:
+                   f"replica {worker.device_id} [{worker.role.value}]"
+                   for worker in cluster.replicas})
         print(f"trace written to {path} "
               "(load at https://ui.perfetto.dev, or run "
               f"'python -m repro trace summarize {path}')")

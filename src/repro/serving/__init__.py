@@ -31,7 +31,12 @@ or from the command line: ``python -m repro serve-sim --model gpt2
 --devices 2 --requests 64``.
 """
 
-from repro.serving.engine import DeviceWorker, HandoffEvent
+from repro.serving.engine import (
+    DeviceWorker,
+    HandoffEvent,
+    ReplicaRole,
+    ReplicaState,
+)
 from repro.serving.kv_manager import (
     KVBlockManager,
     KVCacheConfig,
@@ -96,12 +101,9 @@ from repro.serving.cluster import (  # noqa: E402
     ClusterReport,
     ClusterRouter,
     DisaggregationConfig,
-    EngineReplica,
     FaultPlan,
     KVLinkDegradation,
     ReplicaCrash,
-    ReplicaRole,
-    ReplicaState,
     RoutingPolicy,
     ServingCluster,
     SlowNode,
@@ -114,7 +116,6 @@ __all__ = [
     "ClusterReport",
     "ClusterRouter",
     "DisaggregationConfig",
-    "EngineReplica",
     "ReplicaRole",
     "ReplicaState",
     "RoutingPolicy",

@@ -4,12 +4,12 @@ Real deployments of the serving lineage this repo models (Orca's
 iteration-level batching, vLLM's paged KV cache) run many engine instances
 behind a load balancer, and the cluster layer is where load balancing,
 replica scaling and SLO attainment are decided.  This package is the one
-serving runner: each replica wraps the single-device
-:class:`~repro.serving.engine.DeviceWorker`, and a fixed fleet of ``n``
+serving runner: each replica is one single-device
+:class:`~repro.serving.engine.DeviceWorker` — its batching loop, KV pool,
+load signals and serving lifecycle (:class:`ReplicaState`: warming,
+active, draining, stopped) in one object — and a fixed fleet of ``n``
 replicas is the ``n``-device simulator ``repro serve-sim`` runs.
 
-* :class:`EngineReplica` — one engine + KV pool with a serving lifecycle
-  (warming, active, draining, stopped);
 * :class:`ClusterRouter` + pluggable :class:`RoutingPolicy` registry —
   ``round_robin``, ``least_queue``, ``least_kv_pressure``,
   ``prefix_affinity`` (sticky by prefix group so per-replica prefix
@@ -69,12 +69,6 @@ from repro.serving.cluster.faults import (
     SlowNode,
     parse_fault_spec,
 )
-from repro.serving.cluster.replica import (
-    EngineReplica,
-    ReplicaRole,
-    ReplicaState,
-    resolve_replica_role,
-)
 from repro.serving.cluster.report import (
     ClassOutcome,
     ClusterReport,
@@ -89,6 +83,11 @@ from repro.serving.cluster.router import (
     RoutingPolicy,
     resolve_routing_policy,
 )
+from repro.serving.engine import (
+    ReplicaRole,
+    ReplicaState,
+    resolve_replica_role,
+)
 
 __all__ = [
     "Autoscaler",
@@ -97,7 +96,6 @@ __all__ = [
     "ClusterReport",
     "ClusterRouter",
     "DisaggregationConfig",
-    "EngineReplica",
     "Event",
     "EventKind",
     "EventQueue",

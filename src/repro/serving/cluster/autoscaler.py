@@ -14,7 +14,7 @@ Scale **up** when either signal crosses its high threshold (queue deeper
 than ``queue_high_per_replica`` per routable replica, or rolling p95 TTFT
 above the SLO) and the fleet is below ``max_replicas``.  A new replica is
 not free: it pays a warm-up cost before taking traffic (see
-:class:`~repro.serving.cluster.replica.EngineReplica`), so provisioned
+:class:`~repro.serving.engine.DeviceWorker`), so provisioned
 (active + warming) capacity is what is bounded, not just what is serving.
 
 Scale **down** when the queue is shallow (below ``queue_low_per_replica``)

@@ -1,7 +1,8 @@
 """The cluster orchestration loop: replicas + router + autoscaler.
 
-A :class:`ServingCluster` runs a fleet of :class:`EngineReplica`s under one
-global simulated clock.  The simulation is event-driven over four event
+A :class:`ServingCluster` runs a fleet of replicas — one
+:class:`~repro.serving.engine.DeviceWorker` per device — under one global
+simulated clock.  The simulation is event-driven over four event
 kinds, processed in deterministic time order (ties: arrival, then
 KV-migration landing, then control tick, then engine step; equal-time
 steps break on the lowest replica id):
@@ -80,18 +81,18 @@ from repro.runtime.session import InferenceSession
 from repro.serving.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.serving.cluster.events import EventKind, EventQueue
 from repro.serving.cluster.faults import FaultAction, FaultPlan
-from repro.serving.cluster.replica import (
-    EngineReplica,
-    ReplicaRole,
-    ReplicaState,
-)
 from repro.serving.cluster.report import (
     ClusterReport,
     ReplicaCountSample,
     build_cluster_report,
 )
 from repro.serving.cluster.router import ClusterRouter, RoutingPolicy
-from repro.serving.engine import HandoffEvent
+from repro.serving.engine import (
+    DeviceWorker,
+    HandoffEvent,
+    ReplicaRole,
+    ReplicaState,
+)
 from repro.serving.kv_manager import KVCacheConfig
 from repro.serving.policies.preemption import (
     PreemptionPolicy,
@@ -182,7 +183,7 @@ class _KVStream:
                  chunk_bytes: Tuple[float, ...]) -> None:
         self.handoff = handoff
         self.chunk_bytes = chunk_bytes
-        self.target: Optional[EngineReplica] = None
+        self.target: Optional[DeviceWorker] = None
 
 
 class _KVChunk:
@@ -337,11 +338,11 @@ class ServingCluster:
                     raise ValueError(
                         f"{label}={count} outside the autoscaler bounds "
                         f"[{bounds.min_replicas}, {bounds.max_replicas}]")
-        self.replicas: List[EngineReplica] = []
+        self.replicas: List[DeviceWorker] = []
         # Replicas still paying their warm-up (the only ones a time
         # advance can activate): _activate_due scans this short list, not
         # the fleet, so a steady-state arrival costs O(1) here.
-        self._warming: List[EngineReplica] = []
+        self._warming: List[DeviceWorker] = []
         # Routable-pool cache, keyed by role (None = the whole routable
         # fleet).  Rebuilding these lists per arrival was a measured
         # O(replicas)-per-event cost in *both* kernels; lifecycle
@@ -350,7 +351,7 @@ class ServingCluster:
         # warm-up activation, drain).  Callers must treat the returned
         # lists as read-only.
         self._pool_cache: Dict[Optional[ReplicaRole],
-                               List[EngineReplica]] = {}
+                               List[DeviceWorker]] = {}
         self._timeline: List[ReplicaCountSample] = []
         # Rolling first-token window for the autoscaler: events consumed
         # incrementally from each worker's ttft_samples (cursor per
@@ -425,17 +426,18 @@ class ServingCluster:
     # Fleet bookkeeping
     # ------------------------------------------------------------------
     def _spawn(self, spawned_s: float, warmup_s: Optional[float],
-               role: ReplicaRole = ReplicaRole.UNIFIED) -> EngineReplica:
-        replica = EngineReplica(
-            len(self.replicas), self.config,
-            scheduler_config=self.scheduler_config,
-            performance_model=self.performance_model,
-            kv_config=self.kv_config,
+               role: ReplicaRole = ReplicaRole.UNIFIED) -> DeviceWorker:
+        replica = DeviceWorker(
+            len(self.replicas),
+            InferenceSession(self.config,
+                             performance_model=self.performance_model),
+            self.scheduler_config or SchedulerConfig(),
             preemption=self.preemption,
-            spawned_s=spawned_s, warmup_s=warmup_s,
+            kv_config=self.kv_config,
             role=role,
             kv_stream_chunks=self.disaggregation.kv_stream_chunks
             if self.disaggregation is not None else 1,
+            spawned_s=spawned_s, warmup_s=warmup_s,
             tracer=self.tracer)
         self.replicas.append(replica)
         if replica.state is ReplicaState.WARMING:
@@ -478,7 +480,7 @@ class ServingCluster:
             self._pool_cache.clear()
             self._record(now)
 
-    def _routable(self) -> List[EngineReplica]:
+    def _routable(self) -> List[DeviceWorker]:
         """The routable fleet in ascending replica-id order (cached; see
         ``_pool_cache`` — treat as read-only)."""
         pool = self._pool_cache.get(None)
@@ -488,7 +490,7 @@ class ServingCluster:
             self._pool_cache[None] = pool
         return pool
 
-    def _routable_pool(self, role: ReplicaRole) -> List[EngineReplica]:
+    def _routable_pool(self, role: ReplicaRole) -> List[DeviceWorker]:
         """One role's routable replicas (cached; treat as read-only)."""
         pool = self._pool_cache.get(role)
         if pool is None:
@@ -497,8 +499,8 @@ class ServingCluster:
             self._pool_cache[role] = pool
         return pool
 
-    def _pool(self, replicas: Sequence[EngineReplica],
-              role: Optional[ReplicaRole]) -> List[EngineReplica]:
+    def _pool(self, replicas: Sequence[DeviceWorker],
+              role: Optional[ReplicaRole]) -> List[DeviceWorker]:
         """Filter ``replicas`` down to one role pool (``None`` = all)."""
         if role is None:
             return list(replicas)
@@ -508,7 +510,7 @@ class ServingCluster:
     # Control loop
     # ------------------------------------------------------------------
     @staticmethod
-    def _roll_window(replicas: Sequence[EngineReplica], now: float,
+    def _roll_window(replicas: Sequence[DeviceWorker], now: float,
                      window_s: float, cursors: Dict[int, int],
                      window: List[Tuple[float, ...]],
                      feed: str) -> List[Tuple[float, ...]]:
@@ -518,11 +520,11 @@ class ServingCluster:
         beyond ``now`` stay buffered for a later tick rather than leaking
         into this one's percentile."""
         for replica in replicas:
-            samples = getattr(replica.worker, feed)
-            seen = cursors.get(replica.replica_id, 0)
+            samples = getattr(replica, feed)
+            seen = cursors.get(replica.device_id, 0)
             if seen < len(samples):
                 window.extend(samples[seen:])
-                cursors[replica.replica_id] = len(samples)
+                cursors[replica.device_id] = len(samples)
         window_start = now - window_s
         window[:] = [event for event in window if event[0] >= window_start]
         return window
@@ -575,7 +577,7 @@ class ServingCluster:
         return [tpot for landed, tpot in window if landed <= now]
 
     def _apply_decision(self, scaler: Autoscaler, now: float, action: str,
-                        routable: List[EngineReplica],
+                        routable: List[DeviceWorker],
                         role: ReplicaRole) -> None:
         """Apply one pool's scale decision to the fleet."""
         if action == "up":
@@ -590,7 +592,7 @@ class ServingCluster:
             # least-loaded active replica (ties: the youngest goes first,
             # LIFO).
             victim = min(routable,
-                         key=lambda r: (r.in_system, -r.replica_id))
+                         key=lambda r: (r.in_system, -r.device_id))
             victim.drain(now)
             self._pool_cache.clear()
             self._record(now)
@@ -598,7 +600,7 @@ class ServingCluster:
                 self.tracer.metrics.inc("scale_downs")
 
     def _pool_counts(self, role: Optional[ReplicaRole],
-                     ) -> Tuple[List[EngineReplica], int, int]:
+                     ) -> Tuple[List[DeviceWorker], int, int]:
         """One pool's (routable replicas, provisioned count, queue depth)."""
         routable = self._routable() if role is None \
             else self._routable_pool(role)
@@ -715,8 +717,7 @@ class ServingCluster:
             # horizon* (the worker clock, i.e. the end of a straddling
             # step): everything recorded stands, and a dead replica has
             # no record of work past its death instant.
-            worker = replica.worker
-            death = max(now, worker.clock) if worker.steps else now
+            death = max(now, replica.clock) if replica.steps else now
             lost = replica.crash(death)
             self.fault_crashes += 1
             if was_warming:
@@ -748,11 +749,11 @@ class ServingCluster:
             rid = action.replica_id
             if rid < len(replicas) \
                     and replicas[rid].state is not ReplicaState.STOPPED:
-                replicas[rid].worker.step_time_scale = action.scale
+                replicas[rid].step_time_scale = action.scale
                 self.fault_slow_nodes += 1
         elif kind == "slow_off":
             if action.replica_id < len(replicas):
-                replicas[action.replica_id].worker.step_time_scale = 1.0
+                replicas[action.replica_id].step_time_scale = 1.0
         elif kind == "kvlink_on":
             self._kv_link_scale = action.scale
             self.fault_kv_link_degradations += 1
@@ -839,7 +840,7 @@ class ServingCluster:
         if self.kv_config is not None and live:
             metrics.sample("kv_utilization", now, kv_utilization / live)
 
-    def _price_migrations(self, replica: EngineReplica) -> None:
+    def _price_migrations(self, replica: DeviceWorker) -> None:
         """Price and enqueue the KV transfers of a prefill replica's
         fresh hand-offs.  Each hand-off becomes one or more chunk
         landings — a heap entry under the step kernel, a
@@ -926,7 +927,7 @@ class ServingCluster:
                                    (landed_s, self._migration_seq, chunk))
 
     def _land_chunk(self, land_s: float,
-                    chunk: _KVChunk) -> Optional[EngineReplica]:
+                    chunk: _KVChunk) -> Optional[DeviceWorker]:
         """Handle one chunk landing (either kernel).  Returns the decode
         replica the request was dispatched to when this was the first
         chunk — the caller enlists it — or ``None`` for later chunks,
@@ -972,14 +973,14 @@ class ServingCluster:
         # until the first dispatch.
         next_control = 0.0 if scaler is not None else math.inf
         dispatched = False
-        live: List[EngineReplica] = []
+        live: List[DeviceWorker] = []
         live_ids: set = set()
         next_arrival_s = arrivals[0].arrival_s if arrivals else math.inf
         faults = self._fault_actions
 
-        def enlist(replica: EngineReplica) -> None:
-            if replica.replica_id not in live_ids:
-                live_ids.add(replica.replica_id)
+        def enlist(replica: DeviceWorker) -> None:
+            if replica.device_id not in live_ids:
+                live_ids.add(replica.device_id)
                 live.append(replica)
 
         # The loop also stays alive while fault edges remain (a plan is a
@@ -992,7 +993,7 @@ class ServingCluster:
             t_migration = self._migrations[0][0] if self._migrations \
                 else math.inf
             stepper = min(live, key=lambda r: (r.next_ready_s,
-                                               r.replica_id)) \
+                                               r.device_id)) \
                 if live else None
             t_step = stepper.next_ready_s if stepper else math.inf
             t_control = next_control if scaler is not None else math.inf
@@ -1034,9 +1035,9 @@ class ServingCluster:
                     self._price_migrations(stepper)
                 if stepper.state is not state_before:
                     # A draining replica ran dry mid-step and stopped.
-                    self._record(stepper.worker.clock)
+                    self._record(stepper.clock)
                 if not stepper.has_work:
-                    live_ids.remove(stepper.replica_id)
+                    live_ids.remove(stepper.device_id)
                     live.remove(stepper)
             else:
                 action = faults.popleft()
@@ -1068,7 +1069,7 @@ class ServingCluster:
         same-instant fleet samples.
 
         Run-ahead (see :mod:`.events`): a popped STEP of an ACTIVE
-        replica in a unified fleet keeps stepping its worker through
+        replica in a unified fleet keeps stepping it through
         :meth:`DeviceWorker.run_until` while the replica has work and its
         ``next_ready_s`` is strictly before ``min(next arrival, next
         control tick, next fault)`` — no other event can reach the
@@ -1129,9 +1130,9 @@ class ServingCluster:
             push(faults[0].time_s, fault_k)
         dispatched = False
 
-        def enlist(replica: EngineReplica) -> None:
-            if replica.replica_id not in busy:
-                busy.add(replica.replica_id)
+        def enlist(replica: DeviceWorker) -> None:
+            if replica.device_id not in busy:
+                busy.add(replica.device_id)
                 arm_step(replica)
 
         # Like the step loop: fault edges keep the run alive until they
@@ -1198,7 +1199,7 @@ class ServingCluster:
                     # Synchronous DRAIN_COMPLETE: the draining replica
                     # ran dry mid-step and stopped.
                     counts[EventKind.DRAIN_COMPLETE] += 1
-                    self._record(replica.worker.clock)
+                    self._record(replica.clock)
                 elif disaggregation is None and state_before is active:
                     # Run-ahead: nothing can reach this replica before the
                     # next arrival, control tick or fault, so step it on
@@ -1212,12 +1213,12 @@ class ServingCluster:
                         horizon = next_tick_s
                     if faults and faults[0].time_s < horizon:
                         horizon = faults[0].time_s
-                    run_ahead += replica.worker.run_until(horizon)
+                    run_ahead += replica.run_until(horizon)
                 if replica.has_work:
                     arm_step(replica)
                 else:
-                    busy.discard(replica.replica_id)
-                    queue.disarm_step(replica.replica_id)
+                    busy.discard(replica.device_id)
+                    queue.disarm_step(replica.device_id)
 
         # The queued kinds each came through one pop; tally them with
         # the synchronous drain-completes for the instrumentation the
@@ -1289,7 +1290,7 @@ class ServingCluster:
             # A cold deploy: the initial fleet takes traffic from time
             # zero, but no device steps before its packing finished.
             for replica in self.replicas:
-                replica.worker.clock += replica.worker.packing_s
+                replica.clock += replica.packing_s
         self._record(0.0)
 
         requests = requests_from_trace(trace)
@@ -1320,8 +1321,8 @@ class ServingCluster:
         end_s = 0.0
         for replica in self.replicas:
             end_s = max(end_s, replica.spawned_s)
-            if replica.worker.steps > 0:
-                end_s = max(end_s, replica.worker.clock)
+            if replica.steps > 0:
+                end_s = max(end_s, replica.clock)
             if replica.stopped_s is not None:
                 end_s = max(end_s, replica.stopped_s)
         if tracer is not None:
@@ -1333,14 +1334,14 @@ class ServingCluster:
                     tracer.span(SpanKind.DRAIN, replica.drain_s,
                                 replica.stopped_s
                                 if replica.stopped_s is not None else end_s,
-                                lane=replica.replica_id)
+                                lane=replica.device_id)
             metrics = tracer.metrics
             metrics.count("kv_migrations", float(self.kv_migrations))
             metrics.count("kv_bytes_transferred", self.kv_bytes_transferred)
             metrics.count("kv_stall_seconds", math.fsum(
-                replica.worker.kv_stall_s for replica in self.replicas))
+                replica.kv_stall_s for replica in self.replicas))
             metrics.count("preemptions", float(sum(
-                len(replica.worker.preemption_events)
+                len(replica.preemption_events)
                 for replica in self.replicas)))
         # The manifest deliberately omits self.kernel: both kernels must
         # produce byte-identical reports (the differential matrix's core
@@ -1383,8 +1384,8 @@ class ServingCluster:
             if disaggregation is not None else 1,
             kv_chunks_landed=self.kv_chunks_landed,
             kv_stall_seconds=math.fsum(
-                replica.worker.kv_stall_s for replica in self.replicas),
-            kv_stall_steps=sum(replica.worker.kv_stall_steps
+                replica.kv_stall_s for replica in self.replicas),
+            kv_stall_steps=sum(replica.kv_stall_steps
                                for replica in self.replicas),
             manifest=manifest,
             telemetry=telemetry_section(tracer)

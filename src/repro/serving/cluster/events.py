@@ -47,7 +47,7 @@ event kernel replays the step loop's decisions exactly.  ``tie`` carries
 the kind-specific order: the migration sequence number for transfers
 (FIFO per landing instant) and the replica id for steps (equal-time
 steps break on the lowest replica id, exactly the old
-``min(live, key=(next_ready_s, replica_id))``).  ``seq`` is a global
+``min(live, key=(next_ready_s, device_id))``).  ``seq`` is a global
 push counter that makes every key unique, so heap order never falls
 through to comparing payloads.
 
@@ -153,7 +153,7 @@ class EventQueue:
     def __init__(self, on_pop=None) -> None:
         self._heap: List[Tuple[float, int, int, int, Any]] = []
         self._seq = 0
-        # replica_id -> version of its only *valid* step event; entries
+        # device_id -> version of its only *valid* step event; entries
         # tagged with older versions are stale and dropped on pop.
         self._step_version: Dict[int, int] = {}
         self._last_key: Optional[Tuple[float, ...]] = None
@@ -208,16 +208,16 @@ class EventQueue:
         """(Re)schedule ``replica``'s next engine step at its current
         ``next_ready_s``, superseding any step event armed earlier — the
         old entry becomes stale rather than being removed."""
-        version = self._step_version.get(replica.replica_id, 0) + 1
-        self._step_version[replica.replica_id] = version
+        version = self._step_version.get(replica.device_id, 0) + 1
+        self._step_version[replica.device_id] = version
         self.push(replica.next_ready_s, EventKind.STEP,
-                  tie=replica.replica_id, payload=(replica, version))
+                  tie=replica.device_id, payload=(replica, version))
 
-    def disarm_step(self, replica_id: int) -> None:
+    def disarm_step(self, device_id: int) -> None:
         """Invalidate a replica's armed step event without re-arming
         (the replica ran dry or stopped)."""
-        if replica_id in self._step_version:
-            self._step_version[replica_id] += 1
+        if device_id in self._step_version:
+            self._step_version[device_id] += 1
 
     def relax_same_time(self, time_s: float) -> None:
         """Allow same-instant events of *any* kind to follow the entry
@@ -251,7 +251,7 @@ class EventQueue:
             payload = entry[4]
             if entry[1] == step:
                 replica, version = payload
-                if self._step_version.get(replica.replica_id) != version:
+                if self._step_version.get(replica.device_id) != version:
                     self.stale_dropped += 1
                     continue
                 payload = replica

@@ -21,7 +21,7 @@ from repro.serving.request import ServingRequest
 from repro.serving.slo import SLOClass
 
 if TYPE_CHECKING:
-    from repro.serving.cluster.replica import EngineReplica
+    from repro.serving.engine import DeviceWorker
 
 
 @dataclass(frozen=True)
@@ -517,7 +517,7 @@ def build_class_outcomes(requests: Sequence[ServingRequest],
 
 def build_cluster_report(model: str, router: str, autoscaled: bool,
                          requests: Sequence[ServingRequest],
-                         replicas: Sequence["EngineReplica"],
+                         replicas: Sequence["DeviceWorker"],
                          timeline: List[ReplicaCountSample],
                          end_s: float,
                          slo_ttft_s: Optional[float] = None,
@@ -555,7 +555,7 @@ def build_cluster_report(model: str, router: str, autoscaled: bool,
     # row index, so the two never hold their temporaries at once.
     fold = table.fold()
     replica_reports = [replica.report(model, table) for replica in replicas]
-    lifecycles = [ReplicaLifecycle(replica.replica_id, replica.spawned_s,
+    lifecycles = [ReplicaLifecycle(replica.device_id, replica.spawned_s,
                                    replica.ready_s, replica.stopped_s,
                                    role=replica.role.value,
                                    crashed=replica.crashed)

@@ -32,7 +32,7 @@ id.
 ``score``
     Least outstanding SLO-class *value* wins (the sum of class value
     weights queued or running on the replica, see
-    :attr:`EngineReplica.value_load`) — the routing face of score-based
+    :attr:`DeviceWorker.value_load`) — the routing face of score-based
     scheduling: interactive-heavy replicas read "fuller" than
     best-effort-heavy ones with the same request count, so high-value
     queues stay short.  On unclassed traffic every request weighs the
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Type, Union
 
-from repro.serving.cluster.replica import EngineReplica
+from repro.serving.engine import DeviceWorker
 from repro.serving.request import ServingRequest
 
 
@@ -53,11 +53,11 @@ class RoutingPolicy:
     name: str = "abstract"
 
     def select_replica(self, request: ServingRequest,
-                       replicas: List[EngineReplica]) -> int:
-        """Return the chosen replica's ``replica_id``.
+                       replicas: List[DeviceWorker]) -> int:
+        """Return the chosen replica's ``device_id``.
 
         ``replicas`` holds the currently routable fleet in ascending
-        ``replica_id`` order and is never empty.
+        ``device_id`` order and is never empty.
         """
         raise NotImplementedError
 
@@ -78,9 +78,9 @@ class RoutingPolicy:
         default."""
 
 
-def _least_queue(replicas: List[EngineReplica]) -> int:
+def _least_queue(replicas: List[DeviceWorker]) -> int:
     return min(replicas,
-               key=lambda r: (r.in_system, r.replica_id)).replica_id
+               key=lambda r: (r.in_system, r.device_id)).device_id
 
 
 class RoundRobinRouting(RoutingPolicy):
@@ -101,8 +101,8 @@ class RoundRobinRouting(RoutingPolicy):
         self._placed = 0
 
     def select_replica(self, request: ServingRequest,
-                       replicas: List[EngineReplica]) -> int:
-        choice = replicas[self._placed % len(replicas)].replica_id
+                       replicas: List[DeviceWorker]) -> int:
+        choice = replicas[self._placed % len(replicas)].device_id
         self._placed += 1
         return choice
 
@@ -113,7 +113,7 @@ class LeastQueueRouting(RoutingPolicy):
     name = "least_queue"
 
     def select_replica(self, request: ServingRequest,
-                       replicas: List[EngineReplica]) -> int:
+                       replicas: List[DeviceWorker]) -> int:
         return _least_queue(replicas)
 
 
@@ -128,10 +128,10 @@ class LeastKVPressureRouting(RoutingPolicy):
     name = "least_kv_pressure"
 
     def select_replica(self, request: ServingRequest,
-                       replicas: List[EngineReplica]) -> int:
+                       replicas: List[DeviceWorker]) -> int:
         return min(replicas,
                    key=lambda r: (r.kv_utilization, r.in_system,
-                                  r.replica_id)).replica_id
+                                  r.device_id)).device_id
 
 
 class PrefixAffinityRouting(RoutingPolicy):
@@ -180,11 +180,11 @@ class PrefixAffinityRouting(RoutingPolicy):
         return len(self._pins)
 
     def select_replica(self, request: ServingRequest,
-                       replicas: List[EngineReplica]) -> int:
+                       replicas: List[DeviceWorker]) -> int:
         group = request.prefix_group
         if group is None:
             return _least_queue(replicas)
-        available = {replica.replica_id for replica in replicas}
+        available = {replica.device_id for replica in replicas}
         pinned = self._pins.get(group)
         if pinned is not None and pinned in available:
             choice = pinned
@@ -225,13 +225,13 @@ class KVTransferAwareRouting(RoutingPolicy):
     name = "kv_transfer_aware"
 
     def select_replica(self, request: ServingRequest,
-                       replicas: List[EngineReplica]) -> int:
+                       replicas: List[DeviceWorker]) -> int:
         tokens = request.migrated_kv_tokens
         return min(replicas,
                    key=lambda r: (r.kv_shortfall_blocks(tokens),
                                   r.inbound_kv_bytes,
                                   r.kv_utilization, r.in_system,
-                                  r.replica_id)).replica_id
+                                  r.device_id)).device_id
 
 
 class ScoreAwareRouting(RoutingPolicy):
@@ -239,7 +239,7 @@ class ScoreAwareRouting(RoutingPolicy):
 
     The routing face of score-based scheduling: each replica's load reads
     as the summed SLO-class value of its queued + resident requests
-    (:attr:`EngineReplica.value_load`), so a replica holding interactive
+    (:attr:`DeviceWorker.value_load`), so a replica holding interactive
     traffic looks fuller than one holding the same *count* of best-effort
     work, and fresh arrivals spread away from it — high-value queues stay
     short without starving anyone (admission aging handles that side).
@@ -250,10 +250,10 @@ class ScoreAwareRouting(RoutingPolicy):
     name = "score"
 
     def select_replica(self, request: ServingRequest,
-                       replicas: List[EngineReplica]) -> int:
+                       replicas: List[DeviceWorker]) -> int:
         return min(replicas,
                    key=lambda r: (r.value_load, r.in_system,
-                                  r.replica_id)).replica_id
+                                  r.device_id)).device_id
 
 
 ROUTING_POLICIES: Dict[str, Type[RoutingPolicy]] = {
@@ -297,17 +297,17 @@ class ClusterRouter:
         # cache safely; a caller that mutates a pool list in place
         # between dispatches would defeat it, so pool lists are
         # treated as immutable snapshots everywhere in this package.
-        self._last_pool: Optional[List[EngineReplica]] = None
-        self._by_id: Dict[int, EngineReplica] = {}
+        self._last_pool: Optional[List[DeviceWorker]] = None
+        self._by_id: Dict[int, DeviceWorker] = {}
 
     def dispatch(self, request: ServingRequest,
-                 replicas: List[EngineReplica]) -> EngineReplica:
+                 replicas: List[DeviceWorker]) -> DeviceWorker:
         """Route ``request`` to a routable replica and submit it."""
         if not replicas:
             raise RuntimeError("no routable replicas to dispatch to")
         choice = self.policy.select_replica(request, replicas)
         if replicas is not self._last_pool:
-            self._by_id = {replica.replica_id: replica
+            self._by_id = {replica.device_id: replica
                            for replica in replicas}
             self._last_pool = replicas
         replica = self._by_id.get(choice)

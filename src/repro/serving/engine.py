@@ -31,13 +31,13 @@ prefix hit rate and shared-block counters).
 The worker is *step-driven*: ``step()`` advances exactly one engine
 iteration and returns whether work remains, and ``advance()`` runs a steady
 decode batch for a whole segment of iterations in one call.  The serving
-runner, :class:`~repro.serving.cluster.ServingCluster`, wraps each worker in
-a fleet replica and interleaves worker steps across replicas under a global
-clock, routing arrivals and scaling the fleet between steps; a fixed fleet
-of ``n`` replicas is the ``n``-device serving simulator.  The worker carries
-the hooks the cluster needs: ``queue_depth`` (admission backlog, the
-router/autoscaler load signal) and ``drain()`` (finish everything already
-submitted, accept nothing new, then release the KV pool).
+runner, :class:`~repro.serving.cluster.ServingCluster`, holds one worker per
+device of its fleet and interleaves worker steps under a global clock,
+routing arrivals and scaling the fleet between steps; a fixed fleet of
+``n`` workers is the ``n``-device serving simulator.  The worker is also the
+fleet member itself: it carries the load signals the router and autoscaler
+read (``in_system``, ``value_load``, ``kv_utilization``, ...) and its own
+lifecycle (:class:`ReplicaState`: warming, active, draining, stopped).
 
 Honesty note: the paper (conf_micro_YeC25) evaluates *single-request*
 latency/energy and its Section 2 host runtime triggers one request at a
@@ -53,7 +53,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from enum import Enum
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.runtime.session import InferenceSession, StepTotals
 from repro.serving.kv_manager import (
@@ -61,9 +62,19 @@ from repro.serving.kv_manager import (
     KVCacheConfig,
     split_kv_stream,
 )
-from repro.serving.metrics import DeviceStats, PreemptionEvent, SampleBuffer
+from repro.serving.metrics import (
+    DeviceStats,
+    PreemptionEvent,
+    RequestTable,
+    SampleBuffer,
+    ServingReport,
+    build_report,
+)
 from repro.serving.policies.admission import resolve_admission_policy
-from repro.serving.policies.preemption import PreemptionPolicy
+from repro.serving.policies.preemption import (
+    PreemptionPolicy,
+    resolve_preemption_policy,
+)
 from repro.serving.request import RequestState, ServingRequest
 from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerConfig
 from repro.serving.slo import request_value
@@ -81,11 +92,54 @@ _SPAN_PREFILL_STALLED = _SPAN_PREFILL + STALL_FLAG
 _SPAN_DECODE_STALLED = _SPAN_DECODE + STALL_FLAG
 
 
+class ReplicaState(Enum):
+    """Lifecycle stage of one fleet member (see :class:`DeviceWorker`)."""
+
+    WARMING = "warming"    # spawned, paying the warm-up cost
+    ACTIVE = "active"      # routable
+    DRAINING = "draining"  # finishing submitted work, accepts nothing new
+    STOPPED = "stopped"    # drained dry (or crashed), KV pool released
+
+
+class ReplicaRole(Enum):
+    """What traffic a device serves in a (possibly disaggregated) fleet.
+
+    ``UNIFIED`` devices — the PR 4 default — run every request end to
+    end.  Under prefill/decode disaggregation a ``PREFILL`` device serves
+    requests only through their prefill phase (handing each one off, KV
+    and first token included, the moment prefill completes) and a
+    ``DECODE`` device serves only migrated requests' decode phases.
+    """
+
+    UNIFIED = "unified"
+    PREFILL = "prefill"
+    DECODE = "decode"
+
+
+# The members the per-step and per-submission paths test, as module
+# names: an Enum member lookup costs ~0.2 us on CPython 3.11.
+_ACTIVE = ReplicaState.ACTIVE
+_DRAINING = ReplicaState.DRAINING
+_PREFILL = ReplicaRole.PREFILL
+
+
+def resolve_replica_role(role: Union[str, ReplicaRole]) -> ReplicaRole:
+    """Accepts a role name (``unified``/``prefill``/``decode``) or enum."""
+    if isinstance(role, ReplicaRole):
+        return role
+    try:
+        return ReplicaRole(role)
+    except ValueError:
+        raise ValueError(
+            f"unknown replica role {role!r}; choose from "
+            f"{sorted(r.value for r in ReplicaRole)}") from None
+
+
 @dataclass(frozen=True)
 class HandoffEvent:
     """One completed prefill leaving a prefill-only worker.
 
-    Produced by a :class:`DeviceWorker` running with ``prefill_only`` the
+    Produced by a :class:`DeviceWorker` of the ``PREFILL`` role the
     moment a request's last prefill chunk lands (first token emitted, KV
     fully resident): the worker drops the request and its blocks, and the
     cluster moves ``kv_bytes`` of KV state to a decode replica, charging
@@ -132,7 +186,8 @@ class _SteadyBatch:
 
 
 class DeviceWorker:
-    """One device's continuous-batching loop, advanced one step at a time.
+    """One device of the serving fleet: its continuous-batching loop, the
+    load signals the router reads and its fleet lifecycle.
 
     Owns the waiting/running queues, the per-device scheduler instance and
     (optionally) the KV block manager of a single simulated accelerator.
@@ -143,30 +198,73 @@ class DeviceWorker:
 
     The step granularity is what the cluster tier builds on: a
     :class:`~repro.serving.cluster.ServingCluster` interleaves steps across
-    replicas in global-clock order, reads ``queue_depth`` for routing and
-    autoscaling decisions, and calls ``drain()``/``release_kv()`` to retire
-    a replica gracefully.
+    its workers in global-clock order, and its router and autoscaler read
+    the load signals below.  Each worker moves through one lifecycle
+    (:class:`ReplicaState`):
+
+    ``WARMING``
+        Spawned but not yet serving.  Scale-up is not free — a new worker
+        pays a warm-up cost before it can take traffic (by default its own
+        one-time parameter-packing time, the natural deploy cost of the
+        simulated accelerator; an :class:`AutoscalerConfig` may override
+        it).
+    ``ACTIVE``
+        Routable: the router may dispatch arrivals to it.
+    ``DRAINING``
+        Graceful shutdown: no new submissions are accepted, but everything
+        already submitted — queued and in-flight — runs to completion.
+        The step that runs it dry stops it.
+    ``STOPPED``
+        Drained dry (or crashed); the KV pool is released.  The worker
+        keeps its counters so the final per-device report is complete.
+
+    Args:
+        device_id: Fleet-unique id: the span lane, the id routers break
+            ties on, and the device id of the worker's report.
+        session: The device's :class:`~repro.runtime.InferenceSession`
+            (model and performance model); reset and packed here, so every
+            worker starts from a cold device.
+        scheduler_config: Iteration-level scheduling knobs.
+        preemption: Preemption policy (name or instance) under KV
+            pressure.
+        kv_config: Optional KV block pool, sized up front (a pool too
+            small for one block fails here).
+        role: The device's traffic role (:class:`ReplicaRole`, or its
+            name).  ``unified`` — the default — runs every request end to
+            end; ``prefill``/``decode`` are the two halves of a
+            disaggregated fleet.
+        kv_stream_chunks: Layer-granular chunks each hand-off's KV export
+            is split into (meaningful on prefill-role workers; 1 =
+            monolithic transfers).
+        spawned_s: Simulated time the worker was brought up.
+        warmup_s: Seconds between spawn and serving readiness.  ``None``
+            charges the parameter-packing time; ``0.0`` makes the worker
+            ready immediately (the initial fleet).
+        tracer: Optional request-lifecycle tracer; the device id is the
+            span lane.
     """
 
     def __init__(self, device_id: int, session: InferenceSession,
                  scheduler_config: SchedulerConfig,
-                 preemption: PreemptionPolicy,
+                 preemption: Union[str, PreemptionPolicy] = "youngest",
                  kv_config: Optional[KVCacheConfig] = None,
-                 prefill_only: bool = False,
+                 role: Union[str, ReplicaRole] = ReplicaRole.UNIFIED,
                  kv_stream_chunks: int = 1,
+                 spawned_s: float = 0.0,
+                 warmup_s: Optional[float] = 0.0,
                  tracer: Optional[Tracer] = None,
                  ) -> None:
         self.device_id = device_id
         self.session = session
         self.kv_config = kv_config
-        self.preemption = preemption
+        self.preemption = resolve_preemption_policy(preemption)
         # Span sink; None disables every tracing hook (the default), and
         # all hooks are observational so the report bytes cannot differ.
         self.tracer = tracer
-        # Disaggregated prefill role: the worker serves requests only
-        # through their prefill phase and hands each one off (KV exported,
-        # first token already emitted) the moment its prefill completes.
-        self.prefill_only = prefill_only
+        # A PREFILL worker serves requests only through their prefill
+        # phase and hands each one off (KV exported, first token already
+        # emitted) the moment its prefill completes.
+        self.role = resolve_replica_role(role)
         # Streamed hand-off: split each export into this many layer-
         # granular chunks (1 = monolithic, the PR 5 behaviour).
         self.kv_stream_chunks = kv_stream_chunks
@@ -200,19 +298,42 @@ class DeviceWorker:
         self.preemption_events: List[PreemptionEvent] = []
 
         # Every worker starts from a cold device so repeated runs (parameter
-        # sweeps, benchmark repetitions) measure the same system.  The
-        # fleet moves the clock to the replica's readiness, plus the
-        # packing on a cold start.
+        # sweeps, benchmark repetitions) measure the same system.  A cold
+        # start adds the packing to the clock (see ServingCluster).
         session.reset()
         self.packing_s = session.pack_parameters()
-        self.clock = 0.0
+        self.spawned_s = spawned_s
+        self.warmup_s = self.packing_s if warmup_s is None else warmup_s
+        if self.warmup_s < 0:
+            raise ValueError("warmup_s must be non-negative")
+        self.ready_s = spawned_s + self.warmup_s
+        # The clock starts at readiness: a freshly scaled-up worker
+        # cannot execute a step before its warm-up elapsed.
+        self.clock = self.ready_s
+        self.state = ReplicaState.WARMING if self.warmup_s > 0 \
+            else ReplicaState.ACTIVE
+        self.stopped_s: Optional[float] = None
+        # When graceful shutdown began (None if never drained) — the
+        # tracer's DRAIN span runs [drain_s, stopped_s] on this lane.
+        self.drain_s: Optional[float] = None
+        # Whether an injected fault killed this worker (its STOPPED
+        # transition was a crash, not a drained-dry stop).
+        self.crashed = False
+        # Every submission in order (a request submitted twice is listed
+        # twice) — what the worker's report folds.
+        self.requests: List[ServingRequest] = []
+        # Inbound KV still streaming toward this worker, request_id ->
+        # bytes remaining.  Insertion follows global landing order and
+        # entries are deleted on their final chunk, so the summed signal
+        # is deterministic across kernels and exactly empty once every
+        # stream has drained.
+        self._inbound_kv: Dict[int, float] = {}
         self.busy_s = 0.0
         self.steps = 0
         self.tokens = 0
         self.served = 0
         self.preempt_count = 0
         self.prompt_tokens = 0
-        self.draining = False
         # (first-token time, TTFT, class TTFT target, class value) per
         # request, in emission order — the rolling-latency feed the
         # cluster autoscaler consumes incrementally instead of rescanning
@@ -222,16 +343,17 @@ class DeviceWorker:
         # (finish time, TPOT) per completed request — the decode-pool
         # latency feed of the disaggregated autoscaler, same cursor idiom.
         self.tpot_samples = SampleBuffer(2)
-        # Hand-off bookkeeping (stays empty unless prefill_only).
+        # Hand-off bookkeeping (stays empty unless a PREFILL worker).
         self.handoffs: List[HandoffEvent] = []
         self.handoff_count = 0
         self.migrated_in = 0
         self._kv_counters_snapshot: Optional[dict] = None
         # Sum of SLO-class value weights over requests submitted but not
-        # yet finished, rejected or handed off — the load signal the
-        # cluster's score-aware router balances.  Class values are small
-        # dyadic floats, so the running sum is exact across both kernels.
-        self.value_in_system = 0.0
+        # yet finished, rejected or handed off — the load signal ``score``
+        # routing balances (equal to ``in_system`` times the default class
+        # value on unclassed traffic).  Class values are small dyadic
+        # floats, so the running sum is exact across both kernels.
+        self.value_load = 0.0
         # Decode stall accounting: seconds a step was stretched because a
         # resident migrated request's KV stream had not fully landed by
         # the step's natural completion (only possible with streamed
@@ -245,7 +367,7 @@ class DeviceWorker:
         self.step_time_scale = 1.0
 
     # ------------------------------------------------------------------
-    # Cluster-facing hooks
+    # Load signals (what the router and autoscaler read)
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
@@ -256,6 +378,11 @@ class DeviceWorker:
     def num_running(self) -> int:
         """Requests resident in the continuous batch."""
         return len(self.running)
+
+    @property
+    def in_system(self) -> int:
+        """Outstanding requests: queued plus resident in the batch."""
+        return len(self.pending) + len(self.waiting) + len(self.running)
 
     @property
     def has_work(self) -> bool:
@@ -270,12 +397,60 @@ class DeviceWorker:
         return self.manager.utilization
 
     @property
+    def inbound_kv_bytes(self) -> float:
+        """Bytes of migrated KV still streaming toward this worker — the
+        in-flight-bytes-remaining signal ``kv_transfer_aware`` routing
+        ranks decode workers by (0.0 with monolithic hand-offs: a
+        dispatched request's KV has fully landed)."""
+        total = 0.0
+        for remaining in self._inbound_kv.values():
+            total += remaining
+        return total
+
+    def begin_inbound(self, request_id: int, bytes_remaining: float) -> None:
+        """Open an inbound stream ledger entry: the request was just
+        dispatched here on its first chunk, with ``bytes_remaining`` of
+        its KV still crossing the interconnect."""
+        self._inbound_kv[request_id] = bytes_remaining
+
+    def land_inbound(self, request_id: int, chunk_bytes: float,
+                     final: bool) -> None:
+        """Drain one landed chunk from the inbound ledger; the final
+        chunk closes the entry outright (no float residue)."""
+        if final:
+            self._inbound_kv.pop(request_id, None)
+        elif request_id in self._inbound_kv:
+            self._inbound_kv[request_id] -= chunk_bytes
+
+    def kv_shortfall_blocks(self, tokens: int) -> int:
+        """Blocks an import of ``tokens`` KV rows would overdraw this
+        worker's pool by right now (0 = the import fits in free plus
+        reclaimable blocks, and always 0 without a KV manager) — the
+        fit signal ``kv_transfer_aware`` routing ranks decode workers
+        by."""
+        manager = self.manager
+        if manager is None or tokens <= 0:
+            return 0
+        needed = manager.blocks_for(tokens)
+        available = manager.free_blocks + manager.reclaimable_blocks
+        return max(0, needed - available)
+
+    @property
     def next_ready_s(self) -> float:
         """Earliest simulated time the next step can start.
 
         The device's own clock when work is resident (or an already-arrived
         submission is waiting), otherwise the arrival of its earliest
         pending request — the moment an idle device would jump to.
+
+        This is the time the event kernel registers into its heap (one
+        valid STEP event per busy worker) and compares against its
+        run-ahead horizon.  The value only moves when the worker *steps*
+        or when a submission lands on an *idle* worker — submitting to a
+        worker that already has work never changes it (the worker is
+        either mid-batch, so its clock governs, or its earliest pending
+        request is unchanged by an append).  That is what lets the kernel
+        re-arm on exactly those two transitions instead of polling.
         """
         if self.waiting or self.running:
             return self.clock
@@ -283,52 +458,82 @@ class DeviceWorker:
             return max(self.clock, self.pending[0].enqueue_s)
         return self.clock
 
-    def submit(self, request: ServingRequest) -> None:
-        """Queue one request; callers submit in arrival order."""
-        if self.draining:
-            raise RuntimeError(
-                f"device {self.device_id} is draining and accepts no new "
-                "requests")
-        self.pending.append(request)
-        self.value_in_system += request_value(request)
+    @property
+    def routable(self) -> bool:
+        """Whether the router may dispatch new arrivals here (ACTIVE)."""
+        return self.state is ReplicaState.ACTIVE
 
-    def drain(self) -> None:
-        """Stop accepting new submissions; already-submitted work (queued
-        and in-flight) still runs to completion."""
-        self.draining = True
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def activate_if_ready(self, now: float) -> bool:
+        """Promote WARMING -> ACTIVE once the warm-up elapsed."""
+        if self.state is ReplicaState.WARMING and now >= self.ready_s:
+            self.state = ReplicaState.ACTIVE
+            return True
+        return False
+
+    def submit(self, request: ServingRequest) -> None:
+        """Queue one request; callers submit in arrival order, and only
+        to an ACTIVE worker."""
+        if self.state is not _ACTIVE:
+            raise RuntimeError(
+                f"device {self.device_id} is {self.state.value} and "
+                "cannot take new requests")
+        self.requests.append(request)
+        self.pending.append(request)
+        self.value_load += request_value(request)
 
     def take_handoffs(self) -> List[HandoffEvent]:
         """Drain the completed-prefill hand-offs accumulated since the last
-        call (the cluster collects them after every prefill-replica step)."""
+        call (the cluster collects them after every prefill-worker step;
+        always empty unless this is a PREFILL worker)."""
         events, self.handoffs = self.handoffs, []
         return events
 
-    def release_kv(self) -> None:
-        """Drop the KV block pool (a drained replica giving back its
-        memory).  Only legal once the worker ran dry — releasing under a
-        live batch would silently drop all block accounting mid-run.  The
-        manager's counters are snapshotted first so the final report still
-        carries peak utilization and prefix-cache totals."""
+    def drain(self, now: float) -> None:
+        """Begin graceful shutdown: accept nothing new, finish everything
+        already submitted, then release the KV pool.  An idle worker
+        stops immediately."""
+        if self.state in (ReplicaState.DRAINING, ReplicaState.STOPPED):
+            return
+        self.state = ReplicaState.DRAINING
+        self.drain_s = now
+        if not self.has_work:
+            self.stop(max(now, self.clock))
+
+    def stop(self, now: float) -> None:
+        """Transition to STOPPED at ``now`` and drop the KV block pool (a
+        drained worker giving back its memory).  Only legal once the
+        worker ran dry — releasing under a live batch would silently drop
+        all block accounting mid-run.  The manager's counters are
+        snapshotted first so the final report still carries peak
+        utilization and prefix-cache totals."""
         if self.has_work:
             raise RuntimeError(
                 f"device {self.device_id} still has work in flight; "
                 "drain it dry before releasing the KV pool")
+        self.state = ReplicaState.STOPPED
+        self.stopped_s = now
         if self.manager is not None:
             self._kv_counters_snapshot = self._kv_counters(self.manager)
             self.manager = None
             self._prefix_caching = False
 
-    def crash(self) -> List[ServingRequest]:
-        """Kill this worker immediately (fault injection).
+    def crash(self, now: float) -> List[ServingRequest]:
+        """Kill this worker at ``now`` (fault injection).
 
         Every in-flight request — pending, waiting and running alike —
         is lost and returned to the caller for re-dispatch; their KV
-        blocks are freed and the pool is released like a drained
-        replica's (counters snapshotted first, so the report still
-        carries peak utilization).  Unlike :meth:`release_kv` this is
-        legal under a live batch: losing the in-flight work is the whole
-        point of a crash.  The caller owns resetting the lost requests'
-        lifecycle state before re-dispatching them."""
+        blocks are freed and the worker stops like a drained one (counters
+        snapshotted first, so the report still carries peak utilization).
+        Unlike a drain this is legal under a live batch: losing the
+        in-flight work is the whole point of a crash.  The caller owns
+        resetting the lost requests' lifecycle state before re-dispatching
+        them.  Crashing an already-STOPPED worker is a no-op (the fault
+        plan may target a worker a drain beat it to)."""
+        if self.state is ReplicaState.STOPPED:
+            return []
         if self._steady is not None:
             self._settle()
         lost: List[ServingRequest] = []
@@ -339,13 +544,29 @@ class DeviceWorker:
         for request in lost:
             if manager is not None:
                 manager.release(request.request_id)
-            self.value_in_system -= request_value(request)
+            self.value_load -= request_value(request)
         self.running.clear()
         self.waiting.clear()
         self.pending.clear()
-        self.draining = True
-        self.release_kv()
+        self.crashed = True
+        self.stop(now)
         return lost
+
+    def report(self, model_name: str,
+               table: Optional[RequestTable] = None) -> ServingReport:
+        """This worker's run folded into a standard serving report.
+
+        ``table`` is the fleet's end-of-run :class:`RequestTable`; the
+        worker's requests are then folded from its rows (a request
+        submitted here twice counts twice, as its repeat in
+        ``requests`` does)."""
+        kv_config = self.kv_config
+        return build_report(
+            model_name, self.requests, [self.device_stats()],
+            self.preemption_events,
+            prefix_cache_enabled=kv_config is not None
+            and kv_config.enable_prefix_cache,
+            table=table)
 
     # ------------------------------------------------------------------
     # The engine iteration
@@ -364,7 +585,7 @@ class DeviceWorker:
                     manager.blocks_for(request.workload.total_tokens) \
                     > manager.num_blocks:
                 request.state = RequestState.REJECTED
-                self.value_in_system -= request_value(request)
+                self.value_load -= request_value(request)
                 continue
             try:
                 if request.migrated_kv_tokens:
@@ -379,7 +600,7 @@ class DeviceWorker:
                         request.workload)
             except ValueError:
                 request.state = RequestState.REJECTED
-                self.value_in_system -= request_value(request)
+                self.value_load -= request_value(request)
                 continue
             self.waiting.append(request)
 
@@ -431,7 +652,17 @@ class DeviceWorker:
         admission sweep the next step runs it as ``advance(inf, 1)``: one
         step under the segment rule described there.  When that takes no
         step, the batch is settled and the step is planned.
+
+        The step that runs a DRAINING worker dry stops it (STOPPED, KV
+        pool released) at the step's end.
         """
+        progressed = self._iterate()
+        if self.state is _DRAINING and not self.has_work:
+            self.stop(self.clock)
+        return progressed
+
+    def _iterate(self) -> bool:
+        """The engine iteration of :meth:`step`, without the lifecycle."""
         while True:
             self._admit_arrivals()
             if self.waiting or self.running:
@@ -642,7 +873,7 @@ class DeviceWorker:
         # and hand-off transitions live here.
         clock = self.clock
         prefix_caching = self._prefix_caching
-        prefill_only = self.prefill_only
+        prefill_only = self.role is _PREFILL
         for request, work in entries:
             active = request.active
             if stage is not None:
@@ -945,7 +1176,7 @@ class DeviceWorker:
         request.active = None
         self.running.remove(request)
         self.served += 1
-        self.value_in_system -= request_value(request)
+        self.value_load -= request_value(request)
         self.tpot_samples.append(clock, request.tpot_s)
         if self.manager is not None:
             self.manager.release(request.request_id)
@@ -983,14 +1214,15 @@ class DeviceWorker:
             request=request, time_s=self.clock, kv_tokens=kv_tokens,
             kv_bytes=kv_bytes, chunk_bytes=chunk_bytes))
         self.handoff_count += 1
-        self.value_in_system -= request_value(request)
+        self.value_load -= request_value(request)
 
     def run_until(self, horizon: float) -> int:
         """Step while work remains and the next step starts strictly
         before ``horizon``; returns the steps taken.  A steady batch runs
         a whole segment per :meth:`advance`, and the step that ends a
         segment goes through :meth:`step`.  ``run_until(math.inf)`` runs
-        the worker to completion."""
+        the worker to completion; a DRAINING worker that a segment ran dry
+        stops like one a step ran dry."""
         taken = 0
         while self.has_work and self.next_ready_s < horizon:
             if self._steady is not None:
@@ -1000,6 +1232,8 @@ class DeviceWorker:
                     continue
             self.step()
             taken += 1
+        if self.state is _DRAINING and not self.has_work:
+            self.stop(self.clock)
         return taken
 
     @staticmethod

@@ -88,7 +88,7 @@ def log_rows(log):
     for event in log:
         payload = event.payload
         if event.kind is EventKind.STEP:
-            payload = payload.replica_id
+            payload = payload.device_id
         elif payload is not None:
             payload = repr(payload)
         rows.append([repr(event.time_s), int(event.kind), event.tie,

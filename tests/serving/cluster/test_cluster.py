@@ -256,7 +256,7 @@ class TestAutoscaling:
         for replica in cluster.replicas:
             assert not replica.has_work
         for replica in stopped:
-            assert replica.worker.manager is None
+            assert replica.manager is None
 
     def test_replica_seconds_cheaper_than_peak_everywhere(self):
         """Autoscaling's point: peak capacity only while it is needed."""

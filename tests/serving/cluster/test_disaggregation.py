@@ -6,13 +6,19 @@ import json
 import pytest
 
 from repro.models.config import GPT2
+from repro.runtime.session import InferenceSession
 from repro.serving import (
+    DeviceWorker,
     DisaggregationConfig,
     KVCacheConfig,
+    SchedulerConfig,
     ServingCluster,
 )
-from repro.serving.cluster import AutoscalerConfig, ReplicaRole
-from repro.serving.cluster.replica import EngineReplica, resolve_replica_role
+from repro.serving.cluster import (
+    AutoscalerConfig,
+    ReplicaRole,
+    resolve_replica_role,
+)
 from repro.serving.workload_gen import TimedRequest, poisson_trace
 from repro.models.workload import Workload
 from tests.serving.cluster.test_cluster import (
@@ -68,7 +74,8 @@ class TestConfigValidation:
             is ReplicaRole.PREFILL
 
     def test_replica_defaults_to_unified(self):
-        assert EngineReplica(0, GPT2).role is ReplicaRole.UNIFIED
+        worker = DeviceWorker(0, InferenceSession(GPT2), SchedulerConfig())
+        assert worker.role is ReplicaRole.UNIFIED
 
 
 class TestTwoStageFlow:
@@ -94,12 +101,12 @@ class TestTwoStageFlow:
         decode = [r for r in cluster.replicas
                   if r.role is ReplicaRole.DECODE]
         # Every first token is emitted by the prefill pool...
-        assert sum(len(r.worker.ttft_samples) for r in prefill) == 24
-        assert all(not r.worker.ttft_samples for r in decode)
+        assert sum(len(r.ttft_samples) for r in prefill) == 24
+        assert all(not r.ttft_samples for r in decode)
         # ...and every completion (TPOT sample) by the decode pool.
-        assert sum(len(r.worker.tpot_samples) for r in decode) == 24
-        assert sum(r.worker.migrated_in for r in decode) == 24
-        assert sum(r.worker.handoff_count for r in prefill) == 24
+        assert sum(len(r.tpot_samples) for r in decode) == 24
+        assert sum(r.migrated_in for r in decode) == 24
+        assert sum(r.handoff_count for r in prefill) == 24
 
     def test_single_token_outputs_finish_on_prefill_without_migration(self):
         trace = [TimedRequest(0, Workload(32, 1), 0.0),
@@ -108,7 +115,7 @@ class TestTwoStageFlow:
         report = cluster.run(trace)
         assert report.completed == 2
         assert report.kv_migrations == 0
-        assert cluster.replicas[0].worker.served == 2
+        assert cluster.replicas[0].served == 2
 
     def test_decode_starts_only_after_transfer_lands(self):
         """With a crawling interconnect the hand-off dominates: first
@@ -133,7 +140,7 @@ class TestTwoStageFlow:
         trace = [TimedRequest(0, Workload(32, 8), 0.0)]
         cluster = disaggregated(decode=1)
         report = cluster.run(trace)
-        session = cluster.replicas[0].worker.session
+        session = cluster.replicas[0].session
         # Resident KV at hand-off: the 32-token prompt + the first token.
         assert report.kv_bytes_transferred == pytest.approx(
             33 * session.kv_bytes_per_token)
@@ -155,8 +162,8 @@ class TestKVHandoffAccounting:
     def test_exports_and_imports_balance(self):
         cluster = self.kv_cluster()
         report = cluster.run(decode_heavy_trace())
-        prefill = cluster.replicas[0].worker.manager
-        decodes = [r.worker.manager for r in cluster.replicas[1:]]
+        prefill = cluster.replicas[0].manager
+        decodes = [r.manager for r in cluster.replicas[1:]]
         assert prefill.kv_exports == report.kv_migrations == 24
         assert sum(m.kv_imports for m in decodes) == 24
         assert prefill.blocks_exported > 0
@@ -166,7 +173,7 @@ class TestKVHandoffAccounting:
         cluster = self.kv_cluster()
         cluster.run(decode_heavy_trace())
         for replica in cluster.replicas:
-            assert replica.worker.manager.used_blocks == 0
+            assert replica.manager.used_blocks == 0
 
     def test_decode_pressure_preempts_and_still_completes(self):
         trace = poisson_trace(24, 60.0, seed=0, input_choices=(96, 128),

@@ -12,8 +12,8 @@ from repro.serving.cluster import Event, EventKind, EventQueue
 class FakeReplica:
     """The two attributes ``arm_step`` reads."""
 
-    def __init__(self, replica_id, next_ready_s):
-        self.replica_id = replica_id
+    def __init__(self, device_id, next_ready_s):
+        self.device_id = device_id
         self.next_ready_s = next_ready_s
 
 
@@ -57,7 +57,7 @@ class TestOrdering:
         queue = EventQueue()
         for replica_id in (2, 0, 1):
             queue.arm_step(FakeReplica(replica_id, 1.5))
-        assert [event[4].replica_id for event in pop_all(queue)] == [0, 1, 2]
+        assert [event[4].device_id for event in pop_all(queue)] == [0, 1, 2]
 
     def test_transfer_ties_break_on_migration_seq(self):
         queue = EventQueue()
@@ -116,7 +116,7 @@ class TestLazyInvalidation:
         queue = EventQueue()
         replica = FakeReplica(3, 1.0)
         queue.arm_step(replica)
-        queue.disarm_step(replica.replica_id)
+        queue.disarm_step(replica.device_id)
         assert queue.pop() is None
         assert queue.stale_dropped == 1
 
@@ -205,9 +205,9 @@ def by_replica_id(entry):
     """A heap or log entry with step payloads named by replica id."""
     payload = entry[4]
     if isinstance(payload, tuple):
-        payload = (payload[0].replica_id, payload[1])
+        payload = (payload[0].device_id, payload[1])
     elif isinstance(payload, FakeReplica):
-        payload = payload.replica_id
+        payload = payload.device_id
     return entry[:4] + (payload,)
 
 

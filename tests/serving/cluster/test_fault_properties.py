@@ -79,15 +79,14 @@ def test_random_plan_invariants(seed):
                 f"seed {seed}: span kind {int(row[0])} starts at "
                 f"{float(row[3])} on replica {lane} crashed at "
                 f"{crashes[lane]}")
-    for replica in cluster.replicas:
-        if replica.replica_id in crashes:
-            assert replica.crashed
-            assert replica.state.name == "STOPPED"
-            worker = replica.worker
+    for worker in cluster.replicas:
+        if worker.device_id in crashes:
+            assert worker.crashed
+            assert worker.state.name == "STOPPED"
             assert not worker.running and not worker.waiting \
                 and not worker.pending
-            assert replica.stopped_s == pytest.approx(
-                crashes[replica.replica_id])
+            assert worker.stopped_s == pytest.approx(
+                crashes[worker.device_id])
 
     # Retry causality: recovery dispatches only after the first death.
     retries = [float(row[3]) for row in tracer.rows()

@@ -101,7 +101,7 @@ def test_kernel_invariants(case_seed):
     last_step = {}
     for event in log:
         if event.kind is EventKind.STEP:
-            replica_id = event.payload.replica_id
+            replica_id = event.payload.device_id
             assert last_step.get(replica_id, 0.0) <= event.time_s, \
                 f"seed {case_seed}: replica {replica_id} clock regressed"
             last_step[replica_id] = event.time_s

@@ -153,7 +153,7 @@ class TestDecodeStall:
         # The stall is a charged wait: it shows up in replica busy time
         # (capacity), not as free time travel.
         assert report.kv_stall_seconds == pytest.approx(
-            sum(replica.worker.kv_stall_s for replica in cluster.replicas))
+            sum(replica.kv_stall_s for replica in cluster.replicas))
 
     def test_fast_link_stall_time_is_negligible(self):
         # A lone just-admitted request can still out-run the tail of its

@@ -15,7 +15,7 @@ from repro.models.workload import Workload
 class StubReplica:
     """Just the load-signal surface the routing policies read."""
 
-    replica_id: int
+    device_id: int
     in_system: int = 0
     kv_utilization: float = 0.0
     submitted: list = field(default_factory=list)
@@ -169,8 +169,8 @@ class TestPrefixAffinity:
 
 
 class TestScoreAwareRouting:
-    def stub(self, replica_id, value_load=0.0, in_system=0):
-        replica = StubReplica(replica_id, in_system=in_system)
+    def stub(self, device_id, value_load=0.0, in_system=0):
+        replica = StubReplica(device_id, in_system=in_system)
         replica.value_load = value_load
         return replica
 
@@ -195,7 +195,7 @@ class TestClusterRouter:
         replicas = [StubReplica(0, in_system=2), StubReplica(1)]
         request = make_request()
         chosen = router.dispatch(request, replicas)
-        assert chosen.replica_id == 1
+        assert chosen.device_id == 1
         assert replicas[1].submitted == [request]
 
     def test_dispatch_requires_routable_replicas(self):
@@ -218,9 +218,9 @@ class StubKVReplica(StubReplica):
     """StubReplica plus the import-fit and inbound-stream signals
     kv_transfer_aware reads."""
 
-    def __init__(self, replica_id, in_system=0, kv_utilization=0.0,
+    def __init__(self, device_id, in_system=0, kv_utilization=0.0,
                  shortfall=0, inbound_kv_bytes=0.0):
-        super().__init__(replica_id, in_system=in_system,
+        super().__init__(device_id, in_system=in_system,
                          kv_utilization=kv_utilization)
         self._shortfall = shortfall
         self.inbound_kv_bytes = inbound_kv_bytes

@@ -141,7 +141,7 @@ class TestTracingInvariants:
                       if int(row[0]) == SpanKind.DRAIN]
         assert len(drain_rows) == len(drained) >= 1
         assert {int(row[2]) for row in drain_rows} == \
-            {replica.replica_id for replica in drained}
+            {replica.device_id for replica in drained}
 
     def test_first_token_instants_bound_ttft(self):
         kwargs, trace = CONFIGS["single_replica"]

@@ -28,6 +28,7 @@ from repro.serving.cluster import (
     DisaggregationConfig,
     FaultPlan,
     ReplicaCrash,
+    ReplicaRole,
     ServingCluster,
     SlowNode,
 )
@@ -225,7 +226,7 @@ def _crash_after(steps, planned):
             worker._steady = None
         worker.step()
     steady = worker._steady
-    lost = worker.crash()
+    lost = worker.crash(worker.clock)
     return steady, [(r.request_id, r.active.tokens_generated,
                      r.tokens_emitted) for r in lost]
 
@@ -263,7 +264,7 @@ def test_reordering_policy_sees_every_planned_reorder(planned_every_step):
 
 
 def _planned_share(monkeypatch, cluster, trace):
-    """Run and return {prefill_only: (planned steps, steps)}.
+    """Run and return {is a PREFILL worker: (planned steps, steps)}.
 
     A step is planned when its ``step()`` call ran ``plan_step``; steps
     are read from ``worker.steps``, because ``advance()`` runs most steady
@@ -290,9 +291,9 @@ def _planned_share(monkeypatch, cluster, trace):
     assert report.completed == len(trace)
     counts = {}
     for worker, planned in planned_steps.items():
-        total_planned, steps = counts.get(worker.prefill_only, (0, 0))
-        counts[worker.prefill_only] = (total_planned + planned,
-                                       steps + worker.steps)
+        prefill = worker.role is ReplicaRole.PREFILL
+        total_planned, steps = counts.get(prefill, (0, 0))
+        counts[prefill] = (total_planned + planned, steps + worker.steps)
     return counts
 
 
