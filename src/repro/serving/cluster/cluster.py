@@ -216,7 +216,8 @@ class ServingCluster:
         router: Routing policy name or instance (``round_robin``,
             ``least_queue``, ``least_kv_pressure``, ``prefix_affinity``,
             ``kv_transfer_aware``, ``score``).
-        scheduler_config: Per-replica iteration-level scheduling knobs.
+        scheduler_config: Per-replica iteration-level scheduling knobs
+            (``None`` runs, and records, ``SchedulerConfig()``).
         performance_model: Analytical accelerator model shared by the fleet.
         kv_config: Optional per-replica KV block pool.
         preemption: Per-replica preemption policy under KV pressure.
@@ -300,7 +301,9 @@ class ServingCluster:
                 if disaggregation.kv_transfer_gbs is not None \
                 else (performance_model
                       or FpgaPerformanceModel()).weight_stream_gbs
-        self.scheduler_config = scheduler_config
+        # The one place the default applies: every replica runs it, and
+        # the manifest records it, whether or not the caller passed it.
+        self.scheduler_config = scheduler_config or SchedulerConfig()
         self.performance_model = performance_model
         self.kv_config = kv_config
         if kv_config is not None:
@@ -431,7 +434,7 @@ class ServingCluster:
             len(self.replicas),
             InferenceSession(self.config,
                              performance_model=self.performance_model),
-            self.scheduler_config or SchedulerConfig(),
+            self.scheduler_config,
             preemption=self.preemption,
             kv_config=self.kv_config,
             role=role,

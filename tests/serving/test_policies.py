@@ -124,15 +124,10 @@ class TestRegistries:
             ServingCluster(GPT2, preemption="nope")
 
 
-def outcome(report, implicit_scheduler=False):
-    """The report JSON without the manifest's scheduler entry, which
-    records the scheduler config as given (``None`` when left to the
-    default); every other manifest field is compared."""
-    payload = report.to_dict()
-    scheduler = payload["manifest"].pop("scheduler")
-    if implicit_scheduler:
-        assert scheduler is None
-    return json.dumps(payload, sort_keys=True)
+def outcome(report):
+    """The whole report JSON, manifest included: a default left implicit
+    is recorded like the same default passed explicitly."""
+    return json.dumps(report.to_dict(), sort_keys=True)
 
 
 class TestDefaultsReproducePriorArt:
@@ -146,7 +141,7 @@ class TestDefaultsReproducePriorArt:
             GPT2, initial_replicas=2,
             scheduler_config=SchedulerConfig(admission="fcfs"),
             router="round_robin", preemption="youngest").run(trace)
-        assert outcome(implicit, implicit_scheduler=True) == outcome(explicit)
+        assert outcome(implicit) == outcome(explicit)
 
     def test_defaults_equal_explicit_under_kv_pressure(self):
         trace = poisson_trace(16, 200.0, seed=0,
@@ -158,7 +153,7 @@ class TestDefaultsReproducePriorArt:
             scheduler_config=SchedulerConfig(admission="fcfs"),
             router="round_robin", preemption="youngest").run(trace)
         assert implicit.preemptions >= 1, "regime check: pressure expected"
-        assert outcome(implicit, implicit_scheduler=True) == outcome(explicit)
+        assert outcome(implicit) == outcome(explicit)
 
     def test_round_robin_matches_arrival_index_sharding(self):
         trace = burst_trace([Workload(8, 4) for _ in range(6)])
