@@ -133,9 +133,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "--decode-replicas instead)")
     add("--scheduler", default=None, choices=["fcfs", "priority", "score"],
         help="pick a coherent scheduling stack in one flag: admission plus "
-             "its matching preemption and router (score -> lowest_score + "
-             "score routing); mutually exclusive with "
-             "--policy/--preemption/--router")
+             "its matching preemption and router, the class-mix ablation's "
+             "stacks (fcfs -> youngest + least_queue, priority -> "
+             "lowest_priority + least_queue, score -> lowest_score + score); "
+             "mutually exclusive with --policy/--preemption/--router")
     add("--prefix-groups", type=_count(1), default=None,
         help="split requests round-robin into N distinct prefix groups "
              "(default 1; requires --shared-prefix; use several so --router "
@@ -473,7 +474,8 @@ def _add_serving_flags(parser: argparse.ArgumentParser,
                  "prefix_affinity", "kv_transfer_aware", "score"],
         help="routing policy dispatching each arrival to a device or "
              "replica (the prefill pool when disaggregated; default "
-             "round_robin, or score under serve-cluster --scheduler score)")
+             "round_robin, or the router of serve-cluster's --scheduler "
+             "stack)")
     add("--policy", default=None,
         choices=["fcfs", "priority", "shortest_prompt", "score"],
         help="admission policy: who gets the next free batch slot "
@@ -731,12 +733,12 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
                 raise ValueError(
                     f"--scheduler already picks a full stack; drop "
                     f"{', '.join(picked)} or drop --scheduler")
-            args.policy = args.scheduler
-            if args.scheduler == "score":
-                args.preemption = "lowest_score"
-                args.router = "score"
-            elif args.scheduler == "priority":
-                args.preemption = "lowest_priority"
+            from repro.eval.serving import class_mix_stacks
+
+            stack = class_mix_stacks()[args.scheduler]
+            args.policy = stack["scheduler_config"].admission
+            args.preemption = stack["preemption"]
+            args.router = stack["router"]
         mode = args.mode
         if args.disaggregate:
             if mode not in (None, "disaggregated"):

@@ -225,6 +225,19 @@ class TestServeClusterCommand:
         assert len(payload["replicas"]) == 2
         assert payload["replica_count_timeline"]
 
+    def test_scheduler_stack_is_the_class_mix_stack(self, tmp_path, capsys):
+        """``--scheduler priority`` is the class-mix ablation's priority
+        stack: the same report as its three flags spelled out."""
+        base = ["serve-cluster", "--requests", "12", "--replicas", "3",
+                "--arrival-rate", "40", "--priority-levels", "3"]
+        paths = [tmp_path / "stack.json", tmp_path / "flags.json"]
+        assert main([*base, "--scheduler", "priority",
+                     "--json", str(paths[0])]) == 0
+        assert main([*base, "--policy", "priority", "--preemption",
+                     "lowest_priority", "--router", "least_queue",
+                     "--json", str(paths[1])]) == 0
+        assert paths[0].read_text() == paths[1].read_text()
+
     def test_router_choices_accepted(self, capsys):
         for router in ["round_robin", "least_queue", "least_kv_pressure",
                        "prefix_affinity"]:
