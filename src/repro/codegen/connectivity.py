@@ -10,9 +10,9 @@ HBM channels, and the SLR assignments come from the ILP graph partitioner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.dataflow.structure import DataflowGraph, EdgeKind
+from repro.dataflow.structure import DataflowGraph
 from repro.platform.fpga import FpgaPlatform
 
 

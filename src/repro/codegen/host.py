@@ -17,9 +17,9 @@ directly (the text itself is never executed offline).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.dataflow.structure import DataflowGraph, EdgeKind
+from repro.dataflow.structure import DataflowGraph
 from repro.models.config import ModelConfig
 from repro.platform.fpga import FpgaPlatform
 

@@ -17,7 +17,7 @@ subsequently turns as many of these as possible into on-chip ``STREAM`` edges.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.dataflow.structure import (
     DataflowEdge,
@@ -30,7 +30,6 @@ from repro.dataflow.structure import (
 )
 from repro.dataflow.tiling import TiledOp, TilingConfig, tile_graph
 from repro.ir.graph import Graph
-from repro.ir.ops import LinalgOp, Value
 from repro.itensor.itensor_type import ITensorType
 
 

@@ -16,9 +16,7 @@ from typing import List
 
 from repro.dataflow.structure import (
     DataflowGraph,
-    DataflowKernel,
     DataflowTask,
-    EdgeKind,
     TaskKind,
 )
 

@@ -22,13 +22,12 @@ between groups stay in external memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.dataflow.structure import (
     DEFAULT_FIFO_DEPTH,
     DataflowEdge,
     DataflowGraph,
-    DataflowKernel,
     EdgeKind,
 )
 from repro.itensor.converter import converter_cost_bytes, infer_converter

@@ -20,12 +20,11 @@ them uniformly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.dataflow.structure import (
     DataflowEdge,
     DataflowGraph,
-    DataflowKernel,
     DataflowTask,
     EdgeKind,
     TaskKind,

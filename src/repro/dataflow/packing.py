@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.dataflow.structure import DataflowEdge, DataflowGraph, EdgeKind
+from repro.dataflow.structure import DataflowGraph
 from repro.ir.dtypes import DType
-from repro.ir.types import TensorType, VectorType
+from repro.ir.types import TensorType
 from repro.itensor.itensor_type import ITensorType
 
 #: External-memory bus width (bits) every interface is widened to: one

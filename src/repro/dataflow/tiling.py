@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.ir.ops import IteratorType, LinalgOp
+from repro.ir.ops import LinalgOp
 from repro.itensor.itensor_type import ITensorType, operand_itensor
 
 

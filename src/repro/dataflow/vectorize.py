@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.dataflow.structure import DataflowGraph, EdgeKind
-from repro.itensor.itensor_type import ITensorError, ITensorType
+from repro.dataflow.structure import DataflowGraph
+from repro.itensor.itensor_type import ITensorType
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.dse.tiling_space import KernelNode, TilingSpace
 

@@ -9,7 +9,7 @@ comparison helpers used by the Figure 9 experiment and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.eval.latency import LatencyBreakdown
 

@@ -14,7 +14,7 @@ reproduction target — see EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.compiler.options import CompilerOptions
 from repro.compiler.pipeline import CompilationResult, StreamTensorCompiler
@@ -26,7 +26,6 @@ from repro.eval.baselines import (
 from repro.eval.energy import EnergyComparison, compare_energy
 from repro.eval.latency import (
     FpgaPerformanceModel,
-    GpuPerformanceModel,
     LatencyBreakdown,
 )
 from repro.models.config import GEMMA, GPT2, LLAMA, MODEL_CONFIGS, QWEN, ModelConfig

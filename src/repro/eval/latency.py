@@ -29,7 +29,7 @@ per experiment).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from repro.models.config import ModelConfig
 from repro.models.workload import Workload

@@ -13,7 +13,6 @@ from typing import Dict, Optional, Sequence
 from repro.ir.dtypes import DType, FLOAT32
 from repro.ir.graph import Graph
 from repro.ir.ops import (
-    LinalgOp,
     Value,
     make_batch_matmul,
     make_elementwise,

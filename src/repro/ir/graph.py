@@ -10,7 +10,7 @@ kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Set
 
 from repro.ir.ops import LinalgOp, Value
 

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.ir.affine import AffineMap
 from repro.ir.dtypes import DType

@@ -17,11 +17,11 @@ pipeline driver can time and report every stage (Figure 10c).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.ir.affine import AffineMap
 from repro.ir.graph import Graph
-from repro.ir.ops import IteratorType, LinalgOp
+from repro.ir.ops import LinalgOp
 
 
 class Pass:

@@ -31,9 +31,8 @@ shared-loop prefix filter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.ir.affine import AffineDimExpr
 from repro.itensor.itensor_type import ITensorError, ITensorType

@@ -9,7 +9,7 @@ frontend graph builders and the end-to-end latency/energy evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 
 @dataclass(frozen=True)

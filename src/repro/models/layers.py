@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 from repro.ir.affine import AffineMap
 from repro.ir.builder import GraphBuilder
-from repro.ir.dtypes import DType, FLOAT32
+from repro.ir.dtypes import DType
 from repro.ir.ops import IteratorType, LinalgOp, Value
 from repro.ir.types import TensorType
 from repro.models.config import ModelConfig

@@ -10,10 +10,10 @@ the decode stage (``seq_len`` = 1, attention over the KV cache).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.ir.builder import GraphBuilder
-from repro.ir.dtypes import DType, FLOAT32, INT8
+from repro.ir.dtypes import DType, INT8
 from repro.ir.graph import Graph
 from repro.models.config import ModelConfig
 from repro.models.layers import attention_block, ffn_block, norm_layer

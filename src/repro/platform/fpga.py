@@ -9,7 +9,7 @@ StreamTensor and the U280 used by the Allo and DFX baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.resource.memory_alloc import MemoryKind, MemoryResource

@@ -23,8 +23,8 @@ of RTL generation time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.dataflow.structure import DataflowGraph, DataflowKernel, KernelProfile
 from repro.platform.fpga import FpgaPlatform

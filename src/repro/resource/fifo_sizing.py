@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataflow.structure import DataflowGraph, EdgeKind
+from repro.dataflow.structure import DataflowGraph
 from repro.resource.token_model import (
     EqualizationStrategy,
     KernelTiming,

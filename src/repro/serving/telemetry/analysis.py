@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serving.metrics import percentile
-from repro.serving.telemetry.tracer import (INSTANT_KINDS, LATENCY_KINDS,
-                                            SpanKind, Tracer)
+from repro.serving.telemetry.tracer import LATENCY_KINDS, SpanKind, Tracer
 
 #: Kind names whose durations partition a request's lifetime.
 LATENCY_KIND_NAMES = tuple(sorted(kind.name for kind in LATENCY_KINDS))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.dataflow.structure import DEFAULT_FIFO_DEPTH, DataflowGraph, EdgeKind
 from repro.platform.fpga import FpgaPlatform

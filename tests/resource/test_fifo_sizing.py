@@ -8,10 +8,8 @@ import pytest
 import scipy.optimize
 
 from repro.resource.fifo_sizing import (
-    FifoSizingResult,
     SizingEdge,
     size_fifos,
-    size_graph_fifos,
     sizing_edges_from_graph,
     solve_delays,
 )

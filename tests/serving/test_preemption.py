@@ -12,12 +12,10 @@ from repro.models.config import GPT2
 from repro.models.workload import Workload
 from repro.serving import (
     KVCacheConfig,
-    SchedulerConfig,
     ServingCluster,
     burst_trace,
     poisson_trace,
 )
-from repro.serving.request import RequestState
 
 
 def kv_mb(total_tokens: int, slack_blocks: int = 0, block_size: int = 16,

@@ -1,0 +1,58 @@
+"""Lint guard: no module in ``src/repro`` imports a name it never uses.
+
+Package ``__init__.py`` files are skipped, since their imports are the
+package's exports.  A name counts as used when the module reads it
+anywhere, a quoted annotation or an ``__all__`` entry included.  Uses
+only the standard library, so it runs in the tier-1 suite without a
+linter installed.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def unused_imports(source):
+    """``(line, name)`` of every name ``source`` imports and never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(sub.id for sub in ast.walk(quoted)
+                        if isinstance(sub, ast.Name))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_scanner_finds_unused_and_accepts_used_names():
+    source = ("from __future__ import annotations\n"
+              "import math\n"
+              "from typing import List, Optional\n"
+              "from os import path as p\n"
+              "def f(x: 'Optional[int]') -> List[int]:\n"
+              "    return [x]\n")
+    assert unused_imports(source) == [(2, "math"), (4, "p")]
+
+
+def test_no_unused_imports_in_src():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for line, name in unused_imports(path.read_text()):
+            found.append(f"{path.relative_to(SRC.parent)}:{line}: {name}")
+    assert not found, "unused imports:\n" + "\n".join(found)
