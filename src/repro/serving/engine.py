@@ -104,8 +104,8 @@ class ReplicaState(Enum):
 class ReplicaRole(Enum):
     """What traffic a device serves in a (possibly disaggregated) fleet.
 
-    ``UNIFIED`` devices — the PR 4 default — run every request end to
-    end.  Under prefill/decode disaggregation a ``PREFILL`` device serves
+    ``UNIFIED`` devices — the default — run every request end to end.
+    Under prefill/decode disaggregation a ``PREFILL`` device serves
     requests only through their prefill phase (handing each one off, KV
     and first token included, the moment prefill completes) and a
     ``DECODE`` device serves only migrated requests' decode phases.
@@ -461,7 +461,7 @@ class DeviceWorker:
     @property
     def routable(self) -> bool:
         """Whether the router may dispatch new arrivals here (ACTIVE)."""
-        return self.state is ReplicaState.ACTIVE
+        return self.state is _ACTIVE
 
     # ------------------------------------------------------------------
     # Lifecycle
