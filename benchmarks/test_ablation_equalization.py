@@ -11,8 +11,6 @@ import pytest
 from repro.eval.latency import FpgaPerformanceModel
 from repro.models.config import GPT2, LLAMA
 from repro.models.workload import Workload
-from repro.platform.hls_profiler import HlsProfiler
-from repro.platform.fpga import AMD_U55C
 from repro.resource.fifo_sizing import size_fifos, sizing_edges_from_graph
 from repro.resource.token_model import EqualizationStrategy
 

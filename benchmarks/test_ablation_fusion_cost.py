@@ -11,7 +11,7 @@ possible at all.
 import pytest
 
 from repro.dataflow.conversion import convert_to_dataflow
-from repro.dataflow.fusion import explore_fusion, fuse_kernels, fusion_memory_report
+from repro.dataflow.fusion import fuse_kernels, fusion_memory_report
 from repro.dse.explorer import build_tiling_space
 from repro.models.config import GPT2
 from repro.models.transformer import build_prefill_block

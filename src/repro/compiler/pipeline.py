@@ -3,10 +3,10 @@
 ``StreamTensorCompiler.compile`` takes a Linalg graph (from the LLM frontend
 or built by hand) and runs every stage of the paper's flow:
 
-1. Linalg optimisation — elementwise/fill fusion, unit-dim folding.
+1. Linalg optimisation — fill and elementwise fusion.
 2. Linalg tiling — tiling-space construction (naive tiling, intensity-driven
-   unrolling, vectorisation inference, permutation heuristic), optionally
-   wrapped in the black-box hyperparameter exploration.
+   unrolling, permutation heuristic), optionally wrapped in the black-box
+   hyperparameter exploration.
 3. Linalg-to-dataflow conversion and stream-based kernel fusion (Algorithm 2)
    under the on-chip memory budget.
 4. Dataflow optimisation — converter CSE, DMA/converter materialisation,
@@ -14,11 +14,14 @@ or built by hand) and runs every stage of the paper's flow:
 5. Resource allocation — analytical HLS profiling, LP FIFO sizing, ILP die
    partitioning, memory allocation.
 6. Bufferization — lowering itensors to streams and buffers.
-7. HLS optimisation and code generation — directive materialisation, HLS C++
-   emission, connectivity configuration and host runtime generation.
+7. Code generation — HLS C++ emission (with its pipeline/unroll pragmas),
+   connectivity configuration and host runtime generation.  The HLS_Opt
+   stage of Figure 10c has no separate pass, so its time reads 0.
 
-The result object carries every intermediate product so that examples, tests
-and the evaluation harness can inspect any stage.
+Each stage's product is returned once, into the :class:`CompilationResult`;
+the only results written onto the dataflow graph are the ones later stages
+read there (``edge.fifo_depth``, ``kernel.die_assignment``,
+``kernel.profile``).
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ class StreamTensorCompiler:
             optimized = default_linalg_pipeline().run(graph)
 
         # Stage 2: Linalg tiling space (optionally explored).
-        fused: Dict[Tuple, DataflowGraph] = {}
+        fused: Dict[Tuple, Tuple[DataflowGraph, FusionPlan]] = {}
         with timer.stage("Linalg_Tiling"):
             if options.explore_tiling:
                 space, _study = explore_tiling_space(
@@ -122,14 +125,14 @@ class StreamTensorCompiler:
         # Stage 3: Linalg to dataflow + kernel fusion.  An explored space
         # was already converted and fused while it was a trial.
         with timer.stage("Kernel_Fusion"):
-            dataflow = fused.pop(space.layout(), None)
+            winner = fused.pop(space.layout(), None)
             fused.clear()  # the other layouts' graphs
-            if dataflow is None:
+            if winner is None:
                 dataflow = convert_to_dataflow(optimized, tiling_configs)
-                fuse_kernels(dataflow, options.fusion_c_max_bytes)
+                plan = fuse_kernels(dataflow, options.fusion_c_max_bytes)
             else:
+                dataflow, plan = winner
                 set_kernel_parallelism(dataflow, tiling_configs)
-            plan = dataflow.attributes["fusion_plan"]
             remove_redundant_converters(dataflow)
 
         # Stage 4: Dataflow optimisation.
@@ -153,11 +156,7 @@ class StreamTensorCompiler:
         with timer.stage("Bufferization"):
             bufferization = bufferize(dataflow)
 
-        # Stage 7: HLS-level optimisation (directive materialisation).
-        with timer.stage("HLS_Opt"):
-            self._materialize_directives(dataflow)
-
-        # Stage 8: Code generation.
+        # Stage 7: Code generation.
         hls = host = connectivity = None
         with timer.stage("Code_Gen"):
             if options.generate_code:
@@ -191,24 +190,23 @@ class StreamTensorCompiler:
     # Helpers
     # ------------------------------------------------------------------
     def _fusion_feedback(self, graph: Graph,
-                         fused: Dict[Tuple, DataflowGraph]):
+                         fused: Dict[Tuple, Tuple[DataflowGraph, FusionPlan]]):
         """Objective feedback used by the black-box tiling exploration.
 
         The fused graph depends only on the space's layout (see
         ``TilingSpace.layout``), so each distinct layout is converted,
-        verified and fused once; ``fused`` keeps the graph of every layout
-        until Stage 3 of the same compile takes the winner's, and trials
-        sharing a layout share its feedback.
+        verified and fused once; ``fused`` keeps the graph and fusion plan
+        of every layout until Stage 3 of the same compile takes the
+        winner's, and trials sharing a layout share its feedback.
         """
         c_max = self.options.fusion_c_max_bytes
 
         def feedback(space: TilingSpace) -> Dict[str, float]:
             layout = space.layout()
-            dataflow = fused.get(layout)
-            if dataflow is None:
+            if layout not in fused:
                 dataflow = convert_to_dataflow(graph, space.to_configs())
-                fuse_kernels(dataflow, c_max)
-                fused[layout] = dataflow
+                fused[layout] = (dataflow, fuse_kernels(dataflow, c_max))
+            dataflow, _plan = fused[layout]
             return {
                 "converter_bytes": dataflow.converter_bytes(),
                 "stream_edges": float(len(dataflow.stream_edges())),
@@ -227,19 +225,6 @@ class StreamTensorCompiler:
                                           edge.stream_type().capacity_bytes))
         resources = self.options.platform.memory_resources()
         return allocate_memory(requests, resources)
-
-    @staticmethod
-    def _materialize_directives(dataflow: DataflowGraph) -> None:
-        """Attach the HLS directives every task needs (pipeline, unroll, ...)."""
-        for kernel in dataflow.kernels:
-            unroll = int(kernel.attributes.get("unroll_factor", 1))
-            for task in kernel.tasks:
-                task.attributes["directives"] = {
-                    "pipeline_ii": 1,
-                    "unroll_factor": unroll,
-                    "array_partition": min(unroll, 16),
-                    "dataflow": True,
-                }
 
     def _build_report(self, graph: Graph, dataflow: DataflowGraph,
                       plan: FusionPlan, timer: StageTimer,

@@ -42,8 +42,7 @@ def bufferize(graph: DataflowGraph) -> BufferizationResult:
     """Lower every stream edge and materialised task buffer to hardware form.
 
     FIFO depths must already be decided (by :mod:`repro.resource.fifo_sizing`)
-    or they take the edge's default.  The result is recorded in
-    ``graph.attributes['bufferization']`` and returned.
+    or they take the edge's default.
     """
     result = BufferizationResult()
 
@@ -60,6 +59,4 @@ def bufferize(graph: DataflowGraph) -> BufferizationResult:
                 continue
             result.buffers.append(task.buffer)
             result.total_buffer_bytes += task.buffer.size_bytes
-
-    graph.attributes["bufferization"] = result
     return result

@@ -138,28 +138,25 @@ def convert_to_dataflow(graph: Graph,
                 kind=EdgeKind.MEMORY,
             ))
 
-    dataflow.attributes["tiled_ops"] = tiled
     dataflow.verify()
     return dataflow
 
 
 def set_kernel_parallelism(dataflow: DataflowGraph,
                            tiling_configs: Dict[str, TilingConfig]) -> None:
-    """Give every kernel the unroll factor and vector width of its config.
+    """Give every kernel the unroll factor of its config.
 
-    These are the only parts of a :class:`TilingConfig` that do not shape
-    the itensor types, so a graph converted from configs with the same tile
+    It is the only part of a :class:`TilingConfig` that does not shape the
+    itensor types, so a graph converted from configs with the same tile
     sizes and loop orders becomes the graph of ``tiling_configs`` here.
     """
     for kernel in dataflow.kernels:
         info: TiledOp = kernel.attributes["tiled"]
         config = tiling_configs[kernel.name]
         info.config = replace(info.config,
-                              unroll_factor=max(1, config.unroll_factor),
-                              vector_width=max(1, config.vector_width))
+                              unroll_factor=max(1, config.unroll_factor))
         _set_parallelism(kernel, info.config)
 
 
 def _set_parallelism(kernel: DataflowKernel, config: TilingConfig) -> None:
     kernel.attributes["unroll_factor"] = config.unroll_factor
-    kernel.attributes["vector_width"] = config.vector_width

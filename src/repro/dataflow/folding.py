@@ -75,5 +75,4 @@ def fold_itensors(graph: DataflowGraph) -> FoldingResult:
             result.folded_task_names.append(task.name)
             task.attributes["folded"] = True
             task.buffer = None
-    graph.attributes["folding_result"] = result
     return result

@@ -146,8 +146,6 @@ def apply_fusion(graph: DataflowGraph, plan: FusionPlan) -> DataflowGraph:
             edge.converter = infer_converter(edge.producer_type, edge.consumer_type)
         else:
             edge.converter = None
-
-    graph.attributes["fusion_plan"] = plan
     return graph
 
 

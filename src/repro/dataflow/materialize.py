@@ -94,13 +94,13 @@ def materialize_converter(edge: DataflowEdge) -> DataflowTask:
     )
 
 
-def materialize(graph: DataflowGraph) -> DataflowGraph:
+def materialize(graph: DataflowGraph) -> List[DataflowTask]:
     """Materialise every DMA and converter in the graph, in place.
 
     DMA-load tasks are attached to the consuming kernel, DMA-store tasks to
     the producing kernel, and converter tasks to the producing kernel of
-    their stream edge (they execute inside the same fused kernel).  The full
-    task list is also recorded in ``graph.attributes['materialized_tasks']``.
+    their stream edge (they execute inside the same fused kernel).  Returns
+    every task it attached, in edge order.
     """
     tasks: List[DataflowTask] = []
 
@@ -123,9 +123,7 @@ def materialize(graph: DataflowGraph) -> DataflowGraph:
                 assert edge.producer is not None
                 edge.producer.tasks.append(task)
                 tasks.append(task)
-
-    graph.attributes["materialized_tasks"] = tasks
-    return graph
+    return tasks
 
 
 def remove_redundant_converters(graph: DataflowGraph) -> int:

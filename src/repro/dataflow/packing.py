@@ -137,15 +137,10 @@ def pack_kernel_interfaces(graph: DataflowGraph) -> PackingResult:
         if itype is None:
             continue
         layout = pack_interface(edge.tensor, itype)
-        edge_kind = "parameter" if edge.is_parameter else "dynamic"
         if edge.is_parameter:
             result.parameter_interfaces += 1
         else:
             result.runtime_pack_bytes += layout.total_bytes
         result.interfaces += 1
         result.layouts.append(layout)
-        # Record the layout on the edge for codegen and the host runtime.
-        setattr(edge, "packed_layout", layout)
-        setattr(edge, "packed_kind", edge_kind)
-    graph.attributes["packing_result"] = result
     return result

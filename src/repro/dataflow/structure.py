@@ -225,7 +225,6 @@ class DataflowGraph:
     name: str = "dataflow"
     kernels: List[DataflowKernel] = field(default_factory=list)
     edges: List[DataflowEdge] = field(default_factory=list)
-    attributes: Dict[str, object] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Construction

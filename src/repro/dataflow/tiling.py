@@ -11,9 +11,11 @@ derives the itensor type of each kernel port from exactly this structure:
 * the slice sizes define the element shape.
 
 A :class:`TilingConfig` captures the Linalg tiling design space of Section
-5.1 for one op: tile sizes, loop permutation, unroll factor and interface
-vectorisation.  :func:`tile_op` applies a config and returns the tiled-loop
-structure plus the inferred itensor type for every operand and the result.
+5.1 for one op: tile sizes, loop permutation and unroll factor.  Interface
+vectorisation follows from the unroll factor and is decided later, on the
+dataflow graph (:mod:`repro.dataflow.vectorize`).  :func:`tile_op` applies
+a config and returns the tiled-loop structure plus the inferred itensor
+type for every operand and the result.
 """
 
 from __future__ import annotations
@@ -36,13 +38,11 @@ class TilingConfig:
             indices.  Defaults to the original order.
         unroll_factor: Spatial unrolling (parallelism) inside the tile; the
             analytical HLS model translates it into DSP usage and pipeline II.
-        vector_width: Elements per FIFO/DMA token after interface widening.
     """
 
     tile_sizes: List[int]
     permutation: Optional[List[int]] = None
     unroll_factor: int = 1
-    vector_width: int = 1
 
     def normalized(self, op: LinalgOp,
                    bounds: Optional[Sequence[int]] = None) -> "TilingConfig":
@@ -62,8 +62,7 @@ class TilingConfig:
             range(len(bounds)))
         if sorted(perm) != list(range(len(bounds))):
             raise ValueError(f"invalid loop permutation {perm} for {op.name}")
-        return TilingConfig(sizes, perm, max(1, self.unroll_factor),
-                            max(1, self.vector_width))
+        return TilingConfig(sizes, perm, max(1, self.unroll_factor))
 
 
 def _largest_divisor(bound: int, limit: int) -> int:
@@ -82,6 +81,7 @@ class TiledOp:
     Attributes:
         op: The original op.
         config: The normalised tiling config used.
+        loop_bounds: Trip count of every iteration dim of the untiled op.
         loop_dims: Iteration dims in tile-loop order (outermost first).
         loop_tripcounts: Trip count of each tile loop.
         loop_steps: Step (tile size) of each tile loop.
@@ -92,6 +92,7 @@ class TiledOp:
 
     op: LinalgOp
     config: TilingConfig
+    loop_bounds: List[int]
     loop_dims: List[int]
     loop_tripcounts: List[int]
     loop_steps: List[int]
@@ -102,6 +103,11 @@ class TiledOp:
     @property
     def total_tiles(self) -> int:
         return math.prod(self.loop_tripcounts) if self.loop_tripcounts else 1
+
+    @property
+    def iteration_count(self) -> int:
+        """Points of the untiled op's iteration space."""
+        return math.prod(self.loop_bounds)
 
 
 def tile_op(op: LinalgOp, config: TilingConfig,
@@ -134,9 +140,10 @@ def tile_op(op: LinalgOp, config: TilingConfig,
     )
 
     tile_iterations = math.prod(tile_sizes[d] for d in range(op.num_loops))
-    return TiledOp(op=op, config=config, loop_dims=loop_dims,
-                   loop_tripcounts=loop_tripcounts, loop_steps=loop_steps,
-                   input_itensors=input_itensors, result_itensor=result_itensor,
+    return TiledOp(op=op, config=config, loop_bounds=list(bounds),
+                   loop_dims=loop_dims, loop_tripcounts=loop_tripcounts,
+                   loop_steps=loop_steps, input_itensors=input_itensors,
+                   result_itensor=result_itensor,
                    tile_iterations=tile_iterations)
 
 

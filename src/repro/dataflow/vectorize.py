@@ -7,13 +7,16 @@ starve.  Vectorisation widens an itensor's token from a scalar to a vector
 local buffer followed by a vector ``itensor_write``, and the read side the
 mirrored transformation.  The FIFO bandwidth then matches the kernel's
 spatial parallelism.
+
+:func:`vectorize_graph` is the compiler's one vectorisation decision: each
+stream edge's vector follows its consumer's unroll factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.dataflow.structure import DataflowGraph
 from repro.itensor.itensor_type import ITensorType
@@ -42,7 +45,6 @@ def choose_vector_shape(itype: ITensorType, target_elements: int) -> Tuple[int, 
         if remaining <= 1:
             break
         extent = itype.element_shape[dim]
-        width = math.gcd(extent, remaining) if remaining < extent else extent
         # Prefer the largest divisor of the extent that does not exceed the
         # remaining budget.
         best = 1
@@ -60,31 +62,20 @@ def vectorize_itensor(itype: ITensorType, target_elements: int) -> ITensorType:
     return itype.with_vector_shape(shape)
 
 
-def vectorize_graph(graph: DataflowGraph,
-                    default_width: int = 8,
-                    per_kernel_width: Optional[Dict[str, int]] = None,
-                    ) -> VectorizationResult:
+def vectorize_graph(graph: DataflowGraph) -> VectorizationResult:
     """Vectorise every stream edge of the graph in place.
 
-    The vector width of an edge follows the unroll factor of the *consumer*
-    kernel (the side that must be kept busy), falling back to
-    ``default_width``.
+    The vector width of an edge is the unroll factor of its *consumer*
+    kernel, the side that must be kept busy.
     """
-    per_kernel_width = per_kernel_width or {}
     result = VectorizationResult()
     for edge in graph.stream_edges():
         if edge.producer_type is None or edge.consumer_type is None:
             continue
-        consumer_name = edge.consumer.name if edge.consumer is not None else ""
-        width = per_kernel_width.get(consumer_name)
-        if width is None and edge.consumer is not None:
-            width = int(edge.consumer.attributes.get("unroll_factor", 0)) or None
-        if width is None:
-            width = default_width
+        width = edge.consumer.attributes["unroll_factor"]
         edge.producer_type = vectorize_itensor(edge.producer_type, width)
         edge.consumer_type = vectorize_itensor(edge.consumer_type, width)
         result.vectorized_edges += 1
         if edge.producer_type.vector_shape is not None:
             result.total_vector_elements += math.prod(edge.producer_type.vector_shape)
-    graph.attributes["vectorization_result"] = result
     return result

@@ -156,8 +156,7 @@ def build_tiling_space(graph: Graph, default_tile_size: int,
     """Construct and fully populate a tiling space for given hyperparameters.
 
     Runs the three per-kernel heuristics in the paper's order: naive tiling,
-    intensity-driven unrolling, then vectorisation inference and the
-    permutation heuristic.
+    intensity-driven unrolling, then the permutation heuristic.
     """
     return _populate(TilingSpace.from_graph(
         graph, default_tile_size=default_tile_size,
@@ -167,7 +166,6 @@ def build_tiling_space(graph: Graph, default_tile_size: int,
 def _populate(space: TilingSpace) -> TilingSpace:
     space.apply_naive_tiling()
     intensity_driven_unrolling(space)
-    space.infer_vectorization()
     apply_permutation_heuristic(space)
     return space
 

@@ -3,15 +3,18 @@
 The tiling space is represented as a graph of Linalg operations annotated
 with loop properties (trip counts, step sizes, loop types); exploration
 results are written back onto this graph to configure the tiling pass.  The
-space has four axes per kernel:
+space has three axes per kernel:
 
 * tiling factors — a single user-visible hyperparameter ``default_tile_size``
   applied across all dimensions of all kernels (the paper's "naive tiling");
 * unrolling factors — chosen by the intensity-driven algorithm
   (:mod:`repro.dse.unrolling`);
-* vectorisation factors — inferred from the unroll factors and tensor shapes;
 * permutation — chosen by the reduction-outward heuristic
   (:mod:`repro.dse.permutation`).
+
+Vectorisation factors follow from the unroll factors, so the space holds
+none: :func:`repro.dataflow.vectorize.vectorize_graph` sizes every FIFO
+vector from its consumer's unroll factor once the dataflow graph exists.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ class KernelNode:
     loop_types: List[IteratorType]
     tile_sizes: List[int] = field(default_factory=list)
     unroll_factor: int = 1
-    vector_width: int = 1
     #: Tile-loop (streaming) order: determines the itensor stream layout of
     #: every kernel interface, so it keeps parallel loops outermost to match
     #: producers and minimise converter memory.
@@ -62,7 +64,6 @@ class KernelNode:
             tile_sizes=list(self.tile_sizes),
             permutation=list(self.tile_loop_order) if self.tile_loop_order else None,
             unroll_factor=self.unroll_factor,
-            vector_width=self.vector_width,
         )
 
 
@@ -112,8 +113,8 @@ class TilingSpace:
         """Each kernel's tile sizes and tile-loop order.
 
         This is all of the space that the Linalg-to-dataflow conversion
-        turns into itensor types; unroll factors and vector widths only
-        become kernel attributes.
+        turns into itensor types; unroll factors only become kernel
+        attributes.
         """
         return tuple((tuple(node.tile_sizes), tuple(node.tile_loop_order or ()))
                      for node in self.nodes)
@@ -125,7 +126,7 @@ class TilingSpace:
         raise KeyError(f"no kernel node named {name!r}")
 
     # ------------------------------------------------------------------
-    # Naive tiling + derived vectorisation
+    # Naive tiling
     # ------------------------------------------------------------------
     def apply_naive_tiling(self) -> None:
         """Apply ``default_tile_size`` to every dimension of every kernel,
@@ -135,19 +136,6 @@ class TilingSpace:
                 _largest_divisor(bound, self.default_tile_size)
                 for bound in node.loop_bounds
             ]
-
-    def infer_vectorization(self, max_vector_elements: int = 64) -> None:
-        """Infer interface vector widths from unroll factors and tile shapes.
-
-        The FIFO must deliver roughly ``unroll_factor`` elements per cycle,
-        bounded by the tile size and the memory-bus width.
-        """
-        for node in self.nodes:
-            if not node.tile_sizes:
-                continue
-            tile_elements = math.prod(node.tile_sizes)
-            width = min(node.unroll_factor, tile_elements, max_vector_elements)
-            node.vector_width = max(1, width)
 
     # ------------------------------------------------------------------
     # Export

@@ -5,9 +5,7 @@ Two kinds of baselines appear:
 * **Published FPGA accelerators** — Allo [15] and DFX [29].  The paper takes
   their numbers directly from the respective publications ("All results of
   previous works are directly from their papers"), so we ship the same
-  published GPT-2 numbers as constants, plus a simple analytical model of an
-  *unfused* dataflow design (every intermediate result round-trips through
-  external memory) used by the ablation benchmarks.
+  published GPT-2 numbers as constants.
 * **GPUs** — A100 and 2080Ti, modelled by the roofline + overhead model in
   :mod:`repro.eval.latency`.
 """
@@ -15,9 +13,9 @@ Two kinds of baselines appear:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.eval.latency import FpgaPerformanceModel, GpuPerformanceModel
+from repro.eval.latency import GpuPerformanceModel
 from repro.models.workload import Workload
 from repro.platform.gpu import NVIDIA_2080TI, NVIDIA_A100
 
@@ -65,30 +63,6 @@ def published_baseline(system: str, workload: Workload) -> PublishedResult:
 # ----------------------------------------------------------------------
 # Analytical baselines
 # ----------------------------------------------------------------------
-def unfused_dataflow_model(base: Optional[FpgaPerformanceModel] = None,
-                           memory_roundtrip_overhead: float = 2.6,
-                           ) -> FpgaPerformanceModel:
-    """An FPGA dataflow design *without* stream-based kernel fusion.
-
-    Every intermediate result is written to and read back from external
-    memory (Figure 1(a)), so the activation traffic multiplies and kernels
-    cannot overlap; we model this as a dilation of the achievable
-    weight/activation streaming rate and the loss of compute/memory overlap.
-    Used by the ablation benchmarks to show why fusion is required.
-    """
-    base = base or FpgaPerformanceModel()
-    return FpgaPerformanceModel(
-        platform=base.platform,
-        weight_stream_gbs=base.weight_stream_gbs / memory_roundtrip_overhead,
-        compute_efficiency=base.compute_efficiency / memory_roundtrip_overhead,
-        per_layer_overhead_s=base.per_layer_overhead_s * 2.0,
-        per_pass_overhead_s=base.per_pass_overhead_s,
-        average_power_fraction=base.average_power_fraction,
-        conservative_threshold_fraction=base.conservative_threshold_fraction,
-        conservative_slowdown=base.conservative_slowdown,
-    )
-
-
 def a100_model() -> GpuPerformanceModel:
     """The paper's A100 baseline."""
     return GpuPerformanceModel(platform=NVIDIA_A100, per_layer_overhead_s=0.3e-3)

@@ -31,7 +31,7 @@ from repro.eval.latency import (
 from repro.models.config import GEMMA, GPT2, LLAMA, MODEL_CONFIGS, QWEN, ModelConfig
 from repro.models.transformer import build_prefill_block
 from repro.models.workload import FIGURE9_WORKLOADS, TABLE4_WORKLOADS, Workload
-from repro.platform.hls_profiler import HlsProfiler
+from repro.platform.hls_profiler import HlsProfiler, parameter_packing_seconds
 
 # Sequence length used to characterise the compiled block (Figure 10 studies
 # a single LLM layer; 256 matches the longest workload in Table 4).
@@ -332,8 +332,7 @@ def run_figure10b(context: Optional[ExperimentContext] = None,
             model=config.name,
             hls_seconds=profiler.estimate_hls_synthesis_seconds(graph),
             profiling_seconds=profiler.estimate_profiling_seconds(graph),
-            param_packing_seconds=profiler.estimate_parameter_packing_seconds(
-                graph, weight_bytes),
+            param_packing_seconds=parameter_packing_seconds(weight_bytes),
             streamtensor_seconds=sum(result.report.stage_seconds.values()),
         ))
     return rows

@@ -8,16 +8,16 @@ These mirror the first stage of the StreamTensor pipeline (Figure 4):
   consumers so that fewer dataflow kernels (and thus fewer FIFOs/converters)
   are generated.
 * ``fuse_linalg_fill`` — fold ``fill`` initialisations into their consumers.
-* ``fold_unit_extent_dims`` — drop size-1 dimensions from op iteration spaces.
 
-Each pass is a callable object with a ``run(graph)`` method so that the
-pipeline driver can time and report every stage (Figure 10c).
+Each pass has a ``run(graph)`` method returning the rewritten graph;
+:class:`PassManager` runs them in order and verifies the graph after each
+one.  Unit-extent dim folding is not done: nothing after this stage would
+read a folded iteration space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.ir.affine import AffineMap
 from repro.ir.graph import Graph
@@ -27,43 +27,20 @@ from repro.ir.ops import LinalgOp
 class Pass:
     """Base class for graph passes."""
 
-    name = "pass"
-
     def run(self, graph: Graph) -> Graph:
         raise NotImplementedError
-
-    def __call__(self, graph: Graph) -> Graph:
-        return self.run(graph)
-
-
-@dataclass
-class PassResult:
-    """Statistics from a pass manager run, keyed by pass name."""
-
-    stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def record(self, pass_name: str, **values: float) -> None:
-        self.stats.setdefault(pass_name, {}).update(values)
 
 
 class PassManager:
     """Runs a sequence of passes, verifying the graph in between."""
 
-    def __init__(self, passes: Optional[List[Pass]] = None) -> None:
-        self.passes: List[Pass] = list(passes or [])
-        self.result = PassResult()
-
-    def add(self, pass_: Pass) -> "PassManager":
-        self.passes.append(pass_)
-        return self
+    def __init__(self, passes: List[Pass]) -> None:
+        self.passes = list(passes)
 
     def run(self, graph: Graph) -> Graph:
         for pass_ in self.passes:
-            before = len(graph.ops)
             graph = pass_.run(graph)
             graph.verify()
-            self.result.record(pass_.name, ops_before=before,
-                               ops_after=len(graph.ops))
         return graph
 
 
@@ -76,11 +53,10 @@ class FuseElementwiseOps(Pass):
     A producer op is fused when it is elementwise, has exactly one user, and
     the user is also elementwise with a matching shape.  The fused op keeps
     the consumer's kind and records the producer chain in the
-    ``fused_kinds`` attribute — the downstream analytical kernel model uses
-    the chain length to estimate per-element work.
+    ``fused_kinds`` attribute.  The analytical kernel model
+    (:class:`~repro.platform.hls_profiler.HlsProfiler`) prices a fused op
+    by its own kind only; it does not read the chain.
     """
-
-    name = "fuse_elementwise_ops"
 
     def run(self, graph: Graph) -> Graph:
         graph = graph.clone()
@@ -130,8 +106,6 @@ class FuseElementwiseOps(Pass):
 class FuseLinalgFill(Pass):
     """Fold ``fill`` ops into consumers as an ``init_value`` attribute."""
 
-    name = "fuse_linalg_fill"
-
     def run(self, graph: Graph) -> Graph:
         graph = graph.clone()
         for op in list(graph.ops):
@@ -157,38 +131,9 @@ class FuseLinalgFill(Pass):
         return graph
 
 
-# ----------------------------------------------------------------------
-# Unit-extent dim folding
-# ----------------------------------------------------------------------
-class FoldUnitExtentDims(Pass):
-    """Remove size-1 iteration dimensions from ops.
-
-    Unit dims frequently appear after attention-head reshapes; removing them
-    keeps tiling factors meaningful and the itensor iteration spaces minimal.
-    """
-
-    name = "fold_unit_extent_dims"
-
-    def run(self, graph: Graph) -> Graph:
-        graph = graph.clone()
-        for op in graph.ops:
-            try:
-                bounds = op.loop_bounds()
-            except ValueError:
-                continue
-            unit_dims = [i for i, b in enumerate(bounds) if b == 1]
-            if not unit_dims or len(unit_dims) == len(bounds):
-                continue
-            if not all(m.is_projected_permutation() for m in op.indexing_maps):
-                continue
-            op.attributes["folded_unit_dims"] = tuple(unit_dims)
-        return graph
-
-
 def default_linalg_pipeline() -> PassManager:
     """The Linalg optimisation stage of Figure 4."""
     return PassManager([
         FuseLinalgFill(),
         FuseElementwiseOps(),
-        FoldUnitExtentDims(),
     ])

@@ -17,7 +17,7 @@ FPGA:
 
 The same module also models the *wall-clock runtime* of the vendor tools
 (HLS synthesis and profiling), which Figure 10b reports as the dominant part
-of RTL generation time.
+of RTL generation time, and of the host's one-time parameter packing.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.dataflow.structure import DataflowGraph, DataflowKernel, KernelProfile
+from repro.dataflow.tiling import TiledOp
 from repro.platform.fpga import FpgaPlatform
 from repro.resource.token_model import KernelTiming
 
@@ -53,13 +54,9 @@ class HlsProfiler:
 
     Attributes:
         platform: Target FPGA.
-        hbm_ports: Number of independent HBM pseudo-channels shared by the
-            parameter-streaming DMAs; each kernel with parameter inputs gets
-            the bandwidth of the ports assigned to it.
     """
 
     platform: FpgaPlatform
-    hbm_ports: int = 32
 
     # ------------------------------------------------------------------
     # Per-kernel profiling
@@ -80,7 +77,8 @@ class HlsProfiler:
         """Profile one kernel: II, initial delay, latency and resources.
 
         Args:
-            kernel: The dataflow kernel (must carry its tiling info).
+            kernel: The dataflow kernel (must carry its ``TiledOp`` as
+                ``attributes["tiled"]``).
             memory_share: Fraction of the board's HBM bandwidth available to
                 this kernel's parameter DMAs (kernels in one fused group run
                 concurrently and share the ports).
@@ -92,7 +90,8 @@ class HlsProfiler:
         output_port = kernel.outputs[0]
         total_tokens = max(1, output_port.itensor.num_iterations)
 
-        total_ops = op.iteration_count() * self._ops_per_element(op.kind)
+        tiled: TiledOp = kernel.attributes["tiled"]
+        total_ops = tiled.iteration_count * self._ops_per_element(op.kind)
         compute_cycles = total_ops / unroll
 
         bandwidth = self.platform.hbm_bandwidth_bytes_per_cycle * max(
@@ -153,7 +152,6 @@ class HlsProfiler:
                 total_tokens=kernel.outputs[0].itensor.num_iterations
                 if kernel.outputs else 1,
             )
-        graph.attributes["kernel_timings"] = timings
         return timings
 
     # ------------------------------------------------------------------
@@ -183,8 +181,9 @@ class HlsProfiler:
         """Wall-clock estimate for the vendor profiling runs (co-simulation)."""
         return 0.45 * self.estimate_hls_synthesis_seconds(graph, parallel_jobs)
 
-    def estimate_parameter_packing_seconds(self, graph: DataflowGraph,
-                                           parameter_bytes: float) -> float:
-        """Host-side parameter packing time (widening + tiling the weights)."""
-        pack_rate_bytes_per_second = 1.2e9
-        return 5.0 + parameter_bytes / pack_rate_bytes_per_second
+
+def parameter_packing_seconds(parameter_bytes: float) -> float:
+    """Host time to pack ``parameter_bytes`` of weights into the device
+    layout (widening + tiling), paid once per design (Figure 10b): 5 s of
+    setup plus 1.2 GB/s."""
+    return 5.0 + parameter_bytes / 1.2e9

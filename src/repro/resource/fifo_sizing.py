@@ -277,5 +277,4 @@ def size_graph_fifos(graph: DataflowGraph,
         return FifoSizingResult(strategy=strategy, lp_status="no-stream-edges")
     result = size_fifos(edges, timings, strategy)
     apply_fifo_sizes(graph, result)
-    graph.attributes["fifo_sizing"] = result
     return result

@@ -230,7 +230,11 @@ def partition_tasks(tasks: Sequence[PartitionTask], num_dies: int,
 
 def partition_graph(graph: DataflowGraph, num_dies: int,
                     capacity: Optional[float] = None) -> PartitionResult:
-    """Partition a dataflow graph's kernels across dies and record the result."""
+    """Partition a dataflow graph's kernels across dies.
+
+    Each kernel's ``die_assignment`` is set in place; the full result is
+    returned.
+    """
     tasks = []
     for kernel in graph.topological_order():
         preds = tuple(p.name for p in graph.predecessors(kernel))
@@ -240,5 +244,4 @@ def partition_graph(graph: DataflowGraph, num_dies: int,
     result = partition_tasks(tasks, num_dies, capacity)
     for kernel in graph.kernels:
         kernel.die_assignment = result.assignment.get(kernel.name, 0)
-    graph.attributes["partition"] = result
     return result

@@ -22,6 +22,7 @@ from repro.compiler.pipeline import CompilationResult
 from repro.eval.latency import FpgaPerformanceModel, StepPricer, StepTotals
 from repro.models.config import ModelConfig
 from repro.models.workload import Workload
+from repro.platform.hls_profiler import parameter_packing_seconds
 from repro.resource.token_model import EqualizationStrategy
 
 
@@ -316,8 +317,7 @@ class InferenceSession:
         self._parameters_packed = True
         weight_bytes = (self.config.total_params()
                         * self.model.platform.quantization.weight_bits / 8.0)
-        pack_rate_bytes_per_second = 1.2e9
-        return 5.0 + weight_bytes / pack_rate_bytes_per_second
+        return parameter_packing_seconds(weight_bytes)
 
     def reset(self) -> None:
         """Forget the packed parameter binaries.

@@ -221,11 +221,11 @@ class ServingCluster:
         performance_model: Analytical accelerator model shared by the fleet.
         kv_config: Optional per-replica KV block pool.
         preemption: Per-replica preemption policy under KV pressure.
-        autoscaler: ``AutoscalerConfig`` (or a prepared ``Autoscaler``) to
-            scale the fleet from the control loop; ``None`` keeps the
-            fleet fixed at ``initial_replicas``.  With disaggregation the
-            same config drives one control loop per role pool (bounds
-            apply per pool).
+        autoscaler: ``AutoscalerConfig`` to scale the fleet from the
+            control loop; ``None`` keeps the fleet fixed at
+            ``initial_replicas``.  With disaggregation the same config
+            drives one control loop per role pool (bounds apply per
+            pool).
         disaggregation: ``DisaggregationConfig`` splitting the fleet into
             prefill and decode pools with a two-stage request flow.
             ``None`` — the default — is the PR 4 unified tier exactly;
@@ -267,7 +267,7 @@ class ServingCluster:
                  performance_model: Optional[FpgaPerformanceModel] = None,
                  kv_config: Optional[KVCacheConfig] = None,
                  preemption: Union[str, PreemptionPolicy] = "youngest",
-                 autoscaler: Union[AutoscalerConfig, Autoscaler, None] = None,
+                 autoscaler: Optional[AutoscalerConfig] = None,
                  disaggregation: Optional[DisaggregationConfig] = None,
                  kernel: str = "event",
                  tracer: Optional[Tracer] = None,
@@ -316,12 +316,12 @@ class ServingCluster:
         # spawn inside run().
         resolve_preemption_policy(preemption)
         self.preemption = preemption
-        if isinstance(autoscaler, Autoscaler):
-            self.autoscaler: Optional[Autoscaler] = autoscaler
-        elif autoscaler is not None:
-            self.autoscaler = Autoscaler(autoscaler)
-        else:
-            self.autoscaler = None
+        if autoscaler is not None and not isinstance(autoscaler,
+                                                     AutoscalerConfig):
+            raise TypeError("autoscaler must be an AutoscalerConfig, not "
+                            f"{type(autoscaler).__name__}")
+        self.autoscaler: Optional[Autoscaler] = (
+            Autoscaler(autoscaler) if autoscaler is not None else None)
         # The decode pool of a disaggregated fleet runs its own control
         # loop (own cooldown clock and audit trail) over the same config.
         self.decode_autoscaler: Optional[Autoscaler] = None

@@ -7,16 +7,20 @@ the study sees: each trial's feedback equals a fresh conversion of its own
 space, and every study matches the one recorded before the memo existed.
 """
 
+import collections
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro import CompilerOptions, StreamTensorCompiler
+from repro import LLAMA, CompilerOptions, StreamTensorCompiler, build_prefill_block
 from repro.compiler import pipeline
 from repro.dataflow.conversion import convert_to_dataflow
 from repro.dataflow.fusion import fuse_kernels
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import INT8
+from repro.ir.ops import LinalgOp
 
 #: (default_tile_size, overall_unroll_size, objective, converter_bytes,
 #: stream_edges) of every trial, in evaluation order, recorded by compiling
@@ -160,8 +164,30 @@ def test_winner_sharing_an_earlier_layout_gets_its_own_parallelism(
     for kernel in explored.dataflow_graph.kernels:
         node = best.node(kernel.name)
         assert kernel.attributes["unroll_factor"] == node.unroll_factor
-        assert kernel.attributes["vector_width"] == node.vector_width
         assert kernel.attributes["tiled"].config == node.to_config()
     assert explored.hls.source == direct.hls.source
     assert (replace(explored.report, stage_seconds={})
             == replace(direct.report, stage_seconds={}))
+
+
+def test_loop_bounds_inferred_only_to_build_the_space_and_tile(monkeypatch):
+    """An explored compile infers each op's loop bounds once for the
+    tiling space and once per distinct layout it tiles; every later stage
+    reads the bounds its ``TiledOp`` already carries."""
+    graph = build_prefill_block(LLAMA, 256)
+    callers = collections.Counter()
+    loop_bounds = LinalgOp.loop_bounds
+
+    def tally(op):
+        caller = sys._getframe(1).f_code
+        callers[(Path(caller.co_filename).name, caller.co_name)] += 1
+        return loop_bounds(op)
+
+    monkeypatch.setattr(LinalgOp, "loop_bounds", tally)
+    StreamTensorCompiler(CompilerOptions(explore_tiling=True)).compile(
+        graph, LLAMA)
+    assert set(callers) == {("tiling_space.py", "from_graph"),
+                            ("tiling.py", "tile_graph")}
+    # 17 ops: once for the space, once in each of the study's 4 layouts.
+    assert callers[("tiling_space.py", "from_graph")] == 17
+    assert sum(callers.values()) == 17 + 4 * 17

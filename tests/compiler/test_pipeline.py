@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compiler import pipeline
 from repro.compiler.options import CompilerOptions
 from repro.compiler.pipeline import StreamTensorCompiler, compile_model_block
 from repro.compiler.report import STAGE_NAMES
@@ -57,19 +58,24 @@ class TestCompilerPipeline:
         gpt2_compiled.dataflow_graph.verify()
 
     def test_itensor_types_checked_before_bufferization(self, monkeypatch):
-        bufferized_at_verify = []
+        calls = []
         verify = DataflowGraph.verify
+        bufferize = pipeline.bufferize
 
-        def spy(graph):
-            bufferized_at_verify.append("bufferization" in graph.attributes)
+        def spy_verify(graph):
+            calls.append("verify")
             verify(graph)
 
-        monkeypatch.setattr(DataflowGraph, "verify", spy)
+        def spy_bufferize(graph):
+            calls.append("bufferize")
+            return bufferize(graph)
+
+        monkeypatch.setattr(DataflowGraph, "verify", spy_verify)
+        monkeypatch.setattr(pipeline, "bufferize", spy_bufferize)
         options = CompilerOptions(generate_code=False)
-        result = StreamTensorCompiler(options).compile(tiny_graph())
+        StreamTensorCompiler(options).compile(tiny_graph())
         # Once after conversion, once at the end of dataflow optimisation.
-        assert bufferized_at_verify == [False, False]
-        assert "bufferization" in result.dataflow_graph.attributes
+        assert calls == ["verify", "verify", "bufferize"]
 
     def test_compile_without_codegen(self):
         options = CompilerOptions(generate_code=False)

@@ -1,7 +1,5 @@
 """Tests for Linalg-to-dataflow conversion."""
 
-import pytest
-
 from repro.dataflow.conversion import convert_to_dataflow
 from repro.dataflow.structure import EdgeKind
 from repro.dataflow.tiling import TilingConfig

@@ -4,7 +4,6 @@ import pytest
 
 from repro.dataflow.conversion import convert_to_dataflow
 from repro.dataflow.fusion import (
-    apply_fusion,
     edge_fusion_cost,
     explore_fusion,
     fuse_kernels,

@@ -2,20 +2,17 @@
 
 import math
 
-import pytest
-
 from repro.dataflow.bufferize import bufferize
 from repro.dataflow.conversion import convert_to_dataflow
 from repro.dataflow.folding import fold_itensors
 from repro.dataflow.fusion import fuse_kernels
 from repro.dataflow.materialize import materialize
 from repro.dataflow.packing import (
-    PackedLayout,
     pack_interface,
     pack_kernel_interfaces,
     widen_for_bus,
 )
-from repro.dataflow.structure import DEFAULT_FIFO_DEPTH, TaskKind
+from repro.dataflow.structure import DEFAULT_FIFO_DEPTH
 from repro.dataflow.vectorize import choose_vector_shape, vectorize_graph, vectorize_itensor
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import INT8, UINT8
@@ -77,11 +74,14 @@ class TestVectorization:
 
     def test_vectorize_graph_updates_stream_edges(self):
         dataflow = compiled_chain()
-        result = vectorize_graph(dataflow, default_width=8)
+        result = vectorize_graph(dataflow)
         assert result.vectorized_edges == len(dataflow.stream_edges())
         for edge in dataflow.stream_edges():
             assert edge.producer_type.vector_shape is not None
             assert edge.consumer_type.vector_shape is not None
+            # The consumer's unroll factor bounds the vector it reads.
+            unroll = edge.consumer.attributes["unroll_factor"]
+            assert math.prod(edge.consumer_type.vector_shape) <= unroll
 
 
 class TestPacking:
@@ -119,7 +119,6 @@ class TestBufferize:
         dataflow = compiled_chain()
         result = bufferize(dataflow)
         assert len(result.fifos) == len(dataflow.stream_edges())
-        assert dataflow.attributes["bufferization"] is result
         for edge in dataflow.stream_edges():
             fifo = result.fifos[edge.uid]
             assert fifo == edge.stream_type()

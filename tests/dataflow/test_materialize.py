@@ -10,7 +10,7 @@ from repro.dataflow.materialize import (
     materialize_dma,
     remove_redundant_converters,
 )
-from repro.dataflow.structure import EdgeKind, TaskKind
+from repro.dataflow.structure import TaskKind
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import INT8
 
@@ -31,15 +31,13 @@ def fused_matmul_chain():
 class TestMaterialize:
     def test_memory_edges_get_dma_tasks(self):
         dataflow = fused_matmul_chain()
-        materialize(dataflow)
-        kinds = [t.kind for t in dataflow.attributes["materialized_tasks"]]
+        kinds = [t.kind for t in materialize(dataflow)]
         assert TaskKind.DMA_LOAD in kinds
         assert TaskKind.DMA_STORE in kinds
 
     def test_mismatched_stream_edge_gets_converter_task(self):
         dataflow = fused_matmul_chain()
-        materialize(dataflow)
-        tasks = dataflow.attributes["materialized_tasks"]
+        tasks = materialize(dataflow)
         converters = [t for t in tasks if t.kind is TaskKind.CONVERTER]
         stream_mismatches = [e for e in dataflow.stream_edges() if e.needs_converter]
         assert len(converters) == len(stream_mismatches)

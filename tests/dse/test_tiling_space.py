@@ -51,21 +51,6 @@ class TestTilingSpace:
         node.unroll_factor = 4
         assert node.latency_estimate() == pytest.approx(base / 4)
 
-    def test_vectorization_inferred_from_unroll(self):
-        space = TilingSpace.from_graph(two_matmul_graph(), default_tile_size=16)
-        space.apply_naive_tiling()
-        space.node("big").unroll_factor = 32
-        space.infer_vectorization()
-        assert space.node("big").vector_width == 32
-        assert space.node("small").vector_width == 1
-
-    def test_vectorization_bounded_by_tile(self):
-        space = TilingSpace.from_graph(two_matmul_graph(), default_tile_size=2)
-        space.apply_naive_tiling()
-        space.node("big").unroll_factor = 1024
-        space.infer_vectorization(max_vector_elements=64)
-        assert space.node("big").vector_width <= 8  # 2x2x2 tile
-
     def test_to_configs_roundtrip(self):
         space = TilingSpace.from_graph(two_matmul_graph(), default_tile_size=16)
         space.apply_naive_tiling()
@@ -93,12 +78,11 @@ class TestTilingSpace:
             assert new.work == old.work
             assert new.tile_sizes == [] and new.unroll_factor == 1
 
-    def test_layout_ignores_unroll_and_vector_width(self):
+    def test_layout_ignores_unroll(self):
         space = TilingSpace.from_graph(two_matmul_graph(), default_tile_size=16)
         space.apply_naive_tiling()
         layout = space.layout()
         space.nodes[0].unroll_factor = 8
-        space.nodes[0].vector_width = 4
         assert space.layout() == layout
         space.nodes[0].tile_loop_order = [1, 0, 2]
         assert space.layout() != layout

@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.dse.tiling_space import TilingSpace
 from repro.dse.unrolling import (
     intensity_driven_unrolling,

@@ -6,12 +6,11 @@ from repro.eval.baselines import (
     ALLO_GPT2_RESULTS,
     DFX_GPT2_RESULTS,
     published_baseline,
-    unfused_dataflow_model,
 )
 from repro.eval.energy import best_ratio, compare_energy, geometric_mean_ratio
 from repro.eval.latency import FpgaPerformanceModel
 from repro.eval.baselines import a100_model
-from repro.models.config import GPT2, QWEN
+from repro.models.config import QWEN
 from repro.models.workload import Workload
 
 
@@ -38,19 +37,6 @@ class TestPublishedBaselines:
     def test_all_four_workloads_present(self):
         assert len(ALLO_GPT2_RESULTS) == 4
         assert len(DFX_GPT2_RESULTS) == 4
-
-
-class TestUnfusedBaseline:
-    def test_unfused_design_is_slower(self):
-        fused = FpgaPerformanceModel()
-        unfused = unfused_dataflow_model(fused)
-        workload = Workload(64, 64)
-        assert unfused.evaluate(GPT2, workload).latency_s \
-            > fused.evaluate(GPT2, workload).latency_s
-
-    def test_unfused_keeps_platform(self):
-        unfused = unfused_dataflow_model()
-        assert unfused.platform.name == "AMD U55C"
 
 
 class TestEnergyComparison:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.compiler import CompilerOptions, StreamTensorCompiler
-from repro.dataflow.structure import EdgeKind, TaskKind
+from repro.dataflow.structure import TaskKind
 from repro.itensor.verify import verify_connection, verify_fifo_tokens
 from repro.models.config import MODEL_CONFIGS
 from repro.models.transformer import build_decode_block, build_prefill_block

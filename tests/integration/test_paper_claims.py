@@ -7,8 +7,6 @@ this reproduction rather than a number.
 
 import math
 
-import pytest
-
 from repro.compiler import CompilerOptions, StreamTensorCompiler
 from repro.dataflow.conversion import convert_to_dataflow
 from repro.dataflow.fusion import fuse_kernels

@@ -1,7 +1,5 @@
 """Tests for repro.ir.builder.GraphBuilder."""
 
-import pytest
-
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import INT8
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.ir.builder import GraphBuilder
-from repro.ir.graph import Graph, VerificationError
-from repro.ir.ops import Value, make_elementwise, make_matmul
+from repro.ir.graph import VerificationError
+from repro.ir.ops import Value
 from repro.ir.types import TensorType
 from repro.ir.dtypes import FLOAT32
 

@@ -1,13 +1,10 @@
 """Tests for the Linalg optimisation passes."""
 
-import pytest
-
 from repro.ir.builder import GraphBuilder
+from repro.ir.graph import Graph
 from repro.ir.passes import (
-    FoldUnitExtentDims,
     FuseElementwiseOps,
     FuseLinalgFill,
-    PassManager,
     default_linalg_pipeline,
 )
 
@@ -73,38 +70,25 @@ class TestFuseLinalgFill:
         result.verify()
 
 
-class TestFoldUnitExtentDims:
-    def test_unit_dims_recorded(self):
-        builder = GraphBuilder()
-        x = builder.input((1, 16))
-        builder.output(builder.gelu(x))
-        graph = builder.build()
-        result = FoldUnitExtentDims().run(graph)
-        gelu = next(op for op in result.ops if op.kind == "gelu")
-        assert gelu.attributes.get("folded_unit_dims") == (0,)
-
-    def test_no_unit_dims_no_attribute(self):
-        builder = GraphBuilder()
-        x = builder.input((4, 16))
-        builder.output(builder.gelu(x))
-        result = FoldUnitExtentDims().run(builder.build())
-        gelu = next(op for op in result.ops if op.kind == "gelu")
-        assert "folded_unit_dims" not in gelu.attributes
-
-
 class TestPassManager:
-    def test_default_pipeline_runs_and_records_stats(self):
+    def test_default_pipeline_verifies_after_every_pass(self, monkeypatch):
+        chain = elementwise_chain_graph()
+        verified = []
+        verify = Graph.verify
+
+        def spy(graph):
+            verified.append(len(graph.ops))
+            verify(graph)
+
+        monkeypatch.setattr(Graph, "verify", spy)
         manager = default_linalg_pipeline()
-        graph = manager.run(elementwise_chain_graph())
-        graph.verify()
-        assert "fuse_elementwise_ops" in manager.result.stats
+        graph = manager.run(chain)
+        assert len(verified) == len(manager.passes)
+        # The chain's gelu is fused into the add by the second pass.
+        assert verified[-1] == len(graph.ops) < verified[0]
 
     def test_pipeline_reduces_op_count_on_gpt2_block(self, gpt2_decode_graph):
         manager = default_linalg_pipeline()
         optimized = manager.run(gpt2_decode_graph)
         assert len(optimized.ops) <= len(gpt2_decode_graph.ops)
         optimized.verify()
-
-    def test_add_returns_self_for_chaining(self):
-        manager = PassManager()
-        assert manager.add(FuseElementwiseOps()) is manager

@@ -5,7 +5,7 @@ import pytest
 from repro.ir.affine import AffineMap
 from repro.ir.dtypes import FLOAT32, INT8
 from repro.ir.types import TensorType
-from repro.itensor.converter import ConverterSpec, converter_cost_bytes, infer_converter
+from repro.itensor.converter import converter_cost_bytes, infer_converter
 from repro.itensor.itensor_type import ITensorError, ITensorType, itensor_from_tiling
 
 

@@ -1,17 +1,14 @@
 """Tests for the transformer block graph builders."""
 
-import math
-
 import pytest
 
-from repro.models.config import GEMMA, GPT2, LLAMA, MODEL_CONFIGS, QWEN
+from repro.models.config import GPT2, LLAMA, MODEL_CONFIGS, QWEN
 from repro.models.layers import attention_scores, head_projection
 from repro.models.transformer import (
     BlockSpec,
     block_flops,
     build_decode_block,
     build_prefill_block,
-    build_transformer_block,
     model_flops,
 )
 from repro.ir.builder import GraphBuilder

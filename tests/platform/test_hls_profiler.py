@@ -1,14 +1,14 @@
 """Tests for the analytical HLS profiler."""
 
-import pytest
-
 from repro.dataflow.conversion import convert_to_dataflow
 from repro.dataflow.fusion import fuse_kernels
 from repro.dataflow.tiling import TilingConfig
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import INT8
 from repro.platform.fpga import AMD_U55C
-from repro.platform.hls_profiler import HlsProfiler
+from repro.models.config import GPT2
+from repro.platform.hls_profiler import HlsProfiler, parameter_packing_seconds
+from repro.runtime.session import InferenceSession
 
 
 def matmul_dataflow(unroll=16):
@@ -83,8 +83,11 @@ class TestVendorToolRuntime:
         assert hls > 50 * compile_seconds
 
     def test_packing_time_scales_with_parameters(self):
-        profiler = HlsProfiler(AMD_U55C)
-        graph = matmul_dataflow()
-        small = profiler.estimate_parameter_packing_seconds(graph, 1e6)
-        large = profiler.estimate_parameter_packing_seconds(graph, 1e9)
-        assert large > small
+        assert parameter_packing_seconds(1e9) > parameter_packing_seconds(1e6)
+
+    def test_session_packs_with_the_same_formula(self):
+        """Figure 10b's packing column and the serving cold start agree."""
+        session = InferenceSession(GPT2)
+        weight_bytes = (GPT2.total_params()
+                        * session.model.platform.quantization.weight_bits / 8.0)
+        assert session.pack_parameters() == parameter_packing_seconds(weight_bytes)

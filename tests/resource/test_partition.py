@@ -8,7 +8,6 @@ import pytest
 
 from repro.resource import partition
 from repro.resource.partition import (
-    PartitionResult,
     PartitionTask,
     partition_graph,
     partition_tasks,

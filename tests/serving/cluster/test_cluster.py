@@ -9,6 +9,7 @@ from repro.models.config import GPT2
 from repro.runtime.session import InferenceSession
 from repro.serving import DeviceWorker, KVCacheConfig, SchedulerConfig
 from repro.serving.cluster import (
+    Autoscaler,
     AutoscalerConfig,
     ReplicaState,
     ServingCluster,
@@ -62,6 +63,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="outside the autoscaler"):
             ServingCluster(GPT2, initial_replicas=8,
                            autoscaler=AutoscalerConfig(max_replicas=4))
+
+    def test_autoscaler_takes_only_a_config(self):
+        with pytest.raises(TypeError, match="AutoscalerConfig"):
+            ServingCluster(GPT2,
+                           autoscaler=Autoscaler(AutoscalerConfig()))
 
     def test_unknown_router_rejected(self):
         with pytest.raises(ValueError, match="unknown routing policy"):

@@ -1,7 +1,5 @@
 """Tests for building simulations from compiled dataflow graphs."""
 
-import pytest
-
 from repro.compiler import CompilerOptions, StreamTensorCompiler
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import INT8

@@ -1,6 +1,7 @@
-"""Lint guard: no module in ``src/repro`` imports a name it never uses.
+"""Lint guard: no module imports a name it never uses.
 
-Package ``__init__.py`` files are skipped, since their imports are the
+The guard scans ``src/repro`` and the ``tests``, ``benchmarks`` and
+``examples`` trees.  Package ``__init__.py`` files are skipped, since their imports are the
 package's exports.  A name counts as used when the module reads it
 anywhere, a quoted annotation or an ``__all__`` entry included.  Uses
 only the standard library, so it runs in the tier-1 suite without a
@@ -10,7 +11,8 @@ linter installed.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = ("src/repro", "tests", "benchmarks", "examples")
 
 
 def unused_imports(source):
@@ -48,11 +50,12 @@ def test_scanner_finds_unused_and_accepts_used_names():
     assert unused_imports(source) == [(2, "math"), (4, "p")]
 
 
-def test_no_unused_imports_in_src():
+def test_no_unused_imports():
     found = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for line, name in unused_imports(path.read_text()):
-            found.append(f"{path.relative_to(SRC.parent)}:{line}: {name}")
+    for tree in SCANNED:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for line, name in unused_imports(path.read_text()):
+                found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
