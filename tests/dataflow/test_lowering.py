@@ -13,6 +13,7 @@ from repro.dataflow.packing import (
     widen_for_bus,
 )
 from repro.dataflow.structure import DEFAULT_FIFO_DEPTH
+from repro.dataflow.tiling import TilingConfig
 from repro.dataflow.vectorize import choose_vector_shape, vectorize_graph, vectorize_itensor
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import INT8, UINT8
@@ -20,14 +21,14 @@ from repro.ir.types import TensorType
 from repro.itensor.itensor_type import itensor_from_tiling
 
 
-def compiled_chain():
+def compiled_chain(configs=None):
     builder = GraphBuilder("net")
     x = builder.input((64, 64), INT8)
     w = builder.weight((64, 64), INT8)
     y = builder.matmul(x, w, name="mm")
     z = builder.gelu(y, name="act")
     builder.output(z)
-    dataflow = convert_to_dataflow(builder.build())
+    dataflow = convert_to_dataflow(builder.build(), configs)
     fuse_kernels(dataflow, c_max=1e12)
     materialize(dataflow)
     return dataflow
@@ -82,6 +83,31 @@ class TestVectorization:
             # The consumer's unroll factor bounds the vector it reads.
             unroll = edge.consumer.attributes["unroll_factor"]
             assert math.prod(edge.consumer_type.vector_shape) <= unroll
+
+    @staticmethod
+    def unrolled_chain(tile, mm_unroll, act_unroll):
+        """The mm -> act chain, vectorised, and its one stream edge."""
+        dataflow = compiled_chain({
+            "mm": TilingConfig([tile] * 3, unroll_factor=mm_unroll),
+            "act": TilingConfig([tile] * 2, unroll_factor=act_unroll),
+        })
+        vectorize_graph(dataflow)
+        (edge,) = dataflow.stream_edges()
+        return edge
+
+    def test_vectorization_inferred_from_unroll(self):
+        # The consumer's unroll factor sets the vector; the producer's
+        # does not.
+        wide = self.unrolled_chain(16, mm_unroll=1, act_unroll=32)
+        assert math.prod(wide.producer_type.vector_shape) == 32
+        assert wide.producer_type.vector_shape == wide.consumer_type.vector_shape
+        narrow = self.unrolled_chain(16, mm_unroll=32, act_unroll=1)
+        assert narrow.consumer_type.vector_shape == (1, 1)
+
+    def test_vectorization_bounded_by_tile(self):
+        edge = self.unrolled_chain(2, mm_unroll=1, act_unroll=1024)
+        assert edge.consumer_type.vector_shape == edge.consumer_type.element_shape
+        assert math.prod(edge.consumer_type.vector_shape) <= 2 * 2
 
 
 class TestPacking:

@@ -71,6 +71,10 @@ class TestFuseLinalgFill:
 
 
 class TestPassManager:
+    def test_default_pipeline_runs_fill_then_elementwise_fusion(self):
+        passes = default_linalg_pipeline().passes
+        assert [type(p) for p in passes] == [FuseLinalgFill, FuseElementwiseOps]
+
     def test_default_pipeline_verifies_after_every_pass(self, monkeypatch):
         chain = elementwise_chain_graph()
         verified = []

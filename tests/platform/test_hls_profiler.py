@@ -5,6 +5,7 @@ from repro.dataflow.fusion import fuse_kernels
 from repro.dataflow.tiling import TilingConfig
 from repro.ir.builder import GraphBuilder
 from repro.ir.dtypes import INT8
+from repro.ir.ops import LinalgOp
 from repro.platform.fpga import AMD_U55C
 from repro.models.config import GPT2
 from repro.platform.hls_profiler import HlsProfiler, parameter_packing_seconds
@@ -45,6 +46,17 @@ class TestProfileKernel:
         full = profiler.profile_kernel(kernel, memory_share=1.0)
         starved = profiler.profile_kernel(kernel, memory_share=0.01)
         assert starved.pipeline_ii >= full.pipeline_ii
+
+    def test_bounds_read_from_the_tiled_op(self, monkeypatch):
+        kernel = matmul_dataflow().kernel_by_name("mm")
+        profiler = HlsProfiler(AMD_U55C)
+        expected = profiler.profile_kernel(kernel)
+
+        def no_inference(op):
+            raise AssertionError(f"{op.name}: loop bounds re-inferred")
+
+        monkeypatch.setattr(LinalgOp, "loop_bounds", no_inference)
+        assert profiler.profile_kernel(kernel) == expected
 
     def test_external_kernel_returns_empty_profile(self):
         from repro.dataflow.structure import DataflowKernel

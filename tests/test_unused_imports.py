@@ -1,8 +1,8 @@
 """Lint guard: no module imports a name it never uses.
 
 The guard scans ``src/repro`` and the ``tests``, ``benchmarks`` and
-``examples`` trees.  Package ``__init__.py`` files are skipped, since their imports are the
-package's exports.  A name counts as used when the module reads it
+``examples`` trees.  Package ``__init__.py`` files are skipped, since
+their imports are the package's exports.  A name counts as used when the module reads it
 anywhere, a quoted annotation or an ``__all__`` entry included.  Uses
 only the standard library, so it runs in the tier-1 suite without a
 linter installed.
@@ -12,7 +12,6 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src/repro", "tests", "benchmarks", "examples")
 
 
 def unused_imports(source):
@@ -50,12 +49,23 @@ def test_scanner_finds_unused_and_accepts_used_names():
     assert unused_imports(source) == [(2, "math"), (4, "p")]
 
 
-def test_no_unused_imports():
+def unused_imports_under(*trees):
+    """``path:line: name`` of every unused import below ``trees``."""
     found = []
-    for tree in SCANNED:
+    for tree in trees:
         for path in sorted((ROOT / tree).rglob("*.py")):
             if path.name == "__init__.py":
                 continue
             for line, name in unused_imports(path.read_text()):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    return found
+
+
+def test_no_unused_imports_in_src():
+    found = unused_imports_under("src/repro")
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_no_unused_imports_in_tests_benchmarks_and_examples():
+    found = unused_imports_under("tests", "benchmarks", "examples")
     assert not found, "unused imports:\n" + "\n".join(found)
