@@ -85,8 +85,7 @@ def convert_to_dataflow(graph: Graph,
             input_types=list(info.input_itensors),
             output_types=[info.result_itensor],
             loop_nest=list(zip(info.loop_tripcounts, info.loop_steps)),
-            attributes={"op_kind": op.kind,
-                        "tile_iterations": info.tile_iterations},
+            attributes={"op_kind": op.kind},
         ))
         dataflow.add_kernel(kernel)
         kernel_of_value[id(op.result)] = kernel

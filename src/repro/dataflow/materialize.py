@@ -60,10 +60,9 @@ def materialize_dma(edge: DataflowEdge, direction: str) -> DataflowTask:
         kind=kind,
         input_types=[itype] if direction == "store" else [],
         output_types=[itype] if direction == "load" else [],
-        buffer=_dma_buffer(itype) if not edge.is_parameter else _dma_buffer(itype),
+        buffer=_dma_buffer(itype),
         loop_nest=loop_nest,
         attributes={
-            "tensor_bytes": edge.tensor.size_bytes,
             "is_parameter": edge.is_parameter,
             "edge_uid": edge.uid,
         },
@@ -87,7 +86,6 @@ def materialize_converter(edge: DataflowEdge) -> DataflowTask:
         buffer=spec.buffer,
         loop_nest=shared_loop_nest,
         attributes={
-            "before_loop": spec.before_loop,
             "reuse_factor": spec.reuse_factor,
             "edge_uid": edge.uid,
         },

@@ -66,7 +66,8 @@ stepping that replica while its ``next_ready_s`` is strictly before the
 *horizon* ``min(next arrival, next control tick, next fault)``, then
 re-arms (or disarms) it once.  ``DeviceWorker.run_until(horizon)`` does
 the stepping; a replica holding a steady decode batch runs a whole
-segment of those steps per ``DeviceWorker.advance(horizon)`` call.  The
+segment of those steps per ``DeviceWorker.advance(horizon)`` call, the
+popped step included.  The
 strict ``<`` keeps the equal-time order: an arrival or tick
 at the horizon still fires before a same-instant step, and a step
 starting exactly at a fault's instant goes through the heap, where it

@@ -166,22 +166,27 @@ class _SteadyBatch:
     residents whose spare rows (held blocks times block size, minus the
     rows in use) run out there, so the step starting at that ``k`` claims
     one block for each; ``claim_at`` is its smallest key (infinite without
-    a pool).  ``spans`` holds the batch's DECODE staging triples,
-    flattened once for a traced worker (they repeat every step).
+    a pool).  ``terms`` holds the step-cost terms that do not depend on
+    the KV length, taken from the session's
+    :class:`~repro.eval.latency.StepPricer` when the batch is entered (see
+    :meth:`DeviceWorker.advance` for their order).  ``spans`` holds the
+    batch's DECODE staging triples, flattened once for a traced worker
+    (they repeat every step).
     """
 
     __slots__ = ("decodes", "kv_len", "k", "finish_at", "due", "claim_at",
-                 "spans")
+                 "terms", "spans")
 
     def __init__(self, decodes: List[ServingRequest], kv_len: int,
                  finish_at: int, due: Optional[Dict[int, List[int]]],
-                 claim_at: float) -> None:
+                 claim_at: float, terms: Tuple) -> None:
         self.decodes = decodes
         self.kv_len = kv_len
         self.k = 0
         self.finish_at = finish_at
         self.due = due
         self.claim_at = claim_at
+        self.terms = terms
         self.spans: Optional[List[int]] = None
 
 
@@ -644,14 +649,18 @@ class DeviceWorker:
         done (nothing pending, waiting or running).
 
         A *steady* step skips planning.  A planned step leaves the worker
-        holding a steady batch when it planned decodes only (no prefill or
-        admission; block claims are fine), was not stream-deferred,
-        preempted nothing, left admission closed (see :meth:`advance`),
-        and every resident decoded without finishing.  Such a batch
+        holding a steady batch when the next plan would be its decodes
+        and nothing else: the step was not stream-deferred, preempted
+        nothing, left admission closed (see :meth:`advance`), and no
+        resident finished or was handed off, every resident ran a slice
+        (a decode, a prefill chunk or its admission; block claims are
+        fine), and afterwards each is past its prefill.  Such a batch
         repeats unchanged until something changes it, so after the
         admission sweep the next step runs it as ``advance(inf, 1)``: one
         step under the segment rule described there.  When that takes no
-        step, the batch is settled and the step is planned.
+        step, the batch is settled and the step is planned.  (The event
+        kernel runs a steady replica's popped step as a whole
+        :meth:`advance` segment instead; see ``ServingCluster``.)
 
         The step that runs a DRAINING worker dry stops it (STOPPED, KV
         pool released) at the step's end.
@@ -848,11 +857,7 @@ class DeviceWorker:
             for request in decodes:
                 stage((kind_decode, request.request_id, 1))
 
-        # A decode-only batch holding every resident may turn steady, also
-        # right after it claimed blocks, unless the next plan could admit.
-        repeats = not plan.entries and not deferred \
-            and self.preempt_count == preempted_before \
-            and len(running) == len(decodes) and self._admission_closed()
+        residents = len(running)
 
         # Advance the decodes: each emits one token, and none can be a
         # first token (a fully prefilled cursor emitted it when its last
@@ -909,9 +914,18 @@ class DeviceWorker:
                 # replica to continue.
                 self._hand_off(request)
         self.tokens += emitted_total
-        if repeats and len(running) == len(decodes):
-            # Nobody finished, so the same batch runs next step.
-            self._enter_steady(decodes, totals.kv_len)
+        # The next plan decodes every resident, in batch order, and
+        # nothing else (see step()) when each resident ran a slice within
+        # the token budget, none finished or left, nothing was deferred or
+        # preempted, no plan could admit and all are past their prefill.
+        # Each slice's KV length grows by the row of the token it emitted.
+        if len(running) == residents == len(decodes) + len(entries) \
+                and not deferred and self.preempt_count == preempted_before \
+                and self._admission_closed() \
+                and not any(request.active.in_prefill
+                            for request, _ in entries):
+            self._enter_steady(list(running) if entries else decodes,
+                               totals.kv_len + residents)
 
         if stage is not None:
             staged = (len(step_list) - staged_before) // 3
@@ -944,8 +958,13 @@ class DeviceWorker:
 
     def _enter_steady(self, decodes: List[ServingRequest],
                       kv_len: int) -> None:
-        """Hold the decode batch that just ran (every resident, none
-        finished) as steady; ``kv_len`` is the step's summed KV length."""
+        """Hold ``decodes`` (every resident in batch order, none finished,
+        all past their prefill) as steady; ``kv_len`` is the next step's
+        summed KV length.
+
+        Every step claims the row of each token it emits (see
+        ``StepWork.kv_tokens_after``), so each resident's spare rows, and
+        with them the due table's keys, are never negative."""
         finish_at = min(request.active.output_len
                         - request.active.tokens_generated
                         for request in decodes)
@@ -961,8 +980,17 @@ class DeviceWorker:
                     * block_size - active.input_len - active.tokens_generated
                 due.setdefault(spare, []).append(request.request_id)
             claim_at = min(due)
-        self._steady = _SteadyBatch(decodes, kv_len + len(decodes),
-                                    finish_at, due, claim_at)
+        # StepPricer.step_time_s of StepTotals(n, n, K, K, n) takes these
+        # terms, which do not depend on K, as the same values every step.
+        n = len(decodes)
+        pricer = self.session.step_pricer
+        terms = (pricer.num_layers, pricer.weight_time_s, pricer.kv_row,
+                 pricer.activation_bytes, pricer.hbm_bytes_per_s,
+                 n * pricer.per_token, pricer.per_token_kv, pricer.ops_per_s,
+                 pricer.slowdown, pricer.per_layer_overhead_s,
+                 pricer.head_time_s(n), pricer.per_pass_overhead_s)
+        self._steady = _SteadyBatch(decodes, kv_len, finish_at, due,
+                                    claim_at, terms)
 
     def advance(self, horizon: float, limit: float = math.inf) -> int:
         """Run the steady batch for up to ``limit`` steps in one loop and
@@ -979,15 +1007,17 @@ class DeviceWorker:
 
         No step runs unless admission is closed (nothing waits, or the
         batch is full and the admission policy never reorders the queue).
-        The segment then ends before the first step that would
+        A segment ends only where the planned step would differ from it,
+        that is before the first step that would
 
         * start at or after ``horizon``;
         * start with an arrival due (``pending[0].enqueue_s <= clock``),
           which the admission sweep of :meth:`step` must see first;
         * start with a watermark preemption due (more than one resident
           and utilization past the high mark), re-checked every step;
-        * or cross a block boundary whose claims do not all fit in free
-          blocks, since the claim would reclaim cached blocks or starve.
+        * or cross a block boundary whose claims do not fit even in free
+          plus reclaimable (idle cached) blocks, since the planned step
+          then preempts.
 
         It also ends after the step in which the first resident's last
         token lands.  That batch is settled before the step's KV sample,
@@ -997,9 +1027,10 @@ class DeviceWorker:
         :class:`_SteadyBatch`): the step starting at a due offset claims
         one private block for each resident listed there through
         :meth:`~repro.serving.kv_manager.KVBlockManager.claim_one_each`,
-        and re-lists them one block later.  The pool's pressure flag is
-        refreshed at the first step and after every claim, the points
-        where utilization moves.
+        which reclaims idle cached blocks in the planned step's order when
+        free blocks fall short, and re-lists them one block later.  The
+        pool's pressure flag is refreshed at the first step and after
+        every claim, the points where utilization moves.
         """
         steady = self._steady
         if steady is None or not self._admission_closed():
@@ -1008,21 +1039,12 @@ class DeviceWorker:
         manager = self.manager
         n = len(steady.decodes)
 
-        # StepPricer.step_time_s of StepTotals(n, n, K, K, n), inline; the
-        # terms that do not depend on K are the same values computed once.
-        pricer = self.session.step_pricer
-        num_layers = pricer.num_layers
-        weight_time_s = pricer.weight_time_s
-        kv_row = pricer.kv_row
-        activation_bytes = pricer.activation_bytes
-        hbm_bytes_per_s = pricer.hbm_bytes_per_s
-        token_flops = n * pricer.per_token
-        per_token_kv = pricer.per_token_kv
-        ops_per_s = pricer.ops_per_s
-        slowdown = pricer.slowdown
-        per_layer_overhead_s = pricer.per_layer_overhead_s
-        head_s = pricer.head_time_s(n)
-        per_pass_overhead_s = pricer.per_pass_overhead_s
+        # StepPricer.step_time_s of StepTotals(n, n, K, K, n), inline, from
+        # the terms held since the batch was entered.  The slow-node scale
+        # is read per call: a fault may change it under a steady batch.
+        (num_layers, weight_time_s, kv_row, activation_bytes,
+         hbm_bytes_per_s, token_flops, per_token_kv, ops_per_s, slowdown,
+         per_layer_overhead_s, head_s, per_pass_overhead_s) = steady.terms
         scale = self.step_time_scale
 
         tracer = self.tracer

@@ -56,6 +56,7 @@ byte-identical to the PR 2 allocator.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -165,11 +166,17 @@ class _PrefixGroup:
     of the group's common prefix.  The run is contiguous from 0 by
     construction: blocks are created in order and evicted from the tail.
     ``tick`` is the LRU stamp (last attach), so reclamation drops the
-    coldest group's tail blocks first.
+    coldest group's tail blocks first.  Every pin draws a fresh tick from
+    the pool's counter.
     """
 
     blocks: List[_SharedBlock] = field(default_factory=list)
     tick: int = 0
+
+    @property
+    def idle_tail(self) -> bool:
+        """Whether the tail block is idle, so a reclaim may evict it."""
+        return bool(self.blocks) and self.blocks[-1].refcount == 0
 
 
 @dataclass
@@ -273,6 +280,12 @@ class KVBlockManager:
                 f"({self.block_bytes:.0f} B each)")
         self._held: Dict[int, _Holding] = {}
         self._groups: Dict[str, _PrefixGroup] = {}
+        # Reclaim order: a heap of (tick, name) holding an entry for every
+        # group whose tail block is idle, at its current tick.  Entries go
+        # stale when the group is pinned again, its tail is referenced or
+        # evicted, or it is dropped; they are discarded when they surface
+        # (see _coldest_idle) or when the heap is rebuilt.
+        self._idle_index: List[Tuple[int, str]] = []
         self._tick = 0
         self.used_blocks = 0
         self.peak_used_blocks = 0
@@ -426,6 +439,7 @@ class KVBlockManager:
                 self._idle_blocks -= 1
                 self.used_blocks += 1
             block.refcount += 1
+        self._index_idle(request.prefix_group, group)
         self.peak_used_blocks = max(self.peak_used_blocks, self.used_blocks)
         self.prefix_blocks_reused += reuse.reusable_blocks
         self.prefix_tokens_reused += reuse.cached_tokens
@@ -487,16 +501,40 @@ class KVBlockManager:
                 f"need {blocks} blocks but only {self.free_blocks} free + "
                 f"{self._idle_blocks} reclaimable of {self.num_blocks}")
         while self.free_blocks < blocks:
-            name, group = min(
-                ((name, group) for name, group in self._groups.items()
-                 if group.blocks and group.blocks[-1].refcount == 0),
-                key=lambda item: (item[1].tick, item[0]))
+            name, group = self._coldest_idle()
             evicted = group.blocks.pop()
             if not evicted.computed:
                 raise RuntimeError("uncomputed block retained as idle")
             self._idle_blocks -= 1
             if not group.blocks:
                 del self._groups[name]
+
+    def _coldest_idle(self) -> Tuple[str, _PrefixGroup]:
+        """The idle-tailed group with the smallest ``(tick, name)``, the
+        next reclaim victim; stale index entries above it are dropped."""
+        index = self._idle_index
+        groups = self._groups
+        while True:
+            tick, name = index[0]
+            group = groups.get(name)
+            if group is not None and group.tick == tick and group.idle_tail:
+                return name, group
+            heapq.heappop(index)
+
+    def _index_idle(self, name: str, group: _PrefixGroup) -> None:
+        """Enter ``group`` in the reclaim index if its tail block is idle.
+        Called wherever a group's tail may turn idle or its tick moves; the
+        index is rebuilt from the live groups once stale entries outnumber
+        them, so it stays O(groups)."""
+        if not group.idle_tail:
+            return
+        index = self._idle_index
+        heapq.heappush(index, (group.tick, name))
+        if len(index) > 2 * len(self._groups) + 16:
+            index[:] = [(live.tick, live_name)
+                        for live_name, live in self._groups.items()
+                        if live.idle_tail]
+            heapq.heapify(index)
 
     # ------------------------------------------------------------------
     # Mutations (applied by the engine)
@@ -520,16 +558,19 @@ class KVBlockManager:
 
     def claim_one_each(self, request_ids: Sequence[int]) -> bool:
         """Give each listed request one more private block, but only if
-        all of them fit in free blocks; returns whether it claimed.
+        all of them fit in free plus reclaimable blocks; returns whether
+        it claimed.
 
         This is the claim of decodes crossing a block boundary together.
-        It never reclaims idle cached blocks: when the free blocks fall
-        short, nothing changes and the caller plans the step instead, so
-        :meth:`claim` decides the reclamation.
+        When the free blocks fall short it reclaims idle cached blocks
+        coldest group first, the same evictions one :meth:`claim` per
+        request makes.  When even free plus reclaimable blocks fall short,
+        nothing changes and the caller plans the step (which preempts).
         """
         count = len(request_ids)
-        if count > self.free_blocks:
+        if count > self.free_blocks + self._idle_blocks:
             return False
+        self._reclaim_for(count)
         held = self._held
         for request_id in request_ids:
             # A decoding resident always holds blocks already.
@@ -567,6 +608,8 @@ class KVBlockManager:
                 group.blocks.pop()
             if not group.blocks:
                 del self._groups[holding.group]
+            else:
+                self._index_idle(holding.group, group)
         return freed
 
     # ------------------------------------------------------------------
@@ -619,6 +662,7 @@ class KVBlockManager:
         device)."""
         self._held.clear()
         self._groups.clear()
+        self._idle_index.clear()
         self._tick = 0
         self.used_blocks = 0
         self.peak_used_blocks = 0

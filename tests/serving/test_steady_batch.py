@@ -1,22 +1,27 @@
 """Steady decode batches must be invisible in every result.
 
-A :class:`DeviceWorker` whose last planned step ran an unchanged decode-
-only batch advances it a whole segment per ``advance()`` call without
-planning, crossing KV block boundaries on free blocks, and settles the
+A :class:`DeviceWorker` whose next plan would decode every resident and
+nothing else holds a steady batch, also right after a step with
+admissions or prefill chunks.  It advances that batch a whole segment
+per ``advance()`` call without planning, crossing KV block boundaries on
+free blocks and on reclaimed idle cached blocks, and settles the
 residents' counters once (see ``DeviceWorker.advance``).  This
 differential sweep runs each seeded config twice: as shipped, and as a
 reference run in which ``advance()`` takes no step and the steady batch is
 dropped before every ``step()`` so each step is planned, which is the
-engine without the shortcut.  The per-device stats, each request's
-outcome and the tracer's spans must be equal.  Further tests check that
-the block-crossing configs end segments the way their names say, that
-``advance()`` honours its horizon and step limit, that a crash settles
-the counters, that a reordering admission policy is consulted on every
-step it would be, and that steady steps engage on decode-heavy fleets
-but never on a prefill-only worker.
+engine without the shortcut.  The report, the per-device stats, each
+request's outcome, the final state of every KV pool (prefix groups with
+their blocks and ticks, holdings, idle count) and the tracer's spans must
+be equal.  Further tests check that the block-crossing configs end (or
+run through) segments the way their names say, that ``advance()``
+honours its horizon and step limit, that a crash settles the counters,
+that a reordering admission policy is consulted on every step it would
+be, and that steady steps engage on decode-heavy fleets but never on a
+prefill-only worker.
 """
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -139,6 +144,39 @@ CONFIGS = {
              scheduler_config=SchedulerConfig(max_batch_size=8)),
         _poisson(seed, count=24, rate=20.0, inputs=(16, 32),
                  outputs=(192, 320))),
+    # Steady batches entered right after a step that admitted or ran
+    # prefill chunks: chunked prompts under a small budget, and a full
+    # FCFS batch whose budget cannot always hold every resident.
+    "admission_steps": lambda seed: (
+        dict(initial_replicas=2, router="least_queue",
+             kv_config=kv_blocks(160, block_size=4),
+             scheduler_config=SchedulerConfig(max_batch_size=8,
+                                              token_budget=48)),
+        _poisson(seed, rate=25.0, inputs=(16, 40, 61), outputs=(24, 48))),
+    "admission_full_batch": lambda seed: (
+        dict(initial_replicas=1, router="least_queue",
+             scheduler_config=SchedulerConfig(max_batch_size=3,
+                                              token_budget=2)),
+        _poisson(seed, count=20, rate=60.0, inputs=(8, 24),
+                 outputs=(16, 40))),
+    # Small prefix-cache pools, so boundary claims inside segments
+    # reclaim idle cached blocks from several groups.
+    "small_pool_reclaim": lambda seed: (
+        dict(initial_replicas=1, router="prefix_affinity",
+             kv_config=kv_blocks(40, block_size=4,
+                                 enable_prefix_cache=True),
+             scheduler_config=SchedulerConfig(max_batch_size=4)),
+        multi_turn_trace(8, 3, seed=seed, session_rate_hz=6.0,
+                         think_time_s=0.3, turn_input_choices=(16, 24),
+                         output_choices=(24, 48))),
+    "small_pool_groups": lambda seed: (
+        dict(initial_replicas=1, router="prefix_affinity", tracer=True,
+             kv_config=kv_blocks(48, block_size=8,
+                                 enable_prefix_cache=True),
+             scheduler_config=SchedulerConfig(max_batch_size=4)),
+        shared_prefix_trace(24, prefix_len=40, unique_len=8,
+                            output_len=32 + seed % 9, interval_s=0.03,
+                            num_groups=6)),
     "streamed_handoff": lambda seed: (
         dict(router="least_queue", tracer=True,
              disaggregation=DisaggregationConfig(prefill_replicas=1,
@@ -154,31 +192,58 @@ CASES = [(name, seed) for name in CONFIGS
          for seed in range(SEEDS_PER_CONFIG)]
 
 
+def _kv_state(manager):
+    """A KV pool's block state: prefix groups (name, tick, each block's
+    refcount and computed flag), holdings, idle and used counts."""
+    groups = sorted((name, group.tick,
+                     [(block.refcount, block.computed)
+                      for block in group.blocks])
+                    for name, group in manager._groups.items())
+    held = sorted((request_id, holding.private, holding.group,
+                   holding.shared)
+                  for request_id, holding in manager._held.items())
+    return (groups, held, manager._tick, manager.reclaimable_blocks,
+            manager.used_blocks, manager.peak_used_blocks)
+
+
 def _run(kwargs, trace):
-    """Run one config; returns (device stats, request outcomes, spans)."""
+    """Run one config; returns (device stats, request outcomes, spans,
+    report JSON, KV pool states)."""
     kwargs = dict(kwargs)
     tracer = Tracer() if kwargs.pop("tracer", False) else None
     cluster = ServingCluster(GPT2, tracer=tracer, **kwargs)
-    # Observe the request list the run builds: the requests carry the
-    # per-request outcomes the report only summarises.
+    # Observe the request list the run builds (the requests carry the
+    # per-request outcomes the report only summarises) and every KV pool
+    # it creates (a stopped worker drops its pool but the pool keeps its
+    # final state).
     captured = []
+    managers = []
     original = cluster_module.requests_from_trace
+    manager_for = KVCacheConfig.manager_for
 
     def capture(trace_arg):
         captured.append(original(trace_arg))
         return captured[-1]
 
+    def capture_manager(config, bytes_per_token):
+        managers.append(manager_for(config, bytes_per_token))
+        return managers[-1]
+
     cluster_module.requests_from_trace = capture
+    KVCacheConfig.manager_for = capture_manager
     try:
         report = cluster.run(trace)
     finally:
         cluster_module.requests_from_trace = original
+        KVCacheConfig.manager_for = manager_for
     devices = [dataclasses.asdict(device) for replica in report.replica_reports
                for device in replica.devices]
     outcomes = [(r.request_id, r.first_token_s, r.finish_s,
                  r.tokens_emitted, r.preemptions) for r in captured[0]]
     spans = tracer.sorted_tuples() if tracer is not None else None
-    return devices, outcomes, spans
+    return (devices, outcomes, spans,
+            json.dumps(report.to_dict(), sort_keys=True),
+            [_kv_state(manager) for manager in managers])
 
 
 @pytest.fixture
@@ -209,6 +274,8 @@ def test_steady_matches_planned(name, seed, planned_every_step):
     assert steady[0] == planned[0]
     assert steady[1] == planned[1]
     assert steady[2] == planned[2]
+    assert steady[3] == planned[3]
+    assert steady[4] == planned[4]
 
 
 def _crash_after(steps, planned):
@@ -344,33 +411,53 @@ def _stop_reason(worker, horizon, limit, taken):
     if len(steady.decodes) > 1 \
             and manager.utilization > worker.kv_config.high_watermark:
         return "watermark"
+    # A boundary claim ends a segment only when even reclaiming every
+    # idle cached block could not cover it.
     crossing = len(steady.due[steady.k])
-    assert steady.k == steady.claim_at and crossing > manager.free_blocks
-    if crossing <= manager.free_blocks + manager.reclaimable_blocks:
-        return "reclaim"
+    assert steady.k == steady.claim_at
+    assert crossing > manager.free_blocks + manager.reclaimable_blocks
     return "exhausted"
 
 
 def _segment_log(monkeypatch, name, seeds):
     """Run ``name`` on ``seeds`` and log each ``advance()`` call as
     ``(stop reason, blocks claimed, pressure flag before, pressure flag
-    after, steps taken)``.  Also returns, per watermark stop after a step,
-    whether the worker's next ``step()`` preempted, and how often the
-    pool's pressure flag was set and cleared."""
+    after, steps taken, idle cached blocks reclaimed)``.  Also returns,
+    per watermark stop after a step, whether the worker's next ``step()``
+    preempted, how often the pool's pressure flag was set and cleared,
+    and whether each steady batch was entered after a step that planned
+    admissions or prefill chunks."""
     log = dict(calls=[], preempted_after_watermark=[], pressure_sets=0,
-               pressure_clears=0)
+               pressure_clears=0, entered_after_entries=[])
     watch = {}
     claims = [0]
+    reclaimed = [0]
+    plans = {}
     advance = DeviceWorker.advance
     step = DeviceWorker.step
     claim_one_each = KVBlockManager.claim_one_each
     mark_pressure = KVBlockManager.mark_pressure
     refresh_pressure = KVBlockManager.refresh_pressure
 
+    plan_step = ContinuousBatchingScheduler.plan_step
+    enter_steady = DeviceWorker._enter_steady
+
     def counted_claim(self, request_ids):
+        idle = self.reclaimable_blocks
         claimed = claim_one_each(self, request_ids)
         claims[0] += claimed * len(request_ids)
+        reclaimed[0] += idle - self.reclaimable_blocks
         return claimed
+
+    def logged_plan(self, *args, **kwargs):
+        plan = plan_step(self, *args, **kwargs)
+        plans[self] = plan
+        return plan
+
+    def logged_enter(self, decodes, kv_len):
+        log["entered_after_entries"].append(
+            bool(plans[self.scheduler].entries))
+        enter_steady(self, decodes, kv_len)
 
     def counted_mark(self):
         log["pressure_sets"] += not self._pressured
@@ -385,11 +472,12 @@ def _segment_log(monkeypatch, name, seeds):
         manager = self.manager
         pressured = manager is not None and manager._pressured
         claims_before = claims[0]
+        reclaimed_before = reclaimed[0]
         taken = advance(self, horizon, limit)
         reason = _stop_reason(self, horizon, limit, taken)
         log["calls"].append((reason, claims[0] - claims_before, pressured,
                              manager is not None and manager._pressured,
-                             taken))
+                             taken, reclaimed[0] - reclaimed_before))
         if reason == "watermark" and taken:
             watch[self] = self.preempt_count
         return taken
@@ -407,12 +495,16 @@ def _segment_log(monkeypatch, name, seeds):
     monkeypatch.setattr(KVBlockManager, "refresh_pressure", counted_refresh)
     monkeypatch.setattr(DeviceWorker, "advance", logged_advance)
     monkeypatch.setattr(DeviceWorker, "step", logged_step)
+    monkeypatch.setattr(ContinuousBatchingScheduler, "plan_step",
+                        logged_plan)
+    monkeypatch.setattr(DeviceWorker, "_enter_steady", logged_enter)
     for seed in seeds:
         _run(*CONFIGS[name](seed))
     return log
 
 
 @pytest.mark.parametrize("name", ["block4_prefix_reclaim",
+                                  "small_pool_reclaim", "small_pool_groups",
                                   "claim_past_watermark", "pressure_cycle",
                                   "long_decode_segments"])
 def test_segments_end_as_named(monkeypatch, name):
@@ -421,10 +513,17 @@ def test_segments_end_as_named(monkeypatch, name):
     stops = {reason for reason, *_ in calls}
     # Segments cross block boundaries in every config.
     assert any(claimed for _, claimed, *_ in calls)
-    if name == "block4_prefix_reclaim":
-        # A boundary claim that needs cached blocks reclaimed ends the
-        # segment; the planned step reclaims.
-        assert "reclaim" in stops
+    if name in ("block4_prefix_reclaim", "small_pool_reclaim",
+                "small_pool_groups"):
+        # Boundary claims inside segments reclaim idle cached blocks, and
+        # a reclaim no longer ends the segment: some segment that
+        # reclaimed ran more than one step.
+        assert any(reclaimed and taken > 1
+                   for *_, taken, reclaimed in calls)
+        # These batches are mostly entered right after a step that
+        # admitted a follow-up turn or ran its prefill.
+        assert sum(log["entered_after_entries"]) \
+            > len(log["entered_after_entries"]) / 2
     elif name == "claim_past_watermark":
         # A claim inside a segment pushes utilization past the high mark:
         # the segment ends and the next step preempts.
@@ -442,10 +541,21 @@ def test_segments_end_as_named(monkeypatch, name):
         assert log["pressure_sets"] > 0
         assert log["pressure_clears"] == log["pressure_sets"]
         assert not any(before or after
-                       for _, _, before, after, _ in calls)
+                       for _, _, before, after, taken, _ in calls if taken)
     else:
         # Long decodes with no autoscaler: one segment spans many blocks.
         assert max(claimed for _, claimed, *_ in calls) >= 32
+
+
+@pytest.mark.parametrize("name", ["admission_steps",
+                                  "admission_full_batch"])
+def test_admission_steps_enter_steady_batches(monkeypatch, name):
+    """A step that admitted or ran prefill chunks leaves a steady batch
+    when the next plan would decode every resident; the differential
+    above shows the results do not move."""
+    entered = _segment_log(monkeypatch, name, range(SEEDS_PER_CONFIG))[
+        "entered_after_entries"]
+    assert entered.count(True) >= 10
 
 
 def _steady_worker(kv_config=None, arrivals=(0.0,) * 4, output_len=96):
@@ -481,15 +591,27 @@ def _snapshot(worker):
 
 
 def test_advance_without_a_steady_batch_takes_no_step():
-    worker = DeviceWorker(0, InferenceSession(GPT2), SchedulerConfig(),
+    """``advance()`` takes no step until a planned step leaves a steady
+    batch.  A prefill step leaves one only once every resident decodes
+    next: not after a chunk that stops mid-prompt, but after the chunk
+    that completes the prompt, and the batch then runs to its finish."""
+    worker = DeviceWorker(0, InferenceSession(GPT2),
+                          SchedulerConfig(token_budget=32),
                           resolve_preemption_policy("youngest"))
     assert worker.advance(math.inf) == 0
-    for request in requests_from_trace(_poisson(1, count=4)):
+    trace = poisson_trace(1, 1.0, seed=1, input_choices=(48,),
+                          output_choices=(24,))
+    for request in requests_from_trace(trace):
         worker.submit(request)
     assert worker.advance(math.inf) == 0
-    assert worker.step() and worker._steady is None  # a prefill step
+    assert worker.step() and worker._steady is None  # 32 of 48 positions
     assert worker.advance(math.inf) == 0
-    assert worker.steps == 1
+    assert worker.step() and worker._steady is not None  # the last 16
+    assert worker.steps == 2
+    # The prefill emitted the first of 24 tokens; 23 decodes remain.
+    assert worker.advance(math.inf) == 23
+    assert worker._steady is None and not worker.running
+    assert worker.served == 1 and worker.tokens == 24
 
 
 @pytest.mark.parametrize("kv_config", [None, kv_blocks(160, block_size=4)],

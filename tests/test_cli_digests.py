@@ -52,6 +52,9 @@ CASES = {
         "serve-cluster --requests 24 --replicas 2 --trace multi_turn "
         "--multi-turn 4 --router prefix_affinity --kv-capacity-mb 256 "
         "--prefix-cache"),
+    "serve-cluster multi_turn reclaim": (
+        "serve-cluster --requests 24 --replicas 2 --trace multi_turn "
+        "--router prefix_affinity --kv-capacity-mb 16 --prefix-cache"),
     "serve-cluster tool_use": (
         "serve-cluster --requests 24 --replicas 2 --trace tool_use "
         "--tool-calls 3 --tool-wait 0.2"),
