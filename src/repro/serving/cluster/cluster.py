@@ -1076,13 +1076,13 @@ class ServingCluster:
         :meth:`DeviceWorker.run_until` while the replica has work and its
         ``next_ready_s`` is strictly before ``min(next arrival, next
         control tick, next fault)`` — no other event can reach the
-        replica sooner — and only then re-arms it.  A replica holding a
-        steady decode batch takes the popped step as the first step of a
-        :meth:`DeviceWorker.advance` segment to that horizon, and goes
-        through :meth:`DeviceWorker.step` only when the segment takes no
-        step.  ``events_processed`` counts heap pops and
-        ``run_ahead_steps`` the steps taken without one; their sum is the
-        step loop's ``iterations``.
+        replica sooner — and only then re-arms it.  The popped step is
+        the first step ``run_until`` takes (for a replica holding a steady
+        decode batch, the first of an :meth:`DeviceWorker.advance`
+        segment), and goes through :meth:`DeviceWorker.step` on its own
+        only when ``run_until`` takes none.  ``events_processed`` counts
+        heap pops and ``run_ahead_steps`` the steps taken without one;
+        their sum is the step loop's ``iterations``.
 
         Arrival run-ahead (see :mod:`.events`): after an ARRIVAL, the
         next arrival is dispatched in the same branch while it sorts
@@ -1198,9 +1198,7 @@ class ServingCluster:
             else:  # EventKind.STEP
                 replica = event[4]
                 state_before = replica.state
-                run_ahead_ok = disaggregation is None \
-                    and state_before is active
-                if run_ahead_ok:
+                if disaggregation is None and state_before is active:
                     # Run-ahead: nothing can reach this replica before the
                     # next arrival, control tick or fault, so step it on
                     # to that horizon here instead of through the heap.
@@ -1213,24 +1211,24 @@ class ServingCluster:
                         horizon = next_tick_s
                     if faults and faults[0].time_s < horizon:
                         horizon = faults[0].time_s
-                # A steady replica runs the popped step and the rest of
-                # its segment in one advance(); the popped step is the
-                # pop, the others count as run ahead.
-                taken = replica.advance(horizon) if run_ahead_ok else 0
-                if taken:
-                    run_ahead += taken - 1
+                    # The popped step is run_until's first (a steady
+                    # replica's as the first of an advance() segment) and
+                    # counts as the pop; the others count as run ahead.
+                    taken = replica.run_until(horizon)
+                    if taken:
+                        run_ahead += taken - 1
+                    else:
+                        replica.step()
                 else:
                     replica.step()
-                if disaggregation is not None \
-                        and replica.role is ReplicaRole.PREFILL:
-                    self._price_migrations(replica)
-                if replica.state is not state_before:
-                    # Synchronous DRAIN_COMPLETE: the draining replica
-                    # ran dry mid-step and stopped.
-                    counts[EventKind.DRAIN_COMPLETE] += 1
-                    self._record(replica.clock)
-                elif run_ahead_ok:
-                    run_ahead += replica.run_until(horizon)
+                    if disaggregation is not None \
+                            and replica.role is ReplicaRole.PREFILL:
+                        self._price_migrations(replica)
+                    if replica.state is not state_before:
+                        # Synchronous DRAIN_COMPLETE: the draining replica
+                        # ran dry mid-step and stopped.
+                        counts[EventKind.DRAIN_COMPLETE] += 1
+                        self._record(replica.clock)
                 if replica.has_work:
                     arm_step(replica)
                 else:

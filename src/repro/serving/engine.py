@@ -166,27 +166,29 @@ class _SteadyBatch:
     residents whose spare rows (held blocks times block size, minus the
     rows in use) run out there, so the step starting at that ``k`` claims
     one block for each; ``claim_at`` is its smallest key (infinite without
-    a pool).  ``terms`` holds the step-cost terms that do not depend on
-    the KV length, taken from the session's
-    :class:`~repro.eval.latency.StepPricer` when the batch is entered (see
-    :meth:`DeviceWorker.advance` for their order).  ``spans`` holds the
-    batch's DECODE staging triples, flattened once for a traced worker
+    a pool).  ``token_flops`` and ``head_s`` are the two step-cost terms
+    that depend on the batch size but not on the KV length (the
+    :class:`~repro.eval.latency.StepPricer`'s ``n * per_token`` and
+    ``head_time_s(n)``), taken when the batch is entered.  ``spans`` holds
+    the batch's DECODE staging triples, flattened once for a traced worker
     (they repeat every step).
     """
 
     __slots__ = ("decodes", "kv_len", "k", "finish_at", "due", "claim_at",
-                 "terms", "spans")
+                 "token_flops", "head_s", "spans")
 
     def __init__(self, decodes: List[ServingRequest], kv_len: int,
                  finish_at: int, due: Optional[Dict[int, List[int]]],
-                 claim_at: float, terms: Tuple) -> None:
+                 claim_at: float, token_flops: float,
+                 head_s: float) -> None:
         self.decodes = decodes
         self.kv_len = kv_len
         self.k = 0
         self.finish_at = finish_at
         self.due = due
         self.claim_at = claim_at
-        self.terms = terms
+        self.token_flops = token_flops
+        self.head_s = head_s
         self.spans: Optional[List[int]] = None
 
 
@@ -980,17 +982,11 @@ class DeviceWorker:
                     * block_size - active.input_len - active.tokens_generated
                 due.setdefault(spare, []).append(request.request_id)
             claim_at = min(due)
-        # StepPricer.step_time_s of StepTotals(n, n, K, K, n) takes these
-        # terms, which do not depend on K, as the same values every step.
         n = len(decodes)
         pricer = self.session.step_pricer
-        terms = (pricer.num_layers, pricer.weight_time_s, pricer.kv_row,
-                 pricer.activation_bytes, pricer.hbm_bytes_per_s,
-                 n * pricer.per_token, pricer.per_token_kv, pricer.ops_per_s,
-                 pricer.slowdown, pricer.per_layer_overhead_s,
-                 pricer.head_time_s(n), pricer.per_pass_overhead_s)
         self._steady = _SteadyBatch(decodes, kv_len, finish_at, due,
-                                    claim_at, terms)
+                                    claim_at, n * pricer.per_token,
+                                    pricer.head_time_s(n))
 
     def advance(self, horizon: float, limit: float = math.inf) -> int:
         """Run the steady batch for up to ``limit`` steps in one loop and
@@ -1039,12 +1035,24 @@ class DeviceWorker:
         manager = self.manager
         n = len(steady.decodes)
 
-        # StepPricer.step_time_s of StepTotals(n, n, K, K, n), inline, from
-        # the terms held since the batch was entered.  The slow-node scale
-        # is read per call: a fault may change it under a steady batch.
-        (num_layers, weight_time_s, kv_row, activation_bytes,
-         hbm_bytes_per_s, token_flops, per_token_kv, ops_per_s, slowdown,
-         per_layer_overhead_s, head_s, per_pass_overhead_s) = steady.terms
+        # StepPricer.step_time_s of StepTotals(n, n, K, K, n), inline; the
+        # terms that do not depend on K are the same values every step, the
+        # two that depend on n held since the batch was entered.  The
+        # slow-node scale is read per call: a fault may change it under a
+        # steady batch.
+        pricer = self.session.step_pricer
+        num_layers = pricer.num_layers
+        weight_time_s = pricer.weight_time_s
+        kv_row = pricer.kv_row
+        activation_bytes = pricer.activation_bytes
+        hbm_bytes_per_s = pricer.hbm_bytes_per_s
+        token_flops = steady.token_flops
+        per_token_kv = pricer.per_token_kv
+        ops_per_s = pricer.ops_per_s
+        slowdown = pricer.slowdown
+        per_layer_overhead_s = pricer.per_layer_overhead_s
+        head_s = steady.head_s
+        per_pass_overhead_s = pricer.per_pass_overhead_s
         scale = self.step_time_scale
 
         tracer = self.tracer
