@@ -72,6 +72,12 @@ class StepWork(NamedTuple):
         return self.kv_len + (1 if self.emits else 0)
 
 
+# Builds a StepWork from a full (kind, tokens, kv_len, emits) tuple in one C
+# call, without the Python-level ``__new__`` a NamedTuple's constructor
+# runs: the serving scheduler asks for a prefill slice per admission.
+_new_tuple = tuple.__new__
+
+
 class ActiveRequest:
     """Step-granular cursor over one generation request.
 
@@ -186,8 +192,8 @@ class ActiveRequest:
             remaining = input_len - prefilled
             chunk = remaining if token_budget is None \
                 else max(1, min(remaining, token_budget))
-            return StepWork("prefill", chunk, prefilled + chunk,
-                            chunk == remaining)
+            return _new_tuple(StepWork, ("prefill", chunk, prefilled + chunk,
+                                         chunk == remaining))
         return StepWork("decode", 1, input_len + self.tokens_generated)
 
     def record(self, work: StepWork, seconds: float) -> int:
@@ -338,7 +344,9 @@ class InferenceSession:
             ValueError: if the request exceeds the session's maximum sequence
                 length (the static shape hint the accelerator was built for).
         """
-        if workload.total_tokens > self.max_seq_len:
+        # workload.total_tokens without the property call (once per
+        # admitted request).
+        if workload.input_len + workload.output_len > self.max_seq_len:
             raise ValueError(
                 f"request needs {workload.total_tokens} positions but the "
                 f"accelerator was built for max_seq_len={self.max_seq_len}"

@@ -1091,12 +1091,13 @@ class ServingCluster:
         still counts as one delivered event, so ``events_processed``
         and the popped-event log are those of the push-and-pop loop."""
         disaggregation = self.disaggregation
+        tracer = self.tracer
         log_tracer: Optional[Tracer] = None
         if self.record_events:
             # The popped-event log rides the tracer's kernel log (the one
             # event-materialization path); a run without a user tracer
             # gets a private one just for the log.
-            log_tracer = self.tracer if self.tracer is not None \
+            log_tracer = tracer if tracer is not None \
                 else Tracer()
             log_tracer.enable_kernel_log()
             self._event_log_tracer = log_tracer
@@ -1116,6 +1117,7 @@ class ServingCluster:
         push = queue.push
         deliver_if_next = queue.deliver_if_next
         arm_step = queue.arm_step
+        dispatch = self.router.dispatch
         faults = self._fault_actions
         active = ReplicaState.ACTIVE
         inf = math.inf
@@ -1156,15 +1158,25 @@ class ServingCluster:
             if kind == arrival_k:
                 # Arrival run-ahead (see .events): the next arrival is
                 # dispatched here, without a push and a pop, for as long
-                # as it sorts before everything in the heap.
+                # as it sorts before everything in the heap.  This loop
+                # runs once per request, so the warm-up and metrics
+                # guards are tested here rather than in the callees (they
+                # almost never pass) and ``enlist`` is inline.
                 while True:
                     request = arrivals.popleft()
-                    self._activate_due(request.arrival_s)
+                    arrival_s = request.arrival_s
+                    if self._warming:
+                        self._activate_due(arrival_s)
                     pool = self._routable() if disaggregation is None \
                         else self._routable_pool(ReplicaRole.PREFILL)
-                    enlist(self.router.dispatch(request, pool))
+                    replica = dispatch(request, pool)
+                    if replica.device_id not in busy:
+                        busy.add(replica.device_id)
+                        arm_step(replica)
                     dispatched = True
-                    self._sample_metrics(request.arrival_s)
+                    if tracer is not None \
+                            and arrival_s >= self._next_sample_s:
+                        self._sample_metrics(arrival_s)
                     if not arrivals:
                         break
                     if not deliver_if_next(arrivals[0].arrival_s,

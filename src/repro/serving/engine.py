@@ -77,7 +77,7 @@ from repro.serving.policies.preemption import (
 )
 from repro.serving.request import RequestState, ServingRequest
 from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerConfig
-from repro.serving.slo import request_value
+from repro.serving.slo import DEFAULT_SLO_CLASS, request_value
 from repro.serving.telemetry import SpanKind, Tracer
 from repro.serving.telemetry.tracer import STALL_FLAG
 
@@ -116,11 +116,15 @@ class ReplicaRole(Enum):
     DECODE = "decode"
 
 
-# The members the per-step and per-submission paths test, as module
-# names: an Enum member lookup costs ~0.2 us on CPython 3.11.
+# The members the per-step and per-request paths use, as module names:
+# an Enum member lookup costs ~0.15-0.2 us on CPython 3.11.
 _ACTIVE = ReplicaState.ACTIVE
 _DRAINING = ReplicaState.DRAINING
 _PREFILL = ReplicaRole.PREFILL
+_RUNNING = RequestState.RUNNING
+_FINISHED = RequestState.FINISHED
+# The value weight ``request_value`` gives an unclassed request.
+_DEFAULT_VALUE = DEFAULT_SLO_CLASS.value
 
 
 def resolve_replica_role(role: Union[str, ReplicaRole]) -> ReplicaRole:
@@ -160,35 +164,37 @@ class _SteadyBatch:
 
     ``decodes`` is the batch (every resident, in batch order); ``kv_len``
     the next step's summed KV length; ``k`` the steady steps taken, not
-    yet added to the residents' counters; ``finish_at`` the value of ``k``
-    once the first resident's last token lands.  ``due`` is the due table
-    of a worker with a KV pool: it maps a value of ``k`` to the ids of the
-    residents whose spare rows (held blocks times block size, minus the
-    rows in use) run out there, so the step starting at that ``k`` claims
-    one block for each; ``claim_at`` is its smallest key (infinite without
-    a pool).  ``token_flops`` and ``head_s`` are the two step-cost terms
-    that depend on the batch size but not on the KV length (the
+    yet added to the residents' counters.  Those three are set when the
+    batch is entered.  The rest is built at the batch's first step (see
+    :meth:`DeviceWorker._build_steady`), since on arrival-heavy traffic
+    most batches are settled before they take one; ``finish_at`` is None
+    until then.
+
+    ``finish_at`` is the value of ``k`` once the first resident's last
+    token lands.  ``due`` is the due table of a worker with a KV pool: it
+    maps a value of ``k`` to the ids of the residents whose spare rows
+    (held blocks times block size, minus the rows in use) run out there,
+    so the step starting at that ``k`` claims one block for each;
+    ``claim_at`` is its smallest key (infinite without a pool).
+    ``token_flops`` and ``head_s`` are the two step-cost terms that depend
+    on the batch size but not on the KV length (the
     :class:`~repro.eval.latency.StepPricer`'s ``n * per_token`` and
-    ``head_time_s(n)``), taken when the batch is entered.  ``spans`` holds
-    the batch's DECODE staging triples, flattened once for a traced worker
-    (they repeat every step).
+    ``head_time_s(n)``).  ``spans`` holds the batch's DECODE staging
+    triples, flattened once for a traced worker (they repeat every step).
     """
 
     __slots__ = ("decodes", "kv_len", "k", "finish_at", "due", "claim_at",
                  "token_flops", "head_s", "spans")
 
-    def __init__(self, decodes: List[ServingRequest], kv_len: int,
-                 finish_at: int, due: Optional[Dict[int, List[int]]],
-                 claim_at: float, token_flops: float,
-                 head_s: float) -> None:
+    def __init__(self, decodes: List[ServingRequest], kv_len: int) -> None:
         self.decodes = decodes
         self.kv_len = kv_len
         self.k = 0
-        self.finish_at = finish_at
-        self.due = due
-        self.claim_at = claim_at
-        self.token_flops = token_flops
-        self.head_s = head_s
+        self.finish_at: Optional[int] = None
+        self.due: Optional[Dict[int, List[int]]] = None
+        self.claim_at = math.inf
+        self.token_flops = 0.0
+        self.head_s = 0.0
         self.spans: Optional[List[int]] = None
 
 
@@ -489,7 +495,9 @@ class DeviceWorker:
                 "cannot take new requests")
         self.requests.append(request)
         self.pending.append(request)
-        self.value_load += request_value(request)
+        # request_value(request), inline: this runs once per request.
+        slo = request.slo_class
+        self.value_load += slo.value if slo is not None else _DEFAULT_VALUE
 
     def take_handoffs(self) -> List[HandoffEvent]:
         """Drain the completed-prefill hand-offs accumulated since the last
@@ -582,8 +590,10 @@ class DeviceWorker:
         """Iteration-level admission: arrivals become visible at step
         boundaries (for a migrated request, once its KV transfer landed)."""
         manager = self.manager
-        while self.pending and self.pending[0].enqueue_s <= self.clock:
-            request = self.pending.popleft()
+        pending = self.pending
+        clock = self.clock
+        while pending and pending[0].enqueue_s <= clock:
+            request = pending.popleft()
             request.device_id = self.device_id
             # A request whose total positions outgrow the whole block pool
             # could never finish even alone on the device; reject it up
@@ -763,15 +773,17 @@ class DeviceWorker:
                     manager.import_kv(request.request_id, claim)
                 else:
                     manager.claim(request.request_id, claim)
+        clock = self.clock
+        prefix_caching = self._prefix_caching
         for request in plan.admitted:
-            request.state = RequestState.RUNNING
+            request.state = _RUNNING
             if request.admitted_s is None:
-                request.admitted_s = self.clock
+                request.admitted_s = clock
             if tracer is not None:
-                tracer.admitted(request, self.clock, self.device_id)
+                tracer.admitted(request, clock, self.device_id)
             if request.migrated_kv_tokens:
                 self.migrated_in += 1
-            if self._prefix_caching:
+            if prefix_caching:
                 self.prompt_tokens += request.active.workload.input_len
             running.append(request)
 
@@ -879,7 +891,6 @@ class DeviceWorker:
         # Prefill chunks and admissions: the rare first-token, prefix-cache
         # and hand-off transitions live here.
         clock = self.clock
-        prefix_caching = self._prefix_caching
         prefill_only = self.role is _PREFILL
         for request, work in entries:
             active = request.active
@@ -894,12 +905,16 @@ class DeviceWorker:
                     request.first_token_s = clock
                     if stage is not None:
                         stage((_SPAN_FIRST_TOKEN, request.request_id, 0))
+                    # The row's TTFT is request.ttft_s, the same float
+                    # subtraction without the property call.
                     slo = request.slo_class
-                    self.ttft_samples.append(
-                        clock, request.ttft_s,
-                        slo.ttft_target_s if slo is not None
-                        else float("inf"),
-                        slo.value if slo is not None else 1.0)
+                    if slo is None:
+                        self.ttft_samples.append(
+                            clock, clock - request.arrival_s, math.inf, 1.0)
+                    else:
+                        self.ttft_samples.append(
+                            clock, clock - request.arrival_s,
+                            slo.ttft_target_s, slo.value)
             if prefix_caching and request.shareable_prefix \
                     and work.kind == "prefill":
                 # The positions this chunk streamed are now resident: full
@@ -907,7 +922,7 @@ class DeviceWorker:
                 manager.mark_prefix_computed(
                     request.prefix_group,
                     min(active.prefilled_tokens, request.prefix_len))
-            if active.finished:
+            if active.tokens_generated >= active.output_len:  # finished
                 self._finish(request)
             elif prefill_only and not active.in_prefill:
                 # Disaggregated hand-off: prefill just completed (the
@@ -962,31 +977,37 @@ class DeviceWorker:
                       kv_len: int) -> None:
         """Hold ``decodes`` (every resident in batch order, none finished,
         all past their prefill) as steady; ``kv_len`` is the next step's
-        summed KV length.
+        summed KV length."""
+        self._steady = _SteadyBatch(decodes, kv_len)
 
-        Every step claims the row of each token it emits (see
+    def _build_steady(self, steady: _SteadyBatch) -> None:
+        """Fill in the rest of ``steady`` at its first step.
+
+        Nothing the build reads can change between the entry and the
+        first step: the residents' counters and held blocks move only by
+        a step, and any other step settles the batch first.  Every step
+        claims the row of each token it emits (see
         ``StepWork.kv_tokens_after``), so each resident's spare rows, and
         with them the due table's keys, are never negative."""
-        finish_at = min(request.active.output_len
-                        - request.active.tokens_generated
-                        for request in decodes)
+        decodes = steady.decodes
+        steady.finish_at = min(request.active.output_len
+                               - request.active.tokens_generated
+                               for request in decodes)
         manager = self.manager
-        due: Optional[Dict[int, List[int]]] = None
-        claim_at = math.inf
         if manager is not None:
             block_size = self.kv_config.block_size
-            due = {}
+            due: Dict[int, List[int]] = {}
             for request in decodes:
                 active = request.active
                 spare = manager.blocks_held(request.request_id) \
                     * block_size - active.input_len - active.tokens_generated
                 due.setdefault(spare, []).append(request.request_id)
-            claim_at = min(due)
+            steady.due = due
+            steady.claim_at = min(due)
         n = len(decodes)
         pricer = self.session.step_pricer
-        self._steady = _SteadyBatch(decodes, kv_len, finish_at, due,
-                                    claim_at, n * pricer.per_token,
-                                    pricer.head_time_s(n))
+        steady.token_flops = n * pricer.per_token
+        steady.head_s = pricer.head_time_s(n)
 
     def advance(self, horizon: float, limit: float = math.inf) -> int:
         """Run the steady batch for up to ``limit`` steps in one loop and
@@ -1037,7 +1058,7 @@ class DeviceWorker:
 
         # StepPricer.step_time_s of StepTotals(n, n, K, K, n), inline; the
         # terms that do not depend on K are the same values every step, the
-        # two that depend on n held since the batch was entered.  The
+        # two that depend on n held since the batch's first step.  The
         # slow-node scale is read per call: a fault may change it under a
         # steady batch.
         pricer = self.session.step_pricer
@@ -1068,8 +1089,8 @@ class DeviceWorker:
             device_id = self.device_id
 
         claim_at = steady.claim_at
+        due = steady.due
         if manager is not None:
-            due = steady.due
             block_size = self.kv_config.block_size
             high_watermark = self.kv_config.high_watermark
             utilization = manager.utilization
@@ -1089,9 +1110,18 @@ class DeviceWorker:
         while taken < limit and clock < horizon:
             if pending and pending[0].enqueue_s <= clock:
                 break
+            if manager is not None and n > 1 \
+                    and utilization > high_watermark:
+                break
+            if finish_at is None:
+                # The batch's first step: build the rest of it now.
+                self._build_steady(steady)
+                finish_at = steady.finish_at
+                due = steady.due
+                claim_at = steady.claim_at
+                token_flops = steady.token_flops
+                head_s = steady.head_s
             if manager is not None:
-                if n > 1 and utilization > high_watermark:
-                    break
                 if refresh:
                     manager.refresh_pressure()
                     refresh = False
@@ -1202,12 +1232,19 @@ class DeviceWorker:
         cursors alive until its report is built."""
         clock = self.clock
         request.finish_s = clock
-        request.state = RequestState.FINISHED
+        request.state = _FINISHED
         request.active = None
         self.running.remove(request)
         self.served += 1
-        self.value_load -= request_value(request)
-        self.tpot_samples.append(clock, request.tpot_s)
+        # request_value(request) and request.tpot_s, inline with the same
+        # float operations: this runs once per request.
+        slo = request.slo_class
+        self.value_load -= slo.value if slo is not None else _DEFAULT_VALUE
+        decode_tokens = request.workload.output_len - 1
+        first_token_s = request.first_token_s
+        self.tpot_samples.append(
+            clock, (clock - first_token_s) / decode_tokens
+            if decode_tokens > 0 and first_token_s is not None else 0.0)
         if self.manager is not None:
             self.manager.release(request.request_id)
 

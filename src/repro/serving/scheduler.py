@@ -40,6 +40,11 @@ from repro.serving.policies.admission import (
 )
 from repro.serving.request import ServingRequest
 
+# The reuse of an admission that takes nothing from the prefix cache (no
+# pool, no prefix cache, no shareable prefix, or one shorter than a
+# block): one shared frozen instance, not a fresh one per admission.
+_NO_REUSE = PrefixReuse()
+
 
 @dataclass(frozen=True)
 class SchedulerConfig:
@@ -180,6 +185,7 @@ class ContinuousBatchingScheduler:
         # class.  This is the hottest loop of a serving run: per decode it
         # is a prefill test, the KV block check and two sums.
         decodes = plan.decodes
+        entries = plan.entries
         prefilling: List[ServingRequest] = []
         decode_kv = 0
         for request in running:
@@ -231,7 +237,7 @@ class ContinuousBatchingScheduler:
                 if extra > 0:
                     plan.claims[request.request_id] = extra
                     free_kv -= extra
-            plan.entries.append((request, work))
+            entries.append((request, work))
             budget -= work.tokens
             if prefill_left is not None:
                 prefill_left -= work.tokens
@@ -242,11 +248,12 @@ class ContinuousBatchingScheduler:
         admission_blocked = kv is not None and kv.admission_blocked
         # Held-block growth this plan causes: claims plus idle cached
         # blocks that admissions re-reference (those re-enter "held" too).
-        used_growth = plan.claimed_blocks
+        used_growth = plan.claimed_blocks if kv is not None else 0
         groups_planned: Set[str] = set()
+        admitted = plan.admitted
         while waiting and slots > 0:
             request = waiting[0]
-            reuse = PrefixReuse()
+            reuse = _NO_REUSE
             # A prefix shorter than one block has no full block to share:
             # such requests take the plain private path untouched.
             if kv is not None and kv.prefix_cache_enabled \
@@ -264,8 +271,7 @@ class ContinuousBatchingScheduler:
                     # skippable.  Head-of-line wait, like any blocked head.
                     break
             work = request.active.next_work(
-                token_budget=budget if self.config.chunked_prefill else None,
-                assume_prefilled=reuse.cached_tokens or None)
+                budget if chunked else None, reuse.cached_tokens or None)
             if prefill_left is not None and work.kind == "prefill":
                 if prefill_left <= 0:
                     # No prefill budget left this step; the head waits
@@ -273,12 +279,12 @@ class ContinuousBatchingScheduler:
                     break
                 if work.tokens > prefill_left:
                     work = request.active.next_work(
-                        token_budget=min(budget, prefill_left),
-                        assume_prefilled=reuse.cached_tokens or None)
+                        min(budget, prefill_left),
+                        reuse.cached_tokens or None)
             if work.tokens > budget:
                 # An unchunked prompt larger than the whole budget would
                 # starve forever; give it a dedicated step instead.
-                if plan.entries or budget < self.config.token_budget:
+                if entries or budget < self.config.token_budget:
                     break
             if kv is not None:
                 # Admission reserves blocks for the whole prompt up front
@@ -294,7 +300,7 @@ class ContinuousBatchingScheduler:
                 # An idle device bypasses the watermark/hysteresis gates:
                 # the head of the queue must always be admissible once the
                 # device drains, or it would starve behind a soft limit.
-                if running or plan.entries:
+                if running or entries:
                     if admission_blocked:
                         break
                     if not kv.within_high_watermark(
@@ -308,8 +314,8 @@ class ContinuousBatchingScheduler:
                     plan.prefix[request.request_id] = reuse
                     groups_planned.add(request.prefix_group)
             waiting.popleft()
-            plan.admitted.append(request)
-            plan.entries.append((request, work))
+            admitted.append(request)
+            entries.append((request, work))
             budget -= work.tokens
             slots -= 1
             if prefill_left is not None and work.kind == "prefill":
@@ -321,13 +327,13 @@ class ContinuousBatchingScheduler:
         # so it adds its kv_len to both kv sums and emits.
         num_decodes = len(decodes)
         tokens = kv_total = token_kv = emitting = 0
-        for _, work in plan.entries:
-            tokens += work.tokens
-            kv_total += work.kv_len
-            token_kv += work.tokens * work.kv_len
-            emitting += work.emits
+        for _, (_, work_tokens, work_kv, work_emits) in entries:
+            tokens += work_tokens
+            kv_total += work_kv
+            token_kv += work_tokens * work_kv
+            emitting += work_emits
         plan.totals = StepTotals(
-            num_decodes + len(plan.entries), num_decodes + tokens,
+            num_decodes + len(entries), num_decodes + tokens,
             decode_kv + kv_total, decode_kv + token_kv,
             num_decodes + emitting)
         return plan
