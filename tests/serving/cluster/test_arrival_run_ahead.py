@@ -8,7 +8,7 @@ Two pins, both recorded before the fast path existed:
   — bursts of same-instant arrivals, arrivals on control-tick instants
   and arrivals on engine-step instants — every field, ``seq`` included;
 * ``event_counts``, ``events_processed`` and ``run_ahead_steps`` of all
-  22 differential configs.
+  differential configs.
 
 Plus the parity that ties the event kernel to the step loop: heap pops
 plus run-ahead steps equal the step loop's iterations.
@@ -127,6 +127,7 @@ EVENT_TALLIES = {
     "kv_pressure_preempting": (80, 0, 0, 64, 0, 0, 144, 750),
     "least_kv_pressure": (80, 0, 0, 90, 0, 0, 170, 923),
     "multi_turn_prefix_cached": (32, 0, 0, 51, 0, 0, 83, 437),
+    "prefix_affinity_autoscaled_crash": (64, 0, 29, 143, 1, 1, 237, 647),
     "prefix_affinity_cached": (64, 0, 0, 121, 0, 0, 185, 281),
     "score_class_mix": (100, 0, 0, 93, 0, 0, 193, 970),
     "score_preempting_class_autoscaled": (90, 0, 25, 125, 0, 0, 240, 835),

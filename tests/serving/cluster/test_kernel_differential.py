@@ -207,6 +207,19 @@ CONFIGS = {
                        tool_wait_s=0.4,
                        turn_input_choices=(16, 32),
                        output_choices=(8, 16))),
+    # Pinned sessions on a fleet that changes under them: a 64-block
+    # prefix pool (idle prefix blocks are reclaimed), drains down to two
+    # replicas, and a crash of replica 1 while it holds pinned turns.
+    "prefix_affinity_autoscaled_crash": (
+        dict(initial_replicas=4, router="prefix_affinity",
+             kv_config=kv_blocks(64, enable_prefix_cache=True),
+             autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=5,
+                                         warmup_s=0.2),
+             fault_plan=FaultPlan(events=(
+                 ReplicaCrash(time_s=1.0, replica_id=1),))),
+        multi_turn_trace(16, 4, seed=61, session_rate_hz=6.0,
+                         think_time_s=0.4, turn_input_choices=(16, 48),
+                         output_choices=(16, 48))),
 }
 
 
