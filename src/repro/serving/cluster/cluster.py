@@ -72,6 +72,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -112,6 +113,10 @@ from repro.serving.telemetry import (
 )
 from repro.serving.workload_gen import TimedRequest
 
+# Upcoming arrivals a popped STEP asks the router about when it sets its
+# run-ahead horizon (see _run_event): it bounds the cost of a pop, and a
+# shorter look-ahead only ends the run-ahead sooner.
+_LOOK_AHEAD = 32
 
 @dataclass(frozen=True)
 class DisaggregationConfig:
@@ -1118,6 +1123,12 @@ class ServingCluster:
         deliver_if_next = queue.deliver_if_next
         arm_step = queue.arm_step
         dispatch = self.router.dispatch
+        # Per-replica horizons (see the docstring); a traced run samples
+        # the whole fleet at arrivals, so it keeps the fleet horizon.
+        routed_elsewhere = self.router.policy.routed_elsewhere \
+            if tracer is None else None
+        routable_pool: Optional[List[DeviceWorker]] = None
+        routable_ids: set = set()
         faults = self._fault_actions
         active = ReplicaState.ACTIVE
         inf = math.inf
@@ -1211,14 +1222,29 @@ class ServingCluster:
                 replica = event[4]
                 state_before = replica.state
                 if disaggregation is None and state_before is active:
-                    # Run-ahead: nothing can reach this replica before the
-                    # next arrival, control tick or fault, so step it on
-                    # to that horizon here instead of through the heap.
-                    # Strict `<` keeps the equal-time order: arrivals and
-                    # ticks fire before a same-instant step, and a step
-                    # at a fault's instant goes through the heap ahead of
-                    # the FAULT.
-                    horizon = arrivals[0].arrival_s if arrivals else inf
+                    # Run-ahead: nothing can reach this replica before its
+                    # horizon, so step it on to there instead of through
+                    # the heap.  The horizon is the next control tick or
+                    # fault, or the first arrival whose dispatch reads
+                    # the fleet or reaches this replica: arrivals the
+                    # router sends elsewhere without reading any replica
+                    # (capped look-ahead; stopping early is exact) are
+                    # passed over.  Strict `<` keeps the equal-time
+                    # order: arrivals and ticks fire before a same-instant
+                    # step, and a step at a fault's instant goes through
+                    # the heap ahead of the FAULT.
+                    passed = 0
+                    if routed_elsewhere is not None and arrivals:
+                        pool = self._routable()
+                        if pool is not routable_pool:
+                            routable_pool = pool
+                            routable_ids = {other.device_id
+                                            for other in pool}
+                        passed = routed_elsewhere(
+                            islice(arrivals, _LOOK_AHEAD), routable_ids,
+                            replica.device_id)
+                    horizon = arrivals[passed].arrival_s \
+                        if passed < len(arrivals) else inf
                     if next_tick_s < horizon:
                         horizon = next_tick_s
                     if faults and faults[0].time_s < horizon:

@@ -41,7 +41,16 @@ id.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type, Union
+from typing import (
+    Container,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Type,
+    Union,
+)
 
 from repro.serving.engine import DeviceWorker
 from repro.serving.request import ServingRequest
@@ -76,6 +85,21 @@ class RoutingPolicy:
         ``prefix_affinity`` counts group members here to evict each pin at
         its group's last dispatch.  Stateless policies keep the no-op
         default."""
+
+    def routed_elsewhere(self, upcoming: Iterable[ServingRequest],
+                         routable: Container[int], device_id: int) -> int:
+        """How many of the leading ``upcoming`` requests (the next
+        arrivals, in dispatch order) this policy will route to a replica
+        other than ``device_id`` without reading any replica's state.
+
+        ``routable`` holds the ids of the routable fleet now.  The answer
+        assumes that nothing but those requests' own dispatches happens
+        before them: no control tick, fault or retry, so the routable
+        fleet can only grow (a warm-up activation).  The event kernel
+        runs replica ``device_id`` ahead past that many arrivals, since
+        their dispatches neither read nor reach it.  The default names no
+        replica, so every arrival ends the run-ahead."""
+        return 0
 
 
 def _least_queue(replicas: List[DeviceWorker]) -> int:
@@ -201,6 +225,32 @@ class PrefixAffinityRouting(RoutingPolicy):
             else:
                 self._remaining[group] = left - 1
         return choice
+
+    def routed_elsewhere(self, upcoming: Iterable[ServingRequest],
+                         routable: Container[int], device_id: int) -> int:
+        """A live pin on a routable replica names the dispatch.  Pins are
+        created only by dispatches that read the fleet, and routability
+        shrinks only at ticks and faults, so a pin seen here holds until
+        its request is dispatched, unless an earlier dispatch counted as
+        its group's last evicts it (a crash retry is counted twice)."""
+        pins = self._pins
+        remaining = self._remaining
+        taken: Dict[str, int] = {}
+        passed = 0
+        for request in upcoming:
+            group = request.prefix_group
+            pinned = pins.get(group)
+            if pinned is None or pinned == device_id \
+                    or pinned not in routable:
+                break
+            left = remaining.get(group)
+            if left is not None:
+                earlier = taken.get(group, 0)
+                if left <= earlier:
+                    break
+                taken[group] = earlier + 1
+            passed += 1
+        return passed
 
 
 class KVTransferAwareRouting(RoutingPolicy):

@@ -47,6 +47,16 @@ lifecycle:
   stay cached ("idle") and are reclaimed least-recently-used when a claim
   needs the space, while never-computed blocks are dropped immediately.
 
+A group is stored as run lengths, not per block: its block count, the
+count of its leading computed blocks and the shared length of each
+holder.  Every holder holds a leading run of the group's blocks, so the
+refcount of block ``j`` is the number of holders longer than ``j``, and
+the idle blocks are the tail beyond the longest holder, all of them
+computed.  Each query and mutation is arithmetic on these counts:
+O(holders) per call and per group, whatever the prefix length, and a
+reclaim takes a whole idle tail (or the part of it a claim needs) in
+one step.
+
 Idle cached blocks are *reclaimable free space*: they are excluded from
 ``utilization`` (they gate neither watermark), claims evict them on demand,
 and the cache therefore can never cause a preemption.  With the flag off —
@@ -145,38 +155,35 @@ class KVCacheConfig:
         return KVBlockManager(self, bytes_per_token)
 
 
-@dataclass
-class _SharedBlock:
-    """One ref-counted prefix-cache block.
-
-    ``computed`` flips true once the creating request's prefill has streamed
-    the block's positions through the accelerator — only then may followers
-    skip them.
-    """
-
-    refcount: int = 0
-    computed: bool = False
-
-
-@dataclass
+@dataclass(slots=True)
 class _PrefixGroup:
-    """Contiguous run of shared blocks for one prefix group.
+    """One prefix group's shared blocks, as run lengths.
 
     Block ``i`` holds token rows ``[i * block_size, (i + 1) * block_size)``
     of the group's common prefix.  The run is contiguous from 0 by
     construction: blocks are created in order and evicted from the tail.
-    ``tick`` is the LRU stamp (last attach), so reclamation drops the
-    coldest group's tail blocks first.  Every pin draws a fresh tick from
-    the pool's counter.
+    ``computed`` counts the leading blocks whose rows exist (followers may
+    reuse only those); the rest were created by a prefill still running.
+    ``holders`` lists each holding request's shared length (every holding
+    is a leading run), so block ``j``'s refcount is the number of holders
+    longer than ``j``; ``longest`` is the largest of them (0 with none).
+    Blocks ``[longest, blocks)`` are the idle tail, and every one of them
+    is computed: a never-computed block is dropped as its last holder
+    leaves.  ``tick`` is the LRU stamp (last attach), so reclamation drops
+    the coldest group's tail blocks first.  Every pin draws a fresh tick
+    from the pool's counter.
     """
 
-    blocks: List[_SharedBlock] = field(default_factory=list)
+    blocks: int = 0
+    computed: int = 0
+    holders: List[int] = field(default_factory=list)
+    longest: int = 0
     tick: int = 0
 
     @property
     def idle_tail(self) -> bool:
         """Whether the tail block is idle, so a reclaim may evict it."""
-        return bool(self.blocks) and self.blocks[-1].refcount == 0
+        return self.blocks > self.longest
 
 
 @dataclass
@@ -331,11 +338,15 @@ class KVBlockManager:
         if holding is None:
             return 0
         freed = holding.private
-        if holding.group is not None:
+        shared = holding.shared
+        if shared:
             group = self._groups.get(holding.group)
-            if group is not None:
-                freed += sum(1 for block in group.blocks[:holding.shared]
-                             if block.refcount == 1)
+            if group is not None and shared == group.longest:
+                # Blocks [next, shared) have this request as their only
+                # holder, where next is the longest *other* holding.
+                others = list(group.holders)
+                others.remove(shared)
+                freed += shared - max(others, default=0)
         return freed
 
     @property
@@ -398,15 +409,17 @@ class KVBlockManager:
         """What the cache offers this request's admission (pure query)."""
         if not self.prefix_cache_enabled or not request.shareable_prefix:
             return PrefixReuse()
-        target = self.cacheable_blocks(request.prefix_len)
         group = self._groups.get(request.prefix_group)
-        blocks = group.blocks if group is not None else []
-        reusable = min(len(blocks), target)
-        if any(not block.computed for block in blocks[:reusable]):
-            return PrefixReuse(blocked=True)
+        reusable = idle = 0
+        if group is not None:
+            reusable = min(group.blocks,
+                           self.cacheable_blocks(request.prefix_len))
+            if group.computed < reusable:
+                return PrefixReuse(blocked=True)
+            if reusable > group.longest:
+                idle = reusable - group.longest
         cached_tokens = min(reusable * self.config.block_size,
                             request.workload.input_len - 1)
-        idle = sum(1 for block in blocks[:reusable] if block.refcount == 0)
         return PrefixReuse(cached_tokens=cached_tokens,
                            reusable_blocks=reusable, idle_reused=idle)
 
@@ -429,16 +442,22 @@ class KVBlockManager:
             # garbage-collected under another member's release).
             self._held[request.request_id] = _Holding()
             return reuse
+        reusable = reuse.reusable_blocks
         self._held[request.request_id] = _Holding(
-            group=request.prefix_group, shared=reuse.reusable_blocks)
-        group = self._groups.setdefault(request.prefix_group, _PrefixGroup())
+            group=request.prefix_group, shared=reusable)
+        group = self._groups.get(request.prefix_group)
+        if group is None:
+            group = self._groups[request.prefix_group] = _PrefixGroup()
         self._tick += 1
         group.tick = self._tick
-        for block in group.blocks[:reuse.reusable_blocks]:
-            if block.refcount == 0:
-                self._idle_blocks -= 1
-                self.used_blocks += 1
-            block.refcount += 1
+        if reusable:
+            group.holders.append(reusable)
+            if reusable > group.longest:
+                # Idle blocks [longest, reusable) are referenced again.
+                woken = reusable - group.longest
+                self._idle_blocks -= woken
+                self.used_blocks += woken
+                group.longest = reusable
         self._index_idle(request.prefix_group, group)
         self.peak_used_blocks = max(self.peak_used_blocks, self.used_blocks)
         self.prefix_blocks_reused += reuse.reusable_blocks
@@ -469,14 +488,22 @@ class KVBlockManager:
                 f"request {request.request_id} pinned group "
                 f"{holding.group!r}, not {request.prefix_group!r}")
         group = self._groups[request.prefix_group]
-        to_create = self.cacheable_blocks(request.prefix_len) \
-            - len(group.blocks)
+        to_create = self.cacheable_blocks(request.prefix_len) - group.blocks
         if to_create <= 0:
             return 0
+        if holding.shared != group.blocks:
+            # A holding is a leading run: new tail blocks extend only one
+            # that covers the whole group (the scheduler plans at most one
+            # admission per group and step, so a pin precedes each).
+            raise RuntimeError(
+                f"request {request.request_id} holds {holding.shared} of "
+                f"group {request.prefix_group!r}'s {group.blocks} blocks")
         self._reclaim_for(to_create)
-        group.blocks.extend(_SharedBlock(refcount=1)
-                            for _ in range(to_create))
+        if holding.shared:
+            group.holders.remove(holding.shared)
         holding.shared += to_create
+        group.holders.append(holding.shared)
+        group.blocks = group.longest = holding.shared
         self.used_blocks += to_create
         self.peak_used_blocks = max(self.peak_used_blocks, self.used_blocks)
         self.prefix_blocks_created += to_create
@@ -489,23 +516,33 @@ class KVBlockManager:
         group = self._groups.get(group_name)
         if group is None:
             return
-        for block in group.blocks[:tokens // self.config.block_size]:
-            block.computed = True
+        done = min(tokens // self.config.block_size, group.blocks)
+        if done > group.computed:
+            group.computed = done
 
     def _reclaim_for(self, blocks: int) -> None:
         """Make room for ``blocks`` new allocations, reclaiming idle cached
         blocks coldest-group-first (tail blocks only, which keeps every
-        group's run contiguous — held blocks are always a leading run)."""
+        group's run contiguous — held blocks are always a leading run).
+
+        Evicting one block at a time would take the coldest group's tail
+        blocks back to back, since nothing re-stamps that group while its
+        idle tail lasts; so each victim gives up what is still needed, or
+        its whole idle tail, in one step."""
         if blocks > self.free_blocks + self._idle_blocks:
             raise KVCacheExhausted(
                 f"need {blocks} blocks but only {self.free_blocks} free + "
                 f"{self._idle_blocks} reclaimable of {self.num_blocks}")
-        while self.free_blocks < blocks:
+        need = blocks - self.free_blocks
+        while need > 0:
             name, group = self._coldest_idle()
-            evicted = group.blocks.pop()
-            if not evicted.computed:
+            if group.computed < group.blocks:
                 raise RuntimeError("uncomputed block retained as idle")
-            self._idle_blocks -= 1
+            taken = min(need, group.blocks - group.longest)
+            group.blocks -= taken
+            group.computed = group.blocks
+            self._idle_blocks -= taken
+            need -= taken
             if not group.blocks:
                 del self._groups[name]
 
@@ -593,23 +630,27 @@ class KVBlockManager:
             return 0
         freed = holding.private
         self.used_blocks -= holding.private
-        group = self._groups.get(holding.group) \
-            if holding.group is not None else None
+        shared = holding.shared
+        group = self._groups.get(holding.group) if shared else None
         if group is not None:
-            for block in group.blocks[:holding.shared]:
-                block.refcount -= 1
-                if block.refcount == 0:
-                    self.used_blocks -= 1
-                    freed += 1
-                    if block.computed:
-                        self._idle_blocks += 1
-            while group.blocks and group.blocks[-1].refcount == 0 \
-                    and not group.blocks[-1].computed:
-                group.blocks.pop()
-            if not group.blocks:
-                del self._groups[holding.group]
-            else:
-                self._index_idle(holding.group, group)
+            holders = group.holders
+            holders.remove(shared)
+            longest = max(holders, default=0)
+            if longest < group.longest:
+                # Blocks [longest, old longest) lost their last holder:
+                # the computed ones join the idle tail, the rest (never
+                # computed, so the tail of the run) are dropped.
+                unheld = group.longest - longest
+                self.used_blocks -= unheld
+                freed += unheld
+                idle_before = group.blocks - group.longest
+                group.blocks = max(longest, group.computed)
+                group.longest = longest
+                self._idle_blocks += group.blocks - longest - idle_before
+                if not group.blocks:
+                    del self._groups[holding.group]
+                else:
+                    self._index_idle(holding.group, group)
         return freed
 
     # ------------------------------------------------------------------

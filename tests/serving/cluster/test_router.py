@@ -168,6 +168,66 @@ class TestPrefixAffinity:
         assert policy.peak_pins == 0
 
 
+class TestRoutedElsewhere:
+    """``routed_elsewhere`` counts the leading upcoming requests a
+    dispatch sends to another replica without reading any replica."""
+
+    def pinned(self, trace, pins):
+        """prefix_affinity with ``trace`` observed and each group of
+        ``pins`` pinned to its replica by a first dispatch."""
+        policy = resolve_routing_policy("prefix_affinity")
+        firsts = [make_request(100 + index, group)
+                  for index, group in enumerate(pins)]
+        policy.observe_trace(firsts + trace)
+        for first, device_id in zip(firsts, pins.values()):
+            assert policy.select_replica(
+                first, [StubReplica(device_id)]) == device_id
+        return policy
+
+    def test_default_names_no_replica(self):
+        for name in ROUTING_POLICIES:
+            if name != "prefix_affinity":
+                policy = resolve_routing_policy(name)
+                assert policy.routed_elsewhere(
+                    [make_request(0, "sys-a")], {0, 1}, 0) == 0
+
+    def test_stops_at_a_fleet_reading_or_own_dispatch(self):
+        trace = [make_request(0, "a"), make_request(1, "b"),
+                 make_request(2, "a"), make_request(3, None),
+                 make_request(4, "a")]
+        policy = self.pinned(trace, {"a": 1, "b": 2})
+        # Pinned elsewhere, elsewhere, elsewhere, then a group-less one.
+        assert policy.routed_elsewhere(trace, {0, 1, 2}, 0) == 3
+        # Replica 2's own pin ends its look-ahead at the second request.
+        assert policy.routed_elsewhere(trace, {0, 1, 2}, 2) == 1
+        # An unpinned group reads the fleet.
+        assert policy.routed_elsewhere([make_request(5, "c")],
+                                       {0, 1, 2}, 0) == 0
+
+    def test_pin_on_an_unroutable_replica_reads_the_fleet(self):
+        trace = [make_request(0, "b"), make_request(1, "a")]
+        policy = self.pinned(trace, {"a": 1, "b": 2})
+        assert policy.routed_elsewhere(trace, {0, 1, 2}, 0) == 2
+        # Replica 1 drained or crashed: "a" is re-pinned by least_queue.
+        assert policy.routed_elsewhere(trace, {0, 2}, 0) == 1
+
+    def test_pin_evicted_by_an_earlier_dispatch_reads_the_fleet(self):
+        """A group whose count runs out before its last request (a
+        crash retry was counted too) loses its pin at the dispatch that
+        empties the count; a later request of the group reads the
+        fleet."""
+        trace = [make_request(0, "a"), make_request(1, "a"),
+                 make_request(2, "a")]
+        policy = self.pinned(trace, {"a": 1})
+        assert policy.routed_elsewhere(trace, {0, 1}, 0) == 3
+        # The pinning request is lost in a crash and retried.
+        policy.select_replica(make_request(100, "a"), [StubReplica(1)])
+        assert policy.routed_elsewhere(trace, {0, 1}, 0) == 2
+        policy.select_replica(trace[0], [StubReplica(0), StubReplica(1)])
+        policy.select_replica(trace[1], [StubReplica(0), StubReplica(1)])
+        assert policy.pinned_groups == 0
+
+
 class TestScoreAwareRouting:
     def stub(self, device_id, value_load=0.0, in_system=0):
         replica = StubReplica(device_id, in_system=in_system)

@@ -1,15 +1,20 @@
-"""The reclaim index must evict exactly as the linear scan it replaced.
+"""The run-length prefix groups must behave as one object per block.
 
-``KVBlockManager._reclaim_for`` takes its victim, the idle-tailed prefix
-group with the smallest ``(tick, name)``, from a lazily invalidated heap.
-These randomized sequences of pins, prefix extensions, private claims,
-boundary claims (``claim_one_each``), computed marks and releases run on
-two managers side by side: the shipped one, and a reference whose
-``_reclaim_for`` is the linear ``min()`` over every group.  After every
-operation both must hold the same groups (blocks, refcounts, computed
-flags, ticks), holdings and counters, and their victims must come in the
-same order.  Some sequences rewind the tick counter, so groups share a
-tick and the name decides.
+``KVBlockManager`` stores each prefix group as counts (blocks, leading
+computed blocks, holders' shared lengths) and takes its reclaim victim,
+the idle-tailed group with the smallest ``(tick, name)``, from a lazily
+invalidated heap, a whole idle tail (or the part a claim needs) at a
+time.  These randomized sequences of pins, prefix extensions, private
+claims, boundary claims (``claim_one_each``), computed marks and
+releases run on two managers side by side: the shipped one, and the
+per-block reference of :mod:`tests.serving.kv_reference`, whose reclaim
+evicts one block per round from a linear ``min()`` over every group.
+After every operation both must return the same result (``PrefixReuse``
+included), hold the same per-block ``(refcount, computed)`` view, ticks,
+holdings and counters, agree on ``releasable_blocks`` of every holder,
+and their victims must come in the same order, expanded per block.  Some
+sequences rewind the tick counter, so groups share a tick and the name
+decides.
 """
 
 import random
@@ -18,8 +23,9 @@ import pytest
 
 from repro.models.workload import Workload
 from repro.serving import KVCacheConfig
-from repro.serving.kv_manager import KVBlockManager, KVCacheExhausted
+from repro.serving.kv_manager import KVBlockManager
 from repro.serving.request import ServingRequest
+from tests.serving.kv_reference import PerBlockManager, block_view
 
 BLOCK_SIZE = 4
 # Names whose order differs from the order groups are first used in.
@@ -27,56 +33,41 @@ GROUPS = ("m", "c", "x", "a", "q", "f")
 
 
 class _Logged(KVBlockManager):
-    """The shipped manager, logging each reclaim victim."""
+    """The shipped manager, logging each reclaimed block as the
+    reference does: ``(group, tick, blocks before)``."""
 
     def __init__(self, config, bytes_per_token):
         super().__init__(config, bytes_per_token)
         self.victims = []
+        self._chosen = []
 
     def _coldest_idle(self):
         name, group = super()._coldest_idle()
-        self.victims.append((name, group.tick, len(group.blocks)))
+        self._chosen.append((name, group.tick, group.blocks, group))
         return name, group
 
-
-class _LinearScan(KVBlockManager):
-    """The reference: the victim is the linear ``min((tick, name))``."""
-
-    def __init__(self, config, bytes_per_token):
-        super().__init__(config, bytes_per_token)
-        self.victims = []
-        self.tied_evictions = 0
-
     def _reclaim_for(self, blocks):
-        if blocks > self.free_blocks + self._idle_blocks:
-            raise KVCacheExhausted("reference pool exhausted")
-        while self.free_blocks < blocks:
-            candidates = [(name, group)
-                          for name, group in self._groups.items()
-                          if group.blocks and group.blocks[-1].refcount == 0]
-            name, group = min(candidates,
-                              key=lambda item: (item[1].tick, item[0]))
-            self.tied_evictions += sum(
-                other.tick == group.tick for _, other in candidates) > 1
-            self.victims.append((name, group.tick, len(group.blocks)))
-            group.blocks.pop()
-            self._idle_blocks -= 1
-            if not group.blocks:
-                del self._groups[name]
+        self._chosen = []
+        super()._reclaim_for(blocks)
+        # A group is chosen at most once per reclaim: it gives up blocks
+        # until the claim is met or its idle tail is gone.
+        for name, tick, before, group in self._chosen:
+            self.victims.extend((name, tick, before - k)
+                                for k in range(before - group.blocks))
 
 
 def _state(manager):
-    groups = sorted((name, group.tick,
-                     [(block.refcount, block.computed)
-                      for block in group.blocks])
-                    for name, group in manager._groups.items())
     held = sorted((request_id, holding.private, holding.group,
                    holding.shared)
                   for request_id, holding in manager._held.items())
-    return (groups, held, manager._tick, manager.free_blocks,
-            manager.reclaimable_blocks, manager.used_blocks,
-            manager.peak_used_blocks, manager.prefix_blocks_created,
-            manager.prefix_blocks_reused, manager.victims)
+    releasable = [manager.releasable_blocks(request_id)
+                  for request_id, *_ in held]
+    return (block_view(manager), held, releasable, manager._tick,
+            manager.free_blocks, manager.reclaimable_blocks,
+            manager.used_blocks, manager.peak_used_blocks,
+            manager.prefix_blocks_created, manager.prefix_blocks_reused,
+            manager.prefix_tokens_reused, manager.prefix_cow_copies,
+            manager.victims)
 
 
 def _apply(managers, operation, *args):
@@ -92,7 +83,7 @@ def _run_sequence(seed, steps=400, rewind_ticks=False):
     config = KVCacheConfig(capacity_bytes=float(rng.randint(16, 40)
                                                 * BLOCK_SIZE),
                            block_size=BLOCK_SIZE, enable_prefix_cache=True)
-    managers = (_Logged(config, 1.0), _LinearScan(config, 1.0))
+    managers = (_Logged(config, 1.0), PerBlockManager(config, 1.0))
     manager = managers[0]
     live = {}               # request id -> prefix group
     next_id = 0
@@ -113,7 +104,7 @@ def _run_sequence(seed, steps=400, rewind_ticks=False):
             request = ServingRequest(next_id, Workload(prefix_len + 4, 8),
                                      0.0, prefix_group=group,
                                      prefix_len=prefix_len)
-            reuse = manager.prefix_reuse(request)
+            reuse = _apply(managers, "prefix_reuse", request)
             create = manager.cacheable_blocks(prefix_len) \
                 - reuse.reusable_blocks
             private = rng.randint(0, 2)
@@ -150,12 +141,12 @@ def _run_sequence(seed, steps=400, rewind_ticks=False):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_reclaim_order_matches_linear_scan(seed):
+def test_manager_matches_per_block_reference(seed):
     victims, _ = _run_sequence(seed)
     assert victims
 
 
-def test_reclaim_order_matches_linear_scan_with_tick_ties():
+def test_manager_matches_per_block_reference_with_tick_ties():
     tied = 0
     for seed in range(20):
         victims, ties = _run_sequence(1000 + seed, rewind_ticks=True)

@@ -50,6 +50,7 @@ from repro.serving.workload_gen import (
     poisson_trace,
     shared_prefix_trace,
 )
+from tests.serving.kv_reference import block_view
 
 PER_TOKEN = GPT2.kv_cache_bytes_per_token()
 
@@ -195,10 +196,7 @@ CASES = [(name, seed) for name in CONFIGS
 def _kv_state(manager):
     """A KV pool's block state: prefix groups (name, tick, each block's
     refcount and computed flag), holdings, idle and used counts."""
-    groups = sorted((name, group.tick,
-                     [(block.refcount, block.computed)
-                      for block in group.blocks])
-                    for name, group in manager._groups.items())
+    groups = block_view(manager)
     held = sorted((request_id, holding.private, holding.group,
                    holding.shared)
                   for request_id, holding in manager._held.items())
