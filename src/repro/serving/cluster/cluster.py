@@ -72,8 +72,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from itertools import islice
 from dataclasses import dataclass
+from itertools import islice
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.eval.latency import FpgaPerformanceModel
@@ -117,6 +117,7 @@ from repro.serving.workload_gen import TimedRequest
 # run-ahead horizon (see _run_event): it bounds the cost of a pop, and a
 # shorter look-ahead only ends the run-ahead sooner.
 _LOOK_AHEAD = 32
+
 
 @dataclass(frozen=True)
 class DisaggregationConfig:
