@@ -5,7 +5,9 @@ the high-level itensor stages (Linalg optimisation through resource
 allocation) fast and the low-level stages (bufferization, HLS optimisation,
 code generation) slower.  Our pure-Python reproduction is far faster in
 absolute terms; the benchmark checks the breakdown structure and measures the
-real per-stage times.
+real per-stage times.  Each stage's time is its minimum over three fresh
+compiles (``run_figure10c``), so one sample disturbed by another process
+cannot decide the share check below.
 """
 
 import pytest

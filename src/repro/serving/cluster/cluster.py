@@ -1080,9 +1080,20 @@ class ServingCluster:
         Run-ahead (see :mod:`.events`): a popped STEP of an ACTIVE
         replica in a unified fleet keeps stepping it through
         :meth:`DeviceWorker.run_until` while the replica has work and its
-        ``next_ready_s`` is strictly before ``min(next arrival, next
-        control tick, next fault)`` — no other event can reach the
-        replica sooner — and only then re-arms it.  The popped step is
+        ``next_ready_s`` is strictly before its horizon — no other event
+        can reach the replica sooner — and only then re-arms it.  The
+        horizon is per replica: ``min(next control tick, next fault,
+        first upcoming arrival whose dispatch reads the fleet or reaches
+        this replica)``, where the router's
+        :meth:`~.router.RoutingPolicy.routed_elsewhere` counts the leading
+        arrivals it sends elsewhere without reading any replica (at most
+        ``_LOOK_AHEAD`` of them).  Its answer holds until those
+        dispatches: only fleet-reading dispatches create pins, the policy
+        accounts for pins that earlier dispatches of the look-ahead
+        evict, and only ticks and faults take a replica out of the
+        routable fleet.  A traced run keeps the fleet horizon
+        ``min(next arrival, next control tick, next fault)``: each of
+        its arrivals samples every replica's gauges.  The popped step is
         the first step ``run_until`` takes (for a replica holding a steady
         decode batch, the first of an :meth:`DeviceWorker.advance`
         segment), and goes through :meth:`DeviceWorker.step` on its own

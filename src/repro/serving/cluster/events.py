@@ -62,12 +62,20 @@ Stale entries therefore cost one pop each and nothing else.
 **Run-ahead.**  Replicas interact only at cross-replica events:
 arrivals, control ticks, faults and KV landings.  So after a popped
 STEP steps an ACTIVE replica of a unified fleet, the kernel keeps
-stepping that replica while its ``next_ready_s`` is strictly before the
-*horizon* ``min(next arrival, next control tick, next fault)``, then
-re-arms (or disarms) it once.  ``DeviceWorker.run_until(horizon)`` does
-the stepping; a replica holding a steady decode batch runs a whole
-segment of those steps per ``DeviceWorker.advance(horizon)`` call, the
-popped step included.  The
+stepping that replica while its ``next_ready_s`` is strictly before its
+*horizon*, then re-arms (or disarms) it once.  The horizon is
+per replica: ``min(next control tick, next fault, first upcoming arrival
+whose dispatch reads the fleet or reaches this replica)``.  An arrival
+the router sends to another replica without reading any replica's state
+(``RoutingPolicy.routed_elsewhere``: for ``prefix_affinity``, a live
+pin on a routable replica) changes nothing this replica or its router
+decision depends on, so the replica runs past it; the look-ahead is
+capped, and stopping it early only ends the run-ahead sooner.  A traced
+run keeps the fleet horizon ``min(next arrival, next control tick, next
+fault)``, because every arrival samples the whole fleet's gauges.
+``DeviceWorker.run_until(horizon)`` does the stepping; a replica
+holding a steady decode batch runs a whole segment of those steps per
+``DeviceWorker.advance(horizon)`` call, the popped step included.  The
 strict ``<`` keeps the equal-time order: an arrival or tick
 at the horizon still fires before a same-instant step, and a step
 starting exactly at a fault's instant goes through the heap, where it
