@@ -353,23 +353,25 @@ def format_figure10b(rows: Sequence[Figure10bRow]) -> str:
 # ----------------------------------------------------------------------
 # Figure 10c: StreamTensor compile-time breakdown
 # ----------------------------------------------------------------------
+# Fresh compiles per model that Figure 10c takes each stage's time from.
+FIGURE10C_COMPILES = 3
+
+
 def run_figure10c(context: Optional[ExperimentContext] = None,
                   models: Optional[Sequence[ModelConfig]] = None,
-                  compiles: int = 3) -> Dict[str, Dict[str, float]]:
+                  ) -> Dict[str, Dict[str, float]]:
     """Regenerate Figure 10c: per-stage compile time for every model.
 
-    Each stage's time is its minimum over ``compiles`` fresh compiles of
-    the model's characterisation block.  A block compiles in tens of
+    Each stage's time is its minimum over ``FIGURE10C_COMPILES`` fresh
+    compiles of the model's characterisation block.  A block compiles in
     milliseconds, so one wall-clock sample moves with whatever else runs
     on the CPU; the minimum is the least disturbed sample of each stage.
     """
-    if compiles < 1:
-        raise ValueError("compiles must be at least 1")
     context = context or ExperimentContext()
     breakdowns = {}
     for config in models or (GPT2, QWEN, LLAMA, GEMMA):
         stages: Dict[str, float] = {}
-        for _ in range(compiles):
+        for _ in range(FIGURE10C_COMPILES):
             graph = build_prefill_block(config, CHARACTERIZATION_SEQ_LEN)
             result = StreamTensorCompiler(context.options).compile(graph,
                                                                    config)

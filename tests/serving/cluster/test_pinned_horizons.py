@@ -103,29 +103,31 @@ def test_sweep_runs_segments_across_pinned_arrivals():
     """Untraced seeds pass over pinned arrivals and pop fewer STEPs than
     the fleet horizon, with the same reports; traced seeds never look
     ahead."""
-    pops = fleet_pops = passing_seeds = 0
+    pops = fleet_pops = 0
     for seed in range(NUM_SEEDS):
         report, _, _, _, step_pops, passed = _run(seed, "event")
         if _traced(seed):
             assert passed == 0, f"seed {seed}: a traced run looked ahead"
             continue
+        assert passed > 0, f"seed {seed}: no arrival passed over"
         fleet = _run(seed, "event", _FleetHorizon)
         assert fleet[0] == report
         pops += step_pops
         fleet_pops += fleet[4]
-        passing_seeds += passed > 0
-    assert passing_seeds >= 0.8 * NUM_SEEDS * 4 / 5
     assert pops < 0.9 * fleet_pops
 
 
 def test_sweep_varies_pool_fleet_and_faults():
-    """Regime check: the seeds reclaim or preempt in the small pool,
-    drain replicas, crash replicas and retry their lost turns."""
-    drained = crashed = preempted = 0
+    """Regime check: the seeds preempt in the small pool, drain
+    replicas, crash replicas and retry their lost turns."""
+    drained = crashed = retried = preempted = 0
     for seed in range(NUM_SEEDS):
         payload = json.loads(_run(seed, "event")[0])
+        faults = payload.get("faults", {})
         drained += any(row["draining"] for row in
                        payload["replica_count_timeline"])
-        crashed += bool(payload.get("faults", {}).get("crashes"))
+        crashed += faults.get("crashes", 0) > 0
+        retried += faults.get("retries", 0) > 0
         preempted += payload["preemptions"] > 0
-    assert drained >= 10 and crashed >= 10 and preempted >= 5
+    assert drained >= 10 and crashed >= 10 and retried >= 10
+    assert preempted >= 5
