@@ -1,5 +1,5 @@
-"""Machine-readable serving-benchmark artifacts: ``BENCH_serving.json``
-and ``BENCH_cluster.json``.
+"""Machine-readable benchmark artifacts: ``BENCH_serving.json``,
+``BENCH_cluster.json`` and ``BENCH_compiler.json``.
 
 Every serving benchmark records its headline numbers here; the conftest
 session hook writes the collected entries once the run finishes — fixed-
@@ -18,6 +18,11 @@ was measured.  A third file, ``BENCH_manifests.json``, keeps each entry's
 full run manifest (config snapshot + workload fingerprint) so ``python -m
 repro reproduce`` can regenerate — and ``--check`` can verify — every
 entry from a fresh clone.
+
+``BENCH_compiler.json`` records the median seconds of each compiler
+benchmark (:func:`record_compiler`).  It is written only when the
+benchmarks are timed, so ``repro reproduce``, which runs them with
+``--benchmark-disable``, neither regenerates nor checks it.
 """
 
 from __future__ import annotations
@@ -33,9 +38,12 @@ ARTIFACT_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
 CLUSTER_ARTIFACT_PATH = Path(__file__).resolve().parent / "BENCH_cluster.json"
 MANIFEST_ARTIFACT_PATH = Path(__file__).resolve().parent \
     / "BENCH_manifests.json"
+COMPILER_ARTIFACT_PATH = Path(__file__).resolve().parent \
+    / "BENCH_compiler.json"
 
 _entries: Dict[str, dict] = {}
 _cluster_entries: Dict[str, dict] = {}
+_compiler_entries: Dict[str, dict] = {}
 _manifests: Dict[str, dict] = {}
 _provenance_cache: Optional[Dict[str, str]] = None
 
@@ -117,9 +125,25 @@ def record_cluster(name: str, report, **extra) -> None:
     _cluster_entries[name] = entry
 
 
+def record_compiler(benchmark, **extra) -> None:
+    """Register a timed compiler benchmark's median seconds under its
+    test name; ``extra`` adds scalars of the compile it timed.  An untimed
+    run (``--benchmark-disable``) records nothing."""
+    if benchmark.stats is None:
+        return
+    stats = benchmark.stats.stats
+    _compiler_entries[benchmark.name] = {
+        **_provenance(),
+        "median_s": stats.median,
+        "rounds": stats.rounds,
+        **extra,
+    }
+
+
 def write(path: Path = ARTIFACT_PATH,
           cluster_path: Path = CLUSTER_ARTIFACT_PATH,
-          manifest_path: Path = MANIFEST_ARTIFACT_PATH) -> Path:
+          manifest_path: Path = MANIFEST_ARTIFACT_PATH,
+          compiler_path: Path = COMPILER_ARTIFACT_PATH) -> Path:
     """Write the collected entries (sorted by name) as JSON; returns the
     serving-artifact path.  Each file is a no-op when nothing was recorded
     for it.  ``REPRO_BENCH_DIR`` redirects every artifact into that
@@ -139,6 +163,7 @@ def write(path: Path = ARTIFACT_PATH,
         path = base / ARTIFACT_PATH.name
         cluster_path = base / CLUSTER_ARTIFACT_PATH.name
         manifest_path = base / MANIFEST_ARTIFACT_PATH.name
+        compiler_path = base / COMPILER_ARTIFACT_PATH.name
     if _entries:
         path.write_text(json.dumps(dict(sorted(_entries.items())), indent=2)
                         + "\n")
@@ -149,4 +174,8 @@ def write(path: Path = ARTIFACT_PATH,
     if _manifests:
         manifest_path.write_text(
             json.dumps(dict(sorted(_manifests.items())), indent=2) + "\n")
+    if _compiler_entries:
+        compiler_path.write_text(
+            json.dumps(dict(sorted(_compiler_entries.items())), indent=2)
+            + "\n")
     return path

@@ -35,7 +35,7 @@ from repro.codegen.host import HostArtifact, generate_host
 from repro.compiler.options import CompilerOptions
 from repro.compiler.report import CompileReport, StageTimer
 from repro.dataflow.bufferize import BufferizationResult, bufferize
-from repro.dataflow.conversion import convert_to_dataflow, set_kernel_parallelism
+from repro.dataflow.conversion import convert_to_dataflow
 from repro.dataflow.folding import FoldingResult, fold_itensors
 from repro.dataflow.fusion import FusionPlan, fuse_kernels, fusion_memory_report
 from repro.dataflow.materialize import materialize, remove_redundant_converters
@@ -132,7 +132,6 @@ class StreamTensorCompiler:
                 plan = fuse_kernels(dataflow, options.fusion_c_max_bytes)
             else:
                 dataflow, plan = winner
-                set_kernel_parallelism(dataflow, tiling_configs)
             remove_redundant_converters(dataflow)
 
         # Stage 4: Dataflow optimisation.
@@ -193,11 +192,21 @@ class StreamTensorCompiler:
                          fused: Dict[Tuple, Tuple[DataflowGraph, FusionPlan]]):
         """Objective feedback used by the black-box tiling exploration.
 
-        The fused graph depends only on the space's layout (see
-        ``TilingSpace.layout``), so each distinct layout is converted,
-        verified and fused once; ``fused`` keeps the graph and fusion plan
-        of every layout until Stage 3 of the same compile takes the
-        winner's, and trials sharing a layout share its feedback.
+        The exploration asks only for the trials its latency bound cannot
+        rule out (see ``explore_tiling_space``), so a compile converts the
+        winner's layout and those of the few losers that were still in
+        the running.  The fused graph depends only on the space's layout
+        (see ``TilingSpace.layout``), so each of those layouts is
+        converted, verified and fused once; ``fused`` keeps the graph and
+        fusion plan of every one until Stage 3 of the same compile takes
+        the winner's, and trials sharing a layout share its feedback.
+
+        Within one layout the objective rises with the latency bound, and
+        trials are evaluated in bound order with ties going to the first,
+        so no trial beats an evaluated one of its own layout.  The winner
+        is thus the first trial of its layout to be evaluated: the graph
+        Stage 3 takes was converted from the winner's own configs, unroll
+        factors included.
         """
         c_max = self.options.fusion_c_max_bytes
 

@@ -16,7 +16,6 @@ subsequently turns as many of these as possible into on-chip ``STREAM`` edges.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.dataflow.structure import (
@@ -61,7 +60,7 @@ def convert_to_dataflow(graph: Graph,
         info = tiled[op.name]
         kernel = DataflowKernel(name=op.name, source_op=op)
         kernel.attributes["tiled"] = info
-        _set_parallelism(kernel, info.config)
+        kernel.attributes["unroll_factor"] = info.config.unroll_factor
 
         for index, (operand, itype) in enumerate(zip(op.inputs, info.input_itensors)):
             is_param = (
@@ -140,22 +139,3 @@ def convert_to_dataflow(graph: Graph,
     dataflow.verify()
     return dataflow
 
-
-def set_kernel_parallelism(dataflow: DataflowGraph,
-                           tiling_configs: Dict[str, TilingConfig]) -> None:
-    """Give every kernel the unroll factor of its config.
-
-    It is the only part of a :class:`TilingConfig` that does not shape the
-    itensor types, so a graph converted from configs with the same tile
-    sizes and loop orders becomes the graph of ``tiling_configs`` here.
-    """
-    for kernel in dataflow.kernels:
-        info: TiledOp = kernel.attributes["tiled"]
-        config = tiling_configs[kernel.name]
-        info.config = replace(info.config,
-                              unroll_factor=max(1, config.unroll_factor))
-        _set_parallelism(kernel, info.config)
-
-
-def _set_parallelism(kernel: DataflowKernel, config: TilingConfig) -> None:
-    kernel.attributes["unroll_factor"] = config.unroll_factor

@@ -168,21 +168,26 @@ class PrefixAffinityRouting(RoutingPolicy):
 
     Pins are *evicted* at their group's last dispatch: ``observe_trace``
     counts each group's members up front, ``select_replica`` decrements
-    the count per dispatch, and the pin is dropped the moment the count
-    hits zero — a retired group can never be routed again, so keeping its
-    pin would be a pure leak.  The pin map is therefore bounded by the
-    number of *concurrently in-flight* groups, not the total groups a
-    trace ever names (``peak_pins`` records the high-water mark; before
-    this eviction the map grew monotonically and a million-request trace
-    with many groups leaked an entry per group).  Dispatches of groups
-    the policy was never told about (no ``observe_trace``) keep the old
-    keep-forever behaviour, since their last request is unknowable.
+    the count at each member's first dispatch, and the pin is dropped the
+    moment the count hits zero — a retired group's members have all been
+    routed, so keeping its pin would be a pure leak.  A crash retry
+    (``request.retries > 0``) dispatches a member again: it follows (or
+    re-makes) a live group's pin without counting, and a retired group's
+    retry is balanced like ``least_queue`` without pinning anything.  The
+    pin map is therefore bounded by the number of *concurrently in-flight*
+    groups, not the total groups a trace ever names (``peak_pins`` records
+    the high-water mark; before this eviction the map grew monotonically
+    and a million-request trace with many groups leaked an entry per
+    group).  Dispatches of groups the policy was never told about (no
+    ``observe_trace``) keep the old keep-forever behaviour, since their
+    last request is unknowable.
     """
 
     name = "prefix_affinity"
 
     def __init__(self) -> None:
         self._pins: Dict[str, int] = {}
+        # Members not yet dispatched, per observed group (0: retired).
         self._remaining: Dict[str, int] = {}
         self.peak_pins = 0
 
@@ -206,7 +211,8 @@ class PrefixAffinityRouting(RoutingPolicy):
     def select_replica(self, request: ServingRequest,
                        replicas: List[DeviceWorker]) -> int:
         group = request.prefix_group
-        if group is None:
+        left = self._remaining.get(group)
+        if group is None or left == 0:
             return _least_queue(replicas)
         available = {replica.device_id for replica in replicas}
         pinned = self._pins.get(group)
@@ -217,11 +223,10 @@ class PrefixAffinityRouting(RoutingPolicy):
             self._pins[group] = choice
             if len(self._pins) > self.peak_pins:
                 self.peak_pins = len(self._pins)
-        left = self._remaining.get(group)
-        if left is not None:
-            if left <= 1:
-                del self._remaining[group]
-                self._pins.pop(group, None)
+        if left is not None and not request.retries:
+            if left == 1:
+                self._remaining[group] = 0
+                del self._pins[group]
             else:
                 self._remaining[group] = left - 1
         return choice
@@ -231,24 +236,16 @@ class PrefixAffinityRouting(RoutingPolicy):
         """A live pin on a routable replica names the dispatch.  Pins are
         created only by dispatches that read the fleet, and routability
         shrinks only at ticks and faults, so a pin seen here holds until
-        its request is dispatched, unless an earlier dispatch counted as
-        its group's last evicts it (a crash retry is counted twice)."""
+        its request is dispatched: the upcoming arrivals are first
+        dispatches of members not yet counted, so none of them retires a
+        group ahead of a later one."""
         pins = self._pins
-        remaining = self._remaining
-        taken: Dict[str, int] = {}
         passed = 0
         for request in upcoming:
-            group = request.prefix_group
-            pinned = pins.get(group)
+            pinned = pins.get(request.prefix_group)
             if pinned is None or pinned == device_id \
                     or pinned not in routable:
                 break
-            left = remaining.get(group)
-            if left is not None:
-                earlier = taken.get(group, 0)
-                if left <= earlier:
-                    break
-                taken[group] = earlier + 1
             passed += 1
         return passed
 

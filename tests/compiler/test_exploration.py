@@ -1,10 +1,14 @@
-"""The tiling exploration converts each distinct layout once.
+"""The tiling exploration converts only the layouts that can still win.
 
-Trials whose spaces share a layout (each op's tile sizes and tile-loop
-order) share one converted and fused graph, and the winner's graph is the
-one Stage 3 continues with.  The tests hold that this memo changes nothing
-the study sees: each trial's feedback equals a fresh conversion of its own
-space, and every study matches the one recorded before the memo existed.
+Every candidate's space is populated first, and its own latency estimate
+bounds its objective from below.  Trials are evaluated best-first by that
+bound and the rest are pruned; trials whose spaces share a layout (each
+op's tile sizes and tile-loop order) share one converted and fused graph,
+and the winner's graph is the one Stage 3 continues with.  The tests hold
+that neither changes what the study finds: each evaluated trial's feedback
+equals a fresh conversion of its own space, a full evaluation of every
+trial reproduces the study recorded before trials were pruned or shared
+their conversions, and the pruned study matches it on every row.
 """
 
 import collections
@@ -23,8 +27,8 @@ from repro.ir.dtypes import INT8
 from repro.ir.ops import LinalgOp
 
 #: (default_tile_size, overall_unroll_size, objective, converter_bytes,
-#: stream_edges) of every trial, in evaluation order, recorded by compiling
-#: each block before trials shared their conversions.
+#: stream_edges) of every trial, in candidate order, recorded by compiling
+#: each block before trials shared their conversions or were pruned.
 PINNED_STUDIES = {
     ('gpt2', 'prefill'): [
         (4, 8, 2628293193.142857, 2148352.0, 14.0),
@@ -95,15 +99,58 @@ PINNED_STUDIES = {
 BLOCKS = sorted(PINNED_STUDIES)
 
 
+def objective(latency, converter_bytes, budget):
+    """The study's objective, written out independently of the explorer."""
+    if converter_bytes > budget:
+        return latency + latency * (converter_bytes / budget)
+    return latency
+
+
 @pytest.mark.parametrize("block", BLOCKS)
 def test_study_matches_pinned(zoo_explorations, block):
-    study = zoo_explorations[block]["study"]
-    rows = [(t.params["default_tile_size"], t.params["overall_unroll_size"],
-             t.objective, t.feedback["converter_bytes"],
-             t.feedback["stream_edges"]) for t in study.trials]
-    assert rows == PINNED_STUDIES[block]
+    recorded = zoo_explorations[block]
+    study = recorded["study"]
+    pinned = PINNED_STUDIES[block]
+    assert sorted(t.number for t in study.trials) == list(range(len(pinned)))
+    # Only the lowest bound, (64, 256), is evaluated.
+    assert [t.pruned for t in study.trials] == [False] + [True] * 5
+    for trial in study.trials:
+        tile, unroll, value, converter_bytes, stream_edges = pinned[trial.number]
+        assert trial.params == {"default_tile_size": tile,
+                                "overall_unroll_size": unroll}
+        space, _feedback = recorded["trials"][trial.number]
+        if trial.pruned:
+            assert trial.feedback == {}
+            assert trial.objective == space.total_latency_estimate()
+            # No pinned row is over budget, so every bound is exact.
+            assert trial.objective == value
+        else:
+            assert (trial.objective, trial.feedback["converter_bytes"],
+                    trial.feedback["stream_edges"]) == (
+                value, converter_bytes, stream_edges)
     assert study.best_params == {"default_tile_size": 64,
                                  "overall_unroll_size": 256}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_full_evaluation_reproduces_the_pinned_study(zoo_explorations, block):
+    """Converting and fusing every trial's space, pruned or not, gives
+    each pinned row, and the first minimum of the rows is the winner."""
+    recorded = zoo_explorations[block]
+    graph = recorded["compiled"].linalg_graph
+    c_max = CompilerOptions().fusion_c_max_bytes
+    rows = []
+    for space, _feedback in recorded["trials"]:
+        fresh = convert_to_dataflow(graph, space.to_configs())
+        fuse_kernels(fresh, c_max)
+        converter_bytes = fresh.converter_bytes()
+        rows.append((space.default_tile_size, space.overall_unroll_size,
+                     objective(space.total_latency_estimate(),
+                               converter_bytes, c_max),
+                     converter_bytes, float(len(fresh.stream_edges()))))
+    assert rows == PINNED_STUDIES[block]
+    first_minimum = min(range(len(rows)), key=lambda i: rows[i][2])
+    assert first_minimum == recorded["study"].best_trial.number
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -111,7 +158,10 @@ def test_feedback_equals_a_fresh_conversion(zoo_explorations, block):
     recorded = zoo_explorations[block]
     graph = recorded["compiled"].linalg_graph
     c_max = CompilerOptions().fusion_c_max_bytes
-    for space, feedback in recorded["trials"]:
+    evaluated = [(space, feedback) for space, feedback in recorded["trials"]
+                 if feedback is not None]
+    assert evaluated
+    for space, feedback in evaluated:
         fresh = convert_to_dataflow(graph, space.to_configs())
         fuse_kernels(fresh, c_max)
         assert feedback == {
@@ -123,25 +173,36 @@ def test_feedback_equals_a_fresh_conversion(zoo_explorations, block):
 @pytest.mark.parametrize("block", BLOCKS)
 def test_one_conversion_per_distinct_layout(zoo_explorations, block):
     recorded = zoo_explorations[block]
-    layouts = {space.layout() for space, _feedback in recorded["trials"]}
     assert len(recorded["trials"]) == 6
-    assert len(layouts) == 4
-    # Stage 3 takes the winner's graph instead of converting again.
-    assert recorded["conversions"] == len(layouts)
+    assert len({space.layout() for space, _ in recorded["trials"]}) == 4
+    evaluated = {space.layout() for space, feedback in recorded["trials"]
+                 if feedback is not None}
+    # One trial can still win: the other three layouts are never
+    # converted, and Stage 3 takes the winner's graph instead of
+    # converting again.
+    assert len(evaluated) == 1
+    assert recorded["conversions"] == len(evaluated)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
 def test_compiled_space_is_the_best_trials_own(zoo_explorations, block):
     recorded = zoo_explorations[block]
-    best_index = recorded["study"].best_index
-    assert recorded["compiled"].tiling_space is recorded["trials"][best_index][0]
+    study = recorded["study"]
+    assert len(recorded["trials"]) == len(study.trials)
+    best = study.best_trial
+    space, feedback = recorded["trials"][best.number]
+    assert recorded["compiled"].tiling_space is space
+    assert feedback == best.feedback
+    assert {"default_tile_size": space.default_tile_size,
+            "overall_unroll_size": space.overall_unroll_size} == best.params
 
 
 def test_winner_sharing_an_earlier_layout_gets_its_own_parallelism(
         monkeypatch):
-    """Every dim of this graph is 4, so all trials share one layout: the
-    graph converted for the first trial must carry the winner's unroll
-    factors, exactly as a compile with the winner's parameters does."""
+    """Every dim of this graph is 4, so all trials share one layout.  The
+    winner is the first trial of its layout to be evaluated, so the one
+    graph converted carries the winner's unroll factors, exactly as a
+    compile with the winner's parameters does."""
     builder = GraphBuilder("small")
     x = builder.input((4, 4), INT8)
     w = builder.weight((4, 4), INT8)
@@ -157,7 +218,8 @@ def test_winner_sharing_an_earlier_layout_gets_its_own_parallelism(
     assert len(conversions) == 1
 
     best = explored.tiling_space
-    assert best.overall_unroll_size > 8  # the first trial's unroll budget
+    assert best.overall_unroll_size > 8  # the first candidate's unroll budget
+    assert conversions[0][1] == best.to_configs()
     direct = StreamTensorCompiler(CompilerOptions(
         default_tile_size=best.default_tile_size,
         overall_unroll_size=best.overall_unroll_size)).compile(graph)
@@ -172,8 +234,8 @@ def test_winner_sharing_an_earlier_layout_gets_its_own_parallelism(
 
 def test_loop_bounds_inferred_only_to_build_the_space_and_tile(monkeypatch):
     """An explored compile infers each op's loop bounds once for the
-    tiling space and once per distinct layout it tiles; every later stage
-    reads the bounds its ``TiledOp`` already carries."""
+    tiling space and once per distinct layout it converts; every later
+    stage reads the bounds its ``TiledOp`` already carries."""
     graph = build_prefill_block(LLAMA, 256)
     callers = collections.Counter()
     loop_bounds = LinalgOp.loop_bounds
@@ -188,6 +250,7 @@ def test_loop_bounds_inferred_only_to_build_the_space_and_tile(monkeypatch):
         graph, LLAMA)
     assert set(callers) == {("tiling_space.py", "from_graph"),
                             ("tiling.py", "tile_graph")}
-    # 17 ops: once for the space, once in each of the study's 4 layouts.
+    # 17 ops: once for the space, once in the one layout the study
+    # converts (its 4 layouts but the winner's are pruned).
     assert callers[("tiling_space.py", "from_graph")] == 17
-    assert sum(callers.values()) == 17 + 4 * 17
+    assert sum(callers.values()) == 17 + 1 * 17

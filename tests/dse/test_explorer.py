@@ -34,7 +34,8 @@ class TestBlackBoxOptimizer:
         def objective(params):
             return (params["x"] - 4) ** 2 + params["y"], {}
 
-        result = optimizer.optimize(objective, n_trials=15)
+        result = optimizer.optimize(objective, lambda params: params["y"],
+                                    n_trials=15)
         assert result.best_params["x"] == 4
         assert result.best_params["y"] == 1
 
@@ -44,9 +45,63 @@ class TestBlackBoxOptimizer:
         def objective(params):
             return float(params["x"]), {}
 
-        first = BlackBoxOptimizer(space, seed=7).optimize(objective, n_trials=5)
-        second = BlackBoxOptimizer(space, seed=7).optimize(objective, n_trials=5)
+        def bound(params):
+            return 0.0
+
+        first = BlackBoxOptimizer(space, seed=7).optimize(objective, bound,
+                                                          n_trials=5)
+        second = BlackBoxOptimizer(space, seed=7).optimize(objective, bound,
+                                                           n_trials=5)
         assert [t.params for t in first.trials] == [t.params for t in second.trials]
+
+    def test_candidates_are_distinct_and_within_budget(self):
+        # One value per axis: the three grid anchors coincide.
+        optimizer = BlackBoxOptimizer({"x": [2], "y": [3]})
+        assert optimizer.candidates(5) == [{"x": 2, "y": 3}]
+        points = BlackBoxOptimizer({"x": list(range(10))}, seed=1).candidates(6)
+        assert len(points) == 6
+        assert len({p["x"] for p in points}) == 6
+        assert points[:3] == [{"x": 0}, {"x": 9}, {"x": 5}]
+
+    def test_evaluates_best_first_and_prunes_what_cannot_win(self):
+        space = {"x": [0, 1, 2, 3, 4]}
+        objectives = {0: 9.0, 1: 5.0, 2: 4.0, 3: 6.0, 4: 7.0}
+        bounds = {0: 8.0, 1: 2.0, 2: 3.0, 3: 4.0, 4: 1.0}
+        calls = []
+
+        def objective(params):
+            calls.append(params["x"])
+            return objectives[params["x"]], {"x": params["x"]}
+
+        study = BlackBoxOptimizer(space).optimize(
+            objective, lambda params: bounds[params["x"]], n_trials=5)
+        # Bound order 4, 1, 2, 3, 0; after 2 the incumbent is 4.0, which
+        # 3's bound (4.0, later candidate) cannot beat.
+        assert calls == [4, 1, 2]
+        assert [t.number for t in study.trials] == [4, 1, 2, 3, 0]
+        assert [t.pruned for t in study.trials] == [False] * 3 + [True] * 2
+        assert [t.objective for t in study.trials] == [7.0, 5.0, 4.0, 4.0, 8.0]
+        assert [t.feedback for t in study.trials[3:]] == [{}, {}]
+        assert study.best_params == {"x": 2}
+
+    def test_equal_bound_of_an_earlier_candidate_is_evaluated(self):
+        # Candidate 1 reaches its bound first (incumbent 3.0 at number 2),
+        # candidate 0 ties it and wins as the earlier candidate; candidate
+        # 3, with the same bound but a later number, cannot.
+        space = {"x": [0, 1, 2, 3]}
+        objectives = {0: 3.0, 1: 5.0, 2: 3.0, 3: 3.0}
+        bounds = {0: 3.0, 1: 1.0, 2: 2.0, 3: 3.0}
+        calls = []
+
+        def objective(params):
+            calls.append(params["x"])
+            return objectives[params["x"]], {}
+
+        study = BlackBoxOptimizer(space).optimize(
+            objective, lambda params: bounds[params["x"]], n_trials=4)
+        assert calls == [1, 2, 0]
+        assert study.best_params == {"x": 0}
+        assert study.trials[-1].number == 3 and study.trials[-1].pruned
 
     def test_no_trials_raises_on_best(self):
         with pytest.raises(ValueError):
@@ -57,6 +112,18 @@ class TestBlackBoxOptimizer:
                              for x, objective in enumerate([3.0, 1.0, 2.0, 1.0])])
         assert study.best_index == 1
         assert study.best_trial is study.trials[1]
+
+    def test_best_breaks_ties_by_candidate_number_among_evaluated(self):
+        study = StudyResult([
+            Trial({"x": 3}, 1.0, number=3),
+            Trial({"x": 1}, 1.0, number=1),
+            Trial({"x": 0}, 0.5, number=0, pruned=True),
+        ])
+        assert study.best_index == 1
+
+    def test_only_pruned_trials_raise_on_best(self):
+        with pytest.raises(ValueError):
+            StudyResult([Trial({"x": 0}, 1.0, pruned=True)]).best_trial
 
 
 class TestSearchSpace:
@@ -108,6 +175,11 @@ class TestExploreTilingSpace:
                                             memory_budget_bytes=1e6, seed=0)
         assert best.default_tile_size < 64
 
+    def test_non_positive_memory_budget_rejected(self):
+        with pytest.raises(ValueError, match="memory_budget_bytes"):
+            explore_tiling_space(small_graph(), lambda space: {},
+                                 memory_budget_bytes=0.0)
+
     def test_returns_the_best_trials_own_space(self):
         evaluated = []
 
@@ -117,7 +189,14 @@ class TestExploreTilingSpace:
 
         best, study = explore_tiling_space(small_graph(), feedback,
                                            n_trials=6, seed=0)
-        assert len(evaluated) == len(study.trials)
+        assert len(study.trials) == 6
+        # The lowest bound is under budget and wins: nothing else is
+        # evaluated, and the pruned trials follow in bound order.
+        assert len(evaluated) == 1
+        assert [t.pruned for t in study.trials] == [False] + [True] * 5
+        assert all(t.feedback == {} for t in study.trials[1:])
+        bounds = [t.objective for t in study.trials]
+        assert bounds == sorted(bounds)
         assert best is evaluated[study.best_index]
         assert (best.default_tile_size, best.overall_unroll_size) == (
             study.best_params["default_tile_size"],

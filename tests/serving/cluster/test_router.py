@@ -212,19 +212,49 @@ class TestRoutedElsewhere:
         assert policy.routed_elsewhere(trace, {0, 2}, 0) == 1
 
     def test_pin_evicted_by_an_earlier_dispatch_reads_the_fleet(self):
-        """A group whose count runs out before its last request (a
-        crash retry was counted too) loses its pin at the dispatch that
-        empties the count; a later request of the group reads the
-        fleet."""
+        """A crash retry of the pinning request follows the pin without
+        counting against its group: the pin holds for all three upcoming
+        members and is evicted at the last one's dispatch."""
         trace = [make_request(0, "a"), make_request(1, "a"),
                  make_request(2, "a")]
         policy = self.pinned(trace, {"a": 1})
         assert policy.routed_elsewhere(trace, {0, 1}, 0) == 3
         # The pinning request is lost in a crash and retried.
-        policy.select_replica(make_request(100, "a"), [StubReplica(1)])
-        assert policy.routed_elsewhere(trace, {0, 1}, 0) == 2
-        policy.select_replica(trace[0], [StubReplica(0), StubReplica(1)])
-        policy.select_replica(trace[1], [StubReplica(0), StubReplica(1)])
+        retry = make_request(100, "a")
+        retry.retries = 1
+        both = [StubReplica(0), StubReplica(1)]
+        assert policy.select_replica(retry, both) == 1
+        assert policy.routed_elsewhere(trace, {0, 1}, 0) == 3
+        for request in trace:
+            assert policy.pinned_groups == 1
+            assert policy.select_replica(request, both) == 1
+        assert policy.pinned_groups == 0
+
+    def test_retry_of_a_retired_group_pins_nothing(self):
+        trace = [make_request(0, "a")]
+        policy = self.pinned(trace, {"a": 1})
+        assert policy.select_replica(trace[0], [StubReplica(1)]) == 1
+        assert policy.pinned_groups == 0
+        retry = make_request(0, "a")
+        retry.retries = 1
+        # Balanced like least_queue, and no pin outlives the group.
+        assert policy.select_replica(
+            retry, [StubReplica(0, in_system=3), StubReplica(1)]) == 1
+        assert policy.pinned_groups == 0
+        assert policy.routed_elsewhere([retry], {0, 1}, 0) == 0
+
+    def test_retry_re_pins_a_live_group_without_counting(self):
+        trace = [make_request(0, "a"), make_request(1, "a")]
+        policy = self.pinned(trace, {"a": 1})
+        retry = make_request(100, "a")
+        retry.retries = 1
+        # Replica 1 crashed: the retry re-pins the group by least_queue.
+        assert policy.select_replica(
+            retry, [StubReplica(0), StubReplica(2, in_system=1)]) == 0
+        assert policy.routed_elsewhere(trace, {0, 2}, 2) == 2
+        assert policy.select_replica(trace[0], [StubReplica(0)]) == 0
+        assert policy.pinned_groups == 1
+        assert policy.select_replica(trace[1], [StubReplica(0)]) == 0
         assert policy.pinned_groups == 0
 
 
