@@ -90,12 +90,12 @@ def _emit_task(kernel: DataflowKernel, task: DataflowTask) -> str:
         if task.buffer.double_buffered:
             lines.append("  // ping-pong: implemented as a double buffer by HLS dataflow")
 
-    unroll = int(kernel.attributes.get("unroll_factor", 1))
     body: List[str] = []
     if task.kind is TaskKind.COMPUTE:
-        body.append(f"#pragma HLS UNROLL factor={max(1, unroll)}")
+        body.append("#pragma HLS UNROLL "
+                    f"factor={kernel.tiled.config.unroll_factor}")
         body.append("// tiled compute body generated from the Linalg op "
-                    f"'{task.attributes.get('op_kind', 'generic')}'")
+                    f"'{kernel.kind}'")
         for index in range(len(task.input_types)):
             body.append(f"auto v{index} = in{index}.read();")
         if task.output_types:

@@ -43,10 +43,6 @@ class HostPlan:
     parameter_bytes: float = 0.0
     activation_bytes: float = 0.0
 
-    @property
-    def total_device_bytes(self) -> float:
-        return sum(buffer.bytes for buffer in self.buffers)
-
 
 @dataclass
 class HostArtifact:

@@ -58,9 +58,7 @@ def convert_to_dataflow(graph: Graph,
 
     for op in compute_ops:
         info = tiled[op.name]
-        kernel = DataflowKernel(name=op.name, source_op=op)
-        kernel.attributes["tiled"] = info
-        kernel.attributes["unroll_factor"] = info.config.unroll_factor
+        kernel = DataflowKernel(name=op.name, tiled=info)
 
         for index, (operand, itype) in enumerate(zip(op.inputs, info.input_itensors)):
             is_param = (
@@ -84,7 +82,6 @@ def convert_to_dataflow(graph: Graph,
             input_types=list(info.input_itensors),
             output_types=[info.result_itensor],
             loop_nest=list(zip(info.loop_tripcounts, info.loop_steps)),
-            attributes={"op_kind": op.kind},
         ))
         dataflow.add_kernel(kernel)
         kernel_of_value[id(op.result)] = kernel

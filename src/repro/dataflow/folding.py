@@ -59,10 +59,9 @@ def fold_itensors(graph: DataflowGraph) -> FoldingResult:
         compute = compute_tasks[0]
         for task in kernel.tasks:
             if task.kind is not TaskKind.DMA_LOAD or task.buffer is None:
+                # A folded DMA has already given up its buffer.
                 continue
-            if task.attributes.get("folded"):
-                continue
-            if task.attributes.get("is_parameter"):
+            if task.is_parameter:
                 # Parameter DMAs always stage into a local buffer that the
                 # compute loop reads repeatedly; folding them would force the
                 # compute loop to stall on external memory.
@@ -73,6 +72,5 @@ def fold_itensors(graph: DataflowGraph) -> FoldingResult:
             result.folded_edges += 1
             result.buffer_bytes_saved += task.buffer.size_bytes
             result.folded_task_names.append(task.name)
-            task.attributes["folded"] = True
             task.buffer = None
     return result

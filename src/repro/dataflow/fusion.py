@@ -58,9 +58,6 @@ class FusionPlan:
                 return index
         raise KeyError(f"kernel {kernel_name!r} is not in any fused group")
 
-    def total_cost(self) -> float:
-        return sum(self.costs)
-
 
 def edge_fusion_cost(edge: DataflowEdge,
                      fifo_depth_estimate: int = DEFAULT_FIFO_DEPTH) -> float:

@@ -62,10 +62,7 @@ def materialize_dma(edge: DataflowEdge, direction: str) -> DataflowTask:
         output_types=[itype] if direction == "load" else [],
         buffer=_dma_buffer(itype),
         loop_nest=loop_nest,
-        attributes={
-            "is_parameter": edge.is_parameter,
-            "edge_uid": edge.uid,
-        },
+        is_parameter=edge.is_parameter,
     )
 
 
@@ -85,10 +82,6 @@ def materialize_converter(edge: DataflowEdge) -> DataflowTask:
         output_types=[edge.consumer_type],
         buffer=spec.buffer,
         loop_nest=shared_loop_nest,
-        attributes={
-            "reuse_factor": spec.reuse_factor,
-            "edge_uid": edge.uid,
-        },
     )
 
 

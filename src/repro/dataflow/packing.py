@@ -48,21 +48,9 @@ class PackedLayout:
     dtype: DType
 
     @property
-    def elements_per_vector(self) -> int:
-        return math.prod(self.vector_shape)
-
-    @property
-    def vector_bits(self) -> int:
-        return self.elements_per_vector * self.dtype.bits
-
-    @property
     def total_bytes(self) -> float:
         total_elements = math.prod(self.outer_shape) * math.prod(self.tile_shape)
         return total_elements * self.dtype.bits / 8.0
-
-    def packed_shape(self) -> Tuple[int, ...]:
-        """The shape of the packed tensor, e.g. ``4x4x16x16``."""
-        return self.outer_shape + self.tile_shape
 
     def widened_shape(self) -> Tuple[int, ...]:
         """The widened tensor shape, e.g. ``4x4x2x2`` of ``vector<8x8>``."""

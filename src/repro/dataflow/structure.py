@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from repro.ir.ops import LinalgOp
+from repro.dataflow.tiling import TiledOp
 from repro.ir.types import TensorType
 from repro.itensor.converter import ConverterSpec
 from repro.itensor.itensor_type import ITensorType
@@ -93,7 +93,11 @@ DEFAULT_FIFO_DEPTH = 2
 
 @dataclass(eq=False)
 class DataflowTask:
-    """A task inside a (fused) dataflow kernel."""
+    """A task inside a (fused) dataflow kernel.
+
+    ``is_parameter`` marks the DMA load of a model parameter, which
+    itensor folding leaves staged in its local buffer.
+    """
 
     name: str
     kind: TaskKind
@@ -101,8 +105,7 @@ class DataflowTask:
     output_types: List[ITensorType] = field(default_factory=list)
     buffer: Optional[BufferType] = None
     loop_nest: List[Tuple[int, int]] = field(default_factory=list)
-    attributes: Dict[str, object] = field(default_factory=dict)
-    subtasks: List["DataflowTask"] = field(default_factory=list)
+    is_parameter: bool = False
 
     @property
     def buffer_bytes(self) -> float:
@@ -115,28 +118,23 @@ class DataflowKernel:
 
     After conversion each kernel holds exactly one compute task; fusion groups
     kernels (assigning ``fusion_index``), and materialisation attaches DMA and
-    converter tasks.
+    converter tasks.  ``tiled`` is the tiled op the kernel was converted from:
+    its op, tiling config (the unroll factor included) and trip counts.  A
+    kernel built without one is an external kernel.
     """
 
     name: str
-    source_op: Optional[LinalgOp]
+    tiled: Optional[TiledOp] = None
     inputs: List[Port] = field(default_factory=list)
     outputs: List[Port] = field(default_factory=list)
     tasks: List[DataflowTask] = field(default_factory=list)
     fusion_index: Optional[int] = None
     die_assignment: Optional[int] = None
     profile: KernelProfile = field(default_factory=KernelProfile)
-    attributes: Dict[str, object] = field(default_factory=dict)
 
     @property
     def kind(self) -> str:
-        return self.source_op.kind if self.source_op is not None else "external"
-
-    def input_port(self, name: str) -> Port:
-        for port in self.inputs:
-            if port.name == name:
-                return port
-        raise KeyError(f"kernel {self.name} has no input port {name!r}")
+        return self.tiled.op.kind if self.tiled is not None else "external"
 
     def output_port(self, name: str) -> Port:
         for port in self.outputs:
@@ -175,10 +173,6 @@ class DataflowEdge:
     @property
     def is_external_input(self) -> bool:
         return self.producer is None
-
-    @property
-    def is_external_output(self) -> bool:
-        return self.consumer is None
 
     @property
     def needs_converter(self) -> bool:
@@ -255,9 +249,6 @@ class DataflowGraph:
 
     def predecessors(self, kernel: DataflowKernel) -> List[DataflowKernel]:
         return [e.producer for e in self.in_edges(kernel) if e.producer is not None]
-
-    def successors(self, kernel: DataflowKernel) -> List[DataflowKernel]:
-        return [e.consumer for e in self.out_edges(kernel) if e.consumer is not None]
 
     def internal_edges(self) -> List[DataflowEdge]:
         """Edges between two kernels (not to/from the host)."""

@@ -82,27 +82,19 @@ class TiledOp:
         op: The original op.
         config: The normalised tiling config used.
         loop_bounds: Trip count of every iteration dim of the untiled op.
-        loop_dims: Iteration dims in tile-loop order (outermost first).
         loop_tripcounts: Trip count of each tile loop.
         loop_steps: Step (tile size) of each tile loop.
         input_itensors: Inferred itensor type per input operand.
         result_itensor: Inferred itensor type of the result.
-        tile_iterations: Iterations of the intra-tile loop nest (work per tile).
     """
 
     op: LinalgOp
     config: TilingConfig
     loop_bounds: List[int]
-    loop_dims: List[int]
     loop_tripcounts: List[int]
     loop_steps: List[int]
     input_itensors: List[ITensorType]
     result_itensor: ITensorType
-    tile_iterations: int
-
-    @property
-    def total_tiles(self) -> int:
-        return math.prod(self.loop_tripcounts) if self.loop_tripcounts else 1
 
     @property
     def iteration_count(self) -> int:
@@ -139,12 +131,9 @@ def tile_op(op: LinalgOp, config: TilingConfig,
         drop_loops=op.reduction_dims,
     )
 
-    tile_iterations = math.prod(tile_sizes[d] for d in range(op.num_loops))
     return TiledOp(op=op, config=config, loop_bounds=list(bounds),
-                   loop_dims=loop_dims, loop_tripcounts=loop_tripcounts,
-                   loop_steps=loop_steps, input_itensors=input_itensors,
-                   result_itensor=result_itensor,
-                   tile_iterations=tile_iterations)
+                   loop_tripcounts=loop_tripcounts, loop_steps=loop_steps,
+                   input_itensors=input_itensors, result_itensor=result_itensor)
 
 
 def default_tiling(op: LinalgOp, default_tile_size: int = 16,

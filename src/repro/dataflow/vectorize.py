@@ -72,7 +72,7 @@ def vectorize_graph(graph: DataflowGraph) -> VectorizationResult:
     for edge in graph.stream_edges():
         if edge.producer_type is None or edge.consumer_type is None:
             continue
-        width = edge.consumer.attributes["unroll_factor"]
+        width = edge.consumer.tiled.config.unroll_factor
         edge.producer_type = vectorize_itensor(edge.producer_type, width)
         edge.consumer_type = vectorize_itensor(edge.consumer_type, width)
         result.vectorized_edges += 1

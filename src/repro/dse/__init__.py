@@ -10,7 +10,6 @@ from repro.dse.explorer import (
 )
 from repro.dse.permutation import (
     apply_permutation_heuristic,
-    innermost_is_parallel,
     reduction_outward_permutation,
     streaming_tile_loop_order,
 )
@@ -18,7 +17,6 @@ from repro.dse.tiling_space import KernelNode, TilingSpace
 from repro.dse.unrolling import (
     UnrollDecision,
     intensity_driven_unrolling,
-    latency_balance_ratio,
     max_unroll_for,
 )
 
@@ -33,9 +31,7 @@ __all__ = [
     "build_tiling_space",
     "default_search_space",
     "explore_tiling_space",
-    "innermost_is_parallel",
     "intensity_driven_unrolling",
-    "latency_balance_ratio",
     "max_unroll_for",
     "reduction_outward_permutation",
     "streaming_tile_loop_order",

@@ -57,15 +57,3 @@ def apply_permutation_heuristic(space: TilingSpace) -> None:
     for node in space.nodes:
         node.tile_loop_order = streaming_tile_loop_order(node)
         node.permutation = reduction_outward_permutation(node)
-
-
-def innermost_is_parallel(node: KernelNode) -> bool:
-    """Check the heuristic's postcondition for one kernel."""
-    if node.permutation is None or not node.permutation:
-        return True
-    innermost = node.permutation[-1]
-    parallel_dims = [i for i, t in enumerate(node.loop_types)
-                     if t is IteratorType.PARALLEL]
-    if not parallel_dims:
-        return True
-    return node.loop_types[innermost] is IteratorType.PARALLEL

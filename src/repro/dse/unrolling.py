@@ -81,11 +81,3 @@ def intensity_driven_unrolling(space: TilingSpace,
         ))
         heapq.heappush(heap, (-node.latency_estimate(), index))
     return decisions
-
-
-def latency_balance_ratio(space: TilingSpace) -> float:
-    """Ratio of slowest to fastest kernel latency (1.0 = perfectly balanced)."""
-    latencies = [node.latency_estimate() for node in space.nodes]
-    if not latencies or min(latencies) == 0:
-        return 1.0
-    return max(latencies) / min(latencies)

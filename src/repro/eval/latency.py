@@ -29,7 +29,7 @@ per experiment).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from repro.models.config import ModelConfig
 from repro.models.workload import Workload
@@ -256,43 +256,9 @@ class FpgaPerformanceModel:
         return self.step_pricer(config, strategy).block_time_s(
             seq_len, kv_len, seq_len * kv_len)
 
-    def engine_step_time_s(self, config: ModelConfig,
-                           batch: Sequence[Tuple[int, int]],
-                           strategy: EqualizationStrategy,
-                           emitting: Optional[int] = None) -> float:
-        """Execution time of one engine step over a batch of request slices.
-
-        ``batch`` holds one ``(tokens, kv_len)`` pair per request sharing the
-        step: a decode slice contributes ``(1, kv_len)``, a prefill (or
-        chunked-prefill) slice ``(chunk_len, kv_len)``.  ``emitting`` is how
-        many of those slices produce an output token this step (a mid-prompt
-        prefill chunk does not, so it skips the LM head); ``None`` means all
-        of them.  The pairs are reduced to :class:`StepTotals` and priced by
-        :meth:`StepPricer.step_time_s`.  A singleton batch reduces exactly
-        to :meth:`prefill_time_s` / :meth:`decode_step_time_s`.
-        """
-        return self.step_pricer(config, strategy).step_time_s(
-            StepTotals.of(batch, emitting))
-
-    def lm_head_time_s(self, config: ModelConfig) -> float:
-        """LM-head (vocabulary projection) time for the one position a
-        forward pass projects: the last prompt position during prefill, the
-        single new position during decode."""
-        return self.step_pricer(config, EqualizationStrategy.NORMAL
-                                ).head_time_s(1)
-
     # ------------------------------------------------------------------
     # Workload evaluation
     # ------------------------------------------------------------------
-    def prefill_time_s(self, config: ModelConfig, prompt_len: int,
-                       strategy: EqualizationStrategy) -> float:
-        return self.engine_step_time_s(config, [(prompt_len, prompt_len)],
-                                       strategy)
-
-    def decode_step_time_s(self, config: ModelConfig, kv_len: int,
-                           strategy: EqualizationStrategy) -> float:
-        return self.engine_step_time_s(config, [(1, kv_len)], strategy)
-
     def evaluate(self, config: ModelConfig, workload: Workload,
                  intermediate_bytes: Optional[float] = None) -> LatencyBreakdown:
         """Evaluate one workload on the StreamTensor accelerator.

@@ -1,10 +1,10 @@
 """Sequential-serving baseline and config sweeps for the serving cluster.
 
 The pre-serving way to push many requests through the simulated accelerator
-is :meth:`InferenceSession.throughput_sweep` — one request at a time, back
-to back, parameters packed once.  These helpers replay a *timed* trace that
-way: the single device serves requests in arrival order, idling when the
-queue is empty, exactly as the serving cluster sees the same trace.  Both
+is one :meth:`InferenceSession.generate` after another, parameters packed
+once.  These helpers replay a *timed* trace that way: the single device
+serves requests in arrival order, idling when the queue is empty, exactly
+as the serving cluster sees the same trace.  Both
 sides are then measured as output tokens per makespan second, so the
 reported speedup isolates what continuous batching and sharding add and is
 ~1x (not spuriously below it) when traffic is sparse enough that both
@@ -41,14 +41,6 @@ class SequentialBaseline:
         if self.makespan_s <= 0:
             return 0.0
         return self.total_output_tokens / self.makespan_s
-
-    @property
-    def busy_tokens_per_s(self) -> float:
-        """Output tokens per second of device busy time (arrival idle
-        excluded) — the pure back-to-back ``throughput_sweep`` rate."""
-        if self.busy_s <= 0:
-            return 0.0
-        return self.total_output_tokens / self.busy_s
 
 
 @dataclass(frozen=True)

@@ -66,31 +66,6 @@ class AffineConstantExpr(AffineExpr):
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class AffineScaledExpr(AffineExpr):
-    """``scale * d<position> + offset`` — used for strided index maps."""
-
-    position: int
-    scale: int = 1
-    offset: int = 0
-
-    def evaluate(self, dims: Sequence[int]) -> int:
-        return self.scale * dims[self.position] + self.offset
-
-    def used_dims(self) -> frozenset:
-        return frozenset({self.position})
-
-    def __str__(self) -> str:
-        parts = []
-        if self.scale != 1:
-            parts.append(f"{self.scale} * d{self.position}")
-        else:
-            parts.append(f"d{self.position}")
-        if self.offset:
-            parts.append(str(self.offset))
-        return " + ".join(parts)
-
-
 ExprLike = Union[AffineExpr, int]
 
 
@@ -163,24 +138,6 @@ class AffineMap:
             )
         return tuple(expr.evaluate(dims) for expr in self.results)
 
-    def is_identity(self) -> bool:
-        if self.num_dims != self.num_results:
-            return False
-        return all(
-            isinstance(expr, AffineDimExpr) and expr.position == i
-            for i, expr in enumerate(self.results)
-        )
-
-    def is_permutation(self) -> bool:
-        if self.num_dims != self.num_results:
-            return False
-        positions = []
-        for expr in self.results:
-            if not isinstance(expr, AffineDimExpr):
-                return False
-            positions.append(expr.position)
-        return sorted(positions) == list(range(self.num_dims))
-
     def is_projected_permutation(self) -> bool:
         """True if every result is a distinct plain dimension expression."""
         positions = []
@@ -190,51 +147,11 @@ class AffineMap:
             positions.append(expr.position)
         return len(set(positions)) == len(positions)
 
-    def result_dim_position(self, result_index: int) -> int:
-        """Iteration-dim position of result ``result_index``.
-
-        Raises:
-            TypeError: if the result is not a plain dimension expression.
-        """
-        expr = self.results[result_index]
-        if not isinstance(expr, AffineDimExpr):
-            raise TypeError(f"result {result_index} ({expr}) is not a plain dim")
-        return expr.position
-
     def used_dims(self) -> frozenset:
         dims = frozenset()
         for expr in self.results:
             dims |= expr.used_dims()
         return dims
-
-    def unused_dims(self) -> frozenset:
-        return frozenset(range(self.num_dims)) - self.used_dims()
-
-    # ------------------------------------------------------------------
-    # Transformations
-    # ------------------------------------------------------------------
-    def compose_permutation(self, perm: Sequence[int]) -> "AffineMap":
-        """Relabel input dims: old dim ``i`` becomes new dim ``perm[i]``."""
-        if sorted(perm) != list(range(self.num_dims)):
-            raise ValueError("permutation must cover every input dim exactly once")
-        remap = {old: new for old, new in enumerate(perm)}
-
-        def rewrite(expr: AffineExpr) -> AffineExpr:
-            if isinstance(expr, AffineDimExpr):
-                return AffineDimExpr(remap[expr.position])
-            if isinstance(expr, AffineScaledExpr):
-                return AffineScaledExpr(remap[expr.position], expr.scale, expr.offset)
-            return expr
-
-        return AffineMap(self.num_dims, tuple(rewrite(e) for e in self.results))
-
-    def drop_results(self, drop: Sequence[int]) -> "AffineMap":
-        """Return a map with the listed result positions removed."""
-        drop_set = set(drop)
-        kept = tuple(
-            expr for i, expr in enumerate(self.results) if i not in drop_set
-        )
-        return AffineMap(self.num_dims, kept)
 
     def __str__(self) -> str:
         dims = ", ".join(f"d{i}" for i in range(self.num_dims))

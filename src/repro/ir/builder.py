@@ -19,7 +19,6 @@ from repro.ir.ops import (
     make_fill,
     make_matmul,
     make_norm,
-    make_reduction,
     make_rotary,
     make_softmax,
     make_transpose,
@@ -110,11 +109,6 @@ class GraphBuilder:
     def rms_norm(self, operand: Value, weight: Optional[Value] = None,
                  name: str = "rms_norm") -> Value:
         op = make_norm("rms_norm", operand, weight, name=self._unique(name))
-        return self.graph.add_op(op)
-
-    def reduce(self, kind: str, operand: Value, axis: int,
-               name: Optional[str] = None) -> Value:
-        op = make_reduction(kind, operand, axis, name=self._unique(name or kind))
         return self.graph.add_op(op)
 
     def transpose(self, operand: Value, perm: Sequence[int],

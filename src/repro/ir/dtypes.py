@@ -49,10 +49,6 @@ class DType:
     def is_float(self) -> bool:
         return self.kind is DTypeKind.FLOAT
 
-    @property
-    def is_integer(self) -> bool:
-        return self.kind in (DTypeKind.INT, DTypeKind.UINT)
-
     def __str__(self) -> str:
         prefix = {
             DTypeKind.FLOAT: "f",
@@ -79,32 +75,3 @@ INT4 = DType(DTypeKind.INT, 4)
 UINT8 = DType(DTypeKind.UINT, 8)
 UINT4 = DType(DTypeKind.UINT, 4)
 INDEX = DType(DTypeKind.INDEX, 64)
-
-
-_NAMED_DTYPES = {
-    "f64": FLOAT64,
-    "f32": FLOAT32,
-    "f16": FLOAT16,
-    "bf16": BFLOAT16,
-    "i32": INT32,
-    "i16": INT16,
-    "i8": INT8,
-    "i4": INT4,
-    "u8": UINT8,
-    "u4": UINT4,
-    "index": INDEX,
-}
-
-
-def parse_dtype(name: str) -> DType:
-    """Parse a dtype from its short string form (e.g. ``"f32"``, ``"i4"``).
-
-    Raises:
-        ValueError: if the name is not a recognised dtype.
-    """
-    try:
-        return _NAMED_DTYPES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown dtype {name!r}; expected one of {sorted(_NAMED_DTYPES)}"
-        ) from None

@@ -53,46 +53,14 @@ class Graph:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def op_by_name(self, name: str) -> LinalgOp:
-        for op in self.ops:
-            if op.name == name:
-                return op
-        raise KeyError(f"no op named {name!r} in graph {self.name!r}")
 
     def users(self, value: Value) -> List[LinalgOp]:
         """All ops that consume ``value``."""
         return [op for op in self.ops if value in op.inputs]
 
-    def producers_of(self, op: LinalgOp) -> List[LinalgOp]:
-        return [v.producer for v in op.inputs if v.producer is not None]
-
-    def intermediate_values(self) -> List[Value]:
-        """Values produced and consumed inside the graph (not outputs)."""
-        output_set = set(id(v) for v in self.outputs)
-        values = []
-        for op in self.ops:
-            if id(op.result) in output_set:
-                continue
-            if self.users(op.result):
-                values.append(op.result)
-        return values
-
-    def total_intermediate_bytes(self) -> float:
-        """Total size of all intermediate tensors, in bytes.
-
-        This is the quantity Figure 10a reports (before fusion): without
-        stream-based fusion every intermediate result needs an on-chip buffer
-        (or an external-memory round trip).
-        """
-        return sum(v.type.size_bytes for v in self.intermediate_values())
-
     # ------------------------------------------------------------------
     # Structure manipulation
     # ------------------------------------------------------------------
-    def replace_all_uses(self, old: Value, new: Value) -> None:
-        for op in self.ops:
-            op.inputs = [new if v is old else v for v in op.inputs]
-        self.outputs = [new if v is old else v for v in self.outputs]
 
     def erase_op(self, op: LinalgOp) -> None:
         if self.users(op.result):

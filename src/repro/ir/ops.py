@@ -70,10 +70,6 @@ class Value:
         if not self.name:
             self.name = f"%v{self.uid}"
 
-    @property
-    def is_graph_input(self) -> bool:
-        return self.producer is None
-
     def __repr__(self) -> str:
         return f"{self.name}: {self.type}"
 
@@ -137,14 +133,6 @@ class LinalgOp:
             if it is IteratorType.REDUCTION
         ]
 
-    @property
-    def parallel_dims(self) -> List[int]:
-        return [
-            i
-            for i, it in enumerate(self.iterator_types)
-            if it is IteratorType.PARALLEL
-        ]
-
     def loop_bounds(self) -> List[int]:
         """Trip count of every iteration dimension.
 
@@ -188,11 +176,6 @@ class LinalgOp:
     def flops(self) -> int:
         """Approximate floating point / MAC operation count."""
         return self.iteration_count() * self.flops_per_iteration
-
-    def bytes_accessed(self) -> float:
-        """Total external-memory bytes if every operand went off-chip."""
-        total = sum(v.type.size_bytes for v in self.inputs)
-        return total + self.result.type.size_bytes
 
     @property
     def is_elementwise(self) -> bool:
@@ -276,28 +259,6 @@ def make_elementwise(kind: str, inputs: Sequence[Value], name: str = "",
     maps = [AffineMap.identity(rank) for _ in range(len(inputs) + 1)]
     return LinalgOp(kind, inputs, result_type, _parallel(rank), maps,
                     attributes=dict(attributes or {}), name=name)
-
-
-def make_reduction(kind: str, operand: Value, axis: int, name: str = "") -> LinalgOp:
-    """Reduce ``operand`` along ``axis`` (sum/max), keeping other dims."""
-    shape = operand.type.shape
-    rank = len(shape)
-    if not 0 <= axis < rank:
-        raise ValueError(f"axis {axis} out of range for rank {rank}")
-    result_shape = tuple(d for i, d in enumerate(shape) if i != axis)
-    if not result_shape:
-        result_shape = (1,)
-    result_type = TensorType(result_shape, operand.type.dtype)
-    iterators = [
-        IteratorType.REDUCTION if i == axis else IteratorType.PARALLEL
-        for i in range(rank)
-    ]
-    kept = [i for i in range(rank) if i != axis]
-    maps = [
-        AffineMap.identity(rank),
-        AffineMap.projection(rank, kept if kept else [0]),
-    ]
-    return LinalgOp(kind, [operand], result_type, iterators, maps, name=name)
 
 
 def make_softmax(operand: Value, axis: int = -1, name: str = "") -> LinalgOp:

@@ -9,7 +9,7 @@ live in :mod:`repro.itensor`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.ir.dtypes import DType
@@ -44,68 +44,8 @@ class TensorType:
     def size_bytes(self) -> float:
         return self.size_bits / 8.0
 
-    def with_shape(self, shape: Tuple[int, ...]) -> "TensorType":
-        return TensorType(tuple(shape), self.dtype)
-
     def __str__(self) -> str:
         dims = "x".join(str(d) for d in self.shape)
         if dims:
             return f"tensor<{dims}x{self.dtype}>"
         return f"tensor<{self.dtype}>"
-
-
-@dataclass(frozen=True)
-class VectorType:
-    """A vector of elements used to widen DMA/FIFO interfaces (Section 4.2)."""
-
-    shape: Tuple[int, ...]
-    dtype: DType
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
-        for dim in self.shape:
-            if dim <= 0:
-                raise ValueError(f"vector dimensions must be positive, got {self.shape}")
-
-    @property
-    def num_elements(self) -> int:
-        return math.prod(self.shape) if self.shape else 1
-
-    @property
-    def size_bits(self) -> int:
-        return self.num_elements * self.dtype.bits
-
-    def __str__(self) -> str:
-        dims = "x".join(str(d) for d in self.shape)
-        return f"vector<{dims}x{self.dtype}>"
-
-
-@dataclass(frozen=True)
-class MemRefType:
-    """A buffer type produced by bufferization (ping-pong/local buffers)."""
-
-    shape: Tuple[int, ...]
-    dtype: DType
-    memory_space: str = "bram"
-    double_buffered: bool = field(default=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
-
-    @property
-    def num_elements(self) -> int:
-        return math.prod(self.shape) if self.shape else 1
-
-    @property
-    def size_bits(self) -> int:
-        factor = 2 if self.double_buffered else 1
-        return factor * self.num_elements * self.dtype.bits
-
-    @property
-    def size_bytes(self) -> float:
-        return self.size_bits / 8.0
-
-    def __str__(self) -> str:
-        dims = "x".join(str(d) for d in self.shape)
-        suffix = ", ping-pong" if self.double_buffered else ""
-        return f"memref<{dims}x{self.dtype}, {self.memory_space}{suffix}>"

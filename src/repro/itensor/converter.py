@@ -76,11 +76,6 @@ class ConverterSpec:
             factor *= self.source.iter_tripcounts[loop]
         return factor
 
-    @property
-    def is_full_tensor(self) -> bool:
-        """True when no dimension was reducible (worst case: buffer everything)."""
-        return self.buf_shape == self.source.tensor_shape()
-
 
 def infer_converter(src: ITensorType, res: ITensorType) -> ConverterSpec:
     """Algorithm 1: infer the minimal converter ping-pong buffer.

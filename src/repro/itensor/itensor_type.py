@@ -137,11 +137,6 @@ class ITensorType:
     def element_bytes(self) -> float:
         return self.element_bits / 8.0
 
-    @property
-    def total_bytes_streamed(self) -> float:
-        """Bytes pushed through the FIFO over a full iteration (re-access included)."""
-        return self.num_iterations * self.element_bytes
-
     def element_size(self, dim: int) -> int:
         """Element size along data dimension ``dim`` (Algorithm 1 notation)."""
         return self.element_shape[dim]
@@ -163,23 +158,6 @@ class ITensorType:
             else:
                 shape.append(self.iter_tripcounts[loop] * self.iter_steps[loop])
         return tuple(shape)
-
-    def tensor_type(self) -> TensorType:
-        return TensorType(self.tensor_shape(), self.dtype)
-
-    def reaccess_factor(self) -> int:
-        """How many times each data element is streamed (>= 1).
-
-        Loops that do not feed any data dimension re-access the data covered
-        by the less-significant loops; the total re-access factor is the
-        product of their trip counts.
-        """
-        used = self.iter_map.used_dims()
-        factor = 1
-        for loop, trip in enumerate(self.iter_tripcounts):
-            if loop not in used:
-                factor *= trip
-        return factor
 
     # ------------------------------------------------------------------
     # Stream order
@@ -246,10 +224,6 @@ class ITensorType:
     def with_vector_shape(self, vector_shape: Sequence[int]) -> "ITensorType":
         return ITensorType(self.element_shape, self.dtype, self.iter_tripcounts,
                            self.iter_steps, self.iter_map, tuple(vector_shape))
-
-    def with_dtype(self, dtype: DType) -> "ITensorType":
-        return ITensorType(self.element_shape, dtype, self.iter_tripcounts,
-                           self.iter_steps, self.iter_map, self.vector_shape)
 
     def __str__(self) -> str:
         elem = "x".join(str(d) for d in self.element_shape)

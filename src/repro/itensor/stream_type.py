@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.ir.dtypes import DType
-from repro.ir.types import MemRefType
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,6 @@ class StreamType:
     def capacity_bytes(self) -> float:
         return self.capacity_bits / 8.0
 
-    def with_depth(self, depth: int) -> "StreamType":
-        return StreamType(self.dtype, depth, self.vector_shape)
-
     def __str__(self) -> str:
         if self.vector_shape is not None:
             vec = "x".join(str(d) for d in self.vector_shape)
@@ -93,10 +89,6 @@ class BufferType:
     @property
     def size_bytes(self) -> float:
         return self.size_bits / 8.0
-
-    def to_memref(self) -> MemRefType:
-        return MemRefType(self.shape, self.dtype, self.memory_space,
-                          self.double_buffered)
 
     def __str__(self) -> str:
         dims = "x".join(str(d) for d in self.shape)

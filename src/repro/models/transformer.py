@@ -36,10 +36,6 @@ class BlockSpec:
     kv_len: int
     dtype: DType = INT8
 
-    @property
-    def is_decode(self) -> bool:
-        return self.seq_len == 1
-
 
 def build_transformer_block(spec: BlockSpec) -> Graph:
     """Build the Linalg graph of one transformer block.

@@ -43,10 +43,6 @@ class Workload:
         for step in range(1, self.output_len):
             yield self.input_len + step
 
-    @property
-    def num_decode_steps(self) -> int:
-        return self.output_len - 1
-
 
 # Sequence-length sweeps used in the paper's evaluation.
 TABLE4_WORKLOADS: List[Workload] = [

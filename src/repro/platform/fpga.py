@@ -67,21 +67,12 @@ class FpgaPlatform:
         return self.frequency_mhz * 1e6
 
     @property
-    def cycle_time_ns(self) -> float:
-        return 1e3 / self.frequency_mhz
-
-    @property
     def onchip_memory_bytes(self) -> float:
         return self.onchip_memory_mb * 1e6
 
     @property
     def hbm_bandwidth_bytes_per_cycle(self) -> float:
         return self.hbm_bandwidth_gbs * 1e9 / self.frequency_hz
-
-    @property
-    def peak_macs_per_cycle(self) -> float:
-        """Peak INT8 multiply-accumulates per cycle (2 ops per MAC)."""
-        return self.peak_int8_tops * 1e12 / 2.0 / self.frequency_hz
 
     def memory_resources(self) -> List[MemoryResource]:
         """Split the on-chip memory into URAM/BRAM/LUTRAM pools.
@@ -101,9 +92,6 @@ class FpgaPlatform:
 
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / self.frequency_hz
-
-    def seconds_to_cycles(self, seconds: float) -> float:
-        return seconds * self.frequency_hz
 
 
 # Table 6 platform instances -------------------------------------------------

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.dataflow.structure import DataflowGraph, DataflowKernel, KernelProfile
-from repro.dataflow.tiling import TiledOp
 from repro.platform.fpga import FpgaPlatform
 from repro.resource.token_model import KernelTiming
 
@@ -77,20 +76,21 @@ class HlsProfiler:
         """Profile one kernel: II, initial delay, latency and resources.
 
         Args:
-            kernel: The dataflow kernel (must carry its ``TiledOp`` as
-                ``attributes["tiled"]``).
+            kernel: The dataflow kernel.  Its ``tiled`` op gives the
+                iteration count and unroll factor; a kernel without one
+                (an external kernel) gets an empty profile.
             memory_share: Fraction of the board's HBM bandwidth available to
                 this kernel's parameter DMAs (kernels in one fused group run
                 concurrently and share the ports).
         """
-        op = kernel.source_op
-        if op is None:
+        tiled = kernel.tiled
+        if tiled is None:
             return KernelProfile()
-        unroll = max(1, int(kernel.attributes.get("unroll_factor", 1)))
+        op = tiled.op
+        unroll = tiled.config.unroll_factor
         output_port = kernel.outputs[0]
         total_tokens = max(1, output_port.itensor.num_iterations)
 
-        tiled: TiledOp = kernel.attributes["tiled"]
         total_ops = tiled.iteration_count * self._ops_per_element(op.kind)
         compute_cycles = total_ops / unroll
 
@@ -166,7 +166,7 @@ class HlsProfiler:
         """
         per_kernel = []
         for kernel in graph.kernels:
-            unroll = max(1, int(kernel.attributes.get("unroll_factor", 1)))
+            unroll = kernel.tiled.config.unroll_factor
             tasks = max(1, len(kernel.tasks))
             per_kernel.append(90.0 + 12.0 * math.log2(1 + unroll) * tasks)
         per_kernel.sort(reverse=True)

@@ -28,7 +28,6 @@ from repro.resource.token_model import (
     equalize_timings,
     max_tokens_from_delay,
     simulate_max_tokens,
-    steady_state_interval,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "size_graph_fifos",
     "sizing_edges_from_graph",
     "solve_delays",
-    "steady_state_interval",
 ]

@@ -66,20 +66,6 @@ class MemoryAllocation:
             util[resource.kind] = used / resource.num_blocks if resource.num_blocks else 0.0
         return util
 
-    @property
-    def fits(self) -> bool:
-        return not self.spilled
-
-
-def total_capacity_bytes(resources: Sequence[MemoryResource]) -> float:
-    """Total byte capacity of a set of memory-resource budgets.
-
-    Consumers that treat a resource set as one linear pool (e.g. the serving
-    tier's KV-cache manager carving banks into token blocks) fold the
-    per-class budgets with this instead of re-deriving block arithmetic.
-    """
-    return sum(resource.total_bytes for resource in resources)
-
 
 # Default thresholds (bytes): buffers above ``uram_threshold`` prefer URAM,
 # buffers below ``lutram_threshold`` prefer LUTRAM, the rest prefer BRAM.

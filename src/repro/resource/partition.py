@@ -48,13 +48,6 @@ class PartitionResult:
     objective: float = 0.0
     method: str = "greedy"
 
-    def die_loads(self, tasks: Sequence[PartitionTask]) -> List[float]:
-        loads = [0.0] * self.num_dies
-        by_name = {t.name: t for t in tasks}
-        for name, die in self.assignment.items():
-            loads[die] += by_name[name].resource
-        return loads
-
 
 def _edges_of(tasks: Sequence[PartitionTask]) -> List[Tuple[str, str]]:
     names = {t.name for t in tasks}

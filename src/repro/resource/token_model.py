@@ -74,13 +74,6 @@ class KernelTiming:
         """Tokens per cycle in steady state."""
         return 1.0 / self.pipeline_ii
 
-    def tokens_produced(self, time: float) -> int:
-        """Piecewise-linear produced-token count at ``time`` (Figure 8(b))."""
-        if time < self.initial_delay:
-            return 0
-        produced = math.floor((time - self.initial_delay) / self.pipeline_ii) + 1
-        return min(self.total_tokens, int(produced))
-
     def with_ii(self, pipeline_ii: float) -> "KernelTiming":
         return KernelTiming(self.name, self.initial_delay, pipeline_ii,
                             self.total_tokens)
@@ -178,10 +171,3 @@ def equalize_timings(timings: List[KernelTiming],
         return list(timings)
     slowest_throughput = min(t.throughput for t in timings)
     return [t.scaled_to_throughput(slowest_throughput) for t in timings]
-
-
-def steady_state_interval(timings: List[KernelTiming]) -> float:
-    """The pipeline's steady-state interval: the slowest kernel's II."""
-    if not timings:
-        return 0.0
-    return max(t.pipeline_ii for t in timings)

@@ -230,10 +230,6 @@ class GenerationResult:
         return self.steps[0].seconds if self.steps else 0.0
 
     @property
-    def decode_seconds(self) -> float:
-        return sum(step.seconds for step in self.steps if step.kind == "decode")
-
-    @property
     def total_seconds(self) -> float:
         return sum(step.seconds for step in self.steps)
 
@@ -247,9 +243,6 @@ class GenerationResult:
     @property
     def total_kernel_invocations(self) -> int:
         return sum(step.kernel_invocations for step in self.steps)
-
-    def per_token_latencies_ms(self) -> List[float]:
-        return [step.seconds * 1e3 for step in self.steps]
 
 
 class InferenceSession:
@@ -421,7 +414,3 @@ class InferenceSession:
 
         result.kv_cache_bytes = workload.total_tokens * self.kv_bytes_per_token
         return result
-
-    def throughput_sweep(self, workloads: List[Workload]) -> List[GenerationResult]:
-        """Evaluate several requests back to back (parameters packed once)."""
-        return [self.generate(workload) for workload in workloads]

@@ -685,9 +685,11 @@ class ServingCluster:
         admission, any migrated KV — so the retry recomputes from its
         original prompt, and its eventual TTFT (measured from the
         original ``arrival_s``, untouched here) is the recovery time the
-        client actually saw.  The prefix handle is detached for the same
-        reason preemption detaches it: the shared blocks the request was
-        counted against died with the replica's pool."""
+        client actually saw.  The prefix handle stays: unlike a preempted
+        request, which resumes with its emitted tokens as prompt, the retry
+        recomputes its original prompt with ``tokens_emitted = 0``, so the
+        router can send it after its group's pin and the replica it lands
+        on can attach it to the group's cached prefix."""
         request.state = RequestState.QUEUED
         request.device_id = None
         request.active = None
@@ -695,7 +697,6 @@ class ServingCluster:
         request.first_token_s = None
         request.finish_s = None
         request.tokens_emitted = 0
-        request.detach_prefix()
         request.migrated_kv_tokens = 0
         request.migration_ready_s = None
         request.kv_first_chunk_s = None

@@ -193,17 +193,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Provenance / reporting helpers
     # ------------------------------------------------------------------
-    @property
-    def num_crashes(self) -> int:
-        return sum(isinstance(e, ReplicaCrash) for e in self.events)
-
-    @property
-    def num_slow_nodes(self) -> int:
-        return sum(isinstance(e, SlowNode) for e in self.events)
-
-    @property
-    def num_kv_link_degradations(self) -> int:
-        return sum(isinstance(e, KVLinkDegradation) for e in self.events)
 
     def to_dict(self) -> dict:
         """JSON-clean manifest form (stable field order)."""

@@ -388,11 +388,6 @@ class DeviceWorker:
         return len(self.pending) + len(self.waiting)
 
     @property
-    def num_running(self) -> int:
-        """Requests resident in the continuous batch."""
-        return len(self.running)
-
-    @property
     def in_system(self) -> int:
         """Outstanding requests: queued plus resident in the batch."""
         return len(self.pending) + len(self.waiting) + len(self.running)

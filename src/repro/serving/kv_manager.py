@@ -11,18 +11,15 @@ far, and the scheduler/engine consult the manager before admitting a request
 (blocks for the whole prompt must be available) or growing a decode (a step
 that crosses a block boundary claims one more block).
 
-Capacity comes from the same memory model the compiler uses on-chip:
-:class:`~repro.resource.memory_alloc.MemoryResource` budgets fold into a byte
-capacity via :func:`KVCacheConfig.from_resources`, or an explicit
-``--kv-capacity-mb`` from the CLI.  When the device runs out of blocks the
-engine preempts a running request (victim chosen by the configured
-:mod:`~repro.serving.policies.preemption` policy) — its blocks are freed
-instantly and the request is requeued for full KV recomputation on
-re-admission (generated tokens become prompt; there is no swap device in
-this model, so preemption is recompute-only).  High/low watermark hysteresis
-keeps the system out of the thrash zone: once utilisation touches the high
-watermark the engine frees down to the low watermark and admission stays
-closed until utilisation is back below it.
+Capacity is a byte budget, ``--kv-capacity-mb`` on the CLI.  When the
+device runs out of blocks the engine preempts a running request (victim
+chosen by the configured :mod:`~repro.serving.policies.preemption` policy)
+— its blocks are freed instantly and the request is requeued for full KV
+recomputation on re-admission (generated tokens become prompt; there is no
+swap device in this model, so preemption is recompute-only).  High/low
+watermark hysteresis keeps the system out of the thrash zone: once
+utilisation touches the high watermark the engine frees down to the low
+watermark and admission stays closed until utilisation is back below it.
 
 **Prefix caching** (``enable_prefix_cache``): requests that declare a
 ``prefix_group`` share ref-counted blocks for the full blocks of their
@@ -70,8 +67,6 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-from repro.resource.memory_alloc import MemoryResource, total_capacity_bytes
 
 if TYPE_CHECKING:  # circular at runtime: request -> session only
     from repro.serving.request import ServingRequest
@@ -131,23 +126,6 @@ class KVCacheConfig:
         """Build from a megabyte budget (the ``--kv-capacity-mb`` flag)."""
         return cls(capacity_bytes=capacity_mb * 1e6, block_size=block_size,
                    high_watermark=high_watermark, low_watermark=low_watermark,
-                   enable_prefix_cache=enable_prefix_cache)
-
-    @classmethod
-    def from_resources(cls, resources: Sequence[MemoryResource],
-                       block_size: int = 16,
-                       high_watermark: float = 0.95,
-                       low_watermark: float = 0.80,
-                       enable_prefix_cache: bool = False) -> "KVCacheConfig":
-        """Derive the byte capacity from memory-resource budgets.
-
-        Folds :class:`MemoryResource` entries (the same model
-        ``resource.memory_alloc`` places buffers against) into a single KV
-        budget — e.g. the URAM banks a design dedicates to cache.
-        """
-        return cls(capacity_bytes=total_capacity_bytes(resources),
-                   block_size=block_size, high_watermark=high_watermark,
-                   low_watermark=low_watermark,
                    enable_prefix_cache=enable_prefix_cache)
 
     def manager_for(self, bytes_per_token: float) -> "KVBlockManager":

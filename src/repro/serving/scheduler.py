@@ -127,11 +127,6 @@ class StepPlan:
     starved: List[ServingRequest] = field(default_factory=list)
 
     @property
-    def scheduled_tokens(self) -> int:
-        """Tokens this step will process (the budget actually used)."""
-        return self.totals.tokens
-
-    @property
     def claimed_blocks(self) -> int:
         """KV blocks the engine must claim before executing the step."""
         return sum(self.claims.values())

@@ -42,10 +42,6 @@ class MetricsRegistry:
         """Set the named counter to an absolute total."""
         self._counters[name] = float(value)
 
-    def counter(self, name: str) -> float:
-        """Current value of the named counter (0.0 if never touched)."""
-        return self._counters.get(name, 0.0)
-
     @property
     def counters(self) -> Dict[str, float]:
         """All counters, sorted by name."""
@@ -60,14 +56,6 @@ class MetricsRegistry:
         if series is None:
             series = self._gauges[name] = SampleBuffer(2)
         series.append(time_s, value)
-
-    def gauge(self, name: str) -> SampleBuffer:
-        """The named gauge's (time, value) series (empty if never
-        sampled)."""
-        series = self._gauges.get(name)
-        if series is None:
-            series = self._gauges[name] = SampleBuffer(2)
-        return series
 
     @property
     def gauges(self) -> Dict[str, SampleBuffer]:

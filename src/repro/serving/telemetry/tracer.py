@@ -241,7 +241,7 @@ class Tracer:
         """Close the request's QUEUE span and mark the admission.
 
         The queue span opens at the most recent of: preemption time (via
-        :meth:`mark_queued`), KV-landing time, or arrival — exactly the
+        :meth:`preempted`), KV-landing time, or arrival — exactly the
         request's ``enqueue_s`` semantics — so repeated admit/preempt
         cycles tile the timeline without overlap."""
         rid = request.request_id
@@ -267,10 +267,6 @@ class Tracer:
         self.instant(SpanKind.PREEMPT, now, request_id, lane)
         self._queued_since[request_id] = now
         self._preempted.add(request_id)
-
-    def mark_queued(self, request_id: int, now: float) -> None:
-        """Override the next QUEUE span's start time for this request."""
-        self._queued_since[request_id] = now
 
     def requeued(self, request_id: int, now: float) -> None:
         """Open the next QUEUE span at ``now`` unless one is already
@@ -302,25 +298,6 @@ class Tracer:
         kernel-equivalence tests compare (event vs step must be equal)."""
         return sorted(tuple(row) for row in self.rows())
 
-    def spans_for(self, request_id: int) -> List[Tuple[SpanKind, float,
-                                                       float, float]]:
-        """One request's spans as (kind, start_s, end_s, aux), sorted by
-        start time then kind."""
-        rows = self.rows()
-        out = [(SpanKind(int(row[0])), float(row[3]), float(row[4]),
-                float(row[5]))
-               for row in rows if int(row[1]) == request_id]
-        out.sort(key=lambda span: (span[1], span[2], span[0]))
-        return out
-
-    def latency_sum(self, request_id: int) -> float:
-        """Sum of the request's :data:`LATENCY_KINDS` span durations —
-        equal (to float precision) to its measured e2e latency."""
-        import math
-        return math.fsum(end - start
-                         for kind, start, end, _ in self.spans_for(request_id)
-                         if kind in LATENCY_KINDS)
-
     def span_counts(self) -> Dict[str, int]:
         """Span count per kind name (only kinds that occurred)."""
         rows = self.rows()
@@ -341,10 +318,6 @@ class Tracer:
         materialized lazily by :meth:`kernel_events`)."""
         if self._kernel_log is None:
             self._kernel_log = []
-
-    @property
-    def kernel_log_enabled(self) -> bool:
-        return self._kernel_log is not None
 
     def kernel_event(self, entry: tuple) -> None:
         """Sink for :class:`~repro.serving.cluster.events.EventQueue`'s

@@ -225,8 +225,7 @@ def test_winner_sharing_an_earlier_layout_gets_its_own_parallelism(
         overall_unroll_size=best.overall_unroll_size)).compile(graph)
     for kernel in explored.dataflow_graph.kernels:
         node = best.node(kernel.name)
-        assert kernel.attributes["unroll_factor"] == node.unroll_factor
-        assert kernel.attributes["tiled"].config == node.to_config()
+        assert kernel.tiled.config == node.to_config()
     assert explored.hls.source == direct.hls.source
     assert (replace(explored.report, stage_seconds={})
             == replace(direct.report, stage_seconds={}))

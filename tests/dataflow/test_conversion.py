@@ -55,7 +55,7 @@ class TestConversion:
         configs = {"mm1": TilingConfig([32, 32, 32], unroll_factor=64)}
         dataflow = convert_to_dataflow(small_graph(), configs)
         mm1 = dataflow.kernel_by_name("mm1")
-        assert mm1.attributes["unroll_factor"] == 64
+        assert mm1.tiled.config.unroll_factor == 64
         assert mm1.outputs[0].itensor.element_shape == (32, 32)
 
     def test_topological_order_respects_dependencies(self):

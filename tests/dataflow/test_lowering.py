@@ -43,11 +43,12 @@ class TestFolding:
 
     def test_parameter_dmas_are_not_folded(self):
         dataflow = compiled_chain()
-        fold_itensors(dataflow)
+        result = fold_itensors(dataflow)
         for kernel in dataflow.kernels:
             for task in kernel.tasks:
-                if task.attributes.get("is_parameter"):
-                    assert not task.attributes.get("folded")
+                if task.is_parameter:
+                    assert task.name not in result.folded_task_names
+                    assert task.buffer is not None
 
     def test_folded_tasks_lose_their_buffer(self):
         dataflow = compiled_chain()
@@ -81,7 +82,7 @@ class TestVectorization:
             assert edge.producer_type.vector_shape is not None
             assert edge.consumer_type.vector_shape is not None
             # The consumer's unroll factor bounds the vector it reads.
-            unroll = edge.consumer.attributes["unroll_factor"]
+            unroll = edge.consumer.tiled.config.unroll_factor
             assert math.prod(edge.consumer_type.vector_shape) <= unroll
 
     @staticmethod
@@ -125,10 +126,10 @@ class TestPacking:
         tensor = TensorType((64, 64), UINT8)
         itype = itensor_from_tiling(tensor, (16, 16))
         layout = pack_interface(tensor, itype, bus_bits=512)
-        assert layout.packed_shape() == (4, 4, 16, 16)
+        assert layout.outer_shape + layout.tile_shape == (4, 4, 16, 16)
         assert layout.vector_shape == (8, 8)
         assert layout.widened_shape() == (4, 4, 2, 2)
-        assert layout.vector_bits == 512
+        assert math.prod(layout.vector_shape) * layout.dtype.bits == 512
 
     def test_pack_kernel_interfaces_marks_parameters_static(self):
         dataflow = compiled_chain()

@@ -55,10 +55,9 @@ class TestMaterialize:
             if edge.converter is None:
                 continue
             task = next(t for t in edge.producer.tasks
-                        if t.kind is TaskKind.CONVERTER
-                        and t.attributes["edge_uid"] == edge.uid)
+                        if t.name == f"converter_{edge.uid}")
+            assert task.kind is TaskKind.CONVERTER
             assert task.buffer.shape == edge.converter.buf_shape
-            assert task.attributes["reuse_factor"] == edge.converter.reuse_factor
 
 
 class TestMaterializeHelpers:

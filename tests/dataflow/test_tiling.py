@@ -51,14 +51,12 @@ class TestTileOpMatmul:
         info = tile_op(matmul_op(), TilingConfig([16, 16, 16]))
         assert info.loop_tripcounts == [4, 4, 4]
         assert info.loop_steps == [16, 16, 16]
-        assert info.total_tiles == 64
 
     def test_input_itensor_reaccesses_over_missing_dims(self):
         info = tile_op(matmul_op(), TilingConfig([16, 16, 16]))
         a_type = info.input_itensors[0]
         # A[m, k] is re-read for every n tile.
         assert a_type.num_iterations == 64
-        assert a_type.reaccess_factor() == 4
         assert a_type.element_shape == (16, 16)
 
     def test_result_itensor_drops_reduction_loops(self):
@@ -74,10 +72,6 @@ class TestTileOpMatmul:
                                                       permutation=[1, 0, 2]))
         assert (row_major.result_itensor.stream_order_list(3)
                 != col_major.result_itensor.stream_order_list(3))
-
-    def test_tile_iterations(self):
-        info = tile_op(matmul_op(), TilingConfig([16, 8, 32]))
-        assert info.tile_iterations == 16 * 8 * 32
 
 
 class TestTileOpElementwise:

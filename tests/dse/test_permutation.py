@@ -2,7 +2,6 @@
 
 from repro.dse.permutation import (
     apply_permutation_heuristic,
-    innermost_is_parallel,
     reduction_outward_permutation,
     streaming_tile_loop_order,
 )
@@ -64,7 +63,7 @@ class TestApplyHeuristic:
         apply_permutation_heuristic(space)
         for node in space.nodes:
             # The intra-tile pipeline keeps a parallel loop innermost.
-            assert innermost_is_parallel(node)
+            assert node.loop_types[node.permutation[-1]] is IteratorType.PARALLEL
 
     def test_pure_elementwise_nodes_are_untouched_semantically(self):
         builder = GraphBuilder()

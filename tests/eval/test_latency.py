@@ -82,7 +82,7 @@ class TestGpuModel:
         workload = Workload(32, 64)
         result = base.evaluate(GPT2, workload)
         overhead = (GPT2.num_layers * base.per_layer_overhead_s
-                    + base.per_pass_overhead_s) * workload.num_decode_steps
+                    + base.per_pass_overhead_s) * (workload.output_len - 1)
         assert overhead > 0.5 * result.decode_time_s
 
     def test_a100_beats_2080ti(self):

@@ -15,66 +15,55 @@ from repro.runtime.session import InferenceSession, StepWork
 from repro.serving.workload_gen import burst_trace, trace_from_specs
 
 
+def step_time_s(model, config, batch, strategy, emitting=None):
+    """One engine step over ``(tokens, kv_len)`` slices, ``emitting`` of
+    which produce a token (all of them when ``None``)."""
+    return model.step_pricer(config, strategy).step_time_s(
+        StepTotals.of(batch, emitting))
+
+
 class TestEngineStepTime:
     def test_empty_batch_is_free(self):
         model = FpgaPerformanceModel()
-        assert model.engine_step_time_s(GPT2, [],
-                                        EqualizationStrategy.NORMAL) == 0.0
-
-    def test_singleton_reduces_to_decode_step(self):
-        model = FpgaPerformanceModel()
-        single = model.engine_step_time_s(GPT2, [(1, 64)],
-                                          EqualizationStrategy.NORMAL)
-        assert single == pytest.approx(
-            model.decode_step_time_s(GPT2, 64, EqualizationStrategy.NORMAL))
-
-    def test_singleton_reduces_to_prefill(self):
-        model = FpgaPerformanceModel()
-        single = model.engine_step_time_s(GPT2, [(128, 128)],
-                                          EqualizationStrategy.NORMAL)
-        assert single == pytest.approx(
-            model.prefill_time_s(GPT2, 128, EqualizationStrategy.NORMAL))
+        assert step_time_s(model, GPT2, [],
+                           EqualizationStrategy.NORMAL) == 0.0
 
     def test_batch_is_sublinear_in_size(self):
         model = FpgaPerformanceModel()
-        single = model.engine_step_time_s(GPT2, [(1, 64)],
-                                          EqualizationStrategy.NORMAL)
-        batch8 = model.engine_step_time_s(GPT2, [(1, 64)] * 8,
-                                          EqualizationStrategy.NORMAL)
+        single = step_time_s(model, GPT2, [(1, 64)],
+                             EqualizationStrategy.NORMAL)
+        batch8 = step_time_s(model, GPT2, [(1, 64)] * 8,
+                             EqualizationStrategy.NORMAL)
         assert batch8 < 8 * single
         assert batch8 >= single
 
     def test_batch_time_monotonic_in_members(self):
         model = FpgaPerformanceModel()
-        small = model.engine_step_time_s(GPT2, [(1, 64)] * 2,
-                                         EqualizationStrategy.NORMAL)
-        large = model.engine_step_time_s(GPT2, [(1, 64)] * 4,
-                                         EqualizationStrategy.NORMAL)
+        small = step_time_s(model, GPT2, [(1, 64)] * 2,
+                            EqualizationStrategy.NORMAL)
+        large = step_time_s(model, GPT2, [(1, 64)] * 4,
+                            EqualizationStrategy.NORMAL)
         assert large >= small
 
     def test_conservative_strategy_dilates_step(self):
         model = FpgaPerformanceModel()
         batch = [(1, 64)] * 4
-        normal = model.engine_step_time_s(LLAMA, batch,
-                                          EqualizationStrategy.NORMAL)
-        conservative = model.engine_step_time_s(
-            LLAMA, batch, EqualizationStrategy.CONSERVATIVE)
+        normal = step_time_s(model, LLAMA, batch, EqualizationStrategy.NORMAL)
+        conservative = step_time_s(model, LLAMA, batch,
+                                   EqualizationStrategy.CONSERVATIVE)
         assert conservative > normal
-
 
     def test_mid_prefill_chunks_skip_the_lm_head(self):
         """A step of non-emitting chunks is cheaper than an emitting one;
         chunked prefill must not pay the vocabulary projection per chunk."""
         model = FpgaPerformanceModel()
         batch = [(64, 64)]
-        silent = model.engine_step_time_s(GPT2, batch,
-                                          EqualizationStrategy.NORMAL,
-                                          emitting=0)
-        emitting = model.engine_step_time_s(GPT2, batch,
-                                            EqualizationStrategy.NORMAL)
+        silent = step_time_s(model, GPT2, batch, EqualizationStrategy.NORMAL,
+                             emitting=0)
+        emitting = step_time_s(model, GPT2, batch, EqualizationStrategy.NORMAL)
         assert silent < emitting
         assert emitting - silent == pytest.approx(
-            model.lm_head_time_s(GPT2))
+            model.step_pricer(GPT2, EqualizationStrategy.NORMAL).head_time_s(1))
 
 
 def per_slice_block_time(model, config, batch, strategy):
@@ -161,8 +150,7 @@ class TestInlineSlicePricing:
             assert model.block_time_s(config, tokens, kv_len, strategy) \
                 == per_slice_block_time(model, config, [(tokens, kv_len)],
                                         strategy)
-            assert model.engine_step_time_s(config, [(tokens, kv_len)],
-                                            strategy) \
+            assert step_time_s(model, config, [(tokens, kv_len)], strategy) \
                 == per_slice_step_time(model, config, [(tokens, kv_len)],
                                        [True], strategy)
 
@@ -189,12 +177,9 @@ class TestClosedFormStepCost:
         for batch, emits in steps:
             expected = per_slice_step_time(model, config, batch, emits,
                                            strategy)
-            totals = StepTotals.of(batch, sum(emits))
-            for priced in (pricer.step_time_s(totals),
-                           model.engine_step_time_s(config, batch, strategy,
-                                                    emitting=sum(emits))):
-                assert math.isclose(priced, expected, rel_tol=1e-12,
-                                    abs_tol=0.0), (batch, emits)
+            priced = pricer.step_time_s(StepTotals.of(batch, sum(emits)))
+            assert math.isclose(priced, expected, rel_tol=1e-12,
+                                abs_tol=0.0), (batch, emits)
 
     def test_session_totals_match_plan_slices(self):
         """Decode cursors reduce to ``(1, kv_tokens)`` emitting slices."""
@@ -216,14 +201,13 @@ class TestSequentialBaseline:
         # All requests arrive at once: makespan is pure busy time.
         assert baseline.makespan_s == pytest.approx(baseline.busy_s)
         assert baseline.tokens_per_s == pytest.approx(24 / baseline.busy_s)
-        assert baseline.busy_tokens_per_s == baseline.tokens_per_s
 
     def test_arrival_gaps_counted_in_makespan(self):
         trace = trace_from_specs([(0.0, "[16:8]"), (100.0, "[16:8]")])
         baseline = run_sequential_baseline(GPT2, trace)
         assert baseline.makespan_s > 100.0
         assert baseline.busy_s < 10.0
-        assert baseline.tokens_per_s < baseline.busy_tokens_per_s
+        assert baseline.tokens_per_s < baseline.total_output_tokens / baseline.busy_s
 
     def test_oversized_requests_skipped(self):
         trace = trace_from_specs([(0.0, "[16:8]"), (0.1, "[2000:64]")])

@@ -18,7 +18,7 @@ class TestEveryModelCompiles:
         graph = build_decode_block(config, kv_len=64)
         result = StreamTensorCompiler(CompilerOptions()).compile(graph, config)
         assert result.fusion_plan.num_groups == 1
-        assert result.memory_allocation.fits
+        assert not result.memory_allocation.spilled
         assert result.report.fits_on_chip
 
     def test_prefill_block_compiles(self, model_name):

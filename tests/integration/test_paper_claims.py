@@ -32,7 +32,7 @@ class TestContribution2ItensorTypeSystem:
         tensor = TensorType((64, 64), INT8)
         row_major = itensor_from_tiling(tensor, (16, 16))
         col_major = itensor_from_tiling(tensor, (16, 16), loop_order=[1, 0])
-        assert row_major.tensor_type() == col_major.tensor_type()
+        assert row_major.tensor_shape() == col_major.tensor_shape()
         assert not row_major.is_compatible_with(col_major)
 
     def test_converter_reconciles_any_two_layouts_of_the_same_tensor(self):
@@ -102,13 +102,17 @@ class TestPitfallResolutions:
     def test_pitfall1_interkernel_balance(self):
         """Intensity-driven unrolling narrows the latency gap between kernels."""
         from repro.dse.explorer import build_tiling_space
-        from repro.dse.unrolling import latency_balance_ratio
+
+        def balance_ratio(space):
+            latencies = [node.latency_estimate() for node in space.nodes]
+            return max(latencies) / min(latencies)
+
         graph = build_prefill_block(GPT2, 64)
         unbalanced = build_tiling_space(graph, 16, len(graph.ops))
         for node in unbalanced.nodes:
             node.unroll_factor = 1
         balanced = build_tiling_space(graph, 16, 512)
-        assert latency_balance_ratio(balanced) <= latency_balance_ratio(unbalanced)
+        assert balance_ratio(balanced) <= balance_ratio(unbalanced)
 
     def test_pitfall3_fusion_respects_memory_budget(self):
         """Algorithm 2 never spends more converter memory per fused group

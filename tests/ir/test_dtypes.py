@@ -10,7 +10,6 @@ from repro.ir.dtypes import (
     INT4,
     INT8,
     UINT8,
-    parse_dtype,
 )
 
 
@@ -23,10 +22,10 @@ class TestDType:
     def test_sub_byte_types_have_fractional_bytes(self):
         assert INT4.bytes == 0.5
 
-    def test_is_float_and_is_integer(self):
-        assert FLOAT32.is_float and not FLOAT32.is_integer
-        assert INT8.is_integer and not INT8.is_float
-        assert UINT8.is_integer
+    def test_is_float(self):
+        assert FLOAT32.is_float
+        assert not INT8.is_float
+        assert not UINT8.is_float
 
     def test_str_forms(self):
         assert str(FLOAT32) == "f32"
@@ -43,15 +42,3 @@ class TestDType:
         assert DType(DTypeKind.FLOAT, 32) == FLOAT32
         assert len({FLOAT32, DType(DTypeKind.FLOAT, 32), INT8}) == 2
 
-
-class TestParseDtype:
-    @pytest.mark.parametrize("name,expected", [
-        ("f32", FLOAT32), ("f16", FLOAT16), ("i8", INT8), ("i4", INT4),
-        ("u8", UINT8),
-    ])
-    def test_parse_known_names(self, name, expected):
-        assert parse_dtype(name) == expected
-
-    def test_parse_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown dtype"):
-            parse_dtype("q3")

@@ -26,7 +26,7 @@ class TestFuseElementwiseOps:
         fused = FuseElementwiseOps().run(graph)
         kinds = [op.kind for op in fused.ops]
         assert "gelu" not in kinds
-        add = fused.op_by_name("add")
+        add = next(op for op in fused.ops if op.name == "add")
         assert "gelu" in add.attributes["fused_kinds"]
 
     def test_does_not_fuse_multi_use_producer(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir.dtypes import FLOAT32, INT4, INT8
-from repro.ir.types import MemRefType, TensorType, VectorType
+from repro.ir.types import TensorType
 
 
 class TestTensorType:
@@ -22,11 +22,6 @@ class TestTensorType:
         with pytest.raises(ValueError):
             TensorType((0, 4), FLOAT32)
 
-    def test_with_shape(self):
-        t = TensorType((8, 8), INT8).with_shape((4, 16))
-        assert t.shape == (4, 16)
-        assert t.dtype == INT8
-
     def test_str(self):
         assert str(TensorType((8, 8), FLOAT32)) == "tensor<8x8xf32>"
 
@@ -34,27 +29,3 @@ class TestTensorType:
         assert TensorType((2, 2), INT8) == TensorType((2, 2), INT8)
         assert len({TensorType((2, 2), INT8), TensorType((2, 2), INT8)}) == 1
 
-
-class TestVectorType:
-    def test_size(self):
-        v = VectorType((8, 8), INT8)
-        assert v.num_elements == 64
-        assert v.size_bits == 512
-
-    def test_str(self):
-        assert str(VectorType((8, 8), INT8)) == "vector<8x8xi8>"
-
-
-class TestMemRefType:
-    def test_single_buffer_size(self):
-        m = MemRefType((16, 64), INT8, double_buffered=False)
-        assert m.size_bytes == 1024.0
-
-    def test_ping_pong_doubles_size(self):
-        m = MemRefType((16, 64), INT8, double_buffered=True)
-        assert m.size_bytes == 2048.0
-
-    def test_str_mentions_ping_pong(self):
-        m = MemRefType((4, 4), FLOAT32, "uram", double_buffered=True)
-        assert "ping-pong" in str(m)
-        assert "uram" in str(m)

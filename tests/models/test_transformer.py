@@ -5,7 +5,6 @@ import pytest
 from repro.models.config import GPT2, LLAMA, MODEL_CONFIGS, QWEN
 from repro.models.layers import attention_scores, head_projection
 from repro.models.transformer import (
-    BlockSpec,
     block_flops,
     build_decode_block,
     build_prefill_block,
@@ -45,10 +44,6 @@ class TestBlockConstruction:
         llama_kinds = {op.kind for op in build_prefill_block(LLAMA, 8).ops}
         assert "layer_norm" in gpt2_kinds and "rms_norm" not in gpt2_kinds
         assert "rms_norm" in llama_kinds and "layer_norm" not in llama_kinds
-
-    def test_block_spec_is_decode(self):
-        assert BlockSpec(GPT2, 1, 32).is_decode
-        assert not BlockSpec(GPT2, 32, 32).is_decode
 
     def test_weights_have_correct_total_size(self):
         """Graph weights must add up to roughly one layer's parameters."""

@@ -20,7 +20,6 @@ class TestWorkload:
     def test_decode_kv_lengths(self):
         lengths = list(Workload(8, 4).decode_kv_lengths())
         assert lengths == [9, 10, 11]
-        assert Workload(8, 4).num_decode_steps == 3
 
     def test_invalid_lengths(self):
         with pytest.raises(ValueError):

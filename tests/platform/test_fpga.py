@@ -38,21 +38,13 @@ class TestTable6Values:
 
 
 class TestDerivedQuantities:
-    def test_cycle_time(self):
-        assert AMD_U55C.cycle_time_ns == pytest.approx(4.0)
-
     def test_bandwidth_per_cycle(self):
         expected = 460e9 / 250e6
         assert AMD_U55C.hbm_bandwidth_bytes_per_cycle == pytest.approx(expected)
 
-    def test_peak_macs_per_cycle(self):
-        expected = 24.5e12 / 2 / 250e6
-        assert AMD_U55C.peak_macs_per_cycle == pytest.approx(expected)
-
-    def test_cycles_seconds_roundtrip(self):
-        cycles = 1e6
-        assert AMD_U55C.seconds_to_cycles(
-            AMD_U55C.cycles_to_seconds(cycles)) == pytest.approx(cycles)
+    def test_cycles_to_seconds(self):
+        # 250 MHz: a million cycles take 4 ms.
+        assert AMD_U55C.cycles_to_seconds(1e6) == pytest.approx(4e-3)
 
     def test_memory_resources_cover_onchip_capacity(self):
         resources = AMD_U55C.memory_resources()

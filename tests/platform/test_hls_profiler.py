@@ -61,7 +61,7 @@ class TestProfileKernel:
     def test_external_kernel_returns_empty_profile(self):
         from repro.dataflow.structure import DataflowKernel
         profiler = HlsProfiler(AMD_U55C)
-        profile = profiler.profile_kernel(DataflowKernel("ext", source_op=None))
+        profile = profiler.profile_kernel(DataflowKernel("ext"))
         assert profile.latency == 0.0
 
 

@@ -10,7 +10,6 @@ from repro.resource.token_model import (
     equalize_timings,
     max_tokens_from_delay,
     simulate_max_tokens,
-    steady_state_interval,
 )
 
 
@@ -18,13 +17,6 @@ class TestKernelTiming:
     def test_latency_formula(self):
         timing = KernelTiming("k", initial_delay=3, pipeline_ii=2, total_tokens=5)
         assert timing.latency == 3 + 4 * 2
-
-    def test_tokens_produced_is_piecewise(self):
-        timing = KernelTiming("k", initial_delay=3, pipeline_ii=1, total_tokens=5)
-        assert timing.tokens_produced(2.9) == 0
-        assert timing.tokens_produced(3.0) == 1
-        assert timing.tokens_produced(5.0) == 3
-        assert timing.tokens_produced(100.0) == 5
 
     def test_throughput(self):
         assert KernelTiming("k", 0, 4, 10).throughput == 0.25
@@ -133,7 +125,3 @@ class TestEqualization:
                                             EqualizationStrategy.CONSERVATIVE)
         conservative_depth = max_tokens_from_delay(eq_fast, eq_slow, delay=0)
         assert conservative_depth <= normal_depth
-
-    def test_steady_state_interval(self):
-        assert steady_state_interval(self.make_timings()) == 8
-        assert steady_state_interval([]) == 0.0

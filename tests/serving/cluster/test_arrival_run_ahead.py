@@ -111,6 +111,8 @@ FLEETS = ("autoscaled", "fixed")
 # and ``run_ahead_steps``.  The three ``prefix_affinity`` entries were
 # re-recorded when a replica began running ahead past arrivals pinned to
 # other replicas: fewer STEP pops, the same popped + run-ahead sum.
+# ``prefix_affinity_autoscaled_crash`` was re-recorded again when crash
+# retries kept their prefix group and followed its pin.
 EVENT_TALLIES = {
     "autoscaled_queue_only": (100, 0, 35, 143, 0, 0, 278, 1000),
     "autoscaled_slo_flash_crowd": (150, 0, 49, 487, 1, 0, 686, 2262),
@@ -129,7 +131,7 @@ EVENT_TALLIES = {
     "kv_pressure_preempting": (80, 0, 0, 64, 0, 0, 144, 750),
     "least_kv_pressure": (80, 0, 0, 90, 0, 0, 170, 923),
     "multi_turn_prefix_cached": (32, 0, 0, 45, 0, 0, 77, 443),
-    "prefix_affinity_autoscaled_crash": (64, 0, 29, 132, 1, 1, 226, 658),
+    "prefix_affinity_autoscaled_crash": (64, 0, 23, 126, 1, 1, 214, 650),
     "prefix_affinity_cached": (64, 0, 0, 64, 0, 0, 128, 338),
     "score_class_mix": (100, 0, 0, 93, 0, 0, 193, 970),
     "score_preempting_class_autoscaled": (90, 0, 25, 125, 0, 0, 240, 835),

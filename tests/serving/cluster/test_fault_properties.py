@@ -25,7 +25,8 @@ import pytest
 
 from repro.models.config import GPT2
 from repro.serving import Tracer
-from repro.serving.cluster import AutoscalerConfig, FaultPlan, ServingCluster
+from repro.serving.cluster import (AutoscalerConfig, FaultPlan, ReplicaCrash,
+                                   ServingCluster)
 from repro.serving.telemetry.tracer import SpanKind
 from repro.serving.workload_gen import poisson_trace
 
@@ -68,7 +69,8 @@ def test_random_plan_invariants(seed):
 
     crashes = crash_instants(tracer)
     # Every recorded crash corresponds to a plan crash that could fire.
-    assert len(crashes) <= plan.num_crashes
+    plan_crashes = sum(isinstance(e, ReplicaCrash) for e in plan.events)
+    assert len(crashes) <= plan_crashes
 
     # Crash causality: no span starts on a crashed lane after its death,
     # and no request is attributed a completion there.
@@ -94,7 +96,7 @@ def test_random_plan_invariants(seed):
     if retries:
         assert crashes, f"seed {seed}: retries without any crash"
         assert min(retries) >= min(crashes.values()) - 1e-12
-    if not plan.num_crashes:
+    if not plan_crashes:
         assert not retries
         assert report.failed == 0
 

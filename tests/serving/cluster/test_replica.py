@@ -153,7 +153,7 @@ class TestLoadSignals:
         worker.submit(make_request(0))
         worker.submit(make_request(1))
         assert worker.queue_depth == 2
-        assert worker.num_running == 0
+        assert not worker.running
         assert worker.in_system == 2
         worker.step()
         assert worker.in_system == 2  # admitted into the batch, still here

@@ -5,10 +5,15 @@ from typing import Optional
 
 import pytest
 
-from repro.serving.cluster import ROUTING_POLICIES, resolve_routing_policy
-from repro.serving.cluster.router import ClusterRouter
-from repro.serving.request import ServingRequest
+from repro.models.config import GPT2
 from repro.models.workload import Workload
+from repro.serving.cluster import (ROUTING_POLICIES, ServingCluster,
+                                   resolve_routing_policy)
+from repro.serving.cluster.router import ClusterRouter, PrefixAffinityRouting
+from repro.serving.request import ServingRequest
+from tests.serving.cluster.test_kernel_differential import CONFIGS
+from tests.serving.cluster.test_pinned_horizons import \
+    _config as pinned_horizon_config
 
 
 @dataclass
@@ -397,3 +402,57 @@ class TestTieBreakDeterminism:
         second = [policy.select_replica(make_request(i), fleet)
                   for i in range(4)]
         assert first[:3] == second[:3] == [0, 1, 2]
+
+
+class _RecordingAffinity(PrefixAffinityRouting):
+    """``prefix_affinity`` recording each dispatch as ``(request id,
+    retries, prefix group, live pin or None, chosen replica)``."""
+
+    def __init__(self):
+        super().__init__()
+        self.dispatches = []
+
+    def select_replica(self, request, replicas):
+        pinned = self._pins.get(request.prefix_group)
+        if pinned not in {replica.device_id for replica in replicas}:
+            pinned = None
+        choice = super().select_replica(request, replicas)
+        self.dispatches.append((request.request_id, request.retries,
+                                request.prefix_group, pinned, choice))
+        return choice
+
+
+def retried_dispatches(kwargs, trace):
+    """``(request id, group at first dispatch, group, live pin, choice)``
+    of every retry dispatch of a grouped request in one run."""
+    router = _RecordingAffinity()
+    ServingCluster(GPT2, **dict(kwargs, router=router)).run(trace)
+    first_group = {rid: group for rid, retries, group, _, _
+                   in router.dispatches if not retries}
+    return [(rid, first_group[rid], group, pinned, choice)
+            for rid, retries, group, pinned, choice in router.dispatches
+            if retries and first_group[rid] is not None]
+
+
+class TestCrashRetriesKeepTheirGroup:
+    """A crash-lost ``prefix_affinity`` turn is retried from its original
+    prompt, so it keeps its session's prefix group and the router sends
+    it after the group's pin while that pin is live."""
+
+    def test_retried_turns_reach_the_router_with_their_group(self):
+        retried = retried_dispatches(
+            *CONFIGS["prefix_affinity_autoscaled_crash"])
+        assert retried, "the crash must lose grouped turns in flight"
+        for rid, first, group, pinned, choice in retried:
+            assert group == first, f"retry of {rid} lost its group"
+            if pinned is not None:
+                assert choice == pinned, f"retry of {rid} left its pin"
+
+    def test_a_retry_follows_its_live_group_pin(self):
+        """Seed 10 of the per-replica horizon sweep loses a turn whose
+        session is still pinned to a live replica."""
+        retried = retried_dispatches(*pinned_horizon_config(10))
+        live = [d for d in retried if d[3] is not None]
+        assert live, "some retry must find its group's pin live"
+        for rid, first, group, pinned, choice in live:
+            assert choice == pinned, f"retry of {rid} left its pin"

@@ -224,7 +224,7 @@ class TestRecordEventsView:
                                  **kwargs)
         cluster.record_events = True
         cluster.run(trace)
-        assert tracer.kernel_log_enabled
+        assert tracer.kernel_events() is not None
         assert cluster.last_event_log == tracer.kernel_events()
 
     def test_step_kernel_records_no_events(self):

@@ -2,11 +2,6 @@
 
 import pytest
 
-from repro.resource.memory_alloc import (
-    MemoryKind,
-    MemoryResource,
-    total_capacity_bytes,
-)
 from repro.serving.kv_manager import (
     KVBlockManager,
     KVCacheConfig,
@@ -46,17 +41,6 @@ class TestConfigValidation:
         assert config.capacity_bytes == pytest.approx(64e6)
         assert config.capacity_mb == pytest.approx(64.0)
         assert config.block_size == 32
-
-    def test_from_resources_folds_budgets(self):
-        resources = [
-            MemoryResource(MemoryKind.URAM, block_bits=288 * 1024, num_blocks=100),
-            MemoryResource(MemoryKind.BRAM, block_bits=36 * 1024, num_blocks=200),
-        ]
-        config = KVCacheConfig.from_resources(resources)
-        assert config.capacity_bytes == pytest.approx(
-            total_capacity_bytes(resources))
-        assert config.capacity_bytes == pytest.approx(
-            (288 * 1024 * 100 + 36 * 1024 * 200) / 8.0)
 
     def test_manager_rejects_capacity_below_one_block(self):
         config = KVCacheConfig(capacity_bytes=8.0, block_size=16)

@@ -70,7 +70,7 @@ class TestStepPlanning:
             SchedulerConfig(max_batch_size=8, token_budget=100))
         waiting = deque(make_request(i, Workload(64, 8)) for i in range(4))
         plan = scheduler.plan_step([], waiting)
-        assert plan.scheduled_tokens <= 100
+        assert plan.totals.tokens <= 100
 
     def test_chunked_prefill_splits_long_prompt(self):
         scheduler = ContinuousBatchingScheduler(
@@ -163,7 +163,7 @@ class TestStepTotals:
         # Three decodes, the prompt's last 24 positions (emitting), then a
         # mid-prompt chunk of the admission in the 37 tokens left over.
         assert [work.emits for _, work in slices] == [True] * 4 + [False]
-        assert plan.scheduled_tokens == 64
+        assert plan.totals.tokens == 64
 
     def test_oversized_resident_slice_raises(self):
         """A resident unchunked prefill that cannot fit the budget breaks

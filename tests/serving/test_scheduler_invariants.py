@@ -74,7 +74,7 @@ def check_plan(plan, config, waiting_before, manager, free_before):
         emitting=sum(work.emits for _, work in slices))
 
     # Token budget, with the documented dedicated-step exception.
-    if plan.scheduled_tokens > config.token_budget:
+    if plan.totals.tokens > config.token_budget:
         assert not config.chunked_prefill
         assert len(slices) == 1
         request, work = slices[0]

@@ -59,6 +59,10 @@ CASES = {
         "serve-cluster --requests 48 --replicas 4 --trace multi_turn "
         "--router prefix_affinity --autoscale --kv-capacity-mb 16 "
         "--prefix-cache"),
+    "serve-cluster multi_turn autoscaled crash retry": (
+        "serve-cluster --requests 48 --replicas 4 --trace multi_turn "
+        "--router prefix_affinity --autoscale --kv-capacity-mb 16 "
+        "--prefix-cache --faults crash@0.6:1 --max-retries 3"),
     "serve-cluster tool_use": (
         "serve-cluster --requests 24 --replicas 2 --trace tool_use "
         "--tool-calls 3 --tool-wait 0.2"),

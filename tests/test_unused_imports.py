@@ -2,39 +2,31 @@
 
 The guard scans ``src/repro`` and the ``tests``, ``benchmarks`` and
 ``examples`` trees.  Package ``__init__.py`` files are skipped, since
-their imports are the package's exports.  A name counts as used when the module reads it
-anywhere, a quoted annotation or an ``__all__`` entry included.  Uses
-only the standard library, so it runs in the tier-1 suite without a
-linter installed.
+their imports are the package's exports.  A name counts as used when the
+module reads it, as :func:`tests.ast_reads.names_read` defines a read (a
+quoted annotation included).  Uses only the standard library, so it runs
+in the tier-1 suite without a linter installed.
 """
 
 import ast
 from pathlib import Path
+
+from tests.ast_reads import names_read
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source):
     """``(line, name)`` of every name ``source`` imports and never reads."""
-    tree = ast.parse(source)
     imported = {}
-    used = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             if getattr(node, "module", None) == "__future__":
                 continue
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported.setdefault(name, node.lineno)
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                quoted = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            used.update(sub.id for sub in ast.walk(quoted)
-                        if isinstance(sub, ast.Name))
+    used = names_read(source)
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
 
